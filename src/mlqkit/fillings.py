@@ -12,15 +12,16 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import NotCoquinvFree, NotStraight, ParseError
-from .mlq import MultilineQueue, enumerate_mlq
+from .mlq import MultilineQueue, _is_count, enumerate_mlq
 
 
 @dataclass(frozen=True)
 class ColumnFilling:
     shape: tuple  # column heights, weakly decreasing
     rows: tuple  # row r (bottom-up) lists entries for columns 1..width(r)
+    n: int  # alphabet size; entries lie in 1..n
 
-    def __init__(self, shape, rows):
+    def __init__(self, shape, rows, n=None):
         shape = tuple(shape)
         rows = tuple(tuple(r) for r in rows)
         heights = [sum(1 for h in shape if h >= r) for r in range(1, (shape[0] if shape else 0) + 1)]
@@ -28,8 +29,14 @@ class ColumnFilling:
             raise ParseError(f"rows {rows} do not fill the diagram of {shape}")
         if any(v <= 0 for r in rows for v in r):
             raise ParseError("entries must be positive")
+        top = max((v for r in rows for v in r), default=1)
+        if n is None:
+            n = top
+        elif not _is_count(n) or n < top:
+            raise ParseError(f"alphabet size {n!r} below the largest entry {top}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
 
     def entry(self, r, c):
         """Entry at row r, column c (both 1-based)."""
@@ -48,7 +55,8 @@ class ColumnFilling:
         return " / ".join(" ".join(str(v) for v in r) for r in self.rows)
 
     def to_json(self):
-        return json.dumps({"shape": list(self.shape), "rows": [list(r) for r in self.rows]})
+        rows = [list(r) for r in self.rows]
+        return json.dumps({"shape": list(self.shape), "rows": rows, "n": self.n})
 
     def __str__(self):
         return self.to_text()
@@ -59,7 +67,7 @@ def parse_filling(text: str) -> ColumnFilling:
     try:
         if text.startswith("{"):
             data = json.loads(text)
-            return ColumnFilling(data["shape"], data["rows"])
+            return ColumnFilling(data["shape"], data["rows"], data.get("n"))
         shape_part, _, body = text.partition(";")
         shape = tuple(int(v) for v in shape_part.split(",") if v)
         rows = [[int(v) for v in part.split()] for part in body.split("/")]
@@ -158,15 +166,14 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
 
     place([], 1)
     assert len(solutions) == 1, f"{len(solutions)} coquinv-free fillings"
-    return ColumnFilling(shape, solutions[0])
+    return ColumnFilling(shape, solutions[0], m.n)
 
 
 def mlq_of_filling(tau: ColumnFilling) -> MultilineQueue:
     """Queue with the same row contents; requires a coquinv-free filling."""
     if coquinv(tau) != 0:
         raise NotCoquinvFree(tau.to_text())
-    n = max((v for r in tau.rows for v in r), default=1)
-    return MultilineQueue(n, tau.rows)
+    return MultilineQueue(tau.n, tau.rows)
 
 
 def enumerate_coquinv_free(lam, n: int):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .core import conjugate, is_partition, sort_to_partition
+from .core import conjugate, is_partition
 from .errors import BadRowIndex, NotStraight, ParseError, TooNarrow
 from .matching import match_brackets, wrap_pairs
 
@@ -257,43 +257,107 @@ def label_gmlq(m: MultilineQueue):
     """Particle and anti-particle labels of a generalized multiline queue.
 
     Top row: particles get the row number, anti-particles one less.  Each
-    lower row is labelled from the row above in two phases: the s = #particles
-    highest-priority sites pair weakly right to particles, the rest pair
-    weakly left to anti-particles with the label decremented; priority is
-    decreasing label, ties left to right.  Returns (labels for every site,
-    particle wrap list [(source row, label)], anti wrap list).
+    lower row is labelled from the row above by ``_label_row``.  Returns
+    (labels for every site, particle wrap list [(source row, label)], anti
+    wrap list).
     """
     L, n = m.num_rows, m.n
     labels = {}
     particle_wraps = []
     anti_wraps = []
-    if L == 0:
-        return labels, particle_wraps, anti_wraps
-    top = set(m.row(L))
-    for c in range(1, n + 1):
-        labels[(L, c)] = L if c in top else L - 1
-    for r in range(L - 1, 0, -1):
-        word = [labels[(r + 1, c)] for c in range(1, n + 1)]
-        order = sorted(range(1, n + 1), key=lambda c: (-word[c - 1], c))
-        here = set(m.row(r))
-        free_particles = set(here)
-        free_antis = set(range(1, n + 1)) - here
-        s = len(here)
-        for src in order[:s]:
-            lab = word[src - 1]
-            target, wrapped = _pair_target(free_particles, src, +1)
-            free_particles.discard(target)
-            labels[(r, target)] = lab
-            if wrapped:
-                particle_wraps.append((r + 1, lab))
-        for src in reversed(order[s:]):
-            lab = word[src - 1]
-            target, wrapped = _pair_target(free_antis, src, -1)
-            free_antis.discard(target)
-            labels[(r, target)] = lab - 1
-            if wrapped:
-                anti_wraps.append((r + 1, lab))
+    word = (L,) * n  # see _label_word_sweep: this yields the top row
+    for r in range(L, 0, -1):
+        word, plus, minus = _label_row(word, set(m.row(r)))
+        for c in range(1, n + 1):
+            labels[(r, c)] = word[c - 1]
+        particle_wraps += [(r + 1, lab) for lab in plus]
+        anti_wraps += [(r + 1, lab) for lab in minus]
     return labels, particle_wraps, anti_wraps
+
+
+def _label_row(word, here):
+    """Label a row with ball set ``here`` below a row labelled ``word``.
+
+    The s = |here| highest-priority sites above pair to the first free
+    particle weakly right of them, the rest, lowest priority first, to the
+    first free anti-particle weakly left of them with the label decremented;
+    both searches wrap cyclically.  Priority is decreasing label, ties left
+    to right.  Returns (the row's labels for columns 1..n, labels of the
+    wrapping particle pairings, labels of the wrapping anti-particle
+    pairings).
+    """
+    n = len(word)
+    # sorted is stable under reverse=True, so ties stay left to right
+    order = sorted(range(n), key=word.__getitem__, reverse=True)
+    particle = [c in here for c in range(1, n + 1)]
+    s = len(here)
+    out = [None] * n
+    plus, minus = [], []
+    for src in order[:s]:
+        t = src
+        while not particle[t] or out[t] is not None:
+            t = t + 1 if t + 1 < n else 0
+        out[t] = word[src]
+        if t < src:
+            plus.append(word[src])
+    for src in reversed(order[s:]):
+        t = src
+        while particle[t] or out[t] is not None:
+            t = t - 1 if t else n - 1
+        out[t] = word[src] - 1
+        if t > src:
+            minus.append(word[src])
+    return tuple(out), plus, minus
+
+
+def _label_word_sweep(alpha, n: int, one, carry):
+    """Sum a weight over all queues with row sizes alpha, row by row.
+
+    A state is the label word of a row; it fixes every label below it, so
+    queues that agree on a row's word are merged there.  ``one`` is the
+    weight of the empty queue.  ``carry(acc, value, row, dq)`` adds to
+    ``acc`` (None for a word not seen yet in the layer) the weight ``value``
+    passed through a row with ball set ``row`` whose pairings add ``dq`` to
+    ``maj_g``, and returns the sum.  Returns {bottom-row word: weight}.
+
+    The sweep starts above the top row from the constant word L..L: pairing
+    from it gives the top row's labels (L on particles, L-1 elsewhere) and
+    never wraps, so the top row needs no case of its own.
+    """
+    _check_columns(n)
+    alpha = tuple(alpha)
+    if not all(_is_count(a) and a >= 0 for a in alpha):
+        raise ParseError(f"row sizes must be nonnegative ints, got {alpha!r}")
+    L = len(alpha)
+    layer = {(L,) * n: one}
+    for r in range(L, 0, -1):
+        rows = [set(c) for c in combinations(range(1, n + 1), alpha[r - 1])]
+        below = {}
+        for word, value in layer.items():
+            for row in rows:
+                new, plus, minus = _label_row(word, row)
+                # a wrap of label l from row r+1 weighs l - r
+                dq = sum(plus) - sum(minus) - r * (len(plus) - len(minus))
+                below[new] = carry(below.get(new), value, row, dq)
+        layer = below
+    return layer
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_columns(n):
+    if not _is_count(n) or n < 1:
+        raise ParseError(f"column count must be a positive int, got {n!r}")
+
+
+def _check_shape(lam) -> tuple:
+    """lam as a tuple, or ParseError unless it is a partition of ints."""
+    lam = tuple(lam)
+    if not all(_is_count(p) for p in lam) or not is_partition(lam):
+        raise ParseError(f"not a partition: {lam!r}")
+    return lam
 
 
 def maj_g(m: MultilineQueue) -> int:
@@ -384,17 +448,13 @@ def prod_binom(sizes, n: int) -> int:
 
 def stationary_counts(lam, n: int):
     """How many queues of shape lam project onto each bottom-row state."""
+    lam = _check_shape(lam)
+    _check_columns(n)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
-    counts = {}
-    for m in enumerate_mlq(lam, n):
-        state = projection(m)
-        counts[state] = counts.get(state, 0) + 1
-    return counts
-
-
-def gmlq_sizes(alpha, n: int) -> int:
-    return prod_binom(alpha, n)
+    return _label_word_sweep(
+        conjugate(lam), n, 1, lambda acc, value, row, dq: value + (acc or 0)
+    )
 
 
 def all_binary_matrices(num_rows: int, n: int):
@@ -407,9 +467,3 @@ def all_binary_matrices(num_rows: int, n: int):
                 rows[r - 1].append(c)
         yield MultilineQueue(n, rows)
 
-
-def sort_alpha_check(alpha):
-    """Partition obtained by sorting alpha; sanity helper for callers."""
-    lam = sort_to_partition(alpha)
-    assert is_partition(lam)
-    return lam

@@ -5,6 +5,7 @@ all identity checks are structural equalities of canonical forms.
 """
 
 import json
+from collections import Counter
 from itertools import permutations
 
 from .charge import charge
@@ -12,17 +13,16 @@ from .core import conjugate, partitions, sort_to_partition
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import (
-    MultilineQueue,
-    column_word,
+    _check_shape,
+    _label_word_sweep,
     enumerate_gmlq,
     enumerate_mlq,
     is_nonwrapping,
     maj,
-    maj_g,
+    row_word,
 )
 from .collapse import maj_of_rotation
 from .core import is_lattice
-from .mlq import row_word
 from .tableaux import Tableau, enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
 
 
@@ -163,64 +163,75 @@ class QXPolynomial:
         return f"QXPolynomial({self.n}, {self.to_text()!r})"
 
 
-def x_monomial(n: int, counts, q_exp=0) -> QXPolynomial:
-    """Monomial q^q_exp * prod x_i^counts[i-1] from a content vector."""
-    return QXPolynomial.monomial(
-        n, q_exp, {i + 1: e for i, e in enumerate(counts) if e}
-    )
-
-
-def _mlq_weight(n, m: MultilineQueue, q_exp) -> QXPolynomial:
-    return x_monomial(n, m.column_content(), q_exp)
+def _x_key(counts):
+    """Sparse x exponent vector of a content vector (counts[i-1] for x_i)."""
+    return tuple((i + 1, e) for i, e in enumerate(counts) if e)
 
 
 def schur(lam, n: int) -> QXPolynomial:
     """Schur polynomial as the weight sum over nonwrapping queues."""
-    out = QXPolynomial.zero(n)
     if conjugate(lam) and conjugate(lam)[0] > n:
-        return out
-    for m in enumerate_mlq(lam, n):
-        if is_nonwrapping(m):
-            out = out + _mlq_weight(n, m, 0)
-    return out
+        return QXPolynomial.zero(n)
+    return QXPolynomial(n, (
+        ((0, _x_key(m.column_content())), 1)
+        for m in enumerate_mlq(lam, n)
+        if is_nonwrapping(m)
+    ))
 
 
 def schur_by_ssyt(lam, n: int) -> QXPolynomial:
     """Independent oracle: content sum over semistandard tableaux."""
-    out = QXPolynomial.zero(n)
-    for t in enumerate_ssyt(lam, max_entry=n):
-        out = out + x_monomial(n, t.content())
-    return out
+    return QXPolynomial(n, (
+        ((0, _x_key(t.content())), 1) for t in enumerate_ssyt(lam, max_entry=n)
+    ))
 
 
 def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
-    """Weight generating function q^maj x^M over all queues of shape lam."""
-    out = QXPolynomial.zero(n)
-    if conjugate(lam) and conjugate(lam)[0] > n:
-        return out
-    for m in enumerate_mlq(lam, n):
-        out = out + _mlq_weight(n, m, maj(m))
-    return out
+    """Weight generating function q^maj x^M over all queues of shape lam.
+
+    Computed as the generalized form over the row sizes lam', where maj_g
+    equals maj.
+    """
+    return q_whittaker_gmlq(conjugate(_check_shape(lam)), n)
 
 
 def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
-    """The generalized-queue form over row sizes alpha."""
-    out = QXPolynomial.zero(n)
-    if any(a > n for a in alpha):
-        return out
-    for m in enumerate_gmlq(alpha, n):
-        out = out + _mlq_weight(n, m, maj_g(m))
-    return out
+    """The generalized-queue form q^maj_g x^M over row sizes alpha.
+
+    Sums over label-word states row by row (``_label_word_sweep``) instead
+    of over queues.  A weight is {(q exponent, packed content): count},
+    where the packed content holds x_c's exponent as the digit of
+    base^(c-1); a column has at most one ball per row, so base = rows + 1.
+    """
+    alpha = tuple(alpha)
+    base = len(alpha) + 1
+
+    def carry(acc, value, row, dq):
+        code = sum(base ** (c - 1) for c in row)
+        if acc is None:
+            acc = {}
+        for (q, x), count in value.items():
+            key = (q + dq, x + code)
+            acc[key] = acc.get(key, 0) + count
+        return acc
+
+    terms = {}
+    for value in _label_word_sweep(alpha, n, {(0, 0): 1}, carry).values():
+        for key, count in value.items():
+            terms[key] = terms.get(key, 0) + count
+    return QXPolynomial(n, (
+        ((q, _x_key(x // base ** i % base for i in range(n))), count)
+        for (q, x), count in terms.items()
+    ))
 
 
 def kostka_foulkes_charge(lam, mu) -> QXPolynomial:
     """K_{lam,mu}(q) as the charge sum over SSYT(lam, mu)."""
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    out = QXPolynomial.zero(0)
-    for t in enumerate_ssyt(lam, weight=mu):
-        out = out + QXPolynomial.monomial(0, tableau_charge(t))
-    return out
+    return QXPolynomial(0, (
+        ((tableau_charge(t), ()), 1) for t in enumerate_ssyt(lam, weight=mu)
+    ))
 
 
 def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
@@ -230,18 +241,15 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     target = conjugate(lam)
     n = lam[0] if lam else 1
-    out = QXPolynomial.zero(0)
     if mu and mu[0] > n:
-        return out
-    for m in enumerate_gmlq(tuple(mu), n):
-        if m.column_content()[: len(target)] != target:
-            continue
-        if any(c for c in m.column_content()[len(target):]):
-            continue
-        if not is_lattice(row_word(m)):
-            continue
-        out = out + QXPolynomial.monomial(0, maj(m))
-    return out
+        return QXPolynomial.zero(0)
+    return QXPolynomial(0, (
+        ((maj(m), ()), 1)
+        for m in enumerate_gmlq(tuple(mu), n)
+        if m.column_content()[: len(target)] == target
+        and not any(m.column_content()[len(target):])
+        and is_lattice(row_word(m))
+    ))
 
 
 def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
@@ -250,16 +258,13 @@ def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     n = len(mu) if mu else 1
-    out = QXPolynomial.zero(0)
     if conjugate(lam) and conjugate(lam)[0] > n:
-        return out
-    for m in enumerate_mlq(lam, n):
-        if m.column_content()[: len(mu)] != tuple(mu):
-            continue
-        if not is_nonwrapping(m):
-            continue
-        out = out + QXPolynomial.monomial(0, maj_of_rotation(m))
-    return out
+        return QXPolynomial.zero(0)
+    return QXPolynomial(0, (
+        ((maj_of_rotation(m), ()), 1)
+        for m in enumerate_mlq(lam, n)
+        if m.column_content()[: len(mu)] == tuple(mu) and is_nonwrapping(m)
+    ))
 
 
 def kostka_foulkes(lam, mu) -> QXPolynomial:
@@ -288,16 +293,14 @@ def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
 
 def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:
     """Weight sum over coquinv-free fillings."""
-    out = QXPolynomial.zero(n)
     if conjugate(lam) and conjugate(lam)[0] > n:
-        return out
-    for tau in enumerate_coquinv_free(lam, n):
-        counts = [0] * n
-        for row in tau.rows:
-            for v in row:
-                counts[v - 1] += 1
-        out = out + x_monomial(n, counts, maj_filling(tau))
-    return out
+        return QXPolynomial.zero(n)
+
+    def weight(tau):
+        content = Counter(v for row in tau.rows for v in row)
+        return maj_filling(tau), tuple(sorted(content.items()))
+
+    return QXPolynomial(n, ((weight(tau), 1) for tau in enumerate_coquinv_free(lam, n)))
 
 
 def is_symmetric(p: QXPolynomial) -> bool:
@@ -370,9 +373,9 @@ def q_whittaker_all_ways(lam, n: int):
 
 def skew_schur(outer, inner, n: int) -> QXPolynomial:
     """Content sum over skew semistandard tableaux with entries at most n."""
-    out = QXPolynomial.zero(n)
     if sum(outer) == sum(inner):
         return QXPolynomial.one(n)
-    for t in enumerate_skew_ssyt(outer, inner, max_entry=n):
-        out = out + x_monomial(n, t.content())
-    return out
+    return QXPolynomial(n, (
+        ((0, _x_key(t.content())), 1)
+        for t in enumerate_skew_ssyt(outer, inner, max_entry=n)
+    ))

@@ -1,7 +1,7 @@
 import pytest
 
 from mlqkit.core import conjugate, partitions
-from mlqkit.errors import NotCoquinvFree, NotStraight
+from mlqkit.errors import NotCoquinvFree, NotStraight, ParseError
 from mlqkit.fillings import (
     ColumnFilling,
     coquinv,
@@ -117,3 +117,14 @@ def test_parse_round_trip():
     text = f"{','.join(str(v) for v in tau.shape)};{tau.to_text()}"
     assert parse_filling(text) == tau
     assert parse_filling(tau.to_json()) == tau
+
+
+def test_alphabet_size_is_kept():
+    m = MultilineQueue(4, [[2], [1]])
+    tau = filling_of_mlq(m)
+    assert tau.n == 4
+    assert parse_filling(tau.to_json()) == tau
+    assert mlq_of_filling(parse_filling(tau.to_json())) == m
+    assert ColumnFilling((2,), [[2], [1]]).n == 2  # default: largest entry
+    with pytest.raises(ParseError):
+        ColumnFilling((2,), [[2], [1]], n=1)
