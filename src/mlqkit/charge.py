@@ -1,6 +1,6 @@
 """Charge and cocharge statistics on permutations and words."""
 
-from .core import content, is_partition, n_stat, sort_to_partition
+from .core import content, is_partition, n_stat
 from .errors import NonPartitionContent, NotAPermutation
 from .matching import bracket_match, reflect
 

@@ -10,8 +10,15 @@ matrices.
 from dataclasses import dataclass
 
 from .core import conjugate
-from .errors import BadRowIndex, BadSigmaWord, NotNonwrapping, ShapeMismatch
-from .mlq import MultilineQueue, _two_row_match, is_nonwrapping, maj, sigma
+from .errors import (
+    BadRowIndex,
+    BadSigmaWord,
+    InvariantError,
+    NotNonwrapping,
+    ShapeMismatch,
+)
+from .matching import _two_row_match
+from .mlq import MultilineQueue, is_nonwrapping, maj, sigma
 from .tableaux import Tableau, tableau_from_crw
 
 
@@ -27,8 +34,18 @@ class CollapseResult:
 
 def _unmatched_above(rows, i):
     """Columns of row i+1 (1-based) unmatched against row i."""
-    _, opens, _, _ = _two_row_match(set(rows[i]), set(rows[i - 1]))
+    _, opens, _, _ = _two_row_match(rows[i], rows[i - 1])
     return opens
+
+
+def _drop_unmatched(rows, i):
+    """Move every ball of row i+1 unmatched against row i down, in place;
+    return how many moved."""
+    opens = _unmatched_above(rows, i)
+    for c in opens:
+        rows[i].remove(c)
+        rows[i - 1].add(c)
+    return len(opens)
 
 
 def drop(m: MultilineQueue, i: int) -> MultilineQueue:
@@ -48,7 +65,7 @@ def lift(m: MultilineQueue, i: int) -> MultilineQueue:
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
     rows = [set(r) for r in m.rows]
-    _, _, closes, _ = _two_row_match(set(rows[i]), set(rows[i - 1]))
+    _, _, closes, _ = _two_row_match(rows[i], rows[i - 1])
     if closes:
         rows[i - 1].remove(closes[-1])
         rows[i].add(closes[-1])
@@ -60,22 +77,8 @@ def drop_all(m: MultilineQueue, i: int) -> MultilineQueue:
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
     rows = [set(r) for r in m.rows]
-    for c in _unmatched_above(rows, i):
-        rows[i].remove(c)
-        rows[i - 1].add(c)
+    _drop_unmatched(rows, i)
     return m.with_rows(rows)
-
-
-def _sweep(rows, top):
-    """Apply drops from row top down to row 1 in place; count drops per level."""
-    counts = {}
-    for j in range(top - 1, 0, -1):
-        opens = _unmatched_above(rows, j)
-        counts[j] = len(opens)
-        for c in opens:
-            rows[j].remove(c)
-            rows[j - 1].add(c)
-    return counts
 
 
 def collapse(m: MultilineQueue) -> CollapseResult:
@@ -88,18 +91,16 @@ def collapse(m: MultilineQueue) -> CollapseResult:
     for r, source in enumerate(m.rows, start=1):
         rows.append(set(source))
         before = [len(x) for x in rows]
-        counts = _sweep(rows, r)
-        for j, k in counts.items():
-            drop_counts[(r, j)] = k
+        for j in range(r - 1, 0, -1):
+            drop_counts[(r, j)] = _drop_unmatched(rows, j)
         for level in range(r):
             gained = len(rows[level]) - (before[level] if level < r - 1 else 0)
-            if level == r - 1:
-                gained = len(rows[level])
             if level >= len(tableau_rows):
                 tableau_rows.append([])
             tableau_rows[level].extend([r] * gained)
         for j in range(1, r):
-            assert not _unmatched_above(rows, j), "collapsed prefix moved"
+            if _unmatched_above(rows, j):
+                raise InvariantError(f"collapsed prefix moved at row {j}")
     queue = MultilineQueue(m.n, rows)
     recorder = Tableau([row for row in tableau_rows if row])
     return CollapseResult(queue, recorder, drop_counts)
@@ -111,10 +112,7 @@ def collapse_top_down(m: MultilineQueue) -> MultilineQueue:
     top = len(rows)
     for start in range(1, top + 1):
         for j in range(top - 1, start - 1, -1):
-            opens = _unmatched_above(rows, j)
-            for c in opens:
-                rows[j].remove(c)
-                rows[j - 1].add(c)
+            _drop_unmatched(rows, j)
     return m.with_rows(rows)
 
 
@@ -137,7 +135,7 @@ def labelled_collapse(m: MultilineQueue) -> Tableau:
 
 def _labelled_drop(rows, j):
     upper, lower = rows[j], rows[j - 1]
-    pairs, opens, _, _ = _two_row_match(set(upper), set(lower))
+    pairs, opens, _, _ = _two_row_match(upper, lower)
     if not opens:
         return
     partner = {close: open_ for open_, close in pairs}
@@ -147,7 +145,8 @@ def _labelled_drop(rows, j):
         if b not in partner:
             continue
         choices = [t for t in range(len(free)) if free[t][0] <= b]
-        assert choices, "matched ball with no label weakly left"
+        if not choices:
+            raise InvariantError(f"matched ball {b} with no label weakly left")
         k = min(choices, key=lambda t: free[t][1])
         new_upper[partner[b]] = free.pop(k)[1]
     for c, (_, lab) in zip(opens, free):

@@ -6,7 +6,6 @@ zeros are significant; words are tuples of positive integers.  All indices in
 the external contract are 1-based.
 """
 
-from itertools import permutations
 from math import comb
 
 from .errors import ParseError, SizeMismatch
@@ -29,10 +28,6 @@ def check_partition(parts) -> tuple:
     if not is_partition(parts):
         raise ParseError(f"not a partition: {parts}")
     return parts
-
-
-def size(p) -> int:
-    return sum(p)
 
 
 def conjugate(p) -> tuple:
@@ -98,15 +93,6 @@ def partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def compositions_of_multiset(parts):
-    """Distinct rearrangements of a part multiset, lexicographically."""
-    seen = set()
-    for perm in permutations(parts):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
-
-
 def parse_partition(text: str) -> tuple:
     text = text.strip()
     if text in ("", "-"):
@@ -116,19 +102,6 @@ def parse_partition(text: str) -> tuple:
     except ValueError as exc:
         raise ParseError(f"bad partition {text!r}") from exc
     return check_partition(parts)
-
-
-def parse_composition(text: str) -> tuple:
-    text = text.strip()
-    if text in ("", "-"):
-        return ()
-    try:
-        parts = tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad composition {text!r}") from exc
-    if any(p < 0 for p in parts):
-        raise ParseError(f"bad composition {text!r}")
-    return parts
 
 
 def parse_word(text: str) -> tuple:
@@ -142,11 +115,3 @@ def parse_word(text: str) -> tuple:
     if any(v < 1 for v in letters):
         raise ParseError(f"bad word {text!r}")
     return letters
-
-
-def format_partition(p) -> str:
-    return ",".join(str(v) for v in p)
-
-
-def format_word(w) -> str:
-    return " ".join(str(v) for v in w)

@@ -65,6 +65,11 @@ class ParseError(MlqkitError):
     pass
 
 
+class InvariantError(MlqkitError):
+    """An internal consistency check failed; raised, not asserted, so that
+    it also holds under ``python -O``."""
+
+
 class BoundExceeded(MlqkitError):
     pass
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import NotCoquinvFree, NotStraight, ParseError
+from .errors import InvariantError, NotCoquinvFree, NotStraight, ParseError
 from .mlq import MultilineQueue, _is_count, enumerate_mlq
 
 
@@ -165,7 +165,8 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
             rows.pop()
 
     place([], 1)
-    assert len(solutions) == 1, f"{len(solutions)} coquinv-free fillings"
+    if len(solutions) != 1:
+        raise InvariantError(f"{len(solutions)} coquinv-free fillings of {m}")
     return ColumnFilling(shape, solutions[0], m.n)
 
 

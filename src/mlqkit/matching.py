@@ -46,10 +46,13 @@ def match_brackets(events):
     return pairs, stack, closes
 
 
-def wrap_pairs(unmatched_opens, unmatched_closes):
-    """Cyclic completion: pair trailing opens with leading closes, outside in."""
-    k = min(len(unmatched_opens), len(unmatched_closes))
-    return [(unmatched_opens[-1 - t], unmatched_closes[t]) for t in range(k)]
+def _wrap(opens, closes):
+    """Cyclic completion: trailing unmatched opens pair with leading
+    unmatched closes, outside in.  Returns (opens left, closes left,
+    wrapping_pairs)."""
+    k = min(len(opens), len(closes))
+    wrapping = [(opens[-1 - t], closes[t]) for t in range(k)]
+    return opens[: len(opens) - k], closes[k:], wrapping
 
 
 def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
@@ -66,11 +69,7 @@ def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
     pairs, opens, closes = match_brackets(events)
     wrapping = []
     if cyclic:
-        wrapping = wrap_pairs(opens, closes)
-        k = len(wrapping)
-        if k:
-            opens = opens[: len(opens) - k]
-            closes = closes[k:]
+        opens, closes, wrapping = _wrap(opens, closes)
     return MatchData(
         positions_of_i=tuple(pos_i),
         positions_of_i_plus_1=tuple(pos_i1),
@@ -80,6 +79,25 @@ def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
         cyclic=cyclic,
         wrapping_pairs=tuple(wrapping),
     )
+
+
+def _two_row_match(upper, lower, cyclic=False):
+    """Match an upper row (opens) against a lower row (closes), column order.
+
+    Within a column the upper symbol precedes the lower one, matching the
+    top-down column reading.  Returns (pairs, unmatched_opens,
+    unmatched_closes, wrapping_pairs) as column lists.
+    """
+    events = []
+    for c in sorted(set(upper) | set(lower)):
+        if c in upper:
+            events.append((c, True))
+        if c in lower:
+            events.append((c, False))
+    pairs, opens, closes = match_brackets(events)
+    if not cyclic:
+        return pairs, opens, closes, []
+    return (pairs, *_wrap(opens, closes))
 
 
 def _replace(w, position, letter):

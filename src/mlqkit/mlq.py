@@ -7,13 +7,14 @@ which are the same thing as binary matrices.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
 from .core import conjugate, is_partition
 from .errors import BadRowIndex, NotStraight, ParseError, TooNarrow
-from .matching import match_brackets, wrap_pairs
+from .matching import _two_row_match
 
 
 @dataclass(frozen=True)
@@ -22,11 +23,12 @@ class MultilineQueue:
     rows: tuple
 
     def __init__(self, n, rows):
+        _check_columns(n)
         rows = tuple(tuple(sorted(set(r))) for r in rows)
         for row in rows:
             for c in row:
-                if not 1 <= c <= n:
-                    raise ParseError(f"ball column {c} outside 1..{n}")
+                if type(c) is not int or not 1 <= c <= n:
+                    raise ParseError(f"ball column {c!r} is not an int in 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
@@ -126,47 +128,9 @@ def biwords(m: MultilineQueue):
     return row_bw, col_bw
 
 
-def _two_row_match(upper, lower, cyclic=False):
-    """Match an upper row (opens) against a lower row (closes), column order.
-
-    Within a column the upper symbol precedes the lower one, matching the
-    top-down column reading.  Returns (pairs, unmatched_opens,
-    unmatched_closes, wrapping_pairs) as column lists.
-    """
-    events = []
-    for c in sorted(set(upper) | set(lower)):
-        if c in upper:
-            events.append((c, True))
-        if c in lower:
-            events.append((c, False))
-    pairs, opens, closes = match_brackets(events)
-    wrapping = []
-    if cyclic:
-        wrapping = wrap_pairs(opens, closes)
-        k = len(wrapping)
-        opens, closes = opens[: len(opens) - k], closes[k:]
-    return pairs, opens, closes, wrapping
-
-
 def _check_straight(m: MultilineQueue):
     if not m.is_straight():
         raise NotStraight(f"row sizes {m.row_sizes()}")
-
-
-def _pair_target(candidates, col, direction):
-    """First candidate weakly right (+1) or left (-1) of col, cyclically.
-
-    Returns (target, wrapped).
-    """
-    if direction > 0:
-        ahead = [c for c in candidates if c >= col]
-        if ahead:
-            return min(ahead), False
-        return min(candidates), True
-    behind = [c for c in candidates if c <= col]
-    if behind:
-        return max(behind), False
-    return max(candidates), True
 
 
 def label_mlq(m: MultilineQueue):
@@ -177,64 +141,35 @@ def label_mlq(m: MultilineQueue):
     order of decreasing label, left to right within a label.  Returns the
     label map {(row, col): label} and the pairing multiset of triples
     (origin row, label, wrapped).
+
+    This is ``label_gmlq`` restricted to the balls: in a straight queue the
+    empty sites of row r read r-1, so they rank below every ball of that
+    row, and a wrap whose label is below its source row is theirs.
     """
     _check_straight(m)
-    labels = {}
-    pairings = []
-    for r in range(m.num_rows, 1, -1):
-        for c in m.row(r):
-            labels.setdefault((r, c), r)
-        free = set(m.row(r - 1))
-        sources = sorted(m.row(r), key=lambda c: (-labels[(r, c)], c))
-        for c in sources:
-            target, wrapped = _pair_target(free, c, +1)
-            free.discard(target)
-            labels[(r - 1, target)] = labels[(r, c)]
-            pairings.append((r, labels[(r, c)], 1 if wrapped else 0))
-    if m.num_rows >= 1:
-        for c in m.row(1):
-            labels.setdefault((1, c), 1)
+    every_site, particle_wraps, _ = label_gmlq(m)
+    labels = {
+        (r, c): every_site[(r, c)] for r in range(1, m.num_rows + 1) for c in m.row(r)
+    }
+    wrapped = Counter((r, lab) for r, lab in particle_wraps if lab >= r)
+    unwrapped = Counter((r, lab) for (r, _), lab in labels.items() if r > 1)
+    unwrapped.subtract(wrapped)
+    pairings = [(r, lab, 0) for r, lab in unwrapped.elements()]
+    pairings += [(r, lab, 1) for r, lab in wrapped.elements()]
     return labels, pairings
 
 
-def label_mlq_by_matching(m: MultilineQueue):
-    """The same labelling computed by iterated cylindrical matching.
+def maj(m: MultilineQueue) -> int:
+    """Major index: each wrapping pairing of label l from row r adds l-r+1.
 
-    Returns the label map and the wrap counts {(label, row): count} of
-    cylindrically-but-not-classically matched balls per label and row.
+    It equals ``maj_g``: the empty sites of row r read r-1, so every wrap
+    from them weighs 0.
     """
     _check_straight(m)
-    labels = {}
-    wraps = {}
-    for r in range(m.num_rows, 1, -1):
-        for c in m.row(r):
-            labels.setdefault((r, c), r)
-        for lab in range(m.num_rows, r - 1, -1):
-            upper = [c for c in m.row(r) if labels[(r, c)] == lab]
-            lower = [c for c in m.row(r - 1) if (r - 1, c) not in labels]
-            if not upper:
-                continue
-            pairs, opens, _, wrapping = _two_row_match(upper, lower, cyclic=True)
-            assert not opens, "straight queue must match all balls"
-            for _, c in pairs + wrapping:
-                labels[(r - 1, c)] = lab
-            if wrapping:
-                wraps[(lab, r)] = len(wrapping)
-    if m.num_rows:
-        for c in m.row(1):
-            labels.setdefault((1, c), 1)
-    return labels, wraps
-
-
-def maj(m: MultilineQueue) -> int:
-    """Major index: each wrapping pairing of label l from row r adds l-r+1."""
-    _, pairings = label_mlq(m)
-    return sum(delta * (lab - r + 1) for r, lab, delta in pairings)
+    return maj_g(m)
 
 
 def is_nonwrapping(m: MultilineQueue) -> bool:
-    if m.is_straight():
-        return maj(m) == 0
     return maj_g(m) == 0
 
 
@@ -248,9 +183,12 @@ def canonical_mlq(nu, n: int) -> MultilineQueue:
 
 def projection(m: MultilineQueue):
     """Bottom-row labels left to right; anti-particles read 0 in the straight
-    case and their generalized label otherwise."""
-    labels, _, _ = label_gmlq(m)
-    return tuple(labels[(1, c)] for c in range(1, m.n + 1))
+    case and their generalized label otherwise.  A queue without rows
+    projects to all zeros."""
+    word = (0,) * m.n
+    for _, word, _, _ in _label_rows(m):
+        pass
+    return word
 
 
 def label_gmlq(m: MultilineQueue):
@@ -261,18 +199,32 @@ def label_gmlq(m: MultilineQueue):
     (labels for every site, particle wrap list [(source row, label)], anti
     wrap list).
     """
-    L, n = m.num_rows, m.n
     labels = {}
     particle_wraps = []
     anti_wraps = []
-    word = (L,) * n  # see _label_word_sweep: this yields the top row
-    for r in range(L, 0, -1):
-        word, plus, minus = _label_row(word, set(m.row(r)))
-        for c in range(1, n + 1):
-            labels[(r, c)] = word[c - 1]
+    for r, word, plus, minus in _label_rows(m):
+        for c, lab in enumerate(word, start=1):
+            labels[(r, c)] = lab
         particle_wraps += [(r + 1, lab) for lab in plus]
         anti_wraps += [(r + 1, lab) for lab in minus]
     return labels, particle_wraps, anti_wraps
+
+
+def _label_rows(m: MultilineQueue):
+    """Yield (r, row r's labels, its wrapping particle labels, its wrapping
+    anti-particle labels) for r from the top row down, starting from the
+    constant word L..L as ``_label_word_sweep`` does."""
+    word = (m.num_rows,) * m.n
+    for r in range(m.num_rows, 0, -1):
+        word, plus, minus = _label_row(word, m.row(r))
+        yield r, word, plus, minus
+
+
+def _wrap_weight(plus, minus, r) -> int:
+    """The ``maj_g`` increment of the pairings that label row r: a wrap of
+    label l from row r+1 weighs l - r, particle wraps positively and
+    anti-particle wraps negatively."""
+    return sum(plus) - sum(minus) - r * (len(plus) - len(minus))
 
 
 def _label_row(word, here):
@@ -289,7 +241,9 @@ def _label_row(word, here):
     n = len(word)
     # sorted is stable under reverse=True, so ties stay left to right
     order = sorted(range(n), key=word.__getitem__, reverse=True)
-    particle = [c in here for c in range(1, n + 1)]
+    particle = [False] * n
+    for c in here:
+        particle[c - 1] = True
     s = len(here)
     out = [None] * n
     plus, minus = [], []
@@ -331,13 +285,12 @@ def _label_word_sweep(alpha, n: int, one, carry):
     L = len(alpha)
     layer = {(L,) * n: one}
     for r in range(L, 0, -1):
-        rows = [set(c) for c in combinations(range(1, n + 1), alpha[r - 1])]
+        rows = list(combinations(range(1, n + 1), alpha[r - 1]))
         below = {}
         for word, value in layer.items():
             for row in rows:
                 new, plus, minus = _label_row(word, row)
-                # a wrap of label l from row r+1 weighs l - r
-                dq = sum(plus) - sum(minus) - r * (len(plus) - len(minus))
+                dq = _wrap_weight(plus, minus, r)
                 below[new] = carry(below.get(new), value, row, dq)
         layer = below
     return layer
@@ -363,10 +316,7 @@ def _check_shape(lam) -> tuple:
 def maj_g(m: MultilineQueue) -> int:
     """Generalized major index: right wraps count positively, left wraps
     negatively, each weighted by label - source row + 1."""
-    _, particle_wraps, anti_wraps = label_gmlq(m)
-    plus = sum(lab - r + 1 for r, lab in particle_wraps)
-    minus = sum(lab - r + 1 for r, lab in anti_wraps)
-    return plus - minus
+    return sum(_wrap_weight(plus, minus, r) for r, _, plus, minus in _label_rows(m))
 
 
 def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
@@ -418,20 +368,17 @@ def energy_h(m: MultilineQueue) -> int:
     return sum(energy_levels(m).values())
 
 
-def enumerate_mlq(lam, n: int, shard=None):
+def enumerate_mlq(lam, n: int):
     """All multiline queues of shape lam on n columns, lexicographically."""
-    return enumerate_gmlq(conjugate(lam), n, shard)
+    return enumerate_gmlq(conjugate(lam), n)
 
 
-def enumerate_gmlq(alpha, n: int, shard=None):
+def enumerate_gmlq(alpha, n: int):
     """All queues with row sizes alpha on n columns, bottom row slowest."""
     if any(a > n for a in alpha):
         raise TooNarrow(f"row sizes {alpha} exceed {n} columns")
     per_row = [combinations(range(1, n + 1), a) for a in alpha]
-    gen = product(*per_row)
-    for idx, rows in enumerate(gen):
-        if shard is not None and idx % shard[1] != shard[0]:
-            continue
+    for rows in product(*per_row):
         yield MultilineQueue(n, rows)
 
 

@@ -6,11 +6,9 @@ all identity checks are structural equalities of canonical forms.
 
 import json
 from collections import Counter
-from itertools import permutations
 
-from .charge import charge
-from .core import conjugate, partitions, sort_to_partition
-from .errors import SizeMismatch, VariableCountMismatch
+from .core import conjugate, is_lattice, partitions
+from .errors import InvariantError, SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import (
     _check_shape,
@@ -22,8 +20,7 @@ from .mlq import (
     row_word,
 )
 from .collapse import maj_of_rotation
-from .core import is_lattice
-from .tableaux import Tableau, enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
+from .tableaux import enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
 
 
 class QXPolynomial:
@@ -105,14 +102,6 @@ class QXPolynomial:
 
     def num_terms(self):
         return len(self.terms)
-
-    def substitute_q(self, value: int):
-        """Evaluate q at an integer, keeping the x variables."""
-        out = {}
-        for (qe, xs), coeff in self.terms.items():
-            key = (0, xs)
-            out[key] = out.get(key, 0) + coeff * value**qe
-        return QXPolynomial(self.n, out)
 
     def swap_vars(self, i: int, j: int):
         out = {}
@@ -272,7 +261,8 @@ def kostka_foulkes(lam, mu) -> QXPolynomial:
     a = kostka_foulkes_charge(lam, mu)
     b = kostka_foulkes_lattice(lam, mu)
     c = kostka_foulkes_rotated(lam, mu)
-    assert a == b == c, f"Kostka paths disagree for {lam}, {mu}"
+    if not a == b == c:
+        raise InvariantError(f"Kostka paths disagree for {lam}, {mu}")
     return a
 
 
@@ -345,36 +335,9 @@ def _shift_schur(lam, vars_inner, total, offset) -> QXPolynomial:
     return QXPolynomial(total, out)
 
 
-def rearrangements(parts):
-    seen = set()
-    for p in permutations(parts):
-        if p not in seen:
-            seen.add(p)
-            yield p
-
-
-def q_whittaker_all_ways(lam, n: int):
-    """The four q-Whittaker computations, as a dict keyed by route name."""
-    ways = {
-        "mlq": q_whittaker_mlq(lam, n),
-        "charge": q_whittaker_charge_expansion(lam, n),
-        "coquinv": q_whittaker_coquinv(lam, n),
-    }
-    gm = None
-    for alpha in rearrangements(conjugate(lam)):
-        p = q_whittaker_gmlq(alpha, n)
-        if gm is None:
-            gm = p
-        elif gm != p:
-            raise AssertionError(f"rearrangement {alpha} disagrees")
-    ways["gmlq"] = gm if gm is not None else QXPolynomial.one(n)
-    return ways
-
-
 def skew_schur(outer, inner, n: int) -> QXPolynomial:
-    """Content sum over skew semistandard tableaux with entries at most n."""
-    if sum(outer) == sum(inner):
-        return QXPolynomial.one(n)
+    """Content sum over skew semistandard tableaux with entries at most n;
+    zero unless inner lies inside outer."""
     return QXPolynomial(n, (
         ((0, _x_key(t.content())), 1)
         for t in enumerate_skew_ssyt(outer, inner, max_entry=n)

@@ -12,6 +12,7 @@ from .charge import charge as _charge
 from .core import conjugate, content, is_lattice, is_partition
 from .errors import (
     AlphabetTooSmall,
+    InvariantError,
     NonPartitionContent,
     NotNonwrapping,
     OutOfRange,
@@ -91,12 +92,12 @@ class SkewTableau:
 
     def __init__(self, outer, inner, rows):
         outer = tuple(outer)
-        inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+        inner = _inner_of(outer, inner)
         rows = tuple(tuple(r) for r in rows)
+        if inner is None:
+            raise ParseError("inner shape not contained in outer")
         if len(rows) != len(outer):
             raise ParseError("one filled segment per outer row expected")
-        if any(inner[i] > outer[i] for i in range(len(outer))):
-            raise ParseError("inner shape not contained in outer")
         for i, r in enumerate(rows):
             if len(r) != outer[i] - inner[i]:
                 raise ParseError(f"row {i + 1} has wrong length")
@@ -123,6 +124,15 @@ class SkewTableau:
         return all(v == 0 for v in self.inner)
 
 
+def _inner_of(outer, inner):
+    """inner padded with zeros to the length of outer, or None unless the
+    diagram of inner lies inside the diagram of outer."""
+    inner = tuple(inner)
+    if any(v > (outer[k] if k < len(outer) else 0) for k, v in enumerate(inner)):
+        return None
+    return inner[: len(outer)] + (0,) * (len(outer) - len(inner))
+
+
 def row_reading_word(t: Tableau):
     """Rows scanned top to bottom, left to right in each row."""
     return tuple(v for row in reversed(t.rows) for v in row)
@@ -135,11 +145,6 @@ def column_reading_word(t: Tableau):
     for c in range(1, width + 1):
         out.extend(reversed(t.column(c)))
     return tuple(out)
-
-
-def skew_row_word(t: SkewTableau):
-    """Filled cells scanned bottom to top, left to right (queue convention)."""
-    return tuple(v for row in t.rows for v in row)
 
 
 def skew_rev_reading_word(t: SkewTableau):
@@ -271,9 +276,12 @@ def enumerate_ssyt(shape, max_entry=None, weight=None):
 
 
 def enumerate_skew_ssyt(outer, inner, max_entry=None, weight=None):
-    """All skew semistandard tableaux of shape outer/inner."""
+    """All skew semistandard tableaux of shape outer/inner; none unless
+    inner lies inside outer."""
     outer = tuple(outer)
-    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    inner = _inner_of(outer, inner)
+    if inner is None:
+        return
     if weight is not None and sum(weight) != sum(outer) - sum(inner):
         return
     cells = [
@@ -412,12 +420,6 @@ class BicoloredMLQ:
             c for c in row_word(self.base) if c <= self.skew_columns
         )
 
-    def skew_row_restriction(self):
-        return tuple(
-            tuple(c for c in row if c <= self.skew_columns)
-            for row in self.base.rows
-        )
-
     def straight_part(self):
         from .mlq import MultilineQueue
 
@@ -425,7 +427,7 @@ class BicoloredMLQ:
         rows = [
             [c - k for c in row if c > k] for row in self.base.rows
         ]
-        return MultilineQueue(self.base.n - k, rows).trimmed()
+        return MultilineQueue(max(self.base.n - k, 1), rows).trimmed()
 
 
 def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
@@ -438,7 +440,8 @@ def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
         raise AlphabetTooSmall(f"entries up to {alphabet}, n={n}")
     base = mlq_of_tableau(hat, n=n + ell)
     out = BicoloredMLQ(base, ell)
-    assert is_lattice(out.skew_word()), "skew word must be lattice"
+    if not is_lattice(out.skew_word()):
+        raise InvariantError(f"skew word {out.skew_word()} is not lattice")
     return out
 
 
@@ -462,8 +465,6 @@ def mult_mlq(m1, m2):
 
 def count_lattice_skew(outer, inner, weight) -> int:
     """Skew semistandard tableaux with lattice reverse reading word."""
-    if sum(outer) - sum(inner) == 0:
-        return 1 if sum(weight) == 0 else 0
     total = 0
     for t in enumerate_skew_ssyt(outer, inner, weight=tuple(weight)):
         if is_lattice(skew_rev_reading_word(t)):
@@ -483,9 +484,6 @@ def lr_coefficient(lam, mu, nu) -> int:
         top, inner, weight = nu, lam, mu
     else:
         raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
-    inner = tuple(inner) + (0,) * (len(top) - len(inner))
-    if any(inner[i] > top[i] for i in range(len(top))):
-        return 0
     return count_lattice_skew(top, inner, weight)
 
 
@@ -500,8 +498,7 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
 
     if sum(lam) != sum(mu) + sum(nu):
         raise SizeMismatch(f"|{lam}| != |{mu}| + |{nu}|")
-    inner = tuple(mu) + (0,) * (len(lam) - len(mu))
-    if any(inner[i] > lam[i] for i in range(len(lam))):
+    if _inner_of(lam, mu) is None:
         return 0
     if not nu:
         return 1 if tuple(lam) == tuple(mu) else 0

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from mlqkit.charge import charge, charge_g
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NotStraight, ParseError, TooNarrow
@@ -19,7 +20,6 @@ from mlqkit.mlq import (
     is_nonwrapping,
     label_gmlq,
     label_mlq,
-    label_mlq_by_matching,
     maj,
     maj_g,
     parse_mlq,
@@ -94,7 +94,7 @@ def test_fm_matching_agreement():
                 continue
             for m in enumerate_mlq(lam, n):
                 labels_a, pairings = label_mlq(m)
-                labels_b, wraps = label_mlq_by_matching(m)
+                labels_b, wraps = oracles.label_mlq_by_matching(m)
                 assert labels_a == labels_b
                 wrap_counts = Counter(
                     (lab, r) for r, lab, delta in pairings if delta
@@ -165,26 +165,11 @@ def test_gmlq_pairing_figure():
 
 
 def test_gmlq_label_row_step():
-    # replicate one labelling step with a prescribed word above
-    from mlqkit.mlq import _pair_target
+    # one labelling step with a prescribed word above
+    from mlqkit.mlq import _label_row
 
-    word = (2, 5, 4, 2, 4, 2)
-    particles = {1, 5}
-    n = 6
-    order = sorted(range(1, n + 1), key=lambda c: (-word[c - 1], c))
-    labels = {}
-    free_p = set(particles)
-    free_a = set(range(1, n + 1)) - particles
-    s = len(particles)
-    for src in order[:s]:
-        target, _ = _pair_target(free_p, src, +1)
-        free_p.discard(target)
-        labels[target] = word[src - 1]
-    for src in reversed(order[s:]):
-        target, _ = _pair_target(free_a, src, -1)
-        free_a.discard(target)
-        labels[target] = word[src - 1] - 1
-    assert tuple(labels[c] for c in range(1, 7)) == (4, 3, 1, 1, 5, 1)
+    labels, _, _ = _label_row((2, 5, 4, 2, 4, 2), {1, 5})
+    assert labels == (4, 3, 1, 1, 5, 1)
 
 
 def test_gmlq_example_labels():
@@ -198,7 +183,7 @@ def test_gmlq_straight_restriction():
     for lam in [(2,), (2, 1), (2, 2), (3, 1)]:
         for m in enumerate_mlq(lam, 3):
             gen_labels, _, _ = label_gmlq(m)
-            fm_labels, _ = label_mlq(m)
+            fm_labels, _ = oracles.label_mlq_by_matching(m)
             for key, lab in fm_labels.items():
                 assert gen_labels[key] == lab
             for r in range(1, m.num_rows + 1):
@@ -219,7 +204,7 @@ def test_maj_g_straight_equals_maj():
         if conjugate(lam)[0] > n:
             continue
         for m in enumerate_mlq(lam, n):
-            assert maj_g(m) == maj(m)
+            assert maj_g(m) == maj(m) == oracles.maj(m)
 
 
 def test_sigma_examples():
@@ -283,14 +268,6 @@ def test_enumerate_counts():
         list(enumerate_gmlq((3,), 2))
 
 
-def test_enumerate_shards():
-    full = [m.rows for m in enumerate_mlq((2, 1), 3)]
-    pieces = []
-    for k in range(3):
-        pieces.extend(m.rows for m in enumerate_mlq((2, 1), 3, shard=(k, 3)))
-    assert sorted(pieces) == sorted(full)
-
-
 def test_serialization_round_trip():
     for m in (LABEL_EXAMPLE, COLLAPSE_EXAMPLE, GMLQ_EXAMPLE):
         assert parse_mlq(m.to_text()) == m
@@ -298,3 +275,6 @@ def test_serialization_round_trip():
     assert LABEL_EXAMPLE.to_text() == "n=6;1,2,3,4|1,3,5,6|2,3|3,5"
     with pytest.raises(ParseError):
         parse_mlq("1,2|3")
+    for rows in ([[True]], [[2.5]], [[0]], [[4]]):
+        with pytest.raises(ParseError):
+            MultilineQueue(3, rows)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import ParseError, TooNarrow
-from mlqkit.mlq import count_mlq, stationary_counts
+from mlqkit.mlq import MultilineQueue, count_mlq, projection, stationary_counts
 from mlqkit.poly import QXPolynomial, q_whittaker_gmlq, q_whittaker_mlq
 
 MAX_QUEUES = 5000
@@ -55,6 +55,7 @@ def test_empty_and_one_row():
         assert q_whittaker_mlq((), n) == QXPolynomial.one(n)
         assert q_whittaker_gmlq((), n) == QXPolynomial.one(n)
         assert stationary_counts((), n) == {(0,) * n: 1}
+        assert projection(MultilineQueue(n, [])) == (0,) * n
         for k in range(1, n + 1):
             lam = (1,) * k  # one row of k balls
             assert q_whittaker_mlq(lam, n) == oracles.q_whittaker_mlq(lam, n)
@@ -73,6 +74,8 @@ def test_rejects_bad_column_count(n):
         q_whittaker_gmlq((1, 2), n)
     with pytest.raises(ParseError):
         stationary_counts((2, 1), n)
+    with pytest.raises(ParseError):
+        MultilineQueue(n, [])
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), (2.0, 1), (True,)])
