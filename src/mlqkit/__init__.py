@@ -2,8 +2,12 @@
 
 Multiline queues with their labelling statistics, the collapsing maps onto
 nonwrapping queues, the bijections with semistandard tableaux, and exact
-polynomial identities (q-Whittaker, Kostka-Foulkes, dual Cauchy,
-Littlewood-Richardson), all verified by independent routes.
+polynomial identities (q-Whittaker, Schur, Kostka-Foulkes, dual Cauchy,
+Littlewood-Richardson).  Each quantity has one route here: the generating
+functions and Schur polynomials sum over label-word states row by row, and
+Kostka-Foulkes polynomials are charge sums over tableaux.  The other routes
+the paper proves equal, such as enumerating every queue, are reference
+implementations in the test suite, which checks that they agree.
 """
 
 from .core import (
@@ -103,7 +107,6 @@ from .poly import (
     q_whittaker_gmlq,
     q_whittaker_mlq,
     schur,
-    schur_by_ssyt,
     skew_schur,
 )
 

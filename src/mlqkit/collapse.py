@@ -18,7 +18,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matching import _two_row_match
-from .mlq import MultilineQueue, is_nonwrapping, maj, sigma
+from .mlq import MultilineQueue, is_nonwrapping, sigma
 from .tableaux import Tableau, tableau_from_crw
 
 
@@ -254,8 +254,3 @@ def twisted_collapse(m: MultilineQueue, sigma_word) -> MultilineQueue:
     for i in reversed(sigma_word):
         collapsed = sigma(collapsed, i)
     return collapsed
-
-
-def maj_of_rotation(m: MultilineQueue) -> int:
-    """Major index of the quarter turn of m (used by Kostka sums)."""
-    return maj(rotate90(m).trimmed())

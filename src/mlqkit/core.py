@@ -15,18 +15,24 @@ Composition = tuple
 Word = tuple
 
 
+def _is_count(v) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_partition(parts) -> bool:
-    """True for a weakly decreasing tuple of positive integers."""
+    """True for a weakly decreasing tuple of positive ints (not bools)."""
     parts = tuple(parts)
-    if any(p <= 0 for p in parts):
+    if not all(_is_count(p) and p > 0 for p in parts):
         return False
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
 def check_partition(parts) -> tuple:
+    """parts as a tuple, or ParseError unless it is a partition."""
     parts = tuple(parts)
     if not is_partition(parts):
-        raise ParseError(f"not a partition: {parts}")
+        raise ParseError(f"not a partition: {parts!r}")
     return parts
 
 

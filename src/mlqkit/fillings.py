@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass
 from itertools import permutations
 
+from .core import _is_count
 from .errors import InvariantError, NotCoquinvFree, NotStraight, ParseError
-from .mlq import MultilineQueue, _is_count, enumerate_mlq
+from .mlq import MultilineQueue, enumerate_mlq
 
 
 @dataclass(frozen=True)

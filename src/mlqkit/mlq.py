@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .core import conjugate, is_partition
+from .core import _is_count, check_partition, conjugate
 from .errors import BadRowIndex, NotStraight, ParseError, TooNarrow
 from .matching import _two_row_match
 
@@ -175,7 +175,7 @@ def is_nonwrapping(m: MultilineQueue) -> bool:
 
 def canonical_mlq(nu, n: int) -> MultilineQueue:
     """The left-justified queue of shape nu: row j holds columns 1..nu'_j."""
-    cols = conjugate(nu)
+    cols = conjugate(check_partition(nu))
     if cols and cols[0] > n:
         raise TooNarrow(f"shape {nu} needs {cols[0]} columns, have {n}")
     return MultilineQueue(n, [range(1, k + 1) for k in cols])
@@ -279,9 +279,7 @@ def _label_word_sweep(alpha, n: int, one, carry):
     never wraps, so the top row needs no case of its own.
     """
     _check_columns(n)
-    alpha = tuple(alpha)
-    if not all(_is_count(a) and a >= 0 for a in alpha):
-        raise ParseError(f"row sizes must be nonnegative ints, got {alpha!r}")
+    alpha = _check_row_sizes(alpha)
     L = len(alpha)
     layer = {(L,) * n: one}
     for r in range(L, 0, -1):
@@ -296,21 +294,17 @@ def _label_word_sweep(alpha, n: int, one, carry):
     return layer
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_columns(n):
     if not _is_count(n) or n < 1:
         raise ParseError(f"column count must be a positive int, got {n!r}")
 
 
-def _check_shape(lam) -> tuple:
-    """lam as a tuple, or ParseError unless it is a partition of ints."""
-    lam = tuple(lam)
-    if not all(_is_count(p) for p in lam) or not is_partition(lam):
-        raise ParseError(f"not a partition: {lam!r}")
-    return lam
+def _check_row_sizes(alpha) -> tuple:
+    """alpha as a tuple, or ParseError unless every row size is an int >= 0."""
+    alpha = tuple(alpha)
+    if not all(_is_count(a) and a >= 0 for a in alpha):
+        raise ParseError(f"row sizes must be nonnegative ints, got {alpha!r}")
+    return alpha
 
 
 def maj_g(m: MultilineQueue) -> int:
@@ -370,11 +364,13 @@ def energy_h(m: MultilineQueue) -> int:
 
 def enumerate_mlq(lam, n: int):
     """All multiline queues of shape lam on n columns, lexicographically."""
-    return enumerate_gmlq(conjugate(lam), n)
+    return enumerate_gmlq(conjugate(check_partition(lam)), n)
 
 
 def enumerate_gmlq(alpha, n: int):
     """All queues with row sizes alpha on n columns, bottom row slowest."""
+    _check_columns(n)
+    alpha = _check_row_sizes(alpha)
     if any(a > n for a in alpha):
         raise TooNarrow(f"row sizes {alpha} exceed {n} columns")
     per_row = [combinations(range(1, n + 1), a) for a in alpha]
@@ -395,7 +391,7 @@ def prod_binom(sizes, n: int) -> int:
 
 def stationary_counts(lam, n: int):
     """How many queues of shape lam project onto each bottom-row state."""
-    lam = _check_shape(lam)
+    lam = check_partition(lam)
     _check_columns(n)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")

@@ -7,19 +7,10 @@ all identity checks are structural equalities of canonical forms.
 import json
 from collections import Counter
 
-from .core import conjugate, is_lattice, partitions
-from .errors import InvariantError, SizeMismatch, VariableCountMismatch
+from .core import check_partition, conjugate, is_lattice, partitions
+from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
-from .mlq import (
-    _check_shape,
-    _label_word_sweep,
-    enumerate_gmlq,
-    enumerate_mlq,
-    is_nonwrapping,
-    maj,
-    row_word,
-)
-from .collapse import maj_of_rotation
+from .mlq import _label_word_sweep, enumerate_gmlq, maj, row_word
 from .tableaux import enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
 
 
@@ -158,20 +149,14 @@ def _x_key(counts):
 
 
 def schur(lam, n: int) -> QXPolynomial:
-    """Schur polynomial as the weight sum over nonwrapping queues."""
-    if conjugate(lam) and conjugate(lam)[0] > n:
-        return QXPolynomial.zero(n)
-    return QXPolynomial(n, (
-        ((0, _x_key(m.column_content())), 1)
-        for m in enumerate_mlq(lam, n)
-        if is_nonwrapping(m)
-    ))
+    """Schur polynomial as the weight sum over nonwrapping queues.
 
-
-def schur_by_ssyt(lam, n: int) -> QXPolynomial:
-    """Independent oracle: content sum over semistandard tableaux."""
+    On straight queues maj >= 0, with equality exactly on the nonwrapping
+    ones, so this is the q^0 part of ``q_whittaker_mlq``.
+    """
     return QXPolynomial(n, (
-        ((0, _x_key(t.content())), 1) for t in enumerate_ssyt(lam, max_entry=n)
+        (key, count) for key, count in q_whittaker_mlq(lam, n).terms.items()
+        if key[0] == 0
     ))
 
 
@@ -181,7 +166,7 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
     Computed as the generalized form over the row sizes lam', where maj_g
     equals maj.
     """
-    return q_whittaker_gmlq(conjugate(_check_shape(lam)), n)
+    return q_whittaker_gmlq(conjugate(check_partition(lam)), n)
 
 
 def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
@@ -214,8 +199,10 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     ))
 
 
-def kostka_foulkes_charge(lam, mu) -> QXPolynomial:
-    """K_{lam,mu}(q) as the charge sum over SSYT(lam, mu)."""
+def kostka_foulkes(lam, mu) -> QXPolynomial:
+    """Kostka-Foulkes polynomial K_{lam,mu}(q) as the charge sum over
+    SSYT(lam, mu)."""
+    lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     return QXPolynomial(0, (
@@ -224,8 +211,12 @@ def kostka_foulkes_charge(lam, mu) -> QXPolynomial:
 
 
 def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
-    """The same via queues with row content mu, column content lam',
-    and lattice row word."""
+    """Reference route for ``kostka_foulkes``: the maj sum over queues with
+    row content mu, column content lam' and lattice row word.
+
+    It walks every queue with row sizes mu, so only the tests call it; it
+    stays in the package because the benchmark's layer tracer names it.
+    """
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     target = conjugate(lam)
@@ -241,44 +232,15 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
     ))
 
 
-def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
-    """The same via nonwrapping queues of shape lam with column content mu,
-    each weighted by the major index of its quarter turn."""
-    if sum(lam) != sum(mu):
-        raise SizeMismatch(f"|{lam}| != |{mu}|")
-    n = len(mu) if mu else 1
-    if conjugate(lam) and conjugate(lam)[0] > n:
-        return QXPolynomial.zero(0)
-    return QXPolynomial(0, (
-        ((maj_of_rotation(m), ()), 1)
-        for m in enumerate_mlq(lam, n)
-        if m.column_content()[: len(mu)] == tuple(mu) and is_nonwrapping(m)
-    ))
-
-
-def kostka_foulkes(lam, mu) -> QXPolynomial:
-    """Kostka-Foulkes polynomial, computed three ways and cross-checked."""
-    a = kostka_foulkes_charge(lam, mu)
-    b = kostka_foulkes_lattice(lam, mu)
-    c = kostka_foulkes_rotated(lam, mu)
-    if not a == b == c:
-        raise InvariantError(f"Kostka paths disagree for {lam}, {mu}")
-    return a
-
-
 def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
     """Schur expansion: sum over lam of K_{lam',mu'}(q) times s_lam."""
-    out = QXPolynomial.zero(n)
-    mu_conj = conjugate(mu)
+    mu_conj = conjugate(check_partition(mu))
+    terms = Counter()
     for lam in partitions(sum(mu)):
-        coeff = kostka_foulkes_charge(conjugate(lam), mu_conj)
-        if coeff.is_zero():
-            continue
-        s = schur(lam, n)
-        if s.is_zero():
-            continue
-        out = out + QXPolynomial(n, dict(coeff.terms)) * s
-    return out
+        coeff = kostka_foulkes(conjugate(lam), mu_conj)
+        if not coeff.is_zero():
+            terms.update((QXPolynomial(n, coeff.terms) * schur(lam, n)).terms)
+    return QXPolynomial(n, terms)
 
 
 def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:
@@ -308,14 +270,15 @@ def dual_cauchy_check(n: int, length: int):
     n+1..n+length.
     """
     total = n + length
-    left = QXPolynomial.zero(total)
+    terms = Counter()
     for size in range(0, n * length + 1):
         for lam in partitions(size):
             if len(lam) > n or (lam and lam[0] > length):
                 continue
             s_x = _shift_schur(lam, n, total, 0)
             s_y = _shift_schur(conjugate(lam), length, total, n)
-            left = left + s_x * s_y
+            terms.update((s_x * s_y).terms)
+    left = QXPolynomial(total, terms)
     right = QXPolynomial.one(total)
     for i in range(1, n + 1):
         for j in range(n + 1, total + 1):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .charge import charge as _charge
-from .core import conjugate, content, is_lattice, is_partition
+from .core import check_partition, conjugate, content, is_lattice, is_partition
 from .errors import (
     AlphabetTooSmall,
     InvariantError,
@@ -245,7 +245,7 @@ def enumerate_ssyt(shape, max_entry=None, weight=None):
 
     Either cap the alphabet with max_entry or fix the content with weight.
     """
-    shape = tuple(shape)
+    shape = check_partition(shape)
     if weight is not None and sum(weight) != sum(shape):
         return
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
@@ -278,8 +278,8 @@ def enumerate_ssyt(shape, max_entry=None, weight=None):
 def enumerate_skew_ssyt(outer, inner, max_entry=None, weight=None):
     """All skew semistandard tableaux of shape outer/inner; none unless
     inner lies inside outer."""
-    outer = tuple(outer)
-    inner = _inner_of(outer, inner)
+    outer = check_partition(outer)
+    inner = _inner_of(outer, check_partition(inner))
     if inner is None:
         return
     if weight is not None and sum(weight) != sum(outer) - sum(inner):
@@ -478,6 +478,7 @@ def lr_coefficient(lam, mu, nu) -> int:
     With |lam| = |mu| + |nu| this is c^lam_{mu,nu}; with |lam| + |mu| = |nu|
     it is c^nu_{lam,mu}.
     """
+    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
     if sum(lam) == sum(mu) + sum(nu):
         top, inner, weight = lam, mu, nu
     elif sum(lam) + sum(mu) == sum(nu):
@@ -496,12 +497,13 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     """
     from .mlq import MultilineQueue, is_nonwrapping
 
+    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
     if sum(lam) != sum(mu) + sum(nu):
         raise SizeMismatch(f"|{lam}| != |{mu}| + |{nu}|")
     if _inner_of(lam, mu) is None:
         return 0
     if not nu:
-        return 1 if tuple(lam) == tuple(mu) else 0
+        return 1 if lam == mu else 0
     ell = len(mu)
     straight = mlq_of_tableau(superstandard(nu), n=len(nu))
     lam_cols = conjugate(lam)

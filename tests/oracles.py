@@ -5,13 +5,26 @@ The enumerate-and-sum routes visit every queue one at a time, so they are
 exponential in the number of rows; the package computes the same quantities
 over label-word states.  ``label_mlq_by_matching`` labels a straight queue by
 iterated cylindrical matching, independently of the pairing rule
-``mlq._label_row`` that every labelling in the package uses.
+``mlq._label_row`` that every labelling in the package uses.  The Schur and
+Kostka-Foulkes routes here are the paper's theorems: Schur polynomials sum
+over nonwrapping queues, and Kostka-Foulkes polynomials weigh nonwrapping
+queues by the major index of their quarter turn.
 """
 
+from mlqkit.collapse import rotate90
 from mlqkit.core import conjugate
+from mlqkit.errors import SizeMismatch
 from mlqkit.matching import _two_row_match
-from mlqkit.mlq import _check_straight, enumerate_gmlq, enumerate_mlq, maj_g, projection
+from mlqkit.mlq import (
+    _check_straight,
+    enumerate_gmlq,
+    enumerate_mlq,
+    is_nonwrapping,
+    maj_g,
+    projection,
+)
 from mlqkit.poly import QXPolynomial, _x_key
+from mlqkit.tableaux import enumerate_ssyt
 
 
 def label_mlq_by_matching(m):
@@ -76,3 +89,36 @@ def stationary_counts(lam, n: int) -> dict:
         state = projection(m)
         counts[state] = counts.get(state, 0) + 1
     return counts
+
+
+def schur(lam, n: int) -> QXPolynomial:
+    """x^M summed over the nonwrapping queues of shape lam."""
+    if conjugate(lam) and conjugate(lam)[0] > n:
+        return QXPolynomial.zero(n)
+    return QXPolynomial(n, (
+        ((0, _x_key(m.column_content())), 1)
+        for m in enumerate_mlq(lam, n)
+        if is_nonwrapping(m)
+    ))
+
+
+def schur_by_ssyt(lam, n: int) -> QXPolynomial:
+    """x^content summed over semistandard tableaux of shape lam."""
+    return QXPolynomial(n, (
+        ((0, _x_key(t.content())), 1) for t in enumerate_ssyt(lam, max_entry=n)
+    ))
+
+
+def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
+    """K_{lam,mu}(q) over the nonwrapping queues of shape lam with column
+    content mu, each weighted by the major index of its quarter turn."""
+    if sum(lam) != sum(mu):
+        raise SizeMismatch(f"|{lam}| != |{mu}|")
+    n = len(mu) if mu else 1
+    if conjugate(lam) and conjugate(lam)[0] > n:
+        return QXPolynomial.zero(0)
+    return QXPolynomial(0, (
+        ((maj(rotate90(m).trimmed()), ()), 1)
+        for m in enumerate_mlq(lam, n)
+        if m.column_content()[: len(mu)] == tuple(mu) and is_nonwrapping(m)
+    ))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqkit.charge import charge
 from mlqkit.core import conjugate, is_lattice, partitions
@@ -309,3 +311,37 @@ def test_orthogonal_drops_commute():
                 assert drop_left(drop_all(b, i), j) == drop_all(
                     drop_left(b, j), i
                 )
+
+
+@st.composite
+def binary_matrices(draw, straight=False):
+    """Matrices up to 6x6, beyond the exhaustive range; with straight=True,
+    queues with weakly decreasing nonzero row sizes."""
+    n = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1 if straight else 0, n), min_size=1, max_size=6))
+    if straight:
+        sizes.sort(reverse=True)
+    return MultilineQueue(n, [
+        draw(st.sets(st.integers(1, n), min_size=k, max_size=k)) for k in sizes
+    ])
+
+
+@settings(deadline=None)
+@given(binary_matrices())
+def test_bijections_random(m):
+    result = collapse(m)
+    assert collapse_inverse(result.queue, result.recorder, height=m.num_rows) == m
+    assert mrsk_inverse(*mrsk(m)) == m
+
+
+@settings(deadline=None)
+@given(binary_matrices())
+def test_maj_g_sigma_invariance_random(m):
+    for i in range(1, m.num_rows):
+        assert maj_g(sigma(m, i)) == maj_g(m)
+
+
+@settings(deadline=None)
+@given(binary_matrices(straight=True))
+def test_maj_equals_recorder_charge_random(m):
+    assert maj(m) == tableau_charge(collapse(m).recorder)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mlqkit.core import conjugate, partitions
@@ -19,6 +24,8 @@ from mlqkit.mlq import (
     label_mlq,
     maj,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 LABEL_EXAMPLE = MultilineQueue(6, [[1, 2, 3, 4], [1, 3, 5, 6], [2, 3], [3, 5]])
 
@@ -128,3 +135,25 @@ def test_alphabet_size_is_kept():
     assert ColumnFilling((2,), [[2], [1]]).n == 2  # default: largest entry
     with pytest.raises(ParseError):
         ColumnFilling((2,), [[2], [1]], n=1)
+
+
+def test_uniqueness_check_survives_optimize():
+    # The uniqueness of the coquinv-free filling raises a typed error, so it
+    # still fires when python -O strips asserts.  Accepting every row makes
+    # both orders of the bottom row {1, 2} a solution.
+    script = (
+        "import mlqkit.fillings as fillings\n"
+        "from mlqkit.errors import InvariantError\n"
+        "fillings._row_ok = lambda shape, rows, r: True\n"
+        "try:\n"
+        "    fillings.filling_of_mlq(fillings.MultilineQueue(3, [[1, 2], [1]]))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"

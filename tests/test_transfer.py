@@ -9,8 +9,30 @@ from hypothesis import strategies as st
 import oracles
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import ParseError, TooNarrow
-from mlqkit.mlq import MultilineQueue, count_mlq, projection, stationary_counts
-from mlqkit.poly import QXPolynomial, q_whittaker_gmlq, q_whittaker_mlq
+from mlqkit.mlq import (
+    MultilineQueue,
+    canonical_mlq,
+    count_mlq,
+    enumerate_gmlq,
+    enumerate_mlq,
+    projection,
+    stationary_counts,
+)
+from mlqkit.poly import (
+    QXPolynomial,
+    kostka_foulkes,
+    q_whittaker_charge_expansion,
+    q_whittaker_gmlq,
+    q_whittaker_mlq,
+    schur,
+    skew_schur,
+)
+from mlqkit.tableaux import (
+    enumerate_skew_ssyt,
+    enumerate_ssyt,
+    lr_coefficient,
+    lr_coefficient_by_mlq,
+)
 
 MAX_QUEUES = 5000
 
@@ -75,15 +97,43 @@ def test_rejects_bad_column_count(n):
     with pytest.raises(ParseError):
         stationary_counts((2, 1), n)
     with pytest.raises(ParseError):
+        schur((2, 1), n)
+    with pytest.raises(ParseError):
+        list(enumerate_gmlq((1, 2), n))
+    with pytest.raises(ParseError):
         MultilineQueue(n, [])
 
 
-@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), (2.0, 1), (True,)])
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), (2.0, 1), (True,), (2.5,)])
 def test_rejects_non_partition(lam):
     with pytest.raises(ParseError):
         q_whittaker_mlq(lam, 3)
     with pytest.raises(ParseError):
         stationary_counts(lam, 3)
+    with pytest.raises(ParseError):
+        schur(lam, 3)
+    with pytest.raises(ParseError):
+        q_whittaker_charge_expansion(lam, 3)
+    with pytest.raises(ParseError):
+        enumerate_mlq(lam, 3)
+    with pytest.raises(ParseError):
+        canonical_mlq(lam, 3)
+    with pytest.raises(ParseError):
+        list(enumerate_ssyt(lam, max_entry=3))
+    # the shape is checked before the sizes are compared
+    for args in [(lam, (3,)), ((3,), lam)]:
+        with pytest.raises(ParseError):
+            kostka_foulkes(*args)
+    for args in [(lam, (), lam), ((3,), lam, ()), ((3,), (), lam)]:
+        with pytest.raises(ParseError):
+            lr_coefficient(*args)
+        with pytest.raises(ParseError):
+            lr_coefficient_by_mlq(*args)
+    for args in [(lam, ()), ((3,), lam)]:
+        with pytest.raises(ParseError):
+            skew_schur(*args, 2)
+        with pytest.raises(ParseError):
+            list(enumerate_skew_ssyt(*args, max_entry=2))
 
 
 def test_rejects_negative_row_size():
@@ -91,6 +141,9 @@ def test_rejects_negative_row_size():
         q_whittaker_gmlq((2, -1), 3)
     with pytest.raises(ParseError):
         q_whittaker_gmlq((1.0, 1), 3)
+    for alpha in [(-1,), (1.5,), (True,)]:
+        with pytest.raises(ParseError):
+            list(enumerate_gmlq(alpha, 3))
 
 
 def test_stationary_counts_too_narrow():
