@@ -48,6 +48,15 @@ def _drop_unmatched(rows, i):
     return len(opens)
 
 
+def _lift_unmatched(rows, i, k):
+    """Move the k rightmost balls of row i unmatched against row i+1 up, in
+    place (all of them if there are fewer)."""
+    _, _, closes, _ = _two_row_match(rows[i], rows[i - 1])
+    for c in closes[::-1][:k]:
+        rows[i - 1].remove(c)
+        rows[i].add(c)
+
+
 def drop(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move the leftmost ball of row i+1 that is unmatched above to row i."""
     if not 1 <= i < m.num_rows:
@@ -65,10 +74,7 @@ def lift(m: MultilineQueue, i: int) -> MultilineQueue:
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
     rows = [set(r) for r in m.rows]
-    _, _, closes, _ = _two_row_match(rows[i], rows[i - 1])
-    if closes:
-        rows[i - 1].remove(closes[-1])
-        rows[i].add(closes[-1])
+    _lift_unmatched(rows, i, 1)
     return m.with_rows(rows)
 
 
@@ -184,6 +190,10 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
 
     The entry multiplicities of the recorder prescribe how many times each
     lift is applied, lowest row first, one batch per recorder letter.
+    Lifting row j k times moves its k rightmost balls unmatched against row
+    j+1: a lifted ball opens a bracket that nothing to its right closes, so
+    the other unmatched balls stay unmatched.  Each batch is one
+    ``_lift_unmatched``.
     """
     sizes = tuple(s for s in queue.row_sizes() if s > 0)
     if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
@@ -194,7 +204,6 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
         height = max(recorder.entry_max(), queue.num_rows, 1)
     rows = [set(queue.row(r)) if r <= queue.num_rows else set()
             for r in range(1, height + 1)]
-    m = MultilineQueue(queue.n, rows)
     for r in range(height, 1, -1):
         multiplicity = [
             sum(1 for v in row if v == r) for row in recorder.rows
@@ -202,9 +211,8 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
         phi = 0
         for j in range(1, r):
             phi += multiplicity[j - 1]
-            for _ in range(phi):
-                m = lift(m, j)
-    return m
+            _lift_unmatched(rows, j, phi)
+    return MultilineQueue(queue.n, rows)
 
 
 def mrsk(m: MultilineQueue):

@@ -5,15 +5,23 @@ heights lam_1 >= lam_2 >= ...; a filling assigns a letter in 1..n to every
 cell.  Fillings with no counterclockwise cyclically-decreasing triples are
 the tableau avatars of multiline queues: exactly one exists per tuple of row
 contents, and its descent statistic matches the queue's major index.
+
+That filling is read off the queueing procedure.  Take columns i < j, with
+x the entry of column i in row r+1, y its entry in row r and z the entry of
+column j in row r.  The triple is cyclically decreasing exactly when z lies
+in the cyclic interval [x, y], so coquinv = 0 says that every ball of row r
+in [x, y) belongs to an earlier column: column i takes the first ball weakly
+right of x, cyclically, that no earlier column has taken.  The degenerate
+triples make the entries of the columns that start in row r increase.  So
+the coquinv-free filling is unique, and one top-down pass builds it.
 """
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
-from .core import _is_count
+from .core import _is_count, check_partition, conjugate
 from .errors import InvariantError, NotCoquinvFree, NotStraight, ParseError
-from .mlq import MultilineQueue, enumerate_mlq
+from .mlq import MultilineQueue, _label_row, enumerate_mlq
 
 
 @dataclass(frozen=True)
@@ -23,10 +31,9 @@ class ColumnFilling:
     n: int  # alphabet size; entries lie in 1..n
 
     def __init__(self, shape, rows, n=None):
-        shape = tuple(shape)
+        shape = check_partition(shape)
         rows = tuple(tuple(r) for r in rows)
-        heights = [sum(1 for h in shape if h >= r) for r in range(1, (shape[0] if shape else 0) + 1)]
-        if [len(r) for r in rows] != heights:
+        if tuple(len(r) for r in rows) != conjugate(shape):
             raise ParseError(f"rows {rows} do not fill the diagram of {shape}")
         if any(v <= 0 for r in rows for v in r):
             raise ParseError("entries must be positive")
@@ -118,57 +125,36 @@ def maj_filling(tau: ColumnFilling) -> int:
     return total
 
 
-def _arrangements(values):
-    seen = set()
-    for p in permutations(sorted(values)):
-        if p not in seen:
-            seen.add(p)
-            yield p
-
-
-def _row_ok(shape, rows, r):
-    """Check the triples that become decidable once row r is placed."""
-    width_r = len(rows[r - 1])
-    for i in range(1, width_r + 1):
-        # degenerate triples: column i ends exactly at row r
-        if shape[i - 1] != r:
-            continue
-        for j in range(i + 1, width_r + 1):
-            if rows[r - 1][i - 1] >= rows[r - 1][j - 1]:
-                return False
-    if r == 1:
-        return True
-    for i in range(1, width_r + 1):
-        y = rows[r - 2][i - 1]
-        for j in range(i + 1, len(rows[r - 2]) + 1):
-            z = rows[r - 2][j - 1]
-            if _cyclically_decreasing(rows[r - 1][i - 1], y, z):
-                return False
-    return True
-
-
 def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
-    """The unique coquinv-free filling with the queue's row contents."""
+    """The unique coquinv-free filling with the queue's row contents.
+
+    Built top-down by the pairing rule: the top row's balls go left to
+    right, and in each lower row the columns of the row above, in order,
+    take the first free ball weakly right of their entry, cyclically; the
+    balls left over start new columns in increasing order.  This is the
+    only coquinv-free choice (see the module docstring), and the result is
+    checked against ``coquinv``.
+    """
     if not m.is_straight():
         raise NotStraight(f"row sizes {m.row_sizes()}")
-    shape = m.shape()
-    contents = [m.row(r) for r in range(1, m.num_rows + 1) if m.row(r)]
-    solutions = []
-
-    def place(rows, r):
-        if r > len(contents):
-            solutions.append([list(x) for x in rows])
-            return
-        for arrangement in _arrangements(contents[r - 1]):
-            rows.append(list(arrangement))
-            if _row_ok(shape, rows, r):
-                place(rows, r + 1)
-            rows.pop()
-
-    place([], 1)
-    if len(solutions) != 1:
-        raise InvariantError(f"{len(solutions)} coquinv-free fillings of {m}")
-    return ColumnFilling(shape, solutions[0], m.n)
+    rows = []
+    above = ()
+    for here in reversed(m.rows):
+        if not here:
+            continue
+        # with w columns above, column i's entry gets priority w - i + 1 and
+        # every other site 0: the columns pair in order, leftovers read 0
+        w = len(above)
+        word = [0] * m.n
+        for i, x in enumerate(above, start=1):
+            word[x - 1] = w - i + 1
+        labels, _, _ = _label_row(tuple(word), here)
+        above = tuple(sorted(here, key=lambda c: -labels[c - 1]))
+        rows.append(above)
+    tau = ColumnFilling(m.shape(), rows[::-1], m.n)
+    if coquinv(tau):
+        raise InvariantError(f"filling {tau} of {m} is not coquinv-free")
+    return tau
 
 
 def mlq_of_filling(tau: ColumnFilling) -> MultilineQueue:

@@ -10,7 +10,7 @@ from collections import Counter
 from .core import check_partition, conjugate, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
-from .mlq import _label_word_sweep, enumerate_gmlq, maj, row_word
+from .mlq import _check_columns, _label_word_sweep, enumerate_gmlq, maj, row_word
 from .tableaux import enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
 
 
@@ -245,6 +245,8 @@ def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
 
 def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:
     """Weight sum over coquinv-free fillings."""
+    lam = check_partition(lam)
+    _check_columns(n)
     if conjugate(lam) and conjugate(lam)[0] > n:
         return QXPolynomial.zero(n)
 
@@ -301,6 +303,7 @@ def _shift_schur(lam, vars_inner, total, offset) -> QXPolynomial:
 def skew_schur(outer, inner, n: int) -> QXPolynomial:
     """Content sum over skew semistandard tableaux with entries at most n;
     zero unless inner lies inside outer."""
+    _check_columns(n)
     return QXPolynomial(n, (
         ((0, _x_key(t.content())), 1)
         for t in enumerate_skew_ssyt(outer, inner, max_entry=n)

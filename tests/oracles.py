@@ -8,12 +8,17 @@ iterated cylindrical matching, independently of the pairing rule
 ``mlq._label_row`` that every labelling in the package uses.  The Schur and
 Kostka-Foulkes routes here are the paper's theorems: Schur polynomials sum
 over nonwrapping queues, and Kostka-Foulkes polynomials weigh nonwrapping
-queues by the major index of their quarter turn.
+queues by the major index of their quarter turn.  ``coquinv_free_fillings``
+tries every arrangement of every row, so it shows that the filling the
+package builds by pairing is the only coquinv-free one.
 """
+
+from itertools import permutations, product
 
 from mlqkit.collapse import rotate90
 from mlqkit.core import conjugate
 from mlqkit.errors import SizeMismatch
+from mlqkit.fillings import ColumnFilling, coquinv
 from mlqkit.matching import _two_row_match
 from mlqkit.mlq import (
     _check_straight,
@@ -122,3 +127,15 @@ def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
         for m in enumerate_mlq(lam, n)
         if m.column_content()[: len(mu)] == tuple(mu) and is_nonwrapping(m)
     ))
+
+
+def coquinv_free_fillings(m) -> list:
+    """Every filling with the row contents of a straight queue, in any
+    order within each row, that has no cyclically decreasing triple."""
+    shape = m.shape()
+    contents = [row for row in m.rows if row]
+    fillings = (
+        ColumnFilling(shape, rows, m.n)
+        for rows in product(*(permutations(row) for row in contents))
+    )
+    return [tau for tau in fillings if coquinv(tau) == 0]

@@ -19,6 +19,7 @@ from mlqkit.mlq import (
     sigma,
 )
 from mlqkit.collapse import (
+    _lift_unmatched,
     collapse,
     collapse_inverse,
     collapse_left,
@@ -48,6 +49,19 @@ def test_drop_and_lift_basics():
     assert lift(dropped, 1) == b
     stacked = MultilineQueue(3, [[3], [3]])
     assert drop(stacked, 1) == stacked
+
+
+def test_batched_lift_exhaustive():
+    # one batch of k lifts moves the k rightmost unmatched balls
+    for size in [(2, 4), (3, 3), (2, 5), (3, 4)]:
+        for b in all_binary_matrices(*size):
+            for i in range(1, b.num_rows):
+                lifted = b
+                for k in range(b.n + 2):
+                    rows = [set(r) for r in b.rows]
+                    _lift_unmatched(rows, i, k)
+                    assert b.with_rows(rows) == lifted
+                    lifted = lift(lifted, i)
 
 
 def test_drop_all_unmatched():

@@ -4,7 +4,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NotCoquinvFree, NotStraight, ParseError
 from mlqkit.fillings import (
@@ -77,7 +80,7 @@ def test_round_trip_exhaustive():
                     continue
                 for m in enumerate_mlq(lam, n):
                     tau = filling_of_mlq(m)
-                    assert coquinv(tau) == 0
+                    assert oracles.coquinv_free_fillings(m) == [tau]
                     assert maj_filling(tau) == maj(m)
                     assert mlq_of_filling(tau).trimmed() == m.trimmed()
 
@@ -137,14 +140,45 @@ def test_alphabet_size_is_kept():
         ColumnFilling((2,), [[2], [1]], n=1)
 
 
-def test_uniqueness_check_survives_optimize():
-    # The uniqueness of the coquinv-free filling raises a typed error, so it
-    # still fires when python -O strips asserts.  Accepting every row makes
-    # both orders of the bottom row {1, 2} a solution.
+@st.composite
+def straight_queues(draw):
+    """Straight queues up to 7 rows and 9 columns, beyond the exhaustive
+    range."""
+    n = draw(st.integers(1, 9))
+    sizes = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=7)), reverse=True)
+    return MultilineQueue(n, [
+        draw(st.sets(st.integers(1, n), min_size=k, max_size=k)) for k in sizes
+    ])
+
+
+@settings(deadline=None)
+@given(straight_queues())
+def test_filling_random(m):
+    tau = filling_of_mlq(m)
+    assert coquinv(tau) == 0
+    assert [tuple(sorted(row)) for row in tau.rows] == list(m.rows)
+    assert maj_filling(tau) == maj(m)
+    assert mlq_of_filling(tau) == m
+
+
+def test_rejects_non_partition_shape():
+    with pytest.raises(ParseError):
+        ColumnFilling((1, 2), [[1, 2]])
+    with pytest.raises(ParseError):
+        parse_filling("1,2;1 2")
+    with pytest.raises(ParseError):
+        ColumnFilling((2, 0), [[1], [2]])
+
+
+def test_coquinv_check_survives_optimize():
+    # filling_of_mlq checks its result with coquinv and raises a typed
+    # error, so the check still fires when python -O strips asserts.
+    # Labels rising to the right make the pairing put the bottom row {1, 2}
+    # in decreasing order, which is cyclically decreasing under the 1 above.
     script = (
         "import mlqkit.fillings as fillings\n"
         "from mlqkit.errors import InvariantError\n"
-        "fillings._row_ok = lambda shape, rows, r: True\n"
+        "fillings._label_row = lambda word, here: (tuple(range(len(word))), [], [])\n"
         "try:\n"
         "    fillings.filling_of_mlq(fillings.MultilineQueue(3, [[1, 2], [1]]))\n"
         "except InvariantError:\n"

@@ -22,6 +22,7 @@ from mlqkit.poly import (
     QXPolynomial,
     kostka_foulkes,
     q_whittaker_charge_expansion,
+    q_whittaker_coquinv,
     q_whittaker_gmlq,
     q_whittaker_mlq,
     schur,
@@ -102,6 +103,10 @@ def test_rejects_bad_column_count(n):
         list(enumerate_gmlq((1, 2), n))
     with pytest.raises(ParseError):
         MultilineQueue(n, [])
+    with pytest.raises(ParseError):
+        skew_schur((2, 1), (), n)
+    with pytest.raises(ParseError):
+        q_whittaker_coquinv((2, 1), n)
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), (2.0, 1), (True,), (2.5,)])
@@ -114,6 +119,10 @@ def test_rejects_non_partition(lam):
         schur(lam, 3)
     with pytest.raises(ParseError):
         q_whittaker_charge_expansion(lam, 3)
+    # the shape is checked before the "too narrow, return zero" shortcut
+    for n in (1, 3):
+        with pytest.raises(ParseError):
+            q_whittaker_coquinv(lam, n)
     with pytest.raises(ParseError):
         enumerate_mlq(lam, 3)
     with pytest.raises(ParseError):
