@@ -9,12 +9,13 @@ matrices.
 
 from dataclasses import dataclass
 
-from .core import conjugate
+from .core import _is_count, conjugate
 from .errors import (
     BadRowIndex,
     BadSigmaWord,
     InvariantError,
     NotNonwrapping,
+    OutOfRange,
     ShapeMismatch,
 )
 from .matching import _two_row_match
@@ -24,6 +25,12 @@ from .tableaux import Tableau, tableau_from_crw
 
 @dataclass(frozen=True)
 class CollapseResult:
+    """The collapsed queue, its recording tableau and the drop counts.
+
+    drop_counts is dense: it holds every (r, j) with 1 <= j < r, the number
+    of balls that sweep r dropped from row j+1 to row j, zeros included.
+    """
+
     queue: MultilineQueue
     recorder: Tableau
     drop_counts: dict
@@ -90,23 +97,52 @@ def drop_all(m: MultilineQueue, i: int) -> MultilineQueue:
 def collapse(m: MultilineQueue) -> CollapseResult:
     """Collapse bottom-to-top: returns the nonwrapping queue, the recording
     tableau whose entries r mark where the balls of row r settled, and the
-    per-sweep drop counts {(r, j): drops from row j+1 to row j}."""
+    per-sweep drop counts {(r, j): drops from row j+1 to row j}.
+
+    Sweep r drops row r onto the collapsed rows 1..r-1, whose nonempty rows
+    are exactly 1..top (a nonempty row above an empty one would be
+    unmatched against it).  The sweep follows three rules:
+
+    - Fall: rows top+1..r-1 are empty and every ball is unmatched against
+      an empty row, so row r lands on row top+1 in one move, and each step
+      j = r-1..top+1 drops all of row r.
+    - Stop: once a step drops nothing, rows 1..j are unchanged and were
+      collapsed, so every lower step would drop nothing too; those steps
+      are recorded as 0 without matching.
+    - Check: the sweep changed only the rows from the stop step + 1 up to
+      the landing row top+1, and the rows above it are empty.  The adjacent
+      pairs among the stop row..landing row are re-matched; every other
+      pair is of unchanged rows and was verified by an earlier sweep.  So
+      after every sweep the prefix is collapsed, or InvariantError is
+      raised.
+    """
     rows = []
     tableau_rows = []
     drop_counts = {}
+    top = 0
     for r, source in enumerate(m.rows, start=1):
-        rows.append(set(source))
-        before = [len(x) for x in rows]
-        for j in range(r - 1, 0, -1):
-            drop_counts[(r, j)] = _drop_unmatched(rows, j)
-        for level in range(r):
-            gained = len(rows[level]) - (before[level] if level < r - 1 else 0)
-            if level >= len(tableau_rows):
-                tableau_rows.append([])
-            tableau_rows[level].extend([r] * gained)
-        for j in range(1, r):
-            if _unmatched_above(rows, j):
-                raise InvariantError(f"collapsed prefix moved at row {j}")
+        rows.append(set())
+        tableau_rows.append([])
+        falling = set(source)
+        for j in range(r - 1, top, -1):
+            drop_counts[(r, j)] = len(falling)
+        land = top + 1
+        rows[top] = falling
+        arrived = len(falling)  # balls that entered row j+1 in this sweep
+        j = top
+        while j and arrived:
+            moved = _drop_unmatched(rows, j)
+            drop_counts[(r, j)] = moved
+            tableau_rows[j].extend([r] * (arrived - moved))
+            arrived = moved
+            j -= 1
+        tableau_rows[j].extend([r] * arrived)  # the last arrivals stay
+        for i in range(j, 0, -1):
+            drop_counts[(r, i)] = 0
+        for i in range(j + 1, land):
+            if _unmatched_above(rows, i):
+                raise InvariantError(f"collapsed prefix moved at row {i}")
+        top = land if rows[top] else top
     queue = MultilineQueue(m.n, rows)
     recorder = Tableau([row for row in tableau_rows if row])
     return CollapseResult(queue, recorder, drop_counts)
@@ -193,15 +229,25 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     Lifting row j k times moves its k rightmost balls unmatched against row
     j+1: a lifted ball opens a bracket that nothing to its right closes, so
     the other unmatched balls stay unmatched.  Each batch is one
-    ``_lift_unmatched``.
+    ``_lift_unmatched``.  height is the number of rows rebuilt; it must be
+    a positive int at least the highest nonempty queue row and the largest
+    recorder entry (OutOfRange otherwise), and it defaults to the larger
+    of those and queue.num_rows.
     """
     sizes = tuple(s for s in queue.row_sizes() if s > 0)
     if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
         raise ShapeMismatch(
             f"recorder shape {recorder.shape()} vs queue row sizes {sizes}"
         )
+    top_row = max((r for r, row in enumerate(queue.rows, start=1) if row), default=1)
+    min_height = max(recorder.entry_max(), top_row)
     if height is None:
-        height = max(recorder.entry_max(), queue.num_rows, 1)
+        height = max(min_height, queue.num_rows)
+    elif not _is_count(height) or height < min_height:
+        raise OutOfRange(
+            f"height {height!r} is not an int >= {min_height}, the highest "
+            "ball row and recorder entry"
+        )
     rows = [set(queue.row(r)) if r <= queue.num_rows else set()
             for r in range(1, height + 1)]
     for r in range(height, 1, -1):

@@ -35,8 +35,8 @@ class ColumnFilling:
         rows = tuple(tuple(r) for r in rows)
         if tuple(len(r) for r in rows) != conjugate(shape):
             raise ParseError(f"rows {rows} do not fill the diagram of {shape}")
-        if any(v <= 0 for r in rows for v in r):
-            raise ParseError("entries must be positive")
+        if not all(_is_count(v) and v > 0 for r in rows for v in r):
+            raise ParseError(f"entries of {rows} must be positive ints")
         top = max((v for r in rows for v in r), default=1)
         if n is None:
             n = top

@@ -11,16 +11,25 @@ over nonwrapping queues, and Kostka-Foulkes polynomials weigh nonwrapping
 queues by the major index of their quarter turn.  ``coquinv_free_fillings``
 tries every arrangement of every row, so it shows that the filling the
 package builds by pairing is the only coquinv-free one.
+``collapse_full_sweep`` runs every collapse sweep down to row 1 and then
+re-matches every settled pair, so it does not rely on the fall and stop
+rules that ``collapse`` uses.
 """
 
 from itertools import permutations, product
 
-from mlqkit.collapse import rotate90
+from mlqkit.collapse import (
+    CollapseResult,
+    _drop_unmatched,
+    _unmatched_above,
+    rotate90,
+)
 from mlqkit.core import conjugate
-from mlqkit.errors import SizeMismatch
+from mlqkit.errors import InvariantError, SizeMismatch
 from mlqkit.fillings import ColumnFilling, coquinv
 from mlqkit.matching import _two_row_match
 from mlqkit.mlq import (
+    MultilineQueue,
     _check_straight,
     enumerate_gmlq,
     enumerate_mlq,
@@ -29,7 +38,7 @@ from mlqkit.mlq import (
     projection,
 )
 from mlqkit.poly import QXPolynomial, _x_key
-from mlqkit.tableaux import enumerate_ssyt
+from mlqkit.tableaux import Tableau, enumerate_ssyt
 
 
 def label_mlq_by_matching(m):
@@ -139,3 +148,27 @@ def coquinv_free_fillings(m) -> list:
         for rows in product(*(permutations(row) for row in contents))
     )
     return [tau for tau in fillings if coquinv(tau) == 0]
+
+
+def collapse_full_sweep(m) -> CollapseResult:
+    """Collapse with every sweep run down to row 1 and every settled pair
+    re-matched after it; the same result as ``collapse``."""
+    rows = []
+    tableau_rows = []
+    drop_counts = {}
+    for r, source in enumerate(m.rows, start=1):
+        rows.append(set(source))
+        before = [len(x) for x in rows]
+        for j in range(r - 1, 0, -1):
+            drop_counts[(r, j)] = _drop_unmatched(rows, j)
+        for level in range(r):
+            gained = len(rows[level]) - (before[level] if level < r - 1 else 0)
+            if level >= len(tableau_rows):
+                tableau_rows.append([])
+            tableau_rows[level].extend([r] * gained)
+        for j in range(1, r):
+            if _unmatched_above(rows, j):
+                raise InvariantError(f"collapsed prefix moved at row {j}")
+    queue = MultilineQueue(m.n, rows)
+    recorder = Tableau([row for row in tableau_rows if row])
+    return CollapseResult(queue, recorder, drop_counts)

@@ -1,10 +1,18 @@
+import importlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mlqkit.charge import charge
 from mlqkit.core import conjugate, is_lattice, partitions
-from mlqkit.errors import ShapeMismatch
+from mlqkit.errors import OutOfRange, ShapeMismatch
 from mlqkit.matching import lowering, raising, raise_all
 from mlqkit.mlq import (
     MultilineQueue,
@@ -36,7 +44,16 @@ from mlqkit.collapse import (
     rotate270,
     twisted_collapse,
 )
-from mlqkit.tableaux import Tableau, superstandard, tableau_charge
+from mlqkit.tableaux import (
+    Tableau,
+    column_insert,
+    row_insert,
+    superstandard,
+    tab_of_mlq,
+    tableau_charge,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 COLLAPSE_EXAMPLE = MultilineQueue(5, [[1, 3, 4], [1, 4, 5], [2, 5], [1, 3], [4]])
 MRSK_EXAMPLE = MultilineQueue(6, [[2, 3, 5], [1, 4, 5, 6], [2, 5], [4], [1, 3, 4]])
@@ -162,6 +179,104 @@ def test_collapse_inverse_round_trip():
     assert collapse_inverse(m, superstandard(conjugate(lam))).trimmed() == m
     with pytest.raises(ShapeMismatch):
         collapse_inverse(m, superstandard((3,)))
+
+
+def test_collapse_inverse_rejects_non_count_height():
+    # height=0 used to return a queue with no rows
+    with pytest.raises(OutOfRange):
+        collapse_inverse(MultilineQueue(3, [[1, 2]]), Tableau([[1, 1]]), height=0)
+    m = canonical_mlq((2, 1), 3)
+    recorder = superstandard(conjugate((2, 1)))
+    for height in (-1, True, 2.0, "2"):
+        with pytest.raises(OutOfRange):
+            collapse_inverse(m, recorder, height=height)
+
+
+def test_collapse_inverse_rejects_height_below_queue():
+    queue = MultilineQueue(3, [[1], [], [1]])
+    recorder = Tableau([[1], [2]])
+    with pytest.raises(OutOfRange):
+        collapse_inverse(queue, recorder, height=2)
+    assert collapse_inverse(queue, recorder, height=3) == queue
+
+
+def test_collapse_inverse_rejects_height_below_recorder():
+    # height=2 used to rebuild the wrong matrix 1,2|3
+    m = MultilineQueue(3, [[1], [2], [3]])
+    result = collapse(m)
+    with pytest.raises(OutOfRange):
+        collapse_inverse(result.queue, result.recorder, height=2)
+    assert collapse_inverse(result.queue, result.recorder, height=3) == m
+
+
+def assert_same_collapse(m):
+    fast, full = collapse(m), oracles.collapse_full_sweep(m)
+    assert fast.queue == full.queue
+    assert fast.recorder == full.recorder
+    assert fast.drop_counts == full.drop_counts
+
+
+def test_collapse_matches_full_sweep_exhaustive():
+    for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
+        for b in all_binary_matrices(*size):
+            assert_same_collapse(b)
+
+
+def test_collapse_check_survives_optimize():
+    # collapse re-matches the pairs each sweep changed and raises a typed
+    # error, so the check still fires when python -O strips asserts.  A drop
+    # that moves only the first unmatched ball leaves row 2 unmatched.
+    script = (
+        "import importlib\n"
+        "from mlqkit.errors import InvariantError\n"
+        "from mlqkit.mlq import MultilineQueue\n"
+        "module = importlib.import_module('mlqkit.collapse')\n"
+        "def first_only(rows, i):\n"
+        "    opens = module._unmatched_above(rows, i)[:1]\n"
+        "    for c in opens:\n"
+        "        rows[i].remove(c)\n"
+        "        rows[i - 1].add(c)\n"
+        "    return len(opens)\n"
+        "module._drop_unmatched = first_only\n"
+        "try:\n"
+        "    module.collapse(MultilineQueue(3, [[1], [2, 3]]))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"
+
+
+def test_collapse_nonwrapping_match_count(monkeypatch):
+    # on a collapsed queue every sweep stops at its first step and re-matches
+    # one pair, so the matchings are linear in the number of rows L; a sweep
+    # down to row 1 with a full re-check costs L(L-1)
+    rng = random.Random(5)
+    queues = [canonical_mlq((8, 6, 3, 1), 4)]
+    for rows, n in [(8, 5), (10, 6), (12, 4)]:
+        m = MultilineQueue(n, [
+            [c for c in range(1, n + 1) if rng.random() < 0.5] for _ in range(rows)
+        ])
+        queues.append(collapse(m).queue)
+    module = importlib.import_module("mlqkit.collapse")
+    calls = []
+    real = module._two_row_match
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_two_row_match", counting)
+    for q in queues:
+        assert is_nonwrapping(q)
+        calls.clear()
+        assert collapse(q).queue == q
+        assert len(calls) <= 3 * q.num_rows
 
 
 def test_collapse_bijection_exhaustive():
@@ -359,3 +474,32 @@ def test_maj_g_sigma_invariance_random(m):
 @given(binary_matrices(straight=True))
 def test_maj_equals_recorder_charge_random(m):
     assert maj(m) == tableau_charge(collapse(m).recorder)
+
+
+@st.composite
+def one_ball_rows(draw):
+    """Queues with one ball per row, up to 40 rows: the queues that
+    mlq_of_tableau collapses."""
+    n = draw(st.integers(1, 10))
+    word = draw(st.lists(st.integers(1, n), min_size=1, max_size=40))
+    return MultilineQueue(n, [[c] for c in word])
+
+
+@settings(deadline=None)
+@given(binary_matrices())
+def test_collapse_matches_full_sweep_random(m):
+    assert_same_collapse(m)
+
+
+@settings(deadline=None)
+@given(one_ball_rows())
+def test_collapse_matches_full_sweep_one_ball_rows(m):
+    assert_same_collapse(m)
+
+
+@settings(deadline=None)
+@given(binary_matrices())
+def test_insertion_oracles_random(m):
+    result = collapse(m)
+    assert row_insert(column_word(m)) == result.recorder
+    assert tab_of_mlq(result.queue) == column_insert(row_word(m))

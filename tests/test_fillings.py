@@ -170,6 +170,17 @@ def test_rejects_non_partition_shape():
         ColumnFilling((2, 0), [[1], [2]])
 
 
+def test_rejects_non_int_entries():
+    # 1.5 and True used to pass as entries and set n=1.5 or n=True
+    for bad in (1.5, True, "1", None):
+        with pytest.raises(ParseError):
+            ColumnFilling((1,), [[bad]])
+    with pytest.raises(ParseError):
+        ColumnFilling((2, 1), [[1, 2.0], [1]])
+    with pytest.raises(ParseError):
+        parse_filling('{"shape": [1], "rows": [[1.5]]}')
+
+
 def test_coquinv_check_survives_optimize():
     # filling_of_mlq checks its result with coquinv and raises a typed
     # error, so the check still fires when python -O strips asserts.

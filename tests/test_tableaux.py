@@ -94,11 +94,23 @@ def test_row_insert():
     assert row_insert(column_word(example)) == collapse(example).recorder
 
 
+ORACLE_SIZES = [(3, 3), (3, 4), (4, 3), (2, 5)]  # 9 728 matrices
+
+
 def test_row_insert_matches_recorder_exhaustive():
     from mlqkit.mlq import all_binary_matrices, column_word
 
-    for b in all_binary_matrices(3, 3):
-        assert row_insert(column_word(b)) == collapse(b).recorder
+    for size in ORACLE_SIZES:
+        for b in all_binary_matrices(*size):
+            assert row_insert(column_word(b)) == collapse(b).recorder
+
+
+def test_column_insert_matches_collapsed_queue_exhaustive():
+    from mlqkit.mlq import all_binary_matrices
+
+    for size in ORACLE_SIZES:
+        for b in all_binary_matrices(*size):
+            assert tab_of_mlq(collapse(b).queue) == column_insert(row_word(b))
 
 
 def test_tableau_from_crw():
