@@ -4,10 +4,15 @@ Multiline queues with their labelling statistics, the collapsing maps onto
 nonwrapping queues, the bijections with semistandard tableaux, and exact
 polynomial identities (q-Whittaker, Schur, Kostka-Foulkes, dual Cauchy,
 Littlewood-Richardson).  Each quantity has one route here: the generating
-functions and Schur polynomials sum over label-word states row by row, and
-Kostka-Foulkes polynomials are charge sums over tableaux.  The other routes
-the paper proves equal, such as enumerating every queue, are reference
-implementations in the test suite, which checks that they agree.
+functions and Schur polynomials sum over label-word states row by row,
+Kostka-Foulkes polynomials are charge sums over tableaux, recording tableaux
+come from ``collapse``, rectification from ``rectify_by_mlq`` and ``maj_g``
+from the pairing rule.  The other routes the paper proves equal are
+reference implementations in the test suite (``tests/oracles.py``), which
+checks that they agree: enumerating every queue, row insertion of the column
+word and label-tracked collapsing (both give the recorder), top-down
+collapsing, jeu de taquin, charge by matching and the energy of the
+indicator levels (which equals ``maj_g``).
 """
 
 from .core import (
@@ -21,7 +26,6 @@ from .core import (
 )
 from .charge import (
     charge,
-    charge_by_matching,
     charge_g,
     charge_permutation,
     charge_subwords,
@@ -33,8 +37,6 @@ from .mlq import (
     biwords,
     canonical_mlq,
     column_word,
-    energy_h,
-    energy_levels,
     enumerate_gmlq,
     enumerate_mlq,
     is_nonwrapping,
@@ -53,11 +55,9 @@ from .collapse import (
     collapse,
     collapse_inverse,
     collapse_left,
-    collapse_top_down,
     drop,
     drop_all,
     flip_up,
-    labelled_collapse,
     lift,
     mrsk,
     mrsk_inverse,
@@ -74,14 +74,12 @@ from .tableaux import (
     enumerate_skew_ssyt,
     enumerate_ssyt,
     insert_into_mlq,
-    jdt_rectify,
     lr_coefficient,
     lr_coefficient_by_mlq,
     mlq_of_tableau,
     mult_mlq,
     parse_tableau,
     rectify_by_mlq,
-    row_insert,
     row_reading_word,
     skew_to_mlq,
     straighten,

@@ -1,8 +1,8 @@
 """Charge and cocharge statistics on permutations and words."""
 
 from .core import content, is_partition, n_stat
-from .errors import NonPartitionContent, NotAPermutation
-from .matching import bracket_match, reflect
+from .errors import NonPartitionContent, NotAPermutation, ParseError
+from .matching import reflect
 
 
 def charge_permutation(perm) -> int:
@@ -14,7 +14,14 @@ def charge_permutation(perm) -> int:
     return sum(n - i for i in range(1, n) if position[i] < position[i + 1])
 
 
+def _check_letters(w):
+    """ParseError unless every letter of w is a positive int."""
+    if not all(type(v) is int and v > 0 for v in w):
+        raise ParseError(f"letters must be positive ints, got {tuple(w)!r}")
+
+
 def _check_partition_content(w):
+    _check_letters(w)
     c = content(w)
     if not is_partition(c):
         raise NonPartitionContent(f"content {c}")
@@ -62,36 +69,6 @@ def cocharge(w) -> int:
     return n_stat(mu) - charge(w)
 
 
-def charge_by_matching(w) -> int:
-    """Charge computed through classical and cylindrical matching alone.
-
-    The word is peeled into layers: for r from the largest part of the
-    content down to 1, the letters r of the current layer seed a subword
-    which is grown downward one letter value at a time, keeping the letters
-    k that match cylindrically against the already-selected k+1's.  Each
-    letter that matches only by wrapping contributes r - k.
-    """
-    lam = _check_partition_content(w)
-    if not lam:
-        return 0
-    total = 0
-    layer = list(range(len(w)))  # positions still to be assigned
-    for r in range(len(lam), 0, -1):  # subword lengths run down from max(w)
-        selected = {p for p in layer if w[p] == r}
-        for k in range(r - 1, 0, -1):
-            # drop letters above k that were not selected for this layer
-            sub = [p for p in layer if w[p] <= k or p in selected]
-            word_k = tuple(w[p] for p in sub)
-            m = bracket_match(word_k, k, cyclic=True)
-            matched_closes = {c for _, c in m.matched_pairs}
-            wrapped_closes = {c for _, c in m.wrapping_pairs}
-            total += len(wrapped_closes) * (r - k)
-            for pos1 in matched_closes | wrapped_closes:
-                selected.add(sub[pos1 - 1])
-        layer = [p for p in layer if p not in selected]
-    return total
-
-
 def sorting_reflections(alpha):
     """Indices i so that applying s_i right-to-left sorts alpha decreasingly.
 
@@ -118,6 +95,7 @@ def straighten_word(w):
 
 def charge_g(w) -> int:
     """Generalized charge: straighten the content, then take the charge."""
+    _check_letters(w)
     if not w:
         return 0
     return charge(straighten_word(w))

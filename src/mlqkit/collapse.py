@@ -7,6 +7,7 @@ orthogonal directions gives a Robinson-Schensted-style bijection for
 matrices.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import _is_count, conjugate
@@ -19,7 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matching import _two_row_match
-from .mlq import MultilineQueue, is_nonwrapping, sigma
+from .mlq import MultilineQueue, column_word, is_nonwrapping, sigma
 from .tableaux import Tableau, tableau_from_crw
 
 
@@ -148,56 +149,6 @@ def collapse(m: MultilineQueue) -> CollapseResult:
     return CollapseResult(queue, recorder, drop_counts)
 
 
-def collapse_top_down(m: MultilineQueue) -> MultilineQueue:
-    """Equivalent collapse order: full sweeps from the top, then shorter."""
-    rows = [set(r) for r in m.rows]
-    top = len(rows)
-    for start in range(1, top + 1):
-        for j in range(top - 1, start - 1, -1):
-            _drop_unmatched(rows, j)
-    return m.with_rows(rows)
-
-
-def labelled_collapse(m: MultilineQueue) -> Tableau:
-    """Recording tableau read off from label-tracked collapsing.
-
-    Every ball starts labelled by its row.  At each drop step the matched
-    balls of the lower row claim, left to right, the smallest still-free
-    label sitting weakly to their left in the upper row; each claim lands on
-    the claimer's partner, and the unclaimed labels travel down with the
-    dropping balls in carrier order.
-    """
-    rows = [dict.fromkeys(source, r) for r, source in enumerate(m.rows, start=1)]
-    for r in range(2, len(rows) + 1):
-        for j in range(r - 1, 0, -1):
-            _labelled_drop(rows, j)
-    out = [sorted(row.values()) for row in rows if row]
-    return Tableau(out)
-
-
-def _labelled_drop(rows, j):
-    upper, lower = rows[j], rows[j - 1]
-    pairs, opens, _, _ = _two_row_match(upper, lower)
-    if not opens:
-        return
-    partner = {close: open_ for open_, close in pairs}
-    free = sorted(upper.items())  # (column, label) pool in carrier order
-    new_upper = {}
-    for b in sorted(lower):
-        if b not in partner:
-            continue
-        choices = [t for t in range(len(free)) if free[t][0] <= b]
-        if not choices:
-            raise InvariantError(f"matched ball {b} with no label weakly left")
-        k = min(choices, key=lambda t: free[t][1])
-        new_upper[partner[b]] = free.pop(k)[1]
-    for c, (_, lab) in zip(opens, free):
-        lower[c] = lab
-    for c in opens:
-        del upper[c]
-    upper.update(new_upper)
-
-
 def rotate90(m: MultilineQueue) -> MultilineQueue:
     """Quarter turn counterclockwise: ball (r, c) goes to (c, L - r + 1)."""
     height = m.num_rows
@@ -225,7 +176,8 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     """Rebuild the matrix whose collapse is (queue, recorder).
 
     The entry multiplicities of the recorder prescribe how many times each
-    lift is applied, lowest row first, one batch per recorder letter.
+    lift is applied, lowest row first, one batch per recorder letter; a
+    batch of 0 lifts is skipped.
     Lifting row j k times moves its k rightmost balls unmatched against row
     j+1: a lifted ball opens a bracket that nothing to its right closes, so
     the other unmatched balls stay unmatched.  Each batch is one
@@ -250,14 +202,15 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
         )
     rows = [set(queue.row(r)) if r <= queue.num_rows else set()
             for r in range(1, height + 1)]
+    multiplicity = Counter(  # (entry, recorder row): how often
+        (v, j) for j, row in enumerate(recorder.rows, start=1) for v in row
+    )
     for r in range(height, 1, -1):
-        multiplicity = [
-            sum(1 for v in row if v == r) for row in recorder.rows
-        ] + [0] * height
         phi = 0
         for j in range(1, r):
-            phi += multiplicity[j - 1]
-            _lift_unmatched(rows, j, phi)
+            phi += multiplicity[(r, j)]
+            if phi:
+                _lift_unmatched(rows, j, phi)
     return MultilineQueue(queue.n, rows)
 
 
@@ -275,8 +228,6 @@ def mrsk(m: MultilineQueue):
 
 def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     """Inverse of mrsk: recover the recorder from the left collapse."""
-    from .mlq import column_word
-
     shape_down = down.trimmed().shape()
     shape_left = left.trimmed().shape()
     if shape_left != conjugate(shape_down):

@@ -68,11 +68,3 @@ class ParseError(MlqkitError):
 class InvariantError(MlqkitError):
     """An internal consistency check failed; raised, not asserted, so that
     it also holds under ``python -O``."""
-
-
-class BoundExceeded(MlqkitError):
-    pass
-
-
-class UnknownSuite(MlqkitError):
-    pass

@@ -6,7 +6,7 @@ or separated only by matched pairs.  The cylindrical variant additionally
 matches the remaining opens to the remaining closes around the circle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -18,13 +18,10 @@ class MatchData:
     is zero and the extra pairs are recorded in wrapping_pairs.
     """
 
-    positions_of_i: tuple
-    positions_of_i_plus_1: tuple
     matched_pairs: tuple
     unmatched_opens: tuple
     unmatched_closes: tuple
-    cyclic: bool = False
-    wrapping_pairs: tuple = field(default=())
+    wrapping_pairs: tuple = ()
 
 
 def match_brackets(events):
@@ -57,26 +54,19 @@ def _wrap(opens, closes):
 
 def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
     """Match the letters i+1 against the letters i of w."""
-    events = []
-    pos_i, pos_i1 = [], []
-    for pos, letter in enumerate(w, start=1):
-        if letter == i + 1:
-            events.append((pos, True))
-            pos_i1.append(pos)
-        elif letter == i:
-            events.append((pos, False))
-            pos_i.append(pos)
+    events = [
+        (pos, letter == i + 1)
+        for pos, letter in enumerate(w, start=1)
+        if letter in (i, i + 1)
+    ]
     pairs, opens, closes = match_brackets(events)
     wrapping = []
     if cyclic:
         opens, closes, wrapping = _wrap(opens, closes)
     return MatchData(
-        positions_of_i=tuple(pos_i),
-        positions_of_i_plus_1=tuple(pos_i1),
         matched_pairs=tuple(pairs),
         unmatched_opens=tuple(opens),
         unmatched_closes=tuple(closes),
-        cyclic=cyclic,
         wrapping_pairs=tuple(wrapping),
     )
 

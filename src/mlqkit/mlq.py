@@ -332,36 +332,6 @@ def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
     return m.with_rows(rows)
 
 
-def _indicator_sets(word, top):
-    """Nested supports {c : word_c >= j} for j = 1..top."""
-    return [
-        {c for c, v in enumerate(word, start=1) if v >= j} for j in range(1, top + 1)
-    ]
-
-
-def energy_levels(m: MultilineQueue):
-    """Wrapping counts per adjacent row pair and indicator level.
-
-    Entry (r, j) counts the wrapping pairings of the level-j indicator of the
-    labels of row r against the queue at row r-1.
-    """
-    labels, _, _ = label_gmlq(m)
-    L = m.num_rows
-    table = {}
-    for r in range(2, L + 1):
-        word = [labels[(r, c)] for c in range(1, m.n + 1)]
-        below = set(m.row(r - 1))
-        for j, support in enumerate(_indicator_sets(word, L), start=1):
-            _, _, _, wrapping = _two_row_match(support, below, cyclic=True)
-            table[(r, j)] = len(wrapping)
-    return table
-
-
-def energy_h(m: MultilineQueue) -> int:
-    """Total energy: sum of all wrapping counts in the level table."""
-    return sum(energy_levels(m).values())
-
-
 def enumerate_mlq(lam, n: int):
     """All multiline queues of shape lam on n columns, lexicographically."""
     return enumerate_gmlq(conjugate(check_partition(lam)), n)

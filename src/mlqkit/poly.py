@@ -36,13 +36,6 @@ class QXPolynomial:
     def one(n: int):
         return QXPolynomial(n, {(0, ()): 1})
 
-    @staticmethod
-    def monomial(n: int, q_exp=0, x_exps=(), coeff=1):
-        """x_exps is a map or item list {variable (1-based): exponent}."""
-        items = x_exps.items() if isinstance(x_exps, dict) else x_exps
-        key = tuple(sorted((i, e) for i, e in items if e))
-        return QXPolynomial(n, {(q_exp, key): coeff})
-
     def _check(self, other):
         if self.n != other.n:
             raise VariableCountMismatch(f"{self.n} != {other.n}")
@@ -90,9 +83,6 @@ class QXPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def num_terms(self):
-        return len(self.terms)
 
     def swap_vars(self, i: int, j: int):
         out = {}
@@ -269,8 +259,10 @@ def dual_cauchy_check(n: int, length: int):
     """Both sides of the dual Cauchy identity in n + length variables.
 
     Returns (left, right); x variables are 1..n and y variables are
-    n+1..n+length.
+    n+1..n+length; both counts must be positive ints.
     """
+    _check_columns(n)
+    _check_columns(length)
     total = n + length
     terms = Counter()
     for size in range(0, n * length + 1):

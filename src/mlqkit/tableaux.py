@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .charge import charge as _charge
-from .core import check_partition, conjugate, content, is_lattice, is_partition
+from .core import _is_count, check_partition, conjugate, content, is_lattice, is_partition
 from .errors import (
     AlphabetTooSmall,
+    ColumnMismatch,
     InvariantError,
     NonPartitionContent,
     NotNonwrapping,
@@ -19,6 +20,7 @@ from .errors import (
     ParseError,
     SizeMismatch,
 )
+from .matching import reflect
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,7 @@ class Tableau:
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows if r)
         lengths = [len(r) for r in rows]
-        if any(v <= 0 for r in rows for v in r):
-            raise ParseError("tableau entries must be positive")
+        _check_entries(rows)
         if any(lengths[i] < lengths[i + 1] for i in range(len(rows) - 1)):
             raise ParseError(f"row lengths {lengths} not weakly decreasing")
         for r in rows:
@@ -96,6 +97,7 @@ class SkewTableau:
         rows = tuple(tuple(r) for r in rows)
         if inner is None:
             raise ParseError("inner shape not contained in outer")
+        _check_entries(rows)
         if len(rows) != len(outer):
             raise ParseError("one filled segment per outer row expected")
         for i, r in enumerate(rows):
@@ -122,6 +124,11 @@ class SkewTableau:
 
     def is_straight(self):
         return all(v == 0 for v in self.inner)
+
+
+def _check_entries(rows):
+    if not all(type(v) is int and v > 0 for r in rows for v in r):
+        raise ParseError(f"tableau entries must be positive ints, got {rows!r}")
 
 
 def _inner_of(outer, inner):
@@ -161,8 +168,6 @@ def tableau_charge(t: Tableau) -> int:
 
 def ls_action(t: Tableau, i: int) -> Tableau:
     """Reflection on tableaux: reflect the column word, write it back."""
-    from .matching import reflect
-
     flipped = reflect(column_reading_word(t), i)
     width = len(t.rows[0]) if t.rows else 0
     cells = []
@@ -218,26 +223,59 @@ def column_insert(word) -> Tableau:
     return Tableau(rows)
 
 
-def row_insert(word) -> Tableau:
-    """Classical row insertion of a word into the empty tableau."""
-    rows = []
-    for letter in word:
-        x = letter
-        for row in rows:
-            bump = next((k for k, v in enumerate(row) if v > x), None)
-            if bump is None:
-                row.append(x)
-                x = None
-                break
-            row[bump], x = x, row[bump]
-        if x is not None:
-            rows.append([x])
-    return Tableau(rows)
-
-
 def superstandard(lam) -> Tableau:
     """Tableau of shape lam whose row r is filled with r's."""
     return Tableau([[r] * k for r, k in enumerate(lam, start=1)])
+
+
+def _ssyt_rows(outer, inner, max_entry, weight):
+    """The filled rows of every semistandard filling of outer/inner, bottom
+    row first; none unless inner lies inside outer.
+
+    Exactly one of max_entry (the largest entry) and weight (the content, a
+    tuple of ints >= 0) must be given.  Cells are filled row by row from the
+    bottom, left to right, each with every value from the least its row and
+    column allow upward.
+    """
+    outer = check_partition(outer)
+    inner = _inner_of(outer, check_partition(inner))
+    if (max_entry is None) == (weight is None):
+        raise ParseError("give exactly one of max_entry and weight")
+    if weight is None:
+        if not _is_count(max_entry) or max_entry < 0:
+            raise ParseError(f"max_entry must be an int >= 0, got {max_entry!r}")
+        top, remaining = max_entry, None
+    else:
+        remaining = list(weight)
+        if not all(_is_count(v) and v >= 0 for v in remaining):
+            raise ParseError(f"weight must be ints >= 0, got {weight!r}")
+        top = len(remaining)
+    if inner is None:
+        return
+    if remaining is not None and sum(remaining) != sum(outer) - sum(inner):
+        return
+    cells = [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
+    grid = [[0] * k for k in outer]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[i:] for row, i in zip(grid, inner)]
+            return
+        r, c = cells[k]
+        low = grid[r][c - 1] if c > inner[r] else 1
+        if r and c >= inner[r - 1]:  # the cell below is filled
+            low = max(low, grid[r - 1][c] + 1)
+        for v in range(low, top + 1):
+            if remaining is not None:
+                if remaining[v - 1] == 0:
+                    continue
+                remaining[v - 1] -= 1
+            grid[r][c] = v
+            yield from fill(k + 1)
+            if remaining is not None:
+                remaining[v - 1] += 1
+
+    yield from fill(0)
 
 
 def enumerate_ssyt(shape, max_entry=None, weight=None):
@@ -245,114 +283,16 @@ def enumerate_ssyt(shape, max_entry=None, weight=None):
 
     Either cap the alphabet with max_entry or fix the content with weight.
     """
-    shape = check_partition(shape)
-    if weight is not None and sum(weight) != sum(shape):
-        return
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
-    cells.sort(key=lambda rc: (rc[0], rc[1]))
-    top = max_entry if max_entry is not None else len(weight)
-    grid = [[0] * shape[r] for r in range(len(shape))]
-    remaining = list(weight) if weight is not None else None
-
-    def fill(k):
-        if k == len(cells):
-            yield Tableau([row[:] for row in grid])
-            return
-        r, c = cells[k]
-        low = grid[r][c - 1] if c > 0 else 1
-        lowc = grid[r - 1][c] + 1 if r > 0 else 1
-        for v in range(max(low, lowc), top + 1):
-            if remaining is not None:
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[r][c] = v
-            yield from fill(k + 1)
-            grid[r][c] = 0
-            if remaining is not None:
-                remaining[v - 1] += 1
-
-    yield from fill(0)
+    for rows in _ssyt_rows(shape, (), max_entry, weight):
+        yield Tableau(rows)
 
 
 def enumerate_skew_ssyt(outer, inner, max_entry=None, weight=None):
     """All skew semistandard tableaux of shape outer/inner; none unless
     inner lies inside outer."""
-    outer = check_partition(outer)
-    inner = _inner_of(outer, check_partition(inner))
-    if inner is None:
-        return
-    if weight is not None and sum(weight) != sum(outer) - sum(inner):
-        return
-    cells = [
-        (r, c)
-        for r in range(len(outer))
-        for c in range(inner[r], outer[r])
-    ]
-    top = max_entry if max_entry is not None else len(weight)
-    grid = {cell: 0 for cell in cells}
-    remaining = list(weight) if weight is not None else None
-
-    def fill(k):
-        if k == len(cells):
-            rows = [
-                [grid[(r, c)] for c in range(inner[r], outer[r])]
-                for r in range(len(outer))
-            ]
-            yield SkewTableau(outer, inner, rows)
-            return
-        r, c = cells[k]
-        low = grid.get((r, c - 1), 0) if c > inner[r] else 1
-        lowc = grid[(r - 1, c)] + 1 if (r - 1, c) in grid else 1
-        for v in range(max(low, lowc, 1), top + 1):
-            if remaining is not None:
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[(r, c)] = v
-            yield from fill(k + 1)
-            grid[(r, c)] = 0
-            if remaining is not None:
-                remaining[v - 1] += 1
-
-    yield from fill(0)
-
-
-def jdt_rectify(t: SkewTableau) -> Tableau:
-    """Jeu-de-taquin rectification, used only as an independent oracle."""
-    outer = list(t.outer)
-    inner = list(t.inner)
-    grid = {}
-    for r in range(len(outer)):
-        for k, v in enumerate(t.rows[r]):
-            grid[(r, inner[r] + k)] = v
-    while any(inner):
-        r = next(
-            i
-            for i in range(len(outer))
-            if inner[i]
-            and (i + 1 >= len(outer) or inner[i + 1] < inner[i])
-        )
-        hole = (r, inner[r] - 1)
-        while True:
-            north = (hole[0] + 1, hole[1])
-            east = (hole[0], hole[1] + 1)
-            has_n, has_e = north in grid, east in grid
-            if not has_n and not has_e:
-                break
-            if has_n and (not has_e or grid[north] <= grid[east]):
-                grid[hole] = grid.pop(north)
-                hole = north
-            else:
-                grid[hole] = grid.pop(east)
-                hole = east
-        outer[hole[0]] -= 1
-        inner[r] -= 1
-    rows = []
-    for r in range(len(outer)):
-        if outer[r]:
-            rows.append([grid[(r, c)] for c in range(outer[r])])
-    return Tableau(rows)
+    outer, inner = tuple(outer), tuple(inner)
+    for rows in _ssyt_rows(outer, inner, max_entry, weight):
+        yield SkewTableau(outer, inner, rows)
 
 
 def mlq_of_tableau(t: Tableau, n=None):
@@ -455,7 +395,6 @@ def rectify_by_mlq(t: SkewTableau) -> Tableau:
 def mult_mlq(m1, m2):
     """Stack m2 on top of m1 and collapse."""
     from .collapse import collapse
-    from .errors import ColumnMismatch
 
     if m1.n != m2.n:
         raise ColumnMismatch(f"{m1.n} vs {m2.n} columns")

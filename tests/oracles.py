@@ -14,10 +14,26 @@ package builds by pairing is the only coquinv-free one.
 ``collapse_full_sweep`` runs every collapse sweep down to row 1 and then
 re-matches every settled pair, so it does not rely on the fall and stop
 rules that ``collapse`` uses.
+
+The second routes below each pin one theorem against the package's route:
+
+- ``row_insert``: row insertion of the column word gives the recording
+  tableau of ``collapse`` (collapsing is an insertion procedure).
+- ``labelled_collapse``: collapsing with every ball carrying its source row
+  as a label reads off the same recording tableau.
+- ``collapse_top_down``: sweeping the drops from the top gives the same
+  collapsed queue (the drop operators satisfy the braid relations).
+- ``jdt_rectify``: jeu de taquin rectifies a skew tableau to the tableau that
+  ``rectify_by_mlq`` reads off the straight part of its bicolored queue.
+- ``charge_by_matching``: charge computed by classical and cylindrical
+  matching alone equals the charge of the charge subwords.
+- ``energy_levels`` / ``energy_h``: the wraps of the indicator levels of each
+  row's labels against the row below sum to ``maj_g``.
 """
 
 from itertools import permutations, product
 
+from mlqkit.charge import _check_partition_content
 from mlqkit.collapse import (
     CollapseResult,
     _drop_unmatched,
@@ -27,13 +43,14 @@ from mlqkit.collapse import (
 from mlqkit.core import conjugate
 from mlqkit.errors import InvariantError, SizeMismatch
 from mlqkit.fillings import ColumnFilling, coquinv
-from mlqkit.matching import _two_row_match
+from mlqkit.matching import _two_row_match, bracket_match
 from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
     enumerate_gmlq,
     enumerate_mlq,
     is_nonwrapping,
+    label_gmlq,
     maj_g,
     projection,
 )
@@ -172,3 +189,167 @@ def collapse_full_sweep(m) -> CollapseResult:
     queue = MultilineQueue(m.n, rows)
     recorder = Tableau([row for row in tableau_rows if row])
     return CollapseResult(queue, recorder, drop_counts)
+
+
+def row_insert(word) -> Tableau:
+    """Classical row insertion of a word into the empty tableau."""
+    rows = []
+    for letter in word:
+        x = letter
+        for row in rows:
+            bump = next((k for k, v in enumerate(row) if v > x), None)
+            if bump is None:
+                row.append(x)
+                x = None
+                break
+            row[bump], x = x, row[bump]
+        if x is not None:
+            rows.append([x])
+    return Tableau(rows)
+
+
+def collapse_top_down(m) -> MultilineQueue:
+    """Equivalent collapse order: full sweeps from the top, then shorter."""
+    rows = [set(r) for r in m.rows]
+    top = len(rows)
+    for start in range(1, top + 1):
+        for j in range(top - 1, start - 1, -1):
+            _drop_unmatched(rows, j)
+    return m.with_rows(rows)
+
+
+def labelled_collapse(m) -> Tableau:
+    """Recording tableau read off from label-tracked collapsing.
+
+    Every ball starts labelled by its row.  At each drop step the matched
+    balls of the lower row claim, left to right, the smallest still-free
+    label sitting weakly to their left in the upper row; each claim lands on
+    the claimer's partner, and the unclaimed labels travel down with the
+    dropping balls in carrier order.
+    """
+    rows = [dict.fromkeys(source, r) for r, source in enumerate(m.rows, start=1)]
+    for r in range(2, len(rows) + 1):
+        for j in range(r - 1, 0, -1):
+            _labelled_drop(rows, j)
+    out = [sorted(row.values()) for row in rows if row]
+    return Tableau(out)
+
+
+def _labelled_drop(rows, j):
+    upper, lower = rows[j], rows[j - 1]
+    pairs, opens, _, _ = _two_row_match(upper, lower)
+    if not opens:
+        return
+    partner = {close: open_ for open_, close in pairs}
+    free = sorted(upper.items())  # (column, label) pool in carrier order
+    new_upper = {}
+    for b in sorted(lower):
+        if b not in partner:
+            continue
+        choices = [t for t in range(len(free)) if free[t][0] <= b]
+        if not choices:
+            raise InvariantError(f"matched ball {b} with no label weakly left")
+        k = min(choices, key=lambda t: free[t][1])
+        new_upper[partner[b]] = free.pop(k)[1]
+    for c, (_, lab) in zip(opens, free):
+        lower[c] = lab
+    for c in opens:
+        del upper[c]
+    upper.update(new_upper)
+
+
+def jdt_rectify(t) -> Tableau:
+    """Jeu-de-taquin rectification of a skew tableau."""
+    outer = list(t.outer)
+    inner = list(t.inner)
+    grid = {}
+    for r in range(len(outer)):
+        for k, v in enumerate(t.rows[r]):
+            grid[(r, inner[r] + k)] = v
+    while any(inner):
+        r = next(
+            i
+            for i in range(len(outer))
+            if inner[i]
+            and (i + 1 >= len(outer) or inner[i + 1] < inner[i])
+        )
+        hole = (r, inner[r] - 1)
+        while True:
+            north = (hole[0] + 1, hole[1])
+            east = (hole[0], hole[1] + 1)
+            has_n, has_e = north in grid, east in grid
+            if not has_n and not has_e:
+                break
+            if has_n and (not has_e or grid[north] <= grid[east]):
+                grid[hole] = grid.pop(north)
+                hole = north
+            else:
+                grid[hole] = grid.pop(east)
+                hole = east
+        outer[hole[0]] -= 1
+        inner[r] -= 1
+    rows = []
+    for r in range(len(outer)):
+        if outer[r]:
+            rows.append([grid[(r, c)] for c in range(outer[r])])
+    return Tableau(rows)
+
+
+def charge_by_matching(w) -> int:
+    """Charge computed through classical and cylindrical matching alone.
+
+    The word is peeled into layers: for r from the largest part of the
+    content down to 1, the letters r of the current layer seed a subword
+    which is grown downward one letter value at a time, keeping the letters
+    k that match cylindrically against the already-selected k+1's.  Each
+    letter that matches only by wrapping contributes r - k.
+    """
+    lam = _check_partition_content(w)
+    if not lam:
+        return 0
+    total = 0
+    layer = list(range(len(w)))  # positions still to be assigned
+    for r in range(len(lam), 0, -1):  # subword lengths run down from max(w)
+        selected = {p for p in layer if w[p] == r}
+        for k in range(r - 1, 0, -1):
+            # drop letters above k that were not selected for this layer
+            sub = [p for p in layer if w[p] <= k or p in selected]
+            word_k = tuple(w[p] for p in sub)
+            m = bracket_match(word_k, k, cyclic=True)
+            matched_closes = {c for _, c in m.matched_pairs}
+            wrapped_closes = {c for _, c in m.wrapping_pairs}
+            total += len(wrapped_closes) * (r - k)
+            for pos1 in matched_closes | wrapped_closes:
+                selected.add(sub[pos1 - 1])
+        layer = [p for p in layer if p not in selected]
+    return total
+
+
+def _indicator_sets(word, top):
+    """Nested supports {c : word_c >= j} for j = 1..top."""
+    return [
+        {c for c, v in enumerate(word, start=1) if v >= j} for j in range(1, top + 1)
+    ]
+
+
+def energy_levels(m) -> dict:
+    """Wrapping counts per adjacent row pair and indicator level.
+
+    Entry (r, j) counts the wrapping pairings of the level-j indicator of the
+    labels of row r against the queue at row r-1.
+    """
+    labels, _, _ = label_gmlq(m)
+    L = m.num_rows
+    table = {}
+    for r in range(2, L + 1):
+        word = [labels[(r, c)] for c in range(1, m.n + 1)]
+        below = set(m.row(r - 1))
+        for j, support in enumerate(_indicator_sets(word, L), start=1):
+            _, _, _, wrapping = _two_row_match(support, below, cyclic=True)
+            table[(r, j)] = len(wrapping)
+    return table
+
+
+def energy_h(m) -> int:
+    """Total energy: sum of all wrapping counts in the level table."""
+    return sum(energy_levels(m).values())

@@ -2,16 +2,16 @@ from itertools import permutations, product
 
 import pytest
 
+import oracles
 from mlqkit.charge import (
     charge,
-    charge_by_matching,
     charge_g,
     charge_permutation,
     charge_subwords,
     cocharge,
 )
 from mlqkit.core import content, is_partition
-from mlqkit.errors import NonPartitionContent, NotAPermutation
+from mlqkit.errors import NonPartitionContent, NotAPermutation, ParseError
 from mlqkit.matching import reflect
 
 
@@ -54,13 +54,13 @@ def test_subwords_trivial():
 
 def test_charge_by_matching_example():
     w = (3, 3, 4, 2, 2, 3, 2, 2, 1, 1, 1, 1, 1, 2, 3, 4)
-    assert charge_by_matching(w) == 3
+    assert oracles.charge_by_matching(w) == 3
     assert charge(w) == 3
 
 
 def test_charge_by_matching_permutations():
     for perm in permutations(range(1, 5)):
-        assert charge_by_matching(perm) == charge_permutation(perm)
+        assert oracles.charge_by_matching(perm) == charge_permutation(perm)
 
 
 def partition_content_words(max_len, alphabet):
@@ -72,7 +72,7 @@ def partition_content_words(max_len, alphabet):
 
 def test_charge_by_matching_exhaustive():
     for w in partition_content_words(8, 4):
-        assert charge_by_matching(w) == charge(w)
+        assert oracles.charge_by_matching(w) == charge(w)
 
 
 def test_cocharge_small():
@@ -115,3 +115,13 @@ def test_charge_bounds():
     for w in partition_content_words(7, 3):
         val = charge(w)
         assert 0 <= val <= n_stat(content(w))
+
+
+@pytest.mark.parametrize("w", [(0, 1), (1, 0), (-1, 1), (1, 1.5), (True,), (1, "2")])
+def test_rejects_letters_that_are_not_positive_ints(w):
+    # charge((0, 1)) used to loop forever, (-1, 1) raised IndexError and
+    # (1, 1.5) TypeError
+    for statistic in (charge, cocharge, charge_subwords, charge_g,
+                      oracles.charge_by_matching):
+        with pytest.raises(ParseError):
+            statistic(w)

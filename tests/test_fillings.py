@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
@@ -151,7 +151,6 @@ def straight_queues(draw):
     ])
 
 
-@settings(deadline=None)
 @given(straight_queues())
 def test_filling_random(m):
     tau = filling_of_mlq(m)

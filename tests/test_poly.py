@@ -1,7 +1,10 @@
 """The identities of poly.py."""
 
+import pytest
+
 import oracles
 from mlqkit.core import partitions
+from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
 from mlqkit.poly import (
     dual_cauchy_check,
@@ -52,3 +55,10 @@ def test_dual_cauchy():
         for length in range(1, 4):
             left, right = dual_cauchy_check(n, length)
             assert left == right, (n, length)
+
+
+@pytest.mark.parametrize("args", [(-1, 2), (1.5, 2), (2, 0), (1, True), (0, 1)])
+def test_dual_cauchy_rejects_bad_counts(args):
+    # (-1, 2) used to return the unequal pair (0, 1)
+    with pytest.raises(ParseError):
+        dual_cauchy_check(*args)

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from mlqkit.charge import charge
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NonPartitionContent, ParseError, SizeMismatch
@@ -21,14 +22,12 @@ from mlqkit.tableaux import (
     enumerate_skew_ssyt,
     enumerate_ssyt,
     insert_into_mlq,
-    jdt_rectify,
     lr_coefficient,
     lr_coefficient_by_mlq,
     mlq_of_tableau,
     mult_mlq,
     parse_tableau,
     rectify_by_mlq,
-    row_insert,
     row_reading_word,
     skew_to_mlq,
     straighten,
@@ -86,12 +85,12 @@ def test_column_insert():
 
 
 def test_row_insert():
-    assert row_insert((1, 2, 3)).rows == ((1, 2, 3),)
-    assert row_insert((2, 1)).rows == ((1,), (2,))
+    assert oracles.row_insert((1, 2, 3)).rows == ((1, 2, 3),)
+    assert oracles.row_insert((2, 1)).rows == ((1,), (2,))
     example = MultilineQueue(5, [[1, 3, 4], [1, 4, 5], [2, 5], [1, 3], [4]])
     from mlqkit.mlq import column_word
 
-    assert row_insert(column_word(example)) == collapse(example).recorder
+    assert oracles.row_insert(column_word(example)) == collapse(example).recorder
 
 
 ORACLE_SIZES = [(3, 3), (3, 4), (4, 3), (2, 5)]  # 9 728 matrices
@@ -102,7 +101,7 @@ def test_row_insert_matches_recorder_exhaustive():
 
     for size in ORACLE_SIZES:
         for b in all_binary_matrices(*size):
-            assert row_insert(column_word(b)) == collapse(b).recorder
+            assert oracles.row_insert(column_word(b)) == collapse(b).recorder
 
 
 def test_column_insert_matches_collapsed_queue_exhaustive():
@@ -209,7 +208,7 @@ def test_skew_mlq_example():
     # skew column j carries inner_j balls
     cols = bic.base.column_content()
     assert cols[:3] == (4, 2, 1)
-    assert rectify_by_mlq(skew) == jdt_rectify(skew)
+    assert rectify_by_mlq(skew) == oracles.jdt_rectify(skew)
 
 
 def test_skew_round_trip():
@@ -225,7 +224,7 @@ def test_skew_round_trip():
                     for t in enumerate_skew_ssyt(outer, inner, max_entry=3):
                         bic = skew_to_mlq(t)
                         rect = rectify_by_mlq(t)
-                        assert rect == jdt_rectify(t)
+                        assert rect == oracles.jdt_rectify(t)
 
 
 def test_rectify_trivial():
@@ -238,7 +237,7 @@ def test_rectify_trivial():
 def test_jdt_oracle_known():
     # bottom row [., 2] with [1, 3] above rectifies to [1 2 / 3]
     t = SkewTableau((2, 2), (1,), [[2], [1, 3]])
-    assert jdt_rectify(t).rows == ((1, 2), (3,))
+    assert oracles.jdt_rectify(t).rows == ((1, 2), (3,))
 
 
 def test_mult_example():
@@ -317,3 +316,69 @@ def test_parse_tableau():
     assert parse_tableau(t.to_json()) == t
     with pytest.raises(ParseError):
         parse_tableau("2 1")
+
+
+@pytest.mark.parametrize("rows", [[[1.5, 2]], [[True]], [["a"]], [[0]], [[-2]]])
+def test_rejects_entries_that_are_not_positive_ints(rows):
+    with pytest.raises(ParseError):
+        Tableau(rows)
+    with pytest.raises(ParseError):
+        SkewTableau((len(rows[0]),), (), rows)
+    with pytest.raises(ParseError):
+        SkewTableau((len(rows[0]) + 1,), (1,), rows)
+
+
+def hook_content_count(lam, n):
+    """The number of semistandard tableaux of shape lam with entries at most
+    n: the product over the cells of (n + content) / hook length."""
+    cols = conjugate(lam)
+    num = den = 1
+    for i, length in enumerate(lam):
+        for j in range(length):
+            num *= n + j - i
+            den *= (length - j) + (cols[j] - i) - 1
+    return num // den
+
+
+def weak_compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_straight_and_skew_enumerators_agree():
+    # one backtracker serves both: with an empty inner shape the skew
+    # enumerator yields the straight tableaux' rows in the same order
+    for size in range(0, 7):
+        for lam in partitions(size):
+            for n in range(1, 5):
+                straight = [t.rows for t in enumerate_ssyt(lam, max_entry=n)]
+                skew = [t.rows for t in enumerate_skew_ssyt(lam, (), max_entry=n)]
+                assert straight == skew, (lam, n)
+                assert len(straight) == hook_content_count(lam, n), (lam, n)
+                by_weight = [
+                    t.rows for w in weak_compositions(size, n)
+                    for t in enumerate_ssyt(lam, weight=w)
+                ]
+                assert sorted(by_weight) == sorted(straight), (lam, n)
+
+
+@pytest.mark.parametrize("bounds", [
+    {},
+    {"max_entry": 1.5},
+    {"max_entry": True},
+    {"max_entry": -1},
+    {"weight": (3, -1)},
+    {"weight": (1.5, 0.5)},
+    {"max_entry": 2, "weight": (1, 1)},
+])
+def test_ssyt_rejects_bad_bounds(bounds):
+    # weight=(3, -1) used to yield tableaux whose content is not the weight
+    with pytest.raises(ParseError):
+        list(enumerate_ssyt((2,), **bounds))
+    with pytest.raises(ParseError):
+        list(enumerate_skew_ssyt((2, 1), (1,), **bounds))

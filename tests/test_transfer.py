@@ -63,7 +63,7 @@ def shape_and_order(draw):
     return lam, tuple(alpha), n
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(shape_and_order())
 def test_agree_with_enumeration_random(case):
     lam, alpha, n = case
