@@ -1,18 +1,25 @@
 """Exact combinatorics of multiline queues.
 
-Multiline queues with their labelling statistics, the collapsing maps onto
-nonwrapping queues, the bijections with semistandard tableaux, and exact
-polynomial identities (q-Whittaker, Schur, Kostka-Foulkes, dual Cauchy,
-Littlewood-Richardson).  Each quantity has one route here: the generating
-functions and Schur polynomials sum over label-word states row by row,
-Kostka-Foulkes polynomials are charge sums over tableaux, recording tableaux
-come from ``collapse``, rectification from ``rectify_by_mlq`` and ``maj_g``
-from the pairing rule.  The other routes the paper proves equal are
-reference implementations in the test suite (``tests/oracles.py``), which
-checks that they agree: enumerating every queue, row insertion of the column
-word and label-tracked collapsing (both give the recorder), top-down
-collapsing, jeu de taquin, charge by matching and the energy of the
-indicator levels (which equals ``maj_g``).
+Multiline queues with their labelling statistics (``mlq``), semistandard
+tableaux (``tableaux``), the collapsing maps onto nonwrapping queues and the
+bijections with tableaux that collapsing gives (``collapse``), column
+fillings (``fillings``), and exact polynomial identities (``poly``:
+q-Whittaker, Schur, Kostka-Foulkes, dual Cauchy, Littlewood-Richardson).
+Modules import each other at module level and without cycles: ``core``,
+``errors``, ``matching`` and ``charge`` come first, ``tableaux`` and ``mlq``
+build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
+
+Each quantity has one route here: the generating functions and Schur
+polynomials sum over label-word states row by row, Kostka-Foulkes
+polynomials are charge sums over tableaux, recording tableaux come from
+``collapse``, rectification from ``rectify_by_mlq`` and ``maj_g`` from the
+pairing rule.  The other routes the paper proves equal are reference
+implementations in the test suite (``tests/oracles.py``), which checks that
+they agree: enumerating every queue, row insertion of the column word and
+label-tracked collapsing (both give the recorder), collapsing one ball per
+letter (gives the queue of a tableau), top-down collapsing, jeu de taquin,
+charge by matching and the energy of the indicator levels (which equals
+``maj_g``).
 """
 
 from .core import (
@@ -50,22 +57,6 @@ from .mlq import (
     sigma,
     stationary_counts,
 )
-from .collapse import (
-    CollapseResult,
-    collapse,
-    collapse_inverse,
-    collapse_left,
-    drop,
-    drop_all,
-    flip_up,
-    lift,
-    mrsk,
-    mrsk_inverse,
-    rotate90,
-    rotate180,
-    rotate270,
-    twisted_collapse,
-)
 from .tableaux import (
     SkewTableau,
     Tableau,
@@ -73,19 +64,36 @@ from .tableaux import (
     column_reading_word,
     enumerate_skew_ssyt,
     enumerate_ssyt,
-    insert_into_mlq,
     lr_coefficient,
-    lr_coefficient_by_mlq,
-    mlq_of_tableau,
-    mult_mlq,
     parse_tableau,
-    rectify_by_mlq,
     row_reading_word,
-    skew_to_mlq,
     straighten,
     superstandard,
-    tab_of_mlq,
     tableau_charge,
+)
+from .collapse import (
+    BicoloredMLQ,
+    CollapseResult,
+    collapse,
+    collapse_inverse,
+    collapse_left,
+    drop,
+    drop_all,
+    flip_up,
+    insert_into_mlq,
+    lift,
+    lr_coefficient_by_mlq,
+    mlq_of_tableau,
+    mrsk,
+    mrsk_inverse,
+    mult_mlq,
+    rectify_by_mlq,
+    rotate90,
+    rotate180,
+    rotate270,
+    skew_to_mlq,
+    tab_of_mlq,
+    twisted_collapse,
 )
 from .fillings import (
     ColumnFilling,

@@ -1,7 +1,7 @@
 """Charge and cocharge statistics on permutations and words."""
 
 from .core import content, is_partition, n_stat
-from .errors import NonPartitionContent, NotAPermutation, ParseError
+from .errors import NonPartitionContent, NotAPermutation
 from .matching import reflect
 
 
@@ -14,14 +14,7 @@ def charge_permutation(perm) -> int:
     return sum(n - i for i in range(1, n) if position[i] < position[i + 1])
 
 
-def _check_letters(w):
-    """ParseError unless every letter of w is a positive int."""
-    if not all(type(v) is int and v > 0 for v in w):
-        raise ParseError(f"letters must be positive ints, got {tuple(w)!r}")
-
-
 def _check_partition_content(w):
-    _check_letters(w)
     c = content(w)
     if not is_partition(c):
         raise NonPartitionContent(f"content {c}")
@@ -95,7 +88,6 @@ def straighten_word(w):
 
 def charge_g(w) -> int:
     """Generalized charge: straighten the content, then take the charge."""
-    _check_letters(w)
     if not w:
         return 0
     return charge(straighten_word(w))

@@ -5,23 +5,42 @@ below it down by one.  Sweeping the drops bottom-to-top collapses any matrix
 to a nonwrapping queue together with a recording tableau; collapsing in two
 orthogonal directions gives a Robinson-Schensted-style bijection for
 matrices.
+
+Collapsing is an insertion procedure, so the maps between tableaux and
+nonwrapping queues live here too: ``mlq_of_tableau`` collapses the columns
+of a tableau and ``tab_of_mlq`` column-inserts the row word back;
+``insert_into_mlq`` and ``mult_mlq`` stack rows and collapse; bicolored
+queues (``skew_to_mlq``) rectify skew tableaux and count
+Littlewood-Richardson coefficients.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations, product
 
-from .core import _is_count, conjugate
+from .core import _is_count, check_partition, conjugate, is_lattice
 from .errors import (
+    AlphabetTooSmall,
     BadRowIndex,
     BadSigmaWord,
+    ColumnMismatch,
     InvariantError,
     NotNonwrapping,
     OutOfRange,
     ShapeMismatch,
+    SizeMismatch,
 )
 from .matching import _two_row_match
-from .mlq import MultilineQueue, column_word, is_nonwrapping, sigma
-from .tableaux import Tableau, tableau_from_crw
+from .mlq import MultilineQueue, column_word, is_nonwrapping, row_word, sigma
+from .tableaux import (
+    SkewTableau,
+    Tableau,
+    _inner_of,
+    column_insert,
+    straighten,
+    superstandard,
+    tableau_from_crw,
+)
 
 
 @dataclass(frozen=True)
@@ -259,3 +278,136 @@ def twisted_collapse(m: MultilineQueue, sigma_word) -> MultilineQueue:
     for i in reversed(sigma_word):
         collapsed = sigma(collapsed, i)
     return collapsed
+
+
+def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
+    """Nonwrapping queue of the tableau on n columns (default: its largest
+    entry); inverse of tab_of_mlq.
+
+    Collapses the queue whose rows are the columns of t, last column at the
+    bottom: one row per column, not one per entry.  Its row word is the
+    reversed column reading word of t, whose column insertion is t; since
+    tab_of_mlq(collapse(m).queue) == column_insert(row_word(m)), the
+    collapsed queue maps back to t.
+    """
+    if n is None:
+        n = t.entry_max()
+    if t.entry_max() > n:
+        raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
+    width = len(t.rows[0]) if t.rows else 0
+    m = MultilineQueue(max(n, 1), [t.column(c) for c in range(width, 0, -1)])
+    return collapse(m).queue.trimmed()
+
+
+def tab_of_mlq(m) -> Tableau:
+    """Column insertion of the row word; inverse of mlq_of_tableau."""
+    if not is_nonwrapping(m):
+        raise NotNonwrapping(m.to_text())
+    return column_insert(row_word(m))
+
+
+def insert_into_mlq(m, k: int):
+    """Insert a ball at column k: new top row, then collapse."""
+    if not 1 <= k <= m.n:
+        raise OutOfRange(f"column {k} outside 1..{m.n}")
+    if not is_nonwrapping(m):
+        raise NotNonwrapping(m.to_text())
+    stacked = m.with_rows(list(m.trimmed().rows) + [(k,)])
+    return collapse(stacked).queue.trimmed()
+
+
+def mult_mlq(m1, m2):
+    """Stack m2 on top of m1 and collapse."""
+    if m1.n != m2.n:
+        raise ColumnMismatch(f"{m1.n} vs {m2.n} columns")
+    stacked = m1.with_rows(list(m1.rows) + list(m2.rows))
+    return collapse(stacked)
+
+
+@dataclass(frozen=True)
+class BicoloredMLQ:
+    """Nonwrapping queue whose first skew_columns columns are the skew part."""
+
+    base: object
+    skew_columns: int
+
+    def skew_word(self):
+        return tuple(
+            c for c in row_word(self.base) if c <= self.skew_columns
+        )
+
+    def straight_part(self):
+        k = self.skew_columns
+        rows = [
+            [c - k for c in row if c > k] for row in self.base.rows
+        ]
+        return MultilineQueue(max(self.base.n - k, 1), rows).trimmed()
+
+
+def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
+    """Bicolored queue of a skew tableau via its straightening."""
+    hat, ell = straighten(t)
+    alphabet = max((v for r in t.rows for v in r), default=0)
+    if n is None:
+        n = alphabet
+    if alphabet > n:
+        raise AlphabetTooSmall(f"entries up to {alphabet}, n={n}")
+    base = mlq_of_tableau(hat, n=n + ell)
+    out = BicoloredMLQ(base, ell)
+    if not is_lattice(out.skew_word()):
+        raise InvariantError(f"skew word {out.skew_word()} is not lattice")
+    return out
+
+
+def rectify_by_mlq(t: SkewTableau) -> Tableau:
+    """Rectification read off the straight columns of the bicolored queue."""
+    if t.is_straight():
+        return Tableau([r for r in t.rows if r])
+    return tab_of_mlq(skew_to_mlq(t).straight_part())
+
+
+def lr_coefficient_by_mlq(lam, mu, nu) -> int:
+    """The Littlewood-Richardson coefficient c^lam_{mu,nu} of
+    ``tableaux.lr_coefficient``, counted by skew extensions of a fixed queue.
+
+    Counts the bicolored nonwrapping queues of shape lam with len(mu) skew
+    columns, lattice skew word, and straight part equal to the queue of a
+    fixed tableau of shape nu.
+    """
+    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
+    if sum(lam) != sum(mu) + sum(nu):
+        raise SizeMismatch(f"|{lam}| != |{mu}| + |{nu}|")
+    if _inner_of(lam, mu) is None:
+        return 0
+    if not nu:
+        return 1 if lam == mu else 0
+    ell = len(mu)
+    straight = mlq_of_tableau(superstandard(nu), n=len(nu))
+    lam_cols = conjugate(lam)
+    height = len(lam_cols)
+    if straight.num_rows > height:
+        return 0
+    fixed_rows = [
+        list(c + ell for c in straight.row(r)) if r <= straight.num_rows else []
+        for r in range(1, height + 1)
+    ]
+    # each skew column j carries mu_j balls spread over distinct rows
+    per_column = [
+        list(combinations(range(1, height + 1), mu[j - 1]))
+        for j in range(1, ell + 1)
+    ]
+    total = 0
+    for choice in product(*per_column):
+        rows = [list(r) for r in fixed_rows]
+        for j, picked in enumerate(choice, start=1):
+            for r in picked:
+                rows[r - 1].append(j)
+        if tuple(len(r) for r in rows) != lam_cols:
+            continue
+        cand = MultilineQueue(len(nu) + ell, rows)
+        if not is_lattice(BicoloredMLQ(cand, ell).skew_word()):
+            continue
+        if not is_nonwrapping(cand):
+            continue
+        total += 1
+    return total

@@ -10,10 +10,6 @@ from math import comb
 
 from .errors import ParseError, SizeMismatch
 
-Partition = tuple
-Composition = tuple
-Word = tuple
-
 
 def _is_count(v) -> bool:
     """True for an int that is not a bool."""
@@ -37,8 +33,9 @@ def check_partition(parts) -> tuple:
 
 
 def conjugate(p) -> tuple:
-    """Conjugate partition: column lengths of the diagram of p."""
-    p = tuple(p)
+    """Conjugate partition: column lengths of the diagram of p; ParseError
+    unless p is a partition."""
+    p = check_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1))
@@ -62,8 +59,19 @@ def sort_to_partition(alpha) -> tuple:
     return tuple(sorted((a for a in alpha if a > 0), reverse=True))
 
 
+def _check_letters(w) -> tuple:
+    """w as a tuple, or ParseError unless every letter is a positive int
+    (not a bool)."""
+    w = tuple(w)
+    if not all(type(v) is int and v > 0 for v in w):
+        raise ParseError(f"letters must be positive ints, got {w!r}")
+    return w
+
+
 def content(w) -> tuple:
-    """Letter multiplicities (c_1, ..., c_max) of a word."""
+    """Letter multiplicities (c_1, ..., c_max) of a word; ParseError unless
+    its letters are positive ints."""
+    w = _check_letters(w)
     if not w:
         return ()
     m = max(w)
@@ -74,9 +82,10 @@ def content(w) -> tuple:
 
 
 def is_lattice(w) -> bool:
-    """True iff every prefix has at least as many i's as (i+1)'s, for all i."""
+    """True iff every prefix has at least as many i's as (i+1)'s, for all i;
+    ParseError unless the letters are positive ints."""
     counts = {}
-    for letter in w:
+    for letter in _check_letters(w):
         counts[letter] = counts.get(letter, 0) + 1
         if letter > 1 and counts[letter] > counts.get(letter - 1, 0):
             return False

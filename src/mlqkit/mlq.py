@@ -175,7 +175,7 @@ def is_nonwrapping(m: MultilineQueue) -> bool:
 
 def canonical_mlq(nu, n: int) -> MultilineQueue:
     """The left-justified queue of shape nu: row j holds columns 1..nu'_j."""
-    cols = conjugate(check_partition(nu))
+    cols = conjugate(nu)
     if cols and cols[0] > n:
         raise TooNarrow(f"shape {nu} needs {cols[0]} columns, have {n}")
     return MultilineQueue(n, [range(1, k + 1) for k in cols])
@@ -334,7 +334,7 @@ def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
 
 def enumerate_mlq(lam, n: int):
     """All multiline queues of shape lam on n columns, lexicographically."""
-    return enumerate_gmlq(conjugate(check_partition(lam)), n)
+    return enumerate_gmlq(conjugate(lam), n)
 
 
 def enumerate_gmlq(alpha, n: int):

@@ -156,7 +156,7 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
     Computed as the generalized form over the row sizes lam', where maj_g
     equals maj.
     """
-    return q_whittaker_gmlq(conjugate(check_partition(lam)), n)
+    return q_whittaker_gmlq(conjugate(lam), n)
 
 
 def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
@@ -224,7 +224,7 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
 
 def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
     """Schur expansion: sum over lam of K_{lam',mu'}(q) times s_lam."""
-    mu_conj = conjugate(check_partition(mu))
+    mu_conj = conjugate(mu)
     terms = Counter()
     for lam in partitions(sum(mu)):
         coeff = kostka_foulkes(conjugate(lam), mu_conj)

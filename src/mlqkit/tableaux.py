@@ -1,25 +1,19 @@
-"""Semistandard Young tableaux, insertion, and the nonwrapping-queue bijections.
+"""Semistandard Young tableaux: validation, reading words, insertion,
+enumeration and Littlewood-Richardson counting.
 
 Tableaux are stored in French orientation: rows listed bottom row first,
-weakly increasing left to right, strictly increasing up each column.
+weakly increasing left to right, strictly increasing up each column.  This
+module is a leaf of the package: it knows nothing of multiline queues.  The
+bijections between tableaux and nonwrapping queues are collapsing, so they
+live in ``collapse``.
 """
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
 
 from .charge import charge as _charge
-from .core import _is_count, check_partition, conjugate, content, is_lattice, is_partition
-from .errors import (
-    AlphabetTooSmall,
-    ColumnMismatch,
-    InvariantError,
-    NonPartitionContent,
-    NotNonwrapping,
-    OutOfRange,
-    ParseError,
-    SizeMismatch,
-)
+from .core import _is_count, check_partition, content, is_lattice, is_partition
+from .errors import NonPartitionContent, ParseError, SizeMismatch
 from .matching import reflect
 
 
@@ -29,23 +23,11 @@ class Tableau:
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows if r)
-        lengths = [len(r) for r in rows]
-        _check_entries(rows)
-        if any(lengths[i] < lengths[i + 1] for i in range(len(rows) - 1)):
-            raise ParseError(f"row lengths {lengths} not weakly decreasing")
-        for r in rows:
-            if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
-                raise ParseError(f"row {r} not weakly increasing")
-        for i in range(len(rows) - 1):
-            if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
-                raise ParseError("columns not strictly increasing")
+        _check_semistandard(tuple(len(r) for r in rows), (), rows)
         object.__setattr__(self, "rows", rows)
 
     def shape(self):
         return tuple(len(r) for r in self.rows)
-
-    def size(self):
-        return sum(len(r) for r in self.rows)
 
     def content(self):
         return content([v for r in self.rows for v in r])
@@ -92,32 +74,11 @@ class SkewTableau:
     rows: tuple  # filled cells only, row r starts at column inner_r + 1
 
     def __init__(self, outer, inner, rows):
-        outer = tuple(outer)
-        inner = _inner_of(outer, inner)
         rows = tuple(tuple(r) for r in rows)
-        if inner is None:
-            raise ParseError("inner shape not contained in outer")
-        _check_entries(rows)
-        if len(rows) != len(outer):
-            raise ParseError("one filled segment per outer row expected")
-        for i, r in enumerate(rows):
-            if len(r) != outer[i] - inner[i]:
-                raise ParseError(f"row {i + 1} has wrong length")
-            if any(r[j] > r[j + 1] for j in range(len(r) - 1)):
-                raise ParseError(f"row {r} not weakly increasing")
-        for i in range(len(rows) - 1):
-            for c in range(inner[i + 1] + 1, outer[i + 1] + 1):
-                if inner[i] < c <= outer[i]:
-                    below = rows[i][c - inner[i] - 1]
-                    above = rows[i + 1][c - inner[i + 1] - 1]
-                    if below >= above:
-                        raise ParseError("columns not strictly increasing")
+        outer, inner = _check_semistandard(outer, inner, rows)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
-
-    def size(self):
-        return sum(len(r) for r in self.rows)
 
     def content(self):
         return content([v for r in self.rows for v in r])
@@ -126,9 +87,31 @@ class SkewTableau:
         return all(v == 0 for v in self.inner)
 
 
-def _check_entries(rows):
+def _check_semistandard(outer, inner, rows):
+    """(outer, inner padded with zeros to the length of outer), or
+    ParseError unless rows, bottom row first, fill outer/inner
+    semistandardly: both shapes are partitions, inner lies inside outer, row
+    r holds outer_r - inner_r positive ints weakly increasing, and each
+    column strictly increases upward."""
+    outer = check_partition(outer)
+    inner = _inner_of(outer, check_partition(inner))
+    if inner is None:
+        raise ParseError("inner shape not contained in outer")
     if not all(type(v) is int and v > 0 for r in rows for v in r):
         raise ParseError(f"tableau entries must be positive ints, got {rows!r}")
+    if len(rows) != len(outer):
+        raise ParseError("one filled segment per outer row expected")
+    for i, r in enumerate(rows):
+        if len(r) != outer[i] - inner[i]:
+            raise ParseError(f"row {i + 1} has wrong length")
+        if list(r) != sorted(r):
+            raise ParseError(f"row {r} not weakly increasing")
+    # inner is a partition, so the cell above cell k of a row is cell
+    # k + inner_i - inner_{i+1} of the row above
+    for below, above, a, b in zip(rows, rows[1:], inner, inner[1:]):
+        if any(x >= y for x, y in zip(below, above[a - b:])):
+            raise ParseError("columns not strictly increasing")
+    return outer, inner
 
 
 def _inner_of(outer, inner):
@@ -168,17 +151,16 @@ def tableau_charge(t: Tableau) -> int:
 
 def ls_action(t: Tableau, i: int) -> Tableau:
     """Reflection on tableaux: reflect the column word, write it back."""
-    flipped = reflect(column_reading_word(t), i)
-    width = len(t.rows[0]) if t.rows else 0
-    cells = []
-    for c in range(width):
-        for r in range(len(t.rows) - 1, -1, -1):
-            if len(t.rows[r]) > c:
-                cells.append((r, c))
-    grid = [list(r) for r in t.rows]
-    for (r, c), v in zip(cells, flipped):
-        grid[r][c] = v
-    return Tableau(grid)
+    return tableau_from_crw(reflect(column_reading_word(t), i))
+
+
+def _from_columns(cols) -> Tableau:
+    """The tableau whose columns, each listed bottom-up, are cols; ParseError
+    unless the column lengths weakly decrease."""
+    if any(len(a) < len(b) for a, b in zip(cols, cols[1:])):
+        raise ParseError("columns do not form a tableau")
+    height = len(cols[0]) if cols else 0
+    return Tableau([[c[r] for c in cols if len(c) > r] for r in range(height)])
 
 
 def tableau_from_crw(word) -> Tableau:
@@ -192,14 +174,7 @@ def tableau_from_crw(word) -> Tableau:
             cols[-1].append(v)
         else:
             cols.append([v])
-    height = len(cols[0]) if cols else 0
-    if any(len(c) > height for c in cols):
-        raise ParseError("runs do not form a tableau")
-    rows = []
-    for r in range(height):
-        row = [col[len(col) - 1 - r] for col in cols if len(col) > r]
-        rows.append(row)
-    return Tableau(rows)
+    return _from_columns([c[::-1] for c in cols])
 
 
 def column_insert(word) -> Tableau:
@@ -216,11 +191,7 @@ def column_insert(word) -> Tableau:
             col[bump], x = x, col[bump]
         if x is not None:
             cols.append([x])
-    rows = []
-    height = max((len(c) for c in cols), default=0)
-    for r in range(height):
-        rows.append([c[r] for c in cols if len(c) > r])
-    return Tableau(rows)
+    return _from_columns(cols)
 
 
 def superstandard(lam) -> Tableau:
@@ -295,42 +266,6 @@ def enumerate_skew_ssyt(outer, inner, max_entry=None, weight=None):
         yield SkewTableau(outer, inner, rows)
 
 
-def mlq_of_tableau(t: Tableau, n=None):
-    """Nonwrapping queue of the tableau: collapse the reverse column word."""
-    from .collapse import collapse
-    from .mlq import MultilineQueue
-
-    if n is None:
-        n = t.entry_max()
-    if t.entry_max() > n:
-        raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
-    word = tuple(reversed(column_reading_word(t))) if t.rows else ()
-    m = MultilineQueue(max(n, 1), [[v] for v in word])
-    return collapse(m).queue.trimmed()
-
-
-def tab_of_mlq(m) -> Tableau:
-    """Column insertion of the row word; inverse of mlq_of_tableau."""
-    from .mlq import is_nonwrapping, row_word
-
-    if not is_nonwrapping(m):
-        raise NotNonwrapping(m.to_text())
-    return column_insert(row_word(m))
-
-
-def insert_into_mlq(m, k: int):
-    """Insert a ball at column k: new top row, then collapse."""
-    from .collapse import collapse
-    from .mlq import is_nonwrapping
-
-    if not 1 <= k <= m.n:
-        raise OutOfRange(f"column {k} outside 1..{m.n}")
-    if not is_nonwrapping(m):
-        raise NotNonwrapping(m.to_text())
-    stacked = m.with_rows(list(m.trimmed().rows) + [(k,)])
-    return collapse(stacked).queue.trimmed()
-
-
 def straighten(t: SkewTableau):
     """Fill the inner cells of row j with j-th hatted letters.
 
@@ -344,62 +279,6 @@ def straighten(t: SkewTableau):
         hats = [r + 1] * t.inner[r]
         rows.append(hats + [v + ell for v in t.rows[r]])
     return Tableau([r for r in rows if r]), ell
-
-
-@dataclass(frozen=True)
-class BicoloredMLQ:
-    """Nonwrapping queue whose first skew_columns columns are the skew part."""
-
-    base: object
-    skew_columns: int
-
-    def skew_word(self):
-        from .mlq import row_word
-
-        return tuple(
-            c for c in row_word(self.base) if c <= self.skew_columns
-        )
-
-    def straight_part(self):
-        from .mlq import MultilineQueue
-
-        k = self.skew_columns
-        rows = [
-            [c - k for c in row if c > k] for row in self.base.rows
-        ]
-        return MultilineQueue(max(self.base.n - k, 1), rows).trimmed()
-
-
-def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
-    """Bicolored queue of a skew tableau via its straightening."""
-    hat, ell = straighten(t)
-    alphabet = max((v for r in t.rows for v in r), default=0)
-    if n is None:
-        n = alphabet
-    if alphabet > n:
-        raise AlphabetTooSmall(f"entries up to {alphabet}, n={n}")
-    base = mlq_of_tableau(hat, n=n + ell)
-    out = BicoloredMLQ(base, ell)
-    if not is_lattice(out.skew_word()):
-        raise InvariantError(f"skew word {out.skew_word()} is not lattice")
-    return out
-
-
-def rectify_by_mlq(t: SkewTableau) -> Tableau:
-    """Rectification read off the straight columns of the bicolored queue."""
-    if t.is_straight():
-        return Tableau([r for r in t.rows if r])
-    return tab_of_mlq(skew_to_mlq(t).straight_part())
-
-
-def mult_mlq(m1, m2):
-    """Stack m2 on top of m1 and collapse."""
-    from .collapse import collapse
-
-    if m1.n != m2.n:
-        raise ColumnMismatch(f"{m1.n} vs {m2.n} columns")
-    stacked = m1.with_rows(list(m1.rows) + list(m2.rows))
-    return collapse(stacked)
 
 
 def count_lattice_skew(outer, inner, weight) -> int:
@@ -425,51 +304,3 @@ def lr_coefficient(lam, mu, nu) -> int:
     else:
         raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
     return count_lattice_skew(top, inner, weight)
-
-
-def lr_coefficient_by_mlq(lam, mu, nu) -> int:
-    """The same coefficient counted by skew extensions of a fixed queue.
-
-    Counts the bicolored nonwrapping queues of shape lam with len(mu) skew
-    columns, lattice skew word, and straight part equal to the queue of a
-    fixed tableau of shape nu.
-    """
-    from .mlq import MultilineQueue, is_nonwrapping
-
-    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
-    if sum(lam) != sum(mu) + sum(nu):
-        raise SizeMismatch(f"|{lam}| != |{mu}| + |{nu}|")
-    if _inner_of(lam, mu) is None:
-        return 0
-    if not nu:
-        return 1 if lam == mu else 0
-    ell = len(mu)
-    straight = mlq_of_tableau(superstandard(nu), n=len(nu))
-    lam_cols = conjugate(lam)
-    height = len(lam_cols)
-    if straight.num_rows > height:
-        return 0
-    fixed_rows = [
-        list(c + ell for c in straight.row(r)) if r <= straight.num_rows else []
-        for r in range(1, height + 1)
-    ]
-    # each skew column j carries mu_j balls spread over distinct rows
-    per_column = [
-        list(combinations(range(1, height + 1), mu[j - 1]))
-        for j in range(1, ell + 1)
-    ]
-    total = 0
-    for choice in product(*per_column):
-        rows = [list(r) for r in fixed_rows]
-        for j, picked in enumerate(choice, start=1):
-            for r in picked:
-                rows[r - 1].append(j)
-        if tuple(len(r) for r in rows) != lam_cols:
-            continue
-        cand = MultilineQueue(len(nu) + ell, rows)
-        if not is_lattice(BicoloredMLQ(cand, ell).skew_word()):
-            continue
-        if not is_nonwrapping(cand):
-            continue
-        total += 1
-    return total

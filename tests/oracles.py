@@ -19,6 +19,9 @@ The second routes below each pin one theorem against the package's route:
 
 - ``row_insert``: row insertion of the column word gives the recording
   tableau of ``collapse`` (collapsing is an insertion procedure).
+- ``mlq_of_tableau_by_letters``: collapsing one ball per letter of the
+  reversed column word gives the queue that ``mlq_of_tableau`` gets by
+  collapsing one row per column.
 - ``labelled_collapse``: collapsing with every ball carrying its source row
   as a label reads off the same recording tableau.
 - ``collapse_top_down``: sweeping the drops from the top gives the same
@@ -38,6 +41,7 @@ from mlqkit.collapse import (
     CollapseResult,
     _drop_unmatched,
     _unmatched_above,
+    collapse,
     rotate90,
 )
 from mlqkit.core import conjugate
@@ -55,7 +59,7 @@ from mlqkit.mlq import (
     projection,
 )
 from mlqkit.poly import QXPolynomial, _x_key
-from mlqkit.tableaux import Tableau, enumerate_ssyt
+from mlqkit.tableaux import Tableau, column_reading_word, enumerate_ssyt
 
 
 def label_mlq_by_matching(m):
@@ -206,6 +210,13 @@ def row_insert(word) -> Tableau:
         if x is not None:
             rows.append([x])
     return Tableau(rows)
+
+
+def mlq_of_tableau_by_letters(t, n) -> MultilineQueue:
+    """Nonwrapping queue of t on n columns: collapse the queue with one ball
+    per row, the letters of the reversed column reading word bottom up."""
+    word = reversed(column_reading_word(t))
+    return collapse(MultilineQueue(max(n, 1), [[v] for v in word])).queue.trimmed()
 
 
 def collapse_top_down(m) -> MultilineQueue:

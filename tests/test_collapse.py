@@ -35,18 +35,20 @@ from mlqkit.collapse import (
     drop_all,
     flip_up,
     lift,
+    mlq_of_tableau,
     mrsk,
     mrsk_inverse,
     rotate90,
     rotate180,
     rotate270,
+    tab_of_mlq,
     twisted_collapse,
 )
 from mlqkit.tableaux import (
     Tableau,
     column_insert,
+    enumerate_ssyt,
     superstandard,
-    tab_of_mlq,
     tableau_charge,
 )
 
@@ -491,7 +493,7 @@ def test_maj_equals_recorder_charge_random(m):
 @st.composite
 def one_ball_rows(draw):
     """Queues with one ball per row, up to 40 rows: the queues that
-    mlq_of_tableau collapses."""
+    oracles.mlq_of_tableau_by_letters collapses."""
     n = draw(st.integers(1, 10))
     word = draw(st.lists(st.integers(1, n), min_size=1, max_size=40))
     return MultilineQueue(n, [[c] for c in word])
@@ -512,3 +514,19 @@ def test_insertion_oracles_random(m):
     result = collapse(m)
     assert oracles.row_insert(column_word(m)) == result.recorder
     assert tab_of_mlq(result.queue) == column_insert(row_word(m))
+
+
+def test_mlq_of_tableau_matches_one_ball_per_letter_exhaustive():
+    # 10 340 tableaux: every SSYT with at most 7 cells and entries at most n
+    for n in range(6):
+        for size in range(8):
+            for lam in partitions(size):
+                for t in enumerate_ssyt(lam, max_entry=n):
+                    assert mlq_of_tableau(t, n) == oracles.mlq_of_tableau_by_letters(t, n)
+
+
+@given(binary_matrices())
+def test_mlq_of_tableau_matches_one_ball_per_letter_random(m):
+    queue = collapse(m).queue.trimmed()
+    t = tab_of_mlq(queue)
+    assert mlq_of_tableau(t, m.n) == oracles.mlq_of_tableau_by_letters(t, m.n) == queue

@@ -12,6 +12,7 @@ from mlqkit.core import (
     sort_to_partition,
 )
 from mlqkit.errors import ParseError, SizeMismatch
+from mlqkit.mlq import count_mlq
 
 
 def test_conjugate_examples():
@@ -83,3 +84,22 @@ def test_parsing_round_trip():
         parse_partition("2,3")
     with pytest.raises(ParseError):
         parse_word("0 1")
+
+
+@pytest.mark.parametrize("w", [(0, 1), (1, 0), (-1, 1), (1, 1.5), (True,), (1, "2")])
+def test_content_and_lattice_reject_letters_that_are_not_positive_ints(w):
+    # content((0, 1)) used to return (2,), content((-1, 1)) raised
+    # IndexError and is_lattice((0, 1)) was True
+    with pytest.raises(ParseError):
+        content(w)
+    with pytest.raises(ParseError):
+        is_lattice(w)
+
+
+@pytest.mark.parametrize("p", [(1, 2), (2, 0), (0,), (-1,), (1.5,), (True,)])
+def test_conjugate_rejects_non_partitions(p):
+    # conjugate((1, 2)) used to be (2,), so count_mlq((1, 2), 3) returned 3
+    with pytest.raises(ParseError):
+        conjugate(p)
+    with pytest.raises(ParseError):
+        count_mlq(p, 3)

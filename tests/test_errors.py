@@ -1,0 +1,48 @@
+"""Each typed error is raised where its contract says."""
+
+import pytest
+
+from mlqkit.collapse import (
+    drop,
+    drop_all,
+    insert_into_mlq,
+    lift,
+    mlq_of_tableau,
+    mult_mlq,
+    tab_of_mlq,
+    twisted_collapse,
+)
+from mlqkit.errors import (
+    AlphabetTooSmall,
+    BadRowIndex,
+    BadSigmaWord,
+    ColumnMismatch,
+    NotNonwrapping,
+    VariableCountMismatch,
+)
+from mlqkit.mlq import parse_mlq, sigma
+from mlqkit.poly import QXPolynomial
+from mlqkit.tableaux import Tableau
+
+TWO_ROWS = parse_mlq("n=3;1,2|3")
+WRAPPING = parse_mlq("n=2;1|2")
+
+
+CASES = [
+    (BadRowIndex, drop, (TWO_ROWS, 2)),
+    (BadRowIndex, lift, (TWO_ROWS, 0)),
+    (BadRowIndex, drop_all, (TWO_ROWS, 2)),
+    (BadRowIndex, sigma, (TWO_ROWS, 0)),
+    (NotNonwrapping, tab_of_mlq, (WRAPPING,)),
+    (NotNonwrapping, insert_into_mlq, (WRAPPING, 1)),
+    (AlphabetTooSmall, mlq_of_tableau, (Tableau([[3]]), 2)),
+    (ColumnMismatch, mult_mlq, (TWO_ROWS, WRAPPING)),
+    (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),
+    (VariableCountMismatch, QXPolynomial.__add__, (QXPolynomial.one(2), QXPolynomial.one(3))),
+]
+
+
+@pytest.mark.parametrize("error, function, args", CASES, ids=[f.__name__ for _, f, _ in CASES])
+def test_typed_errors(error, function, args):
+    with pytest.raises(error):
+        function(*args)

@@ -1,0 +1,80 @@
+"""The package's modules import each other at module level and without cycles.
+
+An import inside a function body hides a dependency from the module header
+and usually works around a cycle, so both are refused: every module of
+``src/mlqkit`` is parsed with ``ast``, each function body is searched for
+imports, and the graph of relative imports between modules is searched for
+a cycle.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mlqkit"
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _local_imports(tree):
+    """(function name, line) of each import inside a function body."""
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield func.name, node.lineno
+
+
+def _relative_imports(tree):
+    """Names of the package modules that a module imports relatively."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names if alias.name in MODULES)
+
+
+def _find_cycle(graph):
+    """A list of modules that closes a cycle, or None."""
+    state = {}  # module -> "open" while on the DFS path, "done" after it
+
+    def visit(module, path):
+        state[module] = "open"
+        for target in graph.get(module, ()):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target, path + [target])
+                if cycle:
+                    return cycle
+        state[module] = "done"
+        return None
+
+    for module in graph:
+        if module not in state:
+            cycle = visit(module, [module])
+            if cycle:
+                return cycle
+    return None
+
+
+def test_no_imports_inside_functions():
+    found = [
+        f"{name}.py:{line} in {func}"
+        for name, tree in MODULES.items()
+        for func, line in _local_imports(tree)
+    ]
+    assert not found
+
+
+def test_no_import_cycles():
+    graph = {name: sorted(set(_relative_imports(tree))) for name, tree in MODULES.items()}
+    assert _find_cycle(graph) is None
+
+
+def test_tableaux_is_a_leaf():
+    assert set(_relative_imports(MODULES["tableaux"])) <= {"core", "charge", "matching", "errors"}
+
+
+def test_cycle_finder():
+    assert _find_cycle({"a": ["b"], "b": ["c"], "c": ["a"]}) == ["a", "b", "c", "a"]
+    assert _find_cycle({"a": ["b", "c"], "b": ["c"], "c": []}) is None

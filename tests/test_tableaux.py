@@ -12,7 +12,16 @@ from mlqkit.mlq import (
     maj,
     row_word,
 )
-from mlqkit.collapse import collapse
+from mlqkit.collapse import (
+    collapse,
+    insert_into_mlq,
+    lr_coefficient_by_mlq,
+    mlq_of_tableau,
+    mult_mlq,
+    rectify_by_mlq,
+    skew_to_mlq,
+    tab_of_mlq,
+)
 from mlqkit.poly import QXPolynomial, skew_schur
 from mlqkit.tableaux import (
     SkewTableau,
@@ -21,18 +30,11 @@ from mlqkit.tableaux import (
     column_reading_word,
     enumerate_skew_ssyt,
     enumerate_ssyt,
-    insert_into_mlq,
     lr_coefficient,
-    lr_coefficient_by_mlq,
-    mlq_of_tableau,
-    mult_mlq,
     parse_tableau,
-    rectify_by_mlq,
     row_reading_word,
-    skew_to_mlq,
     straighten,
     superstandard,
-    tab_of_mlq,
     tableau_charge,
     tableau_from_crw,
 )
@@ -115,6 +117,13 @@ def test_column_insert_matches_collapsed_queue_exhaustive():
 def test_tableau_from_crw():
     for t in (READING_T, CHARGE_T, BIJ_T, superstandard((3, 1))):
         assert tableau_from_crw(column_reading_word(t)) == t
+
+
+def test_tableau_from_crw_rejects_other_words():
+    # runs 2 1 | 1 | 3 2: a short column between two taller ones used to be
+    # read as the tableau 1 1 2 / 2 3, whose column word is 2 1 3 1 2
+    with pytest.raises(ParseError):
+        tableau_from_crw((2, 1, 1, 3, 2))
 
 
 def test_mlq_of_tableau_example():
@@ -326,6 +335,18 @@ def test_rejects_entries_that_are_not_positive_ints(rows):
         SkewTableau((len(rows[0]),), (), rows)
     with pytest.raises(ParseError):
         SkewTableau((len(rows[0]) + 1,), (1,), rows)
+
+
+@pytest.mark.parametrize("outer, inner, rows", [
+    ((1, 2), (), [[1], [2, 3]]),  # outer is not a partition
+    ((2, 1), (0, 1), [[1, 2], []]),  # inner is not a partition
+    ((2, 1), (1,), [[2, 3], [1]]),  # row 1 holds one cell, not two
+    ((2,), (3,), [[]]),  # inner is not inside outer
+    ((2, 1), (), [[1, 2]]),  # one segment missing
+])
+def test_skew_tableau_rejects_bad_shapes(outer, inner, rows):
+    with pytest.raises(ParseError):
+        SkewTableau(outer, inner, rows)
 
 
 def hook_content_count(lam, n):

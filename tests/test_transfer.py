@@ -18,6 +18,7 @@ from mlqkit.mlq import (
     projection,
     stationary_counts,
 )
+from mlqkit.collapse import lr_coefficient_by_mlq
 from mlqkit.poly import (
     QXPolynomial,
     kostka_foulkes,
@@ -32,7 +33,6 @@ from mlqkit.tableaux import (
     enumerate_skew_ssyt,
     enumerate_ssyt,
     lr_coefficient,
-    lr_coefficient_by_mlq,
 )
 
 MAX_QUEUES = 5000
