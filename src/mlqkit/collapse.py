@@ -299,10 +299,17 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     return collapse(m).queue.trimmed()
 
 
+def _check_collapsed(m):
+    """NotNonwrapping unless m is a collapse fixed point: straight and
+    nonwrapping.  A ball above an empty row pairs with nothing, so it does
+    not wrap, but collapse still moves it down."""
+    if not (m.is_straight() and is_nonwrapping(m)):
+        raise NotNonwrapping(m.to_text())
+
+
 def tab_of_mlq(m) -> Tableau:
     """Column insertion of the row word; inverse of mlq_of_tableau."""
-    if not is_nonwrapping(m):
-        raise NotNonwrapping(m.to_text())
+    _check_collapsed(m)
     return column_insert(row_word(m))
 
 
@@ -310,8 +317,7 @@ def insert_into_mlq(m, k: int):
     """Insert a ball at column k: new top row, then collapse."""
     if not 1 <= k <= m.n:
         raise OutOfRange(f"column {k} outside 1..{m.n}")
-    if not is_nonwrapping(m):
-        raise NotNonwrapping(m.to_text())
+    _check_collapsed(m)
     stacked = m.with_rows(list(m.trimmed().rows) + [(k,)])
     return collapse(stacked).queue.trimmed()
 

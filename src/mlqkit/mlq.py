@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from operator import ge
 
 from .core import _is_count, check_partition, conjugate
 from .errors import BadRowIndex, NotStraight, ParseError, TooNarrow
@@ -262,6 +263,21 @@ def _label_row(word, here):
         if t > src:
             minus.append(word[src])
     return tuple(out), plus, minus
+
+
+def _parks_without_wrap(above, below) -> bool:
+    """True when no ball of row ``above`` wraps as it pairs into row
+    ``below``; both are sorted tuples of ball columns.
+
+    A ball wraps only when it finds no free ball weakly right of it.  First-
+    fit parking on a line succeeds or fails whatever order the cars arrive
+    in, so this depends only on the two sets: every suffix of columns must
+    hold at least as many balls of ``below`` as of ``above``, that is, the
+    k-th largest column of ``below`` is at least the k-th largest of
+    ``above`` for every k.
+    """
+    skip = len(below) - len(above)
+    return skip >= 0 and all(map(ge, below[skip:], above))
 
 
 def _label_word_sweep(alpha, n: int, one, carry):

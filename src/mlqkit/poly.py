@@ -6,11 +6,19 @@ all identity checks are structural equalities of canonical forms.
 
 import json
 from collections import Counter
+from itertools import combinations
 
 from .core import check_partition, conjugate, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
-from .mlq import _check_columns, _label_word_sweep, enumerate_gmlq, maj, row_word
+from .mlq import (
+    _check_columns,
+    _label_word_sweep,
+    _parks_without_wrap,
+    enumerate_gmlq,
+    maj,
+    row_word,
+)
 from .tableaux import enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
 
 
@@ -138,15 +146,59 @@ def _x_key(counts):
     return tuple((i + 1, e) for i, e in enumerate(counts) if e)
 
 
-def schur(lam, n: int) -> QXPolynomial:
-    """Schur polynomial as the weight sum over nonwrapping queues.
+def _pack(row, base) -> int:
+    """The content of one ball set as a packed int: x_c's exponent is the
+    digit of base^(c-1)."""
+    return sum(base ** (c - 1) for c in row)
 
-    On straight queues maj >= 0, with equality exactly on the nonwrapping
-    ones, so this is the q^0 part of ``q_whittaker_mlq``.
+
+def _unpack(x, base):
+    """Sparse x exponent vector of a packed content."""
+    out = []
+    i = 1
+    while x:
+        x, e = divmod(x, base)
+        if e:
+            out.append((i, e))
+        i += 1
+    return tuple(out)
+
+
+def schur(lam, n: int) -> QXPolynomial:
+    """Schur polynomial as the weight sum over nonwrapping queues of shape lam.
+
+    On a straight queue the pairings that label row r add to ``maj`` the sum
+    of (label - r) over the balls of row r+1 that wrap; each such term is at
+    least 1 and the empty sites weigh 0.  So a queue is nonwrapping exactly
+    when no ball wraps, and whether a ball of one row wraps into the next
+    depends only on the two ball sets (``_parks_without_wrap``): first-fit
+    parking succeeds or fails whatever order the balls arrive in.  The sweep
+    therefore runs row by row from the top with a row's ball set as its
+    state, passes only the row pairs that park without wrapping, and carries
+    packed contents as ``q_whittaker_gmlq`` does.
     """
+    _check_columns(n)
+    alpha = conjugate(lam)
+    base = len(alpha) + 1
+    layer = {(): {0: 1}}  # nothing above the top row can wrap
+    for size in reversed(alpha):
+        below = {}
+        for row in combinations(range(1, n + 1), size):
+            acc = {}
+            for above, value in layer.items():
+                if _parks_without_wrap(above, row):
+                    for x, count in value.items():
+                        acc[x] = acc.get(x, 0) + count
+            if acc:
+                code = _pack(row, base)
+                below[row] = {x + code: count for x, count in acc.items()}
+        layer = below
+    terms = {}
+    for value in layer.values():
+        for x, count in value.items():
+            terms[x] = terms.get(x, 0) + count
     return QXPolynomial(n, (
-        (key, count) for key, count in q_whittaker_mlq(lam, n).terms.items()
-        if key[0] == 0
+        ((0, _unpack(x, base)), count) for x, count in terms.items()
     ))
 
 
@@ -171,7 +223,7 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     base = len(alpha) + 1
 
     def carry(acc, value, row, dq):
-        code = sum(base ** (c - 1) for c in row)
+        code = _pack(row, base)
         if acc is None:
             acc = {}
         for (q, x), count in value.items():
@@ -184,8 +236,7 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
         for key, count in value.items():
             terms[key] = terms.get(key, 0) + count
     return QXPolynomial(n, (
-        ((q, _x_key(x // base ** i % base for i in range(n))), count)
-        for (q, x), count in terms.items()
+        ((q, _unpack(x, base)), count) for (q, x), count in terms.items()
     ))
 
 
@@ -223,13 +274,24 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
 
 
 def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
-    """Schur expansion: sum over lam of K_{lam',mu'}(q) times s_lam."""
+    """Schur expansion: sum over lam of K_{lam',mu'}(q) times s_lam.
+
+    s_lam is 0 on n variables when lam has more than n parts, so those lam
+    are skipped before their Kostka-Foulkes polynomial is computed.
+    """
+    _check_columns(n)
     mu_conj = conjugate(mu)
     terms = Counter()
     for lam in partitions(sum(mu)):
+        if len(lam) > n:
+            continue
         coeff = kostka_foulkes(conjugate(lam), mu_conj)
-        if not coeff.is_zero():
-            terms.update((QXPolynomial(n, coeff.terms) * schur(lam, n)).terms)
+        if coeff.is_zero():
+            continue
+        s_lam = schur(lam, n)
+        for (q, _), k in coeff.terms.items():
+            for (_, x), count in s_lam.terms.items():
+                terms[(q, x)] += k * count
     return QXPolynomial(n, terms)
 
 

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from mlqkit.charge import charge
 from mlqkit.core import conjugate, is_lattice, partitions
 from mlqkit.errors import OutOfRange, ShapeMismatch
 from mlqkit.matching import lowering, raising, raise_all

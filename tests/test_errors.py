@@ -20,7 +20,7 @@ from mlqkit.errors import (
     NotNonwrapping,
     VariableCountMismatch,
 )
-from mlqkit.mlq import parse_mlq, sigma
+from mlqkit.mlq import MultilineQueue, parse_mlq, sigma
 from mlqkit.poly import QXPolynomial
 from mlqkit.tableaux import Tableau
 
@@ -40,6 +40,20 @@ CASES = [
     (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),
     (VariableCountMismatch, QXPolynomial.__add__, (QXPolynomial.one(2), QXPolynomial.one(3))),
 ]
+
+
+# is_nonwrapping holds, since an unpaired ball does not wrap, but collapse
+# still moves the ball down, so the queue is no tableau's queue
+BALL_ABOVE_EMPTY_ROW = MultilineQueue(2, [[], [1]])
+
+
+@pytest.mark.parametrize("function, args", [
+    (tab_of_mlq, (BALL_ABOVE_EMPTY_ROW,)),
+    (insert_into_mlq, (BALL_ABOVE_EMPTY_ROW, 1)),
+], ids=["tab_of_mlq", "insert_into_mlq"])
+def test_ball_above_empty_row_refused(function, args):
+    with pytest.raises(NotNonwrapping):
+        function(*args)
 
 
 @pytest.mark.parametrize("error, function, args", CASES, ids=[f.__name__ for _, f, _ in CASES])

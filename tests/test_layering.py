@@ -4,13 +4,14 @@ An import inside a function body hides a dependency from the module header
 and usually works around a cycle, so both are refused: every module of
 ``src/mlqkit`` is parsed with ``ast``, each function body is searched for
 imports, and the graph of relative imports between modules is searched for
-a cycle.
+a cycle.  Every name a module or test file imports must also be used in it.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mlqkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mlqkit"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -31,6 +32,18 @@ def _relative_imports(tree):
                 yield node.module.split(".")[0]
             else:
                 yield from (alias.name for alias in node.names if alias.name in MODULES)
+
+
+def _unused_imports(tree):
+    """Names bound by an import that never appear as a ``Name`` node; the
+    base of an attribute (``oracles`` in ``oracles.schur``) is one."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield name
 
 
 def _find_cycle(graph):
@@ -69,6 +82,17 @@ def test_no_imports_inside_functions():
 def test_no_import_cycles():
     graph = {name: sorted(set(_relative_imports(tree))) for name, tree in MODULES.items()}
     assert _find_cycle(graph) is None
+
+
+def test_no_unused_imports():
+    # __init__.py imports names only to re-export them
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    found = [
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in sorted(paths + list(TESTS.glob("*.py")))
+        for name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not found
 
 
 def test_tableaux_is_a_leaf():

@@ -8,6 +8,7 @@ from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NotStraight, ParseError, TooNarrow
 from mlqkit.mlq import (
     MultilineQueue,
+    _parks_without_wrap,
     all_binary_matrices,
     biwords,
     canonical_mlq,
@@ -109,6 +110,21 @@ def test_maj_examples():
 def test_nonwrapping():
     assert is_nonwrapping(canonical_mlq((3, 2), 4))
     assert not is_nonwrapping(LABEL_EXAMPLE)
+
+
+def test_parks_without_wrap_is_nonwrapping_exhaustive():
+    checked = 0
+    for size in range(0, 7):
+        for lam in partitions(size):
+            for n in range(1, 6):
+                for m in enumerate_mlq(lam, n) if len(lam) <= n else ():
+                    parks = all(
+                        _parks_without_wrap(m.row(r + 1), m.row(r))
+                        for r in range(1, m.num_rows)
+                    )
+                    assert parks == is_nonwrapping(m), m
+                    checked += 1
+    assert checked > 0
 
 
 def test_canonical_mlq():

@@ -1,12 +1,15 @@
 """The identities of poly.py."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mlqkit.core import partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
 from mlqkit.poly import (
+    QXPolynomial,
     dual_cauchy_check,
     is_symmetric,
     kostka_foulkes,
@@ -16,6 +19,9 @@ from mlqkit.poly import (
     q_whittaker_mlq,
     schur,
 )
+
+# the enumeration oracle visits every queue; cap its count to keep this fast
+MAX_QUEUES = 5000
 
 
 def test_q_whittaker_routes_agree():
@@ -32,13 +38,43 @@ def test_q_whittaker_routes_agree():
                     assert p.is_zero()
 
 
-def test_schur_routes_agree():
-    for size in range(0, 7):
+def test_q_whittaker_charge_expansion_more_columns():
+    for size in range(1, 7):
         for lam in partitions(size):
-            for n in range(1, 5):
+            for n in range(4, 6):
+                assert q_whittaker_charge_expansion(lam, n) == q_whittaker_mlq(lam, n), (lam, n)
+
+
+@pytest.mark.parametrize("n", [0, 1.5, True])
+def test_q_whittaker_charge_expansion_rejects_bad_counts(n):
+    # at n = 0 every lam is skipped for having more than n parts, so a check
+    # left to schur would never run
+    with pytest.raises(ParseError):
+        q_whittaker_charge_expansion((2, 1), n)
+
+
+def test_schur_routes_agree():
+    for size in range(0, 9):
+        for lam in partitions(size):
+            for n in range(1, 6):
                 s = schur(lam, n)
-                assert s == oracles.schur(lam, n) == oracles.schur_by_ssyt(lam, n), (lam, n)
+                assert s == oracles.schur_by_ssyt(lam, n), (lam, n)
+                if count_mlq(lam, n) <= MAX_QUEUES:
+                    assert s == oracles.schur(lam, n), (lam, n)
+                # maj >= 0 on straight queues, with equality exactly on the
+                # nonwrapping ones
+                q0 = [(k, c) for k, c in q_whittaker_mlq(lam, n).terms.items() if k[0] == 0]
+                assert s == QXPolynomial(n, q0), (lam, n)
                 assert s.is_zero() == (len(lam) > n), (lam, n)
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from([lam for size in range(0, 11) for lam in partitions(size)]),
+    st.integers(1, 6),
+)
+def test_schur_random(lam, n):
+    assert schur(lam, n) == oracles.schur_by_ssyt(lam, n)
 
 
 def test_kostka_foulkes_routes_agree():
@@ -51,7 +87,7 @@ def test_kostka_foulkes_routes_agree():
 
 
 def test_dual_cauchy():
-    for n in range(1, 3):
+    for n in range(1, 4):
         for length in range(1, 4):
             left, right = dual_cauchy_check(n, length)
             assert left == right, (n, length)

@@ -4,14 +4,7 @@ import oracles
 from mlqkit.charge import charge
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NonPartitionContent, ParseError, SizeMismatch
-from mlqkit.mlq import (
-    MultilineQueue,
-    count_mlq,
-    enumerate_mlq,
-    is_nonwrapping,
-    maj,
-    row_word,
-)
+from mlqkit.mlq import MultilineQueue, enumerate_mlq, is_nonwrapping, row_word
 from mlqkit.collapse import (
     collapse,
     insert_into_mlq,
