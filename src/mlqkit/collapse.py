@@ -31,7 +31,14 @@ from .errors import (
     SizeMismatch,
 )
 from .matching import _two_row_match
-from .mlq import MultilineQueue, column_word, is_nonwrapping, row_word, sigma
+from .mlq import (
+    MultilineQueue,
+    _is_collapsed,
+    _parks_without_wrap,
+    column_word,
+    row_word,
+    sigma,
+)
 from .tableaux import (
     SkewTableau,
     Tableau,
@@ -131,10 +138,10 @@ def collapse(m: MultilineQueue) -> CollapseResult:
       are recorded as 0 without matching.
     - Check: the sweep changed only the rows from the stop step + 1 up to
       the landing row top+1, and the rows above it are empty.  The adjacent
-      pairs among the stop row..landing row are re-matched; every other
-      pair is of unchanged rows and was verified by an earlier sweep.  So
-      after every sweep the prefix is collapsed, or InvariantError is
-      raised.
+      pairs among the stop row..landing row must park without a wrap (see
+      ``mlq._is_collapsed``); every other pair is of unchanged rows and was
+      verified by an earlier sweep.  So after every sweep the prefix is
+      collapsed, or InvariantError is raised.
     """
     rows = []
     tableau_rows = []
@@ -160,7 +167,7 @@ def collapse(m: MultilineQueue) -> CollapseResult:
         for i in range(j, 0, -1):
             drop_counts[(r, i)] = 0
         for i in range(j + 1, land):
-            if _unmatched_above(rows, i):
+            if not _parks_without_wrap(sorted(rows[i]), sorted(rows[i - 1])):
                 raise InvariantError(f"collapsed prefix moved at row {i}")
         top = land if rows[top] else top
     queue = MultilineQueue(m.n, rows)
@@ -191,6 +198,13 @@ def collapse_left(m: MultilineQueue) -> MultilineQueue:
     return rotate270(collapse(rotate90(m)).queue)
 
 
+def _check_collapsed(m):
+    """NotNonwrapping unless m is a collapse fixed point, the domain of every
+    inverse map here; ``mlq._is_collapsed`` decides it by parking."""
+    if not _is_collapsed(m):
+        raise NotNonwrapping(m.to_text())
+
+
 def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> MultilineQueue:
     """Rebuild the matrix whose collapse is (queue, recorder).
 
@@ -200,24 +214,25 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     Lifting row j k times moves its k rightmost balls unmatched against row
     j+1: a lifted ball opens a bracket that nothing to its right closes, so
     the other unmatched balls stay unmatched.  Each batch is one
-    ``_lift_unmatched``.  height is the number of rows rebuilt; it must be
-    a positive int at least the highest nonempty queue row and the largest
-    recorder entry (OutOfRange otherwise), and it defaults to the larger
-    of those and queue.num_rows.
+    ``_lift_unmatched``.  The queue must be collapsed (NotNonwrapping
+    otherwise).  height is the number of rows rebuilt: a positive int at
+    least the largest recorder entry (OutOfRange otherwise), by default the
+    larger of that and queue.num_rows.  It bounds the ball rows too: they
+    are 1..k for k recorder rows, and recorder row k has entries >= k.
     """
+    _check_collapsed(queue)
     sizes = tuple(s for s in queue.row_sizes() if s > 0)
     if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
         raise ShapeMismatch(
             f"recorder shape {recorder.shape()} vs queue row sizes {sizes}"
         )
-    top_row = max((r for r, row in enumerate(queue.rows, start=1) if row), default=1)
-    min_height = max(recorder.entry_max(), top_row)
+    min_height = max(recorder.entry_max(), 1)
     if height is None:
         height = max(min_height, queue.num_rows)
     elif not _is_count(height) or height < min_height:
         raise OutOfRange(
-            f"height {height!r} is not an int >= {min_height}, the highest "
-            "ball row and recorder entry"
+            f"height {height!r} is not an int >= {min_height}, the largest "
+            "recorder entry"
         )
     rows = [set(queue.row(r)) if r <= queue.num_rows else set()
             for r in range(1, height + 1)]
@@ -246,19 +261,17 @@ def mrsk(m: MultilineQueue):
 
 
 def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
-    """Inverse of mrsk: recover the recorder from the left collapse."""
-    shape_down = down.trimmed().shape()
-    shape_left = left.trimmed().shape()
-    if shape_left != conjugate(shape_down):
-        raise ShapeMismatch(f"{shape_left} is not conjugate to {shape_down}")
+    """Inverse of mrsk on collapsed queues: the left one gives the recorder."""
+    _check_collapsed(left)
+    if left.shape() != conjugate(down.shape()):
+        raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")
     recorder = tableau_from_crw(column_word(rotate270(left)))
     return collapse_inverse(down, recorder, height=left.n)
 
 
 def flip_up(m: MultilineQueue) -> MultilineQueue:
     """Collapse after a half turn; bijection reversing the column content."""
-    if not is_nonwrapping(m):
-        raise NotNonwrapping(m.to_text())
+    _check_collapsed(m)
     return collapse(rotate180(m)).queue
 
 
@@ -297,14 +310,6 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     width = len(t.rows[0]) if t.rows else 0
     m = MultilineQueue(max(n, 1), [t.column(c) for c in range(width, 0, -1)])
     return collapse(m).queue.trimmed()
-
-
-def _check_collapsed(m):
-    """NotNonwrapping unless m is a collapse fixed point: straight and
-    nonwrapping.  A ball above an empty row pairs with nothing, so it does
-    not wrap, but collapse still moves it down."""
-    if not (m.is_straight() and is_nonwrapping(m)):
-        raise NotNonwrapping(m.to_text())
 
 
 def tab_of_mlq(m) -> Tableau:
@@ -393,15 +398,10 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     height = len(lam_cols)
     if straight.num_rows > height:
         return 0
-    fixed_rows = [
-        list(c + ell for c in straight.row(r)) if r <= straight.num_rows else []
-        for r in range(1, height + 1)
-    ]
+    fixed_rows = [[c + ell for c in row] for row in straight.rows]
+    fixed_rows += [[]] * (height - straight.num_rows)
     # each skew column j carries mu_j balls spread over distinct rows
-    per_column = [
-        list(combinations(range(1, height + 1), mu[j - 1]))
-        for j in range(1, ell + 1)
-    ]
+    per_column = [list(combinations(range(1, height + 1), k)) for k in mu]
     total = 0
     for choice in product(*per_column):
         rows = [list(r) for r in fixed_rows]
@@ -411,9 +411,6 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
         if tuple(len(r) for r in rows) != lam_cols:
             continue
         cand = MultilineQueue(len(nu) + ell, rows)
-        if not is_lattice(BicoloredMLQ(cand, ell).skew_word()):
-            continue
-        if not is_nonwrapping(cand):
-            continue
-        total += 1
+        if _is_collapsed(cand) and is_lattice(BicoloredMLQ(cand, ell).skew_word()):
+            total += 1
     return total

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .core import _is_count, check_partition, conjugate
-from .errors import InvariantError, NotCoquinvFree, NotStraight, ParseError
+from .errors import InvariantError, NotCoquinvFree, ParseError
 from .mlq import MultilineQueue, _label_row, enumerate_mlq
 
 
@@ -135,8 +135,7 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
     only coquinv-free choice (see the module docstring), and the result is
     checked against ``coquinv``.
     """
-    if not m.is_straight():
-        raise NotStraight(f"row sizes {m.row_sizes()}")
+    shape = m.shape()
     rows = []
     above = ()
     for here in reversed(m.rows):
@@ -151,7 +150,7 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
         labels, _, _ = _label_row(tuple(word), here)
         above = tuple(sorted(here, key=lambda c: -labels[c - 1]))
         rows.append(above)
-    tau = ColumnFilling(m.shape(), rows[::-1], m.n)
+    tau = ColumnFilling(shape, rows[::-1], m.n)
     if coquinv(tau):
         raise InvariantError(f"filling {tau} of {m} is not coquinv-free")
     return tau

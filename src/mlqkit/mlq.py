@@ -10,7 +10,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from operator import ge
 
 from .core import _is_count, check_partition, conjugate
@@ -50,8 +50,7 @@ class MultilineQueue:
 
     def shape(self):
         """Partition whose conjugate gives the row sizes (straight queues)."""
-        if not self.is_straight():
-            raise NotStraight(f"row sizes {self.row_sizes()}")
+        _check_straight(self)
         sizes = tuple(s for s in self.row_sizes() if s > 0)
         return conjugate(sizes)
 
@@ -171,6 +170,9 @@ def maj(m: MultilineQueue) -> int:
 
 
 def is_nonwrapping(m: MultilineQueue) -> bool:
+    """``maj_g(m) == 0``, which a collapsed queue satisfies.  The converse
+    fails off straight queues: in ``n=2;|1`` the ball pairs with nothing, so
+    it does not wrap, yet collapse moves it (see ``_is_collapsed``)."""
     return maj_g(m) == 0
 
 
@@ -280,6 +282,14 @@ def _parks_without_wrap(above, below) -> bool:
     return skip >= 0 and all(map(ge, below[skip:], above))
 
 
+def _is_collapsed(m: MultilineQueue) -> bool:
+    """True when m is a collapse fixed point: every row parks into the row
+    below without a wrap.  Collapse moves the balls that the bracket matching
+    leaves unmatched, and it leaves none exactly when ``_parks_without_wrap``
+    holds; that needs the row below to be as large, so m is straight."""
+    return all(map(_parks_without_wrap, m.rows[1:], m.rows))
+
+
 def _label_word_sweep(alpha, n: int, one, carry):
     """Sum a weight over all queues with row sizes alpha, row by row.
 
@@ -365,14 +375,9 @@ def enumerate_gmlq(alpha, n: int):
 
 
 def count_mlq(lam, n: int) -> int:
-    return prod_binom(conjugate(lam), n)
-
-
-def prod_binom(sizes, n: int) -> int:
-    out = 1
-    for a in sizes:
-        out *= comb(n, a)
-    return out
+    """How many queues of shape lam there are on n columns."""
+    _check_columns(n)
+    return prod(comb(n, a) for a in conjugate(lam))
 
 
 def stationary_counts(lam, n: int):

@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 
 from .charge import charge as _charge
-from .core import _is_count, check_partition, content, is_lattice, is_partition
-from .errors import NonPartitionContent, ParseError, SizeMismatch
+from .core import _is_count, check_partition, content, is_lattice
+from .errors import ParseError, SizeMismatch
 from .matching import reflect
 
 
@@ -144,8 +144,6 @@ def skew_rev_reading_word(t: SkewTableau):
 
 def tableau_charge(t: Tableau) -> int:
     """Charge of the row reading word (needs partition content)."""
-    if not is_partition(t.content()):
-        raise NonPartitionContent(f"content {t.content()}")
     return _charge(row_reading_word(t))
 
 

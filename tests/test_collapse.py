@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import oracles
 from mlqkit.core import conjugate, is_lattice, partitions
-from mlqkit.errors import OutOfRange, ShapeMismatch
+from mlqkit.errors import NotNonwrapping, OutOfRange, ShapeMismatch
 from mlqkit.matching import lowering, raising, raise_all
 from mlqkit.mlq import (
     MultilineQueue,
+    _is_collapsed,
     all_binary_matrices,
     canonical_mlq,
     column_word,
@@ -191,11 +192,14 @@ def test_collapse_inverse_rejects_non_count_height():
 
 
 def test_collapse_inverse_rejects_height_below_queue():
+    # a ball above an empty row is not collapsed, so it is refused at every
+    # height; height=3 used to return the queue, whose collapse is 1|1| with
+    # recorder 1 / 3, not 1 / 2
     queue = MultilineQueue(3, [[1], [], [1]])
     recorder = Tableau([[1], [2]])
-    with pytest.raises(OutOfRange):
-        collapse_inverse(queue, recorder, height=2)
-    assert collapse_inverse(queue, recorder, height=3) == queue
+    for height in (2, 3, None):
+        with pytest.raises(NotNonwrapping):
+            collapse_inverse(queue, recorder, height=height)
 
 
 def test_collapse_inverse_rejects_height_below_recorder():
@@ -236,12 +240,13 @@ def test_collapse_matches_full_sweep_exhaustive():
     for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
         for b in all_binary_matrices(*size):
             assert_same_collapse(b)
+            assert _is_collapsed(b) == (collapse(b).queue == b)
 
 
 def test_collapse_check_survives_optimize():
-    # collapse re-matches the pairs each sweep changed and raises a typed
-    # error, so the check still fires when python -O strips asserts.  A drop
-    # that moves only the first unmatched ball leaves row 2 unmatched.
+    # collapse checks by parking the pairs each sweep changed and raises a
+    # typed error, so the check still fires when python -O strips asserts.
+    # A drop that moves only the first unmatched ball leaves row 2 unmatched.
     script = (
         "import importlib\n"
         "from mlqkit.errors import InvariantError\n"
@@ -269,9 +274,10 @@ def test_collapse_check_survives_optimize():
 
 
 def test_collapse_nonwrapping_match_count(monkeypatch):
-    # on a collapsed queue every sweep stops at its first step and re-matches
-    # one pair, so the matchings are linear in the number of rows L; a sweep
-    # down to row 1 with a full re-check costs L(L-1)
+    # on a collapsed queue every sweep stops at its first step, which is one
+    # matching, and checks the pair it changed by parking, so the matchings
+    # are at most the number of rows L; a sweep down to row 1 with a full
+    # re-check costs L(L-1)
     rng = random.Random(5)
     queues = [canonical_mlq((8, 6, 3, 1), 4)]
     for rows, n in [(8, 5), (10, 6), (12, 4)]:
@@ -292,7 +298,7 @@ def test_collapse_nonwrapping_match_count(monkeypatch):
         assert is_nonwrapping(q)
         calls.clear()
         assert collapse(q).queue == q
-        assert len(calls) <= 3 * q.num_rows
+        assert len(calls) <= q.num_rows
 
 
 def test_collapse_bijection_exhaustive():
@@ -409,6 +415,18 @@ def test_flip_reverses_column_content():
             assert key not in images
             images[key] = m
             assert f.column_content() == tuple(reversed(m.column_content()))
+
+
+def test_flip_is_an_involution_on_collapsed_queues():
+    collapsed = [
+        b
+        for size in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]
+        for b in all_binary_matrices(*size)
+        if collapse(b).queue == b
+    ]
+    assert len(collapsed) == 1143
+    for m in collapsed:
+        assert flip_up(flip_up(m)) == m
 
 
 def test_flip_maj_identity():

@@ -3,11 +3,14 @@
 import pytest
 
 from mlqkit.collapse import (
+    collapse_inverse,
     drop,
     drop_all,
+    flip_up,
     insert_into_mlq,
     lift,
     mlq_of_tableau,
+    mrsk_inverse,
     mult_mlq,
     tab_of_mlq,
     twisted_collapse,
@@ -35,6 +38,11 @@ CASES = [
     (BadRowIndex, sigma, (TWO_ROWS, 0)),
     (NotNonwrapping, tab_of_mlq, (WRAPPING,)),
     (NotNonwrapping, insert_into_mlq, (WRAPPING, 1)),
+    # both used to return a queue the forward map does not send back: 1,2|3
+    # collapses to 1,2,3| with recorder 1 1 2, and mrsk of |1|2 is
+    # (1,2||, 2|1|)
+    (NotNonwrapping, collapse_inverse, (TWO_ROWS, Tableau([[1, 1], [2]]))),
+    (NotNonwrapping, mrsk_inverse, (parse_mlq("n=3;1|2|"), parse_mlq("n=3;1,2||"))),
     (AlphabetTooSmall, mlq_of_tableau, (Tableau([[3]]), 2)),
     (ColumnMismatch, mult_mlq, (TWO_ROWS, WRAPPING)),
     (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),
@@ -43,14 +51,16 @@ CASES = [
 
 
 # is_nonwrapping holds, since an unpaired ball does not wrap, but collapse
-# still moves the ball down, so the queue is no tableau's queue
+# still moves the ball down, so the queue is no tableau's queue; flip_up used
+# to send it to 2|, which flips to 1|
 BALL_ABOVE_EMPTY_ROW = MultilineQueue(2, [[], [1]])
 
 
 @pytest.mark.parametrize("function, args", [
     (tab_of_mlq, (BALL_ABOVE_EMPTY_ROW,)),
     (insert_into_mlq, (BALL_ABOVE_EMPTY_ROW, 1)),
-], ids=["tab_of_mlq", "insert_into_mlq"])
+    (flip_up, (BALL_ABOVE_EMPTY_ROW,)),
+], ids=["tab_of_mlq", "insert_into_mlq", "flip_up"])
 def test_ball_above_empty_row_refused(function, args):
     with pytest.raises(NotNonwrapping):
         function(*args)

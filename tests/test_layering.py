@@ -99,6 +99,25 @@ def test_tableaux_is_a_leaf():
     assert set(_relative_imports(MODULES["tableaux"])) <= {"core", "charge", "matching", "errors"}
 
 
+def _imported_names(tree):
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_collapse_does_not_label():
+    # collapsed queues are recognised by parking (mlq._is_collapsed), so
+    # collapsing never runs the labelling engine
+    labelling = {
+        "label_mlq", "label_gmlq", "maj", "maj_g", "is_nonwrapping", "projection",
+        "_label_row", "_label_rows", "_label_word_sweep",
+    }
+    assert not _imported_names(MODULES["collapse"]) & labelling
+
+
 def test_cycle_finder():
     assert _find_cycle({"a": ["b"], "b": ["c"], "c": ["a"]}) == ["a", "b", "c", "a"]
     assert _find_cycle({"a": ["b", "c"], "b": ["c"], "c": []}) is None

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ import oracles
 from mlqkit.charge import charge, charge_g
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NotStraight, ParseError, TooNarrow
+from mlqkit.matching import _two_row_match
 from mlqkit.mlq import (
     MultilineQueue,
     _parks_without_wrap,
@@ -125,6 +127,16 @@ def test_parks_without_wrap_is_nonwrapping_exhaustive():
                     assert parks == is_nonwrapping(m), m
                     checked += 1
     assert checked > 0
+
+
+def test_parks_without_wrap_is_full_matching_exhaustive():
+    # parking without a wrap is the suffix count; the bracket matching
+    # leaves no ball of the upper row unmatched on exactly the same pairs
+    subsets = [set(s) for k in range(8) for s in combinations(range(1, 8), k)]
+    for upper in subsets:
+        for lower in subsets:
+            _, opens, _, _ = _two_row_match(upper, lower)
+            assert _parks_without_wrap(sorted(upper), sorted(lower)) == (not opens)
 
 
 def test_canonical_mlq():
@@ -280,6 +292,15 @@ def test_enumerate_counts():
     assert len(list(enumerate_mlq((2, 1), 3))) == 9
     with pytest.raises(TooNarrow):
         list(enumerate_gmlq((3,), 2))
+
+
+@pytest.mark.parametrize("n", [0, True, 1.5, -1])
+def test_count_mlq_rejects_bad_column_count(n):
+    # count_mlq((1,), n) used to give 0, 1, TypeError and ValueError
+    with pytest.raises(ParseError):
+        count_mlq((1,), n)
+    with pytest.raises(ParseError):
+        list(enumerate_mlq((1,), n))
 
 
 def test_serialization_round_trip():
