@@ -9,17 +9,23 @@ Modules import each other at module level and without cycles: ``core``,
 ``errors``, ``matching`` and ``charge`` come first, ``tableaux`` and ``mlq``
 build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
 
-Each quantity has one route here: the generating functions and Schur
-polynomials sum over label-word states row by row, Kostka-Foulkes
-polynomials are charge sums over tableaux, recording tableaux come from
-``collapse``, rectification from ``rectify_by_mlq`` and ``maj_g`` from the
-pairing rule.  The other routes the paper proves equal are reference
-implementations in the test suite (``tests/oracles.py``), which checks that
-they agree: enumerating every queue, row insertion of the column word and
-label-tracked collapsing (both give the recorder), collapsing one ball per
-letter (gives the queue of a tableau), top-down collapsing, jeu de taquin,
-charge by matching and the energy of the indicator levels (which equals
-``maj_g``).
+Each quantity has one route here.  The q-Whittaker polynomial of a
+partition is the charge formula in the Schur basis, read off one traversal
+of tableaux by horizontal strips (``q_whittaker_schur``), and its monomial
+form comes from those coefficients and Kostka numbers
+(``q_whittaker_mlq``, also named ``q_whittaker_charge_expansion``).  The
+generalized form over any row order and the stationary counts sum over
+label-word states row by row, Schur polynomials sum over the ball sets of
+nonwrapping queues row by row, Kostka-Foulkes polynomials are charge sums
+over tableaux, recording tableaux come from ``collapse``, rectification
+from ``rectify_by_mlq`` and ``maj_g`` from the pairing rule.  The other
+routes the paper proves equal are reference implementations in the test
+suite (``tests/oracles.py``), which checks that they agree: enumerating
+every queue, the Schur expansion one shape at a time, row insertion of the
+column word and label-tracked collapsing (both give the recorder),
+collapsing one ball per letter (gives the queue of a tableau), top-down
+collapsing, jeu de taquin, charge by matching and the energy of the
+indicator levels (which equals ``maj_g``).
 """
 
 from .core import (
@@ -112,6 +118,7 @@ from .poly import (
     q_whittaker_coquinv,
     q_whittaker_gmlq,
     q_whittaker_mlq,
+    q_whittaker_schur,
     schur,
     skew_schur,
 )

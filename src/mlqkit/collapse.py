@@ -263,6 +263,7 @@ def mrsk(m: MultilineQueue):
 def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     """Inverse of mrsk on collapsed queues: the left one gives the recorder."""
     _check_collapsed(left)
+    _check_collapsed(down)
     if left.shape() != conjugate(down.shape()):
         raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")
     recorder = tableau_from_crw(column_word(rotate270(left)))

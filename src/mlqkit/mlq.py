@@ -333,6 +333,16 @@ def _check_row_sizes(alpha) -> tuple:
     return alpha
 
 
+def _check_fits(alpha, n) -> tuple:
+    """alpha as a tuple, ParseError unless n and the row sizes are valid, and
+    TooNarrow when a row holds more balls than there are columns."""
+    _check_columns(n)
+    alpha = _check_row_sizes(alpha)
+    if any(a > n for a in alpha):
+        raise TooNarrow(f"row sizes {alpha} exceed {n} columns")
+    return alpha
+
+
 def maj_g(m: MultilineQueue) -> int:
     """Generalized major index: right wraps count positively, left wraps
     negatively, each weighted by label - source row + 1."""
@@ -365,19 +375,16 @@ def enumerate_mlq(lam, n: int):
 
 def enumerate_gmlq(alpha, n: int):
     """All queues with row sizes alpha on n columns, bottom row slowest."""
-    _check_columns(n)
-    alpha = _check_row_sizes(alpha)
-    if any(a > n for a in alpha):
-        raise TooNarrow(f"row sizes {alpha} exceed {n} columns")
+    alpha = _check_fits(alpha, n)
     per_row = [combinations(range(1, n + 1), a) for a in alpha]
     for rows in product(*per_row):
         yield MultilineQueue(n, rows)
 
 
 def count_mlq(lam, n: int) -> int:
-    """How many queues of shape lam there are on n columns."""
-    _check_columns(n)
-    return prod(comb(n, a) for a in conjugate(lam))
+    """How many queues of shape lam there are on n columns; TooNarrow when
+    lam has more than n parts, as ``enumerate_mlq`` raises."""
+    return prod(comb(n, a) for a in _check_fits(conjugate(lam), n))
 
 
 def stationary_counts(lam, n: int):

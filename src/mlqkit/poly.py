@@ -6,8 +6,9 @@ all identity checks are structural equalities of canonical forms.
 
 import json
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
+from .charge import charge
 from .core import check_partition, conjugate, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
@@ -19,7 +20,14 @@ from .mlq import (
     maj,
     row_word,
 )
-from .tableaux import enumerate_skew_ssyt, enumerate_ssyt, tableau_charge
+from .tableaux import (
+    _grown,
+    _horizontal_strips,
+    _ssyt_of_content,
+    enumerate_skew_ssyt,
+    enumerate_ssyt,
+    tableau_charge,
+)
 
 
 class QXPolynomial:
@@ -202,22 +210,124 @@ def schur(lam, n: int) -> QXPolynomial:
     ))
 
 
+def q_whittaker_schur(mu, n: int) -> dict:
+    """The q-Whittaker polynomial of mu on n variables in the Schur basis:
+    {lam: K_{lam',mu'}(q)} over every lam with at most n parts and a
+    nonzero coefficient.
+
+    Collapsing gives the Lascoux-Schutzenberger charge formula
+    P_mu(x; q, 0) = sum over lam of K_{lam',mu'}(q) s_lam, and s_lam is 0 on
+    n variables when lam has more than n parts, which are the tableaux of
+    shape lam' with more than n cells in their first row.  So one traversal
+    of the tableaux with content mu' and first row at most n, each charged
+    once, gives every coefficient.
+    """
+    mu = check_partition(mu)
+    _check_columns(n)
+    by_shape = {}
+    for rows in _ssyt_of_content(conjugate(mu), n):
+        shape = tuple(map(len, rows))
+        charges = by_shape.setdefault(shape, Counter())
+        charges[charge(tuple(chain.from_iterable(reversed(rows))))] += 1
+    return {
+        conjugate(shape): QXPolynomial(0, {(q, ()): k for q, k in charges.items()})
+        for shape, charges in by_shape.items()
+    }
+
+
 def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
     """Weight generating function q^maj x^M over all queues of shape lam.
 
-    Computed as the generalized form over the row sizes lam', where maj_g
-    equals maj.
+    Computed from the Schur expansion (``q_whittaker_schur``) as a monomial
+    sum: the coefficient of x^nu for a partition nu is
+    c_nu(q) = sum over rho of K_{rho',lam'}(q) K_{rho,nu}, and the symmetric
+    polynomial gives every rearrangement of nu the same coefficient.  The
+    Kostka numbers K_{rho,nu} come from ``_dominant_kostka``.
     """
-    return q_whittaker_gmlq(conjugate(lam), n)
+    coeffs = q_whittaker_schur(lam, n)
+    width = max((rho[0] for rho in coeffs if rho), default=0)
+    terms = {}
+    for nu, kostka in _dominant_kostka(sum(lam), n, width):
+        c_nu = Counter()
+        for rho, count in kostka.items():
+            if rho in coeffs:
+                for (q, _), k in coeffs[rho].terms.items():
+                    c_nu[q] += k * count
+        xs = _rearrangements(nu, n)
+        for q, k in c_nu.items():
+            terms.update(zip(zip(repeat(q), xs), repeat(k)))
+    return QXPolynomial(n, terms)
+
+
+# The charge expansion is the monomial form of the Schur expansion, so both
+# names are one function.
+q_whittaker_charge_expansion = q_whittaker_mlq
+
+
+def _dominant_kostka(size: int, n: int, width: int):
+    """Yield (nu, {rho: K_{rho,nu}}) for every partition nu of size with at
+    most n parts, over the shapes rho with first row at most width.
+
+    A tableau of content nu is a chain of horizontal strips of sizes
+    nu_1, nu_2, ..., so the counts are a shape-to-count sweep over
+    ``_horizontal_strips``; partitions that share a prefix share its sweep.
+    """
+    grown = {}  # (shape, part): the shapes one strip of part cells leads to
+
+    def extend(nu, left, top, layer):
+        if not left:
+            yield nu, layer
+            return
+        slots = n - len(nu)
+        for part in range(min(top, left), 0, -1):
+            if part * slots < left:
+                break
+            below = {}
+            for shape, count in layer.items():
+                if (shape, part) not in grown:
+                    grown[shape, part] = [
+                        _grown(shape, adds)
+                        for adds in _horizontal_strips(shape, part, width)
+                    ]
+                for new in grown[shape, part]:
+                    below[new] = below.get(new, 0) + count
+            if below:
+                yield from extend(nu + (part,), left - part, part, below)
+
+    yield from extend((), size, width, {(): 1})
+
+
+def _rearrangements(nu, n: int):
+    """Sparse x exponent vectors of the distinct rearrangements of nu padded
+    with zeros to n: the columns of the nonzero entries, times the distinct
+    orders of the parts of nu, each built by choosing the slots of one
+    distinct part at a time."""
+    orders = [()]
+    for part, mult in Counter(nu).items():
+        size = len(orders[0]) + mult
+        longer = []
+        for order in orders:
+            for slots in combinations(range(size), mult):
+                rest = iter(order)
+                longer.append(tuple(part if i in slots else next(rest) for i in range(size)))
+        orders = longer
+    return [
+        tuple(zip(cols, order))
+        for cols in combinations(range(1, n + 1), len(nu))
+        for order in orders
+    ]
 
 
 def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     """The generalized-queue form q^maj_g x^M over row sizes alpha.
 
-    Sums over label-word states row by row (``_label_word_sweep``) instead
-    of over queues.  A weight is {(q exponent, packed content): count},
-    where the packed content holds x_c's exponent as the digit of
-    base^(c-1); a column has at most one ball per row, so base = rows + 1.
+    Every order of the row sizes lam' gives ``q_whittaker_mlq(lam, n)``,
+    which reads the same polynomial off the Schur expansion.  This route
+    takes any row order: it sums over label-word states row by row
+    (``_label_word_sweep``) instead of over queues.  A weight is
+    {(q exponent, packed content): count}, where the packed content holds
+    x_c's exponent as the digit of base^(c-1); a column has at most one ball
+    per row, so base = rows + 1.
     """
     alpha = tuple(alpha)
     base = len(alpha) + 1
@@ -271,28 +381,6 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
         and not any(m.column_content()[len(target):])
         and is_lattice(row_word(m))
     ))
-
-
-def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
-    """Schur expansion: sum over lam of K_{lam',mu'}(q) times s_lam.
-
-    s_lam is 0 on n variables when lam has more than n parts, so those lam
-    are skipped before their Kostka-Foulkes polynomial is computed.
-    """
-    _check_columns(n)
-    mu_conj = conjugate(mu)
-    terms = Counter()
-    for lam in partitions(sum(mu)):
-        if len(lam) > n:
-            continue
-        coeff = kostka_foulkes(conjugate(lam), mu_conj)
-        if coeff.is_zero():
-            continue
-        s_lam = schur(lam, n)
-        for (q, _), k in coeff.terms.items():
-            for (_, x), count in s_lam.terms.items():
-                terms[(q, x)] += k * count
-    return QXPolynomial(n, terms)
 
 
 def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:

@@ -247,6 +247,69 @@ def _ssyt_rows(outer, inner, max_entry, weight):
     yield from fill(0)
 
 
+def _horizontal_strips(shape, size, width):
+    """The row growths, bottom row first, of every horizontal strip of size
+    cells on the partition shape whose first row stays within width cells.
+
+    Row i may grow until it is as long as row i - 1 (the first row until it
+    has width cells), and one new row may start on top.  Those rooms sum to
+    width, so a strip of more than width cells has no place.  Each growth is
+    a tuple of len(shape) + 1 ints.
+    """
+    rooms = [low - high for low, high in zip((width,) + shape, shape + (0,))]
+    later = [0] * (len(rooms) + 1)  # later[i]: the room in rows i onwards
+    for i in range(len(rooms) - 1, -1, -1):
+        later[i] = later[i + 1] + rooms[i]
+    if size > later[0]:
+        return
+    adds = [0] * len(rooms)
+
+    def grow(i, left):
+        if not left:
+            yield tuple(adds)
+            return
+        for k in range(max(0, left - later[i + 1]), min(rooms[i], left) + 1):
+            adds[i] = k
+            yield from grow(i + 1, left - k)
+        adds[i] = 0
+
+    yield from grow(0, size)
+
+
+def _grown(shape, adds) -> tuple:
+    """The partition shape after a strip adds adds[i] cells to row i."""
+    new = tuple(map(int.__add__, shape + (0,), adds))
+    return new if new[-1] else new[:-1]
+
+
+def _ssyt_of_content(weight, width):
+    """The rows, bottom row first, of every semistandard tableau with content
+    weight whose first row has at most width cells, over every shape.
+
+    The cells holding letter i form a horizontal strip of weight[i - 1]
+    cells on the shape the smaller letters fill, so the tableaux are built
+    letter by letter from ``_horizontal_strips``.
+    """
+    rows = []
+
+    def place(letter, shape):
+        if letter > len(weight):
+            yield tuple(rows)
+            return
+        for adds in _horizontal_strips(shape, weight[letter - 1], width):
+            saved = rows[:]
+            for i, k in enumerate(adds):
+                if k:
+                    if i < len(rows):
+                        rows[i] += (letter,) * k
+                    else:
+                        rows.append((letter,) * k)
+            yield from place(letter + 1, _grown(shape, adds))
+            rows[:] = saved
+
+    yield from place(1, ())
+
+
 def enumerate_ssyt(shape, max_entry=None, weight=None):
     """All semistandard tableaux of the given shape.
 

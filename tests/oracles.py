@@ -32,10 +32,17 @@ The second routes below each pin one theorem against the package's route:
   matching alone equals the charge of the charge subwords.
 - ``energy_levels`` / ``energy_h``: the wraps of the indicator levels of each
   row's labels against the row below sum to ``maj_g``.
+- ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
+  expansion built one lam at a time, ``kostka_foulkes`` times ``schur``,
+  gives the coefficients that the package reads off one traversal of
+  tableaux (``q_whittaker_schur``) and the monomial polynomial that the
+  label-word sweep sums over queues.
 """
 
+from collections import Counter
 from itertools import permutations, product
 
+from mlqkit import poly
 from mlqkit.charge import _check_partition_content
 from mlqkit.collapse import (
     CollapseResult,
@@ -44,7 +51,7 @@ from mlqkit.collapse import (
     collapse,
     rotate90,
 )
-from mlqkit.core import conjugate
+from mlqkit.core import conjugate, partitions
 from mlqkit.errors import InvariantError, SizeMismatch
 from mlqkit.fillings import ColumnFilling, coquinv
 from mlqkit.matching import _two_row_match, bracket_match
@@ -115,6 +122,32 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     return QXPolynomial(n, (
         ((maj_g(m), _x_key(m.column_content())), 1) for m in enumerate_gmlq(alpha, n)
     ))
+
+
+def q_whittaker_schur(mu, n: int) -> dict:
+    """{lam: K_{lam',mu'}(q)} by one ``kostka_foulkes`` call per lam.
+
+    s_lam is 0 on n variables when lam has more than n parts, so those lam
+    are skipped before their Kostka-Foulkes polynomial is computed.
+    """
+    out = {}
+    for lam in partitions(sum(mu)):
+        if len(lam) <= n:
+            coeff = poly.kostka_foulkes(conjugate(lam), conjugate(mu))
+            if not coeff.is_zero():
+                out[lam] = coeff
+    return out
+
+
+def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
+    """Sum over lam of K_{lam',mu'}(q) times s_lam, one lam at a time."""
+    terms = Counter()
+    for lam, coeff in q_whittaker_schur(mu, n).items():
+        s_lam = poly.schur(lam, n)
+        for (q, _), k in coeff.terms.items():
+            for (_, x), count in s_lam.terms.items():
+                terms[(q, x)] += k * count
+    return QXPolynomial(n, terms)
 
 
 def stationary_counts(lam, n: int) -> dict:

@@ -43,6 +43,8 @@ CASES = [
     # (1,2||, 2|1|)
     (NotNonwrapping, collapse_inverse, (TWO_ROWS, Tableau([[1, 1], [2]]))),
     (NotNonwrapping, mrsk_inverse, (parse_mlq("n=3;1|2|"), parse_mlq("n=3;1,2||"))),
+    # a down queue that is not straight used to raise NotStraight instead
+    (NotNonwrapping, mrsk_inverse, (parse_mlq("n=3;1|1,2"), parse_mlq("n=3;1,2||"))),
     (AlphabetTooSmall, mlq_of_tableau, (Tableau([[3]]), 2)),
     (ColumnMismatch, mult_mlq, (TWO_ROWS, WRAPPING)),
     (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),
@@ -66,7 +68,14 @@ def test_ball_above_empty_row_refused(function, args):
         function(*args)
 
 
-@pytest.mark.parametrize("error, function, args", CASES, ids=[f.__name__ for _, f, _ in CASES])
+def _case_id(k):
+    """The function's name, numbered from its second case on."""
+    function = CASES[k][1]
+    earlier = sum(f is function for _, f, _ in CASES[:k])
+    return f"{function.__name__}{earlier + 1}" if earlier else function.__name__
+
+
+@pytest.mark.parametrize("error, function, args", CASES, ids=map(_case_id, range(len(CASES))))
 def test_typed_errors(error, function, args):
     with pytest.raises(error):
         function(*args)

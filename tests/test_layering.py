@@ -10,6 +10,8 @@ a cycle.  Every name a module or test file imports must also be used in it.
 import ast
 from pathlib import Path
 
+import mlqkit
+
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "mlqkit"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -116,6 +118,35 @@ def test_collapse_does_not_label():
         "_label_row", "_label_rows", "_label_word_sweep",
     }
     assert not _imported_names(MODULES["collapse"]) & labelling
+
+
+def _calls_in_module(tree, start):
+    """The names called by start and, transitively, by every function of
+    the same module that it calls."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, called = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+                todo.append(node.func.id)
+    return called
+
+
+def test_q_whittaker_is_one_route():
+    # the charge expansion is the monomial form of the Schur expansion, read
+    # off one traversal of tableaux, not one Kostka-Foulkes walk and one
+    # Schur polynomial per shape
+    assert mlqkit.q_whittaker_charge_expansion is mlqkit.q_whittaker_mlq
+    called = _calls_in_module(MODULES["poly"], "q_whittaker_mlq")
+    assert "q_whittaker_schur" in called
+    assert not called & {"schur", "kostka_foulkes"}
 
 
 def test_cycle_finder():

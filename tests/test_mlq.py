@@ -292,6 +292,11 @@ def test_enumerate_counts():
     assert len(list(enumerate_mlq((2, 1), 3))) == 9
     with pytest.raises(TooNarrow):
         list(enumerate_gmlq((3,), 2))
+    with pytest.raises(TooNarrow):
+        list(enumerate_mlq((1, 1, 1), 2))
+    # count_mlq((1, 1, 1), 2) used to return 0
+    with pytest.raises(TooNarrow):
+        count_mlq((1, 1, 1), 2)
 
 
 @pytest.mark.parametrize("n", [0, True, 1.5, -1])

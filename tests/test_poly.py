@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mlqkit.core import partitions
+from mlqkit import poly
+from mlqkit.core import conjugate, partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
 from mlqkit.poly import (
@@ -16,7 +17,9 @@ from mlqkit.poly import (
     kostka_foulkes_lattice,
     q_whittaker_charge_expansion,
     q_whittaker_coquinv,
+    q_whittaker_gmlq,
     q_whittaker_mlq,
+    q_whittaker_schur,
     schur,
 )
 
@@ -25,12 +28,13 @@ MAX_QUEUES = 5000
 
 
 def test_q_whittaker_routes_agree():
-    for size in range(1, 6):
+    for size in range(0, 7):
         for lam in partitions(size):
             for n in range(1, 4):
                 p = q_whittaker_mlq(lam, n)
                 assert p == q_whittaker_coquinv(lam, n), (lam, n)
-                assert p == q_whittaker_charge_expansion(lam, n), (lam, n)
+                assert p == q_whittaker_gmlq(conjugate(lam), n), (lam, n)
+                assert p == oracles.q_whittaker_charge_expansion(lam, n), (lam, n)
                 assert is_symmetric(p)
                 if len(lam) <= n:
                     assert sum(p.terms.values()) == count_mlq(lam, n)
@@ -42,13 +46,57 @@ def test_q_whittaker_charge_expansion_more_columns():
     for size in range(1, 7):
         for lam in partitions(size):
             for n in range(4, 6):
-                assert q_whittaker_charge_expansion(lam, n) == q_whittaker_mlq(lam, n), (lam, n)
+                p = q_whittaker_mlq(lam, n)
+                assert p == q_whittaker_gmlq(conjugate(lam), n), (lam, n)
+                assert p == oracles.q_whittaker_charge_expansion(lam, n), (lam, n)
+
+
+def test_q_whittaker_schur_is_kostka_foulkes_exhaustive():
+    for size in range(0, 8):
+        for mu in partitions(size):
+            widest = oracles.q_whittaker_schur(mu, 5)
+            for n in range(1, 6):
+                expected = {lam: k for lam, k in widest.items() if len(lam) <= n}
+                assert q_whittaker_schur(mu, n) == expected, (mu, n)
+
+
+@settings(max_examples=15)
+@given(
+    st.sampled_from([mu for size in range(0, 11) for mu in partitions(size)]),
+    st.integers(1, 6),
+)
+def test_q_whittaker_schur_random(mu, n):
+    assert q_whittaker_schur(mu, n) == oracles.q_whittaker_schur(mu, n)
+
+
+def test_q_whittaker_schur_boundaries():
+    for n in range(1, 4):
+        assert q_whittaker_schur((), n) == {(): QXPolynomial.one(0)}
+        assert q_whittaker_mlq((), n) == QXPolynomial.one(n)
+        # every lam with a nonzero coefficient has at least len(mu) parts
+        assert q_whittaker_schur((1,) * (n + 1), n) == {}
+        assert q_whittaker_schur((2,) * (n + 1), n) == {}
+        assert q_whittaker_mlq((2,) * (n + 1), n).is_zero()
+
+
+@pytest.mark.parametrize("mu, n", [
+    ((1, 2), 3), ((2, 0), 3), ((2.0, 1), 3), ((True,), 3),
+    ((2, 1), 0), ((2, 1), 1.5), ((2, 1), True),
+])
+def test_q_whittaker_schur_checks_before_work(monkeypatch, mu, n):
+    def refuse(*args):
+        raise AssertionError("tableaux enumerated before the input was checked")
+
+    monkeypatch.setattr(poly, "_ssyt_of_content", refuse)
+    for route in (q_whittaker_schur, q_whittaker_mlq):
+        with pytest.raises(ParseError):
+            route(mu, n)
 
 
 @pytest.mark.parametrize("n", [0, 1.5, True])
 def test_q_whittaker_charge_expansion_rejects_bad_counts(n):
-    # at n = 0 every lam is skipped for having more than n parts, so a check
-    # left to schur would never run
+    # at n = 0 no tableau fits a first row of 0 cells, so without the check
+    # the result would be a silent zero
     with pytest.raises(ParseError):
         q_whittaker_charge_expansion((2, 1), n)
 
@@ -59,7 +107,7 @@ def test_schur_routes_agree():
             for n in range(1, 6):
                 s = schur(lam, n)
                 assert s == oracles.schur_by_ssyt(lam, n), (lam, n)
-                if count_mlq(lam, n) <= MAX_QUEUES:
+                if len(lam) <= n and count_mlq(lam, n) <= MAX_QUEUES:
                     assert s == oracles.schur(lam, n), (lam, n)
                 # maj >= 0 on straight queues, with equality exactly on the
                 # nonwrapping ones

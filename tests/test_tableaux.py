@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -19,6 +21,7 @@ from mlqkit.poly import QXPolynomial, skew_schur
 from mlqkit.tableaux import (
     SkewTableau,
     Tableau,
+    _ssyt_of_content,
     column_insert,
     column_reading_word,
     enumerate_skew_ssyt,
@@ -379,6 +382,24 @@ def test_straight_and_skew_enumerators_agree():
                     for t in enumerate_ssyt(lam, weight=w)
                 ]
                 assert sorted(by_weight) == sorted(straight), (lam, n)
+
+
+def test_strips_give_every_tableau_of_a_content():
+    # every weak composition of at most 4 parts, and every composition
+    # without zeros, of each size up to 7
+    contents = [
+        c for size in range(0, 8) for parts in range(0, size + 1)
+        for c in weak_compositions(size, parts) if parts <= 4 or 0 not in c
+    ]
+    for c in contents:
+        by_shape = Counter(
+            t.rows for lam in partitions(sum(c)) for t in enumerate_ssyt(lam, weight=c)
+        )
+        for width in range(1, 6):
+            expected = Counter({
+                rows: k for rows, k in by_shape.items() if not rows or len(rows[0]) <= width
+            })
+            assert Counter(_ssyt_of_content(c, width)) == expected, (c, width)
 
 
 @pytest.mark.parametrize("bounds", [
