@@ -14,8 +14,9 @@ partition is the charge formula in the Schur basis, read off one traversal
 of tableaux by horizontal strips (``q_whittaker_schur``), and its monomial
 form comes from those coefficients and Kostka numbers
 (``q_whittaker_mlq``, also named ``q_whittaker_charge_expansion``).  The
-generalized form over any row order and the stationary counts sum over
-label-word states row by row, Schur polynomials sum over the ball sets of
+generalized form over any row order sums over label-word states row by row,
+and the stationary counts over their rotation classes, since the ring's
+rotations act on the queues; Schur polynomials sum over the ball sets of
 nonwrapping queues row by row, Kostka-Foulkes polynomials are charge sums
 over tableaux, recording tableaux come from ``collapse``, rectification
 from ``rectify_by_mlq`` and ``maj_g`` from the pairing rule.  The other
@@ -24,7 +25,8 @@ suite (``tests/oracles.py``), which checks that they agree: enumerating
 every queue, the Schur expansion one shape at a time, row insertion of the
 column word and label-tracked collapsing (both give the recorder),
 collapsing one ball per letter (gives the queue of a tableau), top-down
-collapsing, jeu de taquin, charge by matching and the energy of the
+collapsing, jeu de taquin, charge by matching, the label-word sweep with
+one state per word (gives the stationary counts) and the energy of the
 indicator levels (which equals ``maj_g``).
 """
 

@@ -1,5 +1,7 @@
 """Charge and cocharge statistics on permutations and words."""
 
+from bisect import bisect_left
+
 from .core import content, is_partition, n_stat
 from .errors import NonPartitionContent, NotAPermutation
 from .matching import reflect
@@ -26,28 +28,29 @@ def charge_subwords(w):
 
     Each subword is extracted by scanning cyclically for the largest
     remaining letter, then the next smaller one, and so on down to 1; the
-    scan resumes after each found letter and wraps around the word.
+    scan resumes after each found letter and wraps around the word.  Every
+    letter keeps its remaining positions in a sorted list, so each step is
+    one bisection from the cursor.
     """
-    _check_partition_content(w)
-    remaining = list(range(len(w)))
+    mu = _check_partition_content(w)
+    spots = [[] for _ in range(len(mu) + 1)]  # spots[k]: positions of letter k
+    for p, letter in enumerate(w):
+        spots[letter].append(p)
     subwords = []
-    while remaining:
-        largest = max(w[p] for p in remaining)
+    largest = len(mu)
+    while largest:
         chosen = []
         cursor = 0
         for needed in range(largest, 0, -1):
-            for shift in range(len(remaining)):
-                idx = (cursor + shift) % len(remaining)
-                if w[remaining[idx]] == needed:
-                    chosen.append(remaining[idx])
-                    cursor = idx
-                    break
-            else:
-                raise NonPartitionContent(f"content {content(w)}")
-            remaining = [p for p in remaining if p != chosen[-1]]
-            # keep scanning just past the removed position
-            cursor = sum(1 for p in remaining if p < chosen[-1])
+            left = spots[needed]
+            i = bisect_left(left, cursor)
+            p = left.pop(i if i < len(left) else 0)
+            chosen.append(p)
+            cursor = p + 1
         subwords.append(tuple(w[p] for p in sorted(chosen)))
+        # the content left is still a partition, so letters run out from the top
+        while largest and not spots[largest]:
+            largest -= 1
     return subwords
 
 

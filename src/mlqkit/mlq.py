@@ -14,7 +14,13 @@ from math import comb, prod
 from operator import ge
 
 from .core import _is_count, check_partition, conjugate
-from .errors import BadRowIndex, NotStraight, ParseError, TooNarrow
+from .errors import (
+    BadRowIndex,
+    InvariantError,
+    NotStraight,
+    ParseError,
+    TooNarrow,
+)
 from .matching import _two_row_match
 
 
@@ -219,7 +225,8 @@ def _label_rows(m: MultilineQueue):
     constant word L..L as ``_label_word_sweep`` does."""
     word = (m.num_rows,) * m.n
     for r in range(m.num_rows, 0, -1):
-        word, plus, minus = _label_row(word, m.row(r))
+        particle = _particle_mask(m.n, m.row(r))
+        word, plus, minus = _label_row(word, _priority_order(word), particle)
         yield r, word, plus, minus
 
 
@@ -230,24 +237,42 @@ def _wrap_weight(plus, minus, r) -> int:
     return sum(plus) - sum(minus) - r * (len(plus) - len(minus))
 
 
-def _label_row(word, here):
-    """Label a row with ball set ``here`` below a row labelled ``word``.
-
-    The s = |here| highest-priority sites above pair to the first free
-    particle weakly right of them, the rest, lowest priority first, to the
-    first free anti-particle weakly left of them with the label decremented;
-    both searches wrap cyclically.  Priority is decreasing label, ties left
-    to right.  Returns (the row's labels for columns 1..n, labels of the
-    wrapping particle pairings, labels of the wrapping anti-particle
-    pairings).
-    """
-    n = len(word)
+def _priority_order(word):
+    """Columns 0..n-1 of a label word in pairing order: decreasing label,
+    ties left to right."""
     # sorted is stable under reverse=True, so ties stay left to right
-    order = sorted(range(n), key=word.__getitem__, reverse=True)
+    return sorted(range(len(word)), key=word.__getitem__, reverse=True)
+
+
+def _particle_mask(n, here):
+    """Ball set ``here`` (columns 1..n) as a tuple of n flags, True on a
+    particle."""
     particle = [False] * n
     for c in here:
         particle[c - 1] = True
-    s = len(here)
+    return tuple(particle)
+
+
+def _label_row(word, order, particle):
+    """Label a row below a row labelled ``word``.
+
+    ``order`` is ``_priority_order(word)`` and ``particle`` the row's
+    ``_particle_mask``; callers that label many rows under one word, or one
+    row under many words, build each once.  The s highest-priority sites
+    above, s the row's ball count, pair to the first free particle weakly
+    right of them, the rest, lowest priority first, to the first free
+    anti-particle weakly left of them with the label decremented; both
+    searches wrap cyclically.  Returns (the row's labels for columns 1..n,
+    labels of the wrapping particle pairings, labels of the wrapping
+    anti-particle pairings).
+
+    The labels do not depend on where the ring is cut: rotating ``word``
+    and the row together rotates them, since the sites that one label's
+    pairings fill do not depend on the order in which they pair.  Which
+    pairings wrap does depend on the cut.
+    """
+    n = len(word)
+    s = sum(particle)
     out = [None] * n
     plus, minus = [], []
     for src in order[:s]:
@@ -290,7 +315,7 @@ def _is_collapsed(m: MultilineQueue) -> bool:
     return all(map(_parks_without_wrap, m.rows[1:], m.rows))
 
 
-def _label_word_sweep(alpha, n: int, one, carry):
+def _label_word_sweep(alpha, n: int, one, carry, state=None):
     """Sum a weight over all queues with row sizes alpha, row by row.
 
     A state is the label word of a row; it fixes every label below it, so
@@ -298,7 +323,10 @@ def _label_word_sweep(alpha, n: int, one, carry):
     weight of the empty queue.  ``carry(acc, value, row, dq)`` adds to
     ``acc`` (None for a word not seen yet in the layer) the weight ``value``
     passed through a row with ball set ``row`` whose pairings add ``dq`` to
-    ``maj_g``, and returns the sum.  Returns {bottom-row word: weight}.
+    ``maj_g``, and returns the sum.  ``state``, when given, maps each new
+    word to the state it is merged into (``stationary_counts`` merges the
+    rotations of a word); it is called once per distinct word.  Returns
+    {bottom-row state: weight}.
 
     The sweep starts above the top row from the constant word L..L: pairing
     from it gives the top row's labels (L on particles, L-1 elsewhere) and
@@ -308,16 +336,35 @@ def _label_word_sweep(alpha, n: int, one, carry):
     alpha = _check_row_sizes(alpha)
     L = len(alpha)
     layer = {(L,) * n: one}
+    merged = {}
     for r in range(L, 0, -1):
-        rows = list(combinations(range(1, n + 1), alpha[r - 1]))
+        rows = [
+            (row, _particle_mask(n, row))
+            for row in combinations(range(1, n + 1), alpha[r - 1])
+        ]
         below = {}
         for word, value in layer.items():
-            for row in rows:
-                new, plus, minus = _label_row(word, row)
+            order = _priority_order(word)
+            for row, particle in rows:
+                new, plus, minus = _label_row(word, order, particle)
+                if state is not None:
+                    key = merged.get(new)
+                    if key is None:
+                        key = merged[new] = state(new)
+                    new = key
                 dq = _wrap_weight(plus, minus, r)
                 below[new] = carry(below.get(new), value, row, dq)
         layer = below
     return layer
+
+
+def _rotations(word):
+    """The distinct cyclic rotations of a word."""
+    return {word[i:] + word[:i] for i in range(len(word))}
+
+
+def _least_rotation(word):
+    return min(_rotations(word))
 
 
 def _check_columns(n):
@@ -388,14 +435,38 @@ def count_mlq(lam, n: int) -> int:
 
 
 def stationary_counts(lam, n: int):
-    """How many queues of shape lam project onto each bottom-row state."""
+    """How many queues of shape lam project onto each bottom-row state.
+
+    These are the stationary weights of the multispecies TASEP on a ring of
+    n sites, which is invariant under rotating the ring (Ferrari and
+    Martin, arXiv:math/0501291), so the label-word sweep keeps one state
+    per rotation class, its least rotation, and its value is the class
+    total.  That is exact: the top word L..L is fixed by rotation, and
+    ``_label_row`` commutes with rotating the word and the row together, so
+    every word of a class reaches every class below through equally many
+    rows.  A periodic word is a smaller class but needs no weighting during
+    the sweep, since totals count each queue once.  At the end the d
+    distinct rotations of a class share its total equally.
+    """
     lam = check_partition(lam)
     _check_columns(n)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
-    return _label_word_sweep(
-        conjugate(lam), n, 1, lambda acc, value, row, dq: value + (acc or 0)
+    totals = _label_word_sweep(
+        conjugate(lam), n, 1, lambda acc, value, row, dq: value + (acc or 0),
+        _least_rotation,
     )
+    counts = {}
+    for word, total in totals.items():
+        rotations = _rotations(word)
+        each, rest = divmod(total, len(rotations))
+        if rest:
+            raise InvariantError(
+                f"{total} queues of shape {lam} on {n} sites do not split over "
+                f"the {len(rotations)} rotations of {word}"
+            )
+        counts.update(dict.fromkeys(rotations, each))
+    return counts
 
 
 def all_binary_matrices(num_rows: int, n: int):

@@ -325,29 +325,41 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     which reads the same polynomial off the Schur expansion.  This route
     takes any row order: it sums over label-word states row by row
     (``_label_word_sweep``) instead of over queues.  A weight is
-    {(q exponent, packed content): count}, where the packed content holds
+    {q * base^n + packed content: count}, where the packed content holds
     x_c's exponent as the digit of base^(c-1); a column has at most one ball
-    per row, so base = rows + 1.
+    per row, so with base = rows + 1 the content stays below base^n and
+    divmod by base^n gives back q, negative or not.
     """
+    _check_columns(n)
     alpha = tuple(alpha)
     base = len(alpha) + 1
+    shift = base ** n
+    codes = {}  # ball set -> packed content, packed once per call
 
     def carry(acc, value, row, dq):
-        code = _pack(row, base)
+        code = codes.get(row)
+        if code is None:
+            code = codes[row] = _pack(row, base)
+        step = dq * shift + code
         if acc is None:
             acc = {}
-        for (q, x), count in value.items():
-            key = (q + dq, x + code)
+        for key, count in value.items():
+            key += step
             acc[key] = acc.get(key, 0) + count
         return acc
 
     terms = {}
-    for value in _label_word_sweep(alpha, n, {(0, 0): 1}, carry).values():
+    for value in _label_word_sweep(alpha, n, {0: 1}, carry).values():
         for key, count in value.items():
             terms[key] = terms.get(key, 0) + count
-    return QXPolynomial(n, (
-        ((q, _unpack(x, base)), count) for (q, x), count in terms.items()
-    ))
+    exponents = {}  # packed content -> sparse exponent vector
+    out = {}
+    for key, count in terms.items():
+        q, x = divmod(key, shift)
+        if x not in exponents:
+            exponents[x] = _unpack(x, base)
+        out[q, exponents[x]] = count
+    return QXPolynomial(n, out)
 
 
 def kostka_foulkes(lam, mu) -> QXPolynomial:

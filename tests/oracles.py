@@ -28,6 +28,10 @@ The second routes below each pin one theorem against the package's route:
   collapsed queue (the drop operators satisfy the braid relations).
 - ``jdt_rectify``: jeu de taquin rectifies a skew tableau to the tableau that
   ``rectify_by_mlq`` reads off the straight part of its bicolored queue.
+- ``stationary_counts_by_sweep``: the label-word sweep with one state per
+  word gives the counts that ``stationary_counts`` gets with one state per
+  rotation class, splitting each class total over its rotations at the end
+  (rotating every row of a queue rotates its bottom-row labels).
 - ``charge_by_matching``: charge computed by classical and cylindrical
   matching alone equals the charge of the charge subwords.
 - ``energy_levels`` / ``energy_h``: the wraps of the indicator levels of each
@@ -58,6 +62,7 @@ from mlqkit.matching import _two_row_match, bracket_match
 from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
+    _label_word_sweep,
     enumerate_gmlq,
     enumerate_mlq,
     is_nonwrapping,
@@ -157,6 +162,14 @@ def stationary_counts(lam, n: int) -> dict:
         state = projection(m)
         counts[state] = counts.get(state, 0) + 1
     return counts
+
+
+def stationary_counts_by_sweep(lam, n: int) -> dict:
+    """The label-word sweep with one state per word, not per rotation
+    class."""
+    return _label_word_sweep(
+        conjugate(lam), n, 1, lambda acc, value, row, dq: value + (acc or 0)
+    )
 
 
 def schur(lam, n: int) -> QXPolynomial:

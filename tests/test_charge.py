@@ -10,7 +10,7 @@ from mlqkit.charge import (
     charge_subwords,
     cocharge,
 )
-from mlqkit.core import content, is_partition
+from mlqkit.core import content, is_partition, partitions
 from mlqkit.errors import NonPartitionContent, NotAPermutation, ParseError
 from mlqkit.matching import reflect
 
@@ -73,6 +73,19 @@ def partition_content_words(max_len, alphabet):
 def test_charge_by_matching_exhaustive():
     for w in partition_content_words(8, 4):
         assert oracles.charge_by_matching(w) == charge(w)
+
+
+def test_charge_by_matching_every_content():
+    # every word of length <= 7 whose content is a partition, whatever its
+    # alphabet
+    count = 0
+    for size in range(1, 8):
+        for mu in partitions(size):
+            letters = [k for k, m in enumerate(mu, start=1) for _ in range(m)]
+            for w in set(permutations(letters)):
+                assert oracles.charge_by_matching(w) == charge(w), w
+                count += 1
+    assert count == 13390  # the sum over mu of |mu|! / prod(mu_i!)
 
 
 def test_cocharge_small():

@@ -115,7 +115,8 @@ def test_collapse_does_not_label():
     # collapsing never runs the labelling engine
     labelling = {
         "label_mlq", "label_gmlq", "maj", "maj_g", "is_nonwrapping", "projection",
-        "_label_row", "_label_rows", "_label_word_sweep",
+        "_label_row", "_label_rows", "_label_word_sweep", "_priority_order",
+        "_particle_mask", "_rotations", "_least_rotation",
     }
     assert not _imported_names(MODULES["collapse"]) & labelling
 
@@ -147,6 +148,14 @@ def test_q_whittaker_is_one_route():
     called = _calls_in_module(MODULES["poly"], "q_whittaker_mlq")
     assert "q_whittaker_schur" in called
     assert not called & {"schur", "kostka_foulkes"}
+
+
+def test_one_pairing_kernel():
+    # every labelling runs the pairing rule through mlq._label_row
+    for module, start in [
+        ("mlq", "_label_word_sweep"), ("mlq", "_label_rows"), ("fillings", "filling_of_mlq"),
+    ]:
+        assert "_label_row" in _calls_in_module(MODULES[module], start), (module, start)
 
 
 def test_cycle_finder():

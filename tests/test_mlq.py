@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +10,10 @@ from mlqkit.errors import NotStraight, ParseError, TooNarrow
 from mlqkit.matching import _two_row_match
 from mlqkit.mlq import (
     MultilineQueue,
+    _label_row,
     _parks_without_wrap,
+    _particle_mask,
+    _priority_order,
     all_binary_matrices,
     biwords,
     canonical_mlq,
@@ -192,10 +195,27 @@ def test_gmlq_pairing_figure():
 
 def test_gmlq_label_row_step():
     # one labelling step with a prescribed word above
-    from mlqkit.mlq import _label_row
-
-    labels, _, _ = _label_row((2, 5, 4, 2, 4, 2), {1, 5})
+    word = (2, 5, 4, 2, 4, 2)
+    labels, _, _ = _label_row(word, _priority_order(word), _particle_mask(6, {1, 5}))
     assert labels == (4, 3, 1, 1, 5, 1)
+
+
+def test_label_row_commutes_with_rotation():
+    # the fact that lets stationary_counts keep one state per rotation
+    # class: turning the ring one site turns the labels of the row below
+    for n in range(1, 6):
+        for word in product(range(4), repeat=n):
+            turned = word[1:] + word[:1]
+            for size in range(n + 1):
+                for row in combinations(range(1, n + 1), size):
+                    labels, _, _ = _label_row(
+                        word, _priority_order(word), _particle_mask(n, row)
+                    )
+                    turned_row = [c - 1 if c > 1 else n for c in row]
+                    turned_labels, _, _ = _label_row(
+                        turned, _priority_order(turned), _particle_mask(n, turned_row)
+                    )
+                    assert turned_labels == labels[1:] + labels[:1], (word, row)
 
 
 def test_gmlq_example_labels():

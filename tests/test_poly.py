@@ -1,5 +1,7 @@
 """The identities of poly.py."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,13 @@ def test_q_whittaker_charge_expansion_more_columns():
                 p = q_whittaker_mlq(lam, n)
                 assert p == q_whittaker_gmlq(conjugate(lam), n), (lam, n)
                 assert p == oracles.q_whittaker_charge_expansion(lam, n), (lam, n)
+
+
+def test_q_whittaker_gmlq_every_row_order():
+    for lam, n in [((3, 2, 1), 5), ((3, 3, 2), 5)]:
+        p = q_whittaker_mlq(lam, n)
+        for alpha in set(permutations(conjugate(lam))):
+            assert q_whittaker_gmlq(alpha, n) == p, alpha
 
 
 def test_q_whittaker_schur_is_kostka_foulkes_exhaustive():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mlqkit import mlq
 from mlqkit.core import conjugate, partitions
-from mlqkit.errors import ParseError, TooNarrow
+from mlqkit.errors import InvariantError, ParseError, TooNarrow
 from mlqkit.mlq import (
     MultilineQueue,
     canonical_mlq,
@@ -158,3 +159,56 @@ def test_rejects_negative_row_size():
 def test_stationary_counts_too_narrow():
     with pytest.raises(TooNarrow):
         stationary_counts((1, 1, 1), 2)
+
+
+def _is_periodic(word):
+    return any(word[k:] + word[:k] == word for k in range(1, len(word)))
+
+
+@pytest.mark.parametrize("lam, n", [
+    ((4, 3, 2, 1), 6), ((3, 3, 2, 2), 6), ((4, 4, 2), 6), ((3, 2, 1), 7),
+])
+def test_stationary_orbits_equal_full_sweep(lam, n):
+    assert stationary_counts(lam, n) == oracles.stationary_counts_by_sweep(lam, n)
+
+
+@pytest.mark.parametrize("lam, n", [
+    ((1, 1), 4), ((2, 2), 4), ((1, 1, 1), 6), ((2, 2, 2), 6), ((3, 3), 6),
+])
+def test_stationary_orbits_with_periodic_words(lam, n):
+    counts = stationary_counts(lam, n)
+    assert any(_is_periodic(word) for word in counts)
+    assert counts == oracles.stationary_counts_by_sweep(lam, n)
+    assert counts == oracles.stationary_counts(lam, n)
+
+
+@st.composite
+def shape_on_ring(draw):
+    n = draw(st.integers(1, 7))
+    lam = draw(st.sampled_from([
+        lam for size in range(1, 11) for lam in partitions(size)
+        if len(lam) <= n and count_mlq(lam, n) <= 200_000
+    ]))
+    return lam, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape_on_ring())
+def test_stationary_orbits_random(case):
+    lam, n = case
+    assert stationary_counts(lam, n) == oracles.stationary_counts_by_sweep(lam, n)
+
+
+def test_stationary_counts_sum_to_queue_count():
+    lam, n = (5, 4, 3, 2, 1), 8
+    counts = stationary_counts(lam, n)
+    assert len(counts) == 6720
+    assert sum(counts.values()) == count_mlq(lam, n)
+
+
+def test_stationary_orbit_split_is_checked(monkeypatch):
+    # a class total that its rotations cannot share equally raises a typed
+    # error, which python -O keeps
+    monkeypatch.setattr(mlq, "_label_word_sweep", lambda *args: {(0, 1): 1})
+    with pytest.raises(InvariantError):
+        stationary_counts((1,), 2)
