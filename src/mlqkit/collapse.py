@@ -6,6 +6,11 @@ to a nonwrapping queue together with a recording tableau; collapsing in two
 orthogonal directions gives a Robinson-Schensted-style bijection for
 matrices.
 
+Drops and lifts work on rows held as int bitmasks, bit c standing for
+column c, through the one two-row kernel ``matching._match_rows``; a
+queue's rows are encoded once on the way in and decoded once where the
+resulting ``MultilineQueue`` is built.
+
 Collapsing is an insertion procedure, so the maps between tableaux and
 nonwrapping queues live here too: ``mlq_of_tableau`` collapses the columns
 of a tableau and ``tab_of_mlq`` column-inserts the row word back;
@@ -30,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .matching import _two_row_match
+from .matching import _columns, _high_bits, _mask, _match_rows
 from .mlq import (
     MultilineQueue,
     _is_collapsed,
@@ -66,59 +71,62 @@ class CollapseResult:
         return iter((self.queue, self.recorder))
 
 
-def _unmatched_above(rows, i):
-    """Columns of row i+1 (1-based) unmatched against row i."""
-    _, opens, _, _ = _two_row_match(rows[i], rows[i - 1])
-    return opens
-
-
 def _drop_unmatched(rows, i):
     """Move every ball of row i+1 unmatched against row i down, in place;
-    return how many moved."""
-    opens = _unmatched_above(rows, i)
-    for c in opens:
-        rows[i].remove(c)
-        rows[i - 1].add(c)
-    return len(opens)
+    return how many moved.  rows is a list of row masks, bottom row first."""
+    opens, _ = _match_rows(rows[i], rows[i - 1])
+    rows[i] ^= opens
+    rows[i - 1] |= opens
+    return opens.bit_count()
 
 
 def _lift_unmatched(rows, i, k):
     """Move the k rightmost balls of row i unmatched against row i+1 up, in
-    place (all of them if there are fewer)."""
-    _, _, closes, _ = _two_row_match(rows[i], rows[i - 1])
-    for c in closes[::-1][:k]:
-        rows[i - 1].remove(c)
-        rows[i].add(c)
+    place (all of them if there are fewer); rows as in ``_drop_unmatched``."""
+    _, closes = _match_rows(rows[i], rows[i - 1])
+    up = _high_bits(closes, k)
+    rows[i - 1] ^= up
+    rows[i] |= up
+
+
+def _row_masks(m):
+    """The rows of m as masks, bottom row first."""
+    return [_mask(row) for row in m.rows]
+
+
+def _from_masks(n, rows):
+    """The queue on n columns whose rows are the masks rows."""
+    return MultilineQueue(n, map(_columns, rows))
 
 
 def drop(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move the leftmost ball of row i+1 that is unmatched above to row i."""
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
-    rows = [set(r) for r in m.rows]
-    opens = _unmatched_above(rows, i)
-    if opens:
-        rows[i].remove(opens[0])
-        rows[i - 1].add(opens[0])
-    return m.with_rows(rows)
+    rows = _row_masks(m)
+    opens, _ = _match_rows(rows[i], rows[i - 1])
+    first = opens & -opens
+    rows[i] ^= first
+    rows[i - 1] |= first
+    return _from_masks(m.n, rows)
 
 
 def lift(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move the rightmost ball of row i that is unmatched below to row i+1."""
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
-    rows = [set(r) for r in m.rows]
+    rows = _row_masks(m)
     _lift_unmatched(rows, i, 1)
-    return m.with_rows(rows)
+    return _from_masks(m.n, rows)
 
 
 def drop_all(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move every ball of row i+1 unmatched above down to row i; idempotent."""
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
-    rows = [set(r) for r in m.rows]
+    rows = _row_masks(m)
     _drop_unmatched(rows, i)
-    return m.with_rows(rows)
+    return _from_masks(m.n, rows)
 
 
 def collapse(m: MultilineQueue) -> CollapseResult:
@@ -142,20 +150,23 @@ def collapse(m: MultilineQueue) -> CollapseResult:
       ``mlq._is_collapsed``); every other pair is of unchanged rows and was
       verified by an earlier sweep.  So after every sweep the prefix is
       collapsed, or InvariantError is raised.
+
+    The rows are bitmasks throughout (see ``_drop_unmatched``); the check
+    decodes the pairs it parks to sorted columns, and the queue is decoded
+    once at the end.
     """
     rows = []
     tableau_rows = []
     drop_counts = {}
     top = 0
     for r, source in enumerate(m.rows, start=1):
-        rows.append(set())
+        rows.append(0)
         tableau_rows.append([])
-        falling = set(source)
+        arrived = len(source)  # balls that entered row j+1 in this sweep
         for j in range(r - 1, top, -1):
-            drop_counts[(r, j)] = len(falling)
+            drop_counts[(r, j)] = arrived
         land = top + 1
-        rows[top] = falling
-        arrived = len(falling)  # balls that entered row j+1 in this sweep
+        rows[top] = _mask(source)
         j = top
         while j and arrived:
             moved = _drop_unmatched(rows, j)
@@ -166,31 +177,54 @@ def collapse(m: MultilineQueue) -> CollapseResult:
         tableau_rows[j].extend([r] * arrived)  # the last arrivals stay
         for i in range(j, 0, -1):
             drop_counts[(r, i)] = 0
-        for i in range(j + 1, land):
-            if not _parks_without_wrap(sorted(rows[i]), sorted(rows[i - 1])):
-                raise InvariantError(f"collapsed prefix moved at row {i}")
+        if j + 1 < land:
+            below = _columns(rows[j])
+            for i in range(j + 1, land):
+                above = _columns(rows[i])
+                if not _parks_without_wrap(above, below):
+                    raise InvariantError(f"collapsed prefix moved at row {i}")
+                below = above
         top = land if rows[top] else top
-    queue = MultilineQueue(m.n, rows)
+    queue = _from_masks(m.n, rows)
     recorder = Tableau([row for row in tableau_rows if row])
     return CollapseResult(queue, recorder, drop_counts)
 
 
+def _check_has_rows(m):
+    """OutOfRange for a queue without rows: its quarter turn would have no
+    columns."""
+    if not m.num_rows:
+        raise OutOfRange(f"{m.to_text()} has no rows, so no quarter turn")
+
+
 def rotate90(m: MultilineQueue) -> MultilineQueue:
     """Quarter turn counterclockwise: ball (r, c) goes to (c, L - r + 1)."""
+    _check_has_rows(m)
     height = m.num_rows
     rows = [[] for _ in range(m.n)]
-    for r in range(1, height + 1):
-        for c in m.row(r):
-            rows[c - 1].append(height - r + 1)
-    return MultilineQueue(max(height, 1), rows)
+    for r, row in enumerate(m.rows):
+        for c in row:
+            rows[c - 1].append(height - r)
+    return MultilineQueue(height, rows)
 
 
 def rotate270(m: MultilineQueue) -> MultilineQueue:
-    return rotate90(rotate90(rotate90(m)))
+    """Quarter turn clockwise, the inverse of ``rotate90``: ball (r, c) goes
+    to (n - c + 1, r)."""
+    _check_has_rows(m)
+    rows = [[] for _ in range(m.n)]
+    for r, row in enumerate(m.rows, start=1):
+        for c in row:
+            rows[m.n - c].append(r)
+    return MultilineQueue(m.num_rows, rows)
 
 
 def rotate180(m: MultilineQueue) -> MultilineQueue:
-    return rotate90(rotate90(m))
+    """Half turn: ball (r, c) goes to (L - r + 1, n - c + 1).  Unlike two
+    quarter turns it keeps a queue without rows as it is."""
+    return MultilineQueue(
+        m.n, [[m.n + 1 - c for c in row] for row in reversed(m.rows)]
+    )
 
 
 def collapse_left(m: MultilineQueue) -> MultilineQueue:
@@ -214,11 +248,12 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     Lifting row j k times moves its k rightmost balls unmatched against row
     j+1: a lifted ball opens a bracket that nothing to its right closes, so
     the other unmatched balls stay unmatched.  Each batch is one
-    ``_lift_unmatched``.  The queue must be collapsed (NotNonwrapping
-    otherwise).  height is the number of rows rebuilt: a positive int at
-    least the largest recorder entry (OutOfRange otherwise), by default the
-    larger of that and queue.num_rows.  It bounds the ball rows too: they
-    are 1..k for k recorder rows, and recorder row k has entries >= k.
+    ``_lift_unmatched`` on row masks, which takes the k highest bits of the
+    unmatched closes.  The queue must be collapsed (NotNonwrapping
+    otherwise).  height is the number of rows rebuilt: an int at least the
+    largest recorder entry (OutOfRange otherwise), by default queue.num_rows
+    or that entry if it is larger.  It bounds the ball rows too: they are
+    1..k for k recorder rows, and recorder row k has entries >= k.
     """
     _check_collapsed(queue)
     sizes = tuple(s for s in queue.row_sizes() if s > 0)
@@ -226,7 +261,7 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
         raise ShapeMismatch(
             f"recorder shape {recorder.shape()} vs queue row sizes {sizes}"
         )
-    min_height = max(recorder.entry_max(), 1)
+    min_height = recorder.entry_max()
     if height is None:
         height = max(min_height, queue.num_rows)
     elif not _is_count(height) or height < min_height:
@@ -234,8 +269,8 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
             f"height {height!r} is not an int >= {min_height}, the largest "
             "recorder entry"
         )
-    rows = [set(queue.row(r)) if r <= queue.num_rows else set()
-            for r in range(1, height + 1)]
+    rows = _row_masks(queue)[:height]
+    rows += [0] * (height - len(rows))
     multiplicity = Counter(  # (entry, recorder row): how often
         (v, j) for j, row in enumerate(recorder.rows, start=1) for v in row
     )
@@ -245,7 +280,7 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
             phi += multiplicity[(r, j)]
             if phi:
                 _lift_unmatched(rows, j, phi)
-    return MultilineQueue(queue.n, rows)
+    return _from_masks(queue.n, rows)
 
 
 def mrsk(m: MultilineQueue):

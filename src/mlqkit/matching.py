@@ -1,9 +1,16 @@
-"""Parenthesis matching on words and the word operators it induces.
+"""Parenthesis matching on words and on pairs of queue rows.
 
 For a fixed letter i, every i+1 in a word is an open parenthesis and every i
 a closed one; the signature rule matches open/close pairs that are adjacent
 or separated only by matched pairs.  The cylindrical variant additionally
 matches the remaining opens to the remaining closes around the circle.
+
+The same rule on two queue rows reads the balls of the upper row as opens
+and those of the lower row as closes, in column order, an open before a
+close in the same column.  ``_match_rows`` runs it on rows held as int
+bitmasks, bit c standing for column c; it is the one matching kernel of the
+queue operators (collapse, its inverse, the drops and lifts, ``sigma``).
+The word operators below keep their own implementation on positions.
 """
 
 from dataclasses import dataclass
@@ -71,23 +78,57 @@ def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
     )
 
 
-def _two_row_match(upper, lower, cyclic=False):
-    """Match an upper row (opens) against a lower row (closes), column order.
+def _match_rows(upper, lower):
+    """Match the balls of row mask ``upper`` (opens) against those of row
+    mask ``lower`` (closes); return (unmatched opens, unmatched closes) as
+    masks.
 
-    Within a column the upper symbol precedes the lower one, matching the
-    top-down column reading.  Returns (pairs, unmatched_opens,
-    unmatched_closes, wrapping_pairs) as column lists.
+    One pass over the balls of ``lower``, lowest column first: the close at
+    bit b takes the highest unmatched open at or below b, the top of the
+    bracket stack.  An unmatched open is never a column of ``lower`` and an
+    unmatched close never one of ``upper``, so moving either set to the
+    other row is an xor on one row and an or on the other.
     """
-    events = []
-    for c in sorted(set(upper) | set(lower)):
-        if c in upper:
-            events.append((c, True))
-        if c in lower:
-            events.append((c, False))
-    pairs, opens, closes = match_brackets(events)
-    if not cyclic:
-        return pairs, opens, closes, []
-    return (pairs, *_wrap(opens, closes))
+    opens = upper
+    closes = 0
+    while lower:
+        low = lower & -lower
+        avail = opens & ((low << 1) - 1)
+        if avail:
+            opens ^= 1 << (avail.bit_length() - 1)
+        else:
+            closes |= low
+        lower ^= low
+    return opens, closes
+
+
+def _mask(columns):
+    """The bitmask of a set of ball columns."""
+    out = 0
+    for c in columns:
+        out |= 1 << c
+    return out
+
+
+def _columns(mask):
+    """The ball columns of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _high_bits(mask, k):
+    """The k highest bits of mask (all of them if it has fewer)."""
+    out = 0
+    while k > 0 and mask:
+        top = 1 << (mask.bit_length() - 1)
+        out |= top
+        mask ^= top
+        k -= 1
+    return out
 
 
 def _replace(w, position, letter):

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     TooNarrow,
 )
-from .matching import _two_row_match
+from .matching import _columns, _high_bits, _mask, _match_rows
 
 
 @dataclass(frozen=True)
@@ -320,13 +320,15 @@ def _label_word_sweep(alpha, n: int, one, carry, state=None):
 
     A state is the label word of a row; it fixes every label below it, so
     queues that agree on a row's word are merged there.  ``one`` is the
-    weight of the empty queue.  ``carry(acc, value, row, dq)`` adds to
-    ``acc`` (None for a word not seen yet in the layer) the weight ``value``
-    passed through a row with ball set ``row`` whose pairings add ``dq`` to
-    ``maj_g``, and returns the sum.  ``state``, when given, maps each new
-    word to the state it is merged into (``stationary_counts`` merges the
-    rotations of a word); it is called once per distinct word.  Returns
-    {bottom-row state: weight}.
+    weight of the empty queue.  ``carry(acc, value, row, plus, minus, r)``
+    adds to ``acc`` (None for a word not seen yet in the layer) the weight
+    ``value`` passed through row r with ball set ``row``, whose wrapping
+    pairings have the labels ``plus`` and ``minus`` (``_wrap_weight`` turns
+    them into the ``maj_g`` increment; a carry that ignores ``maj_g`` skips
+    it), and returns the sum.  ``state``, when given, maps each new word to
+    the state it is merged into (``stationary_counts`` merges the rotations
+    of a word); it is called once per distinct word.  Returns {bottom-row
+    state: weight}.
 
     The sweep starts above the top row from the constant word L..L: pairing
     from it gives the top row's labels (L on particles, L-1 elsewhere) and
@@ -352,8 +354,7 @@ def _label_word_sweep(alpha, n: int, one, carry, state=None):
                     if key is None:
                         key = merged[new] = state(new)
                     new = key
-                dq = _wrap_weight(plus, minus, r)
-                below[new] = carry(below.get(new), value, row, dq)
+                below[new] = carry(below.get(new), value, row, plus, minus, r)
         layer = below
     return layer
 
@@ -398,20 +399,29 @@ def maj_g(m: MultilineQueue) -> int:
 
 def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
     """Row-swapping involution: rows i and i+1 exchange their cylindrically
-    unmatched balls; the row-size vector picks up the transposition s_i."""
+    unmatched balls; the row-size vector picks up the transposition s_i.
+
+    The cyclic completion pairs the k highest unmatched opens with the k
+    lowest unmatched closes, k the smaller count.  Matched pairs use one
+    ball of each row, so what stays unmatched is the lowest opens when row
+    i+1 is longer, and they move down, or the highest closes when row i is,
+    and they move up.
+    """
     if not 1 <= i < m.num_rows:
         raise BadRowIndex(f"i={i} with {m.num_rows} rows")
-    upper, lower = set(m.row(i + 1)), set(m.row(i))
-    if len(upper) == len(lower):
+    excess = len(m.row(i + 1)) - len(m.row(i))
+    if not excess:
         return m
-    _, opens, closes, _ = _two_row_match(upper, lower, cyclic=True)
-    rows = [set(r) for r in m.rows]
-    for c in opens:
-        rows[i].remove(c)
-        rows[i - 1].add(c)
-    for c in closes:
-        rows[i - 1].remove(c)
-        rows[i].add(c)
+    upper, lower = _mask(m.row(i + 1)), _mask(m.row(i))
+    opens, closes = _match_rows(upper, lower)
+    if excess > 0:
+        down = opens ^ _high_bits(opens, closes.bit_count())
+        upper, lower = upper ^ down, lower | down
+    else:
+        up = _high_bits(closes, -excess)
+        upper, lower = upper | up, lower ^ up
+    rows = list(m.rows)
+    rows[i - 1], rows[i] = _columns(lower), _columns(upper)
     return m.with_rows(rows)
 
 
@@ -453,7 +463,8 @@ def stationary_counts(lam, n: int):
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
     totals = _label_word_sweep(
-        conjugate(lam), n, 1, lambda acc, value, row, dq: value + (acc or 0),
+        conjugate(lam), n, 1,
+        lambda acc, value, row, plus, minus, r: value + (acc or 0),
         _least_rotation,
     )
     counts = {}

@@ -16,6 +16,7 @@ from .mlq import (
     _check_columns,
     _label_word_sweep,
     _parks_without_wrap,
+    _wrap_weight,
     enumerate_gmlq,
     maj,
     row_word,
@@ -336,11 +337,11 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     shift = base ** n
     codes = {}  # ball set -> packed content, packed once per call
 
-    def carry(acc, value, row, dq):
+    def carry(acc, value, row, plus, minus, r):
         code = codes.get(row)
         if code is None:
             code = codes[row] = _pack(row, base)
-        step = dq * shift + code
+        step = _wrap_weight(plus, minus, r) * shift + code
         if acc is None:
             acc = {}
         for key, count in value.items():

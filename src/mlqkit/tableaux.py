@@ -9,6 +9,7 @@ live in ``collapse``.
 """
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .charge import charge as _charge
@@ -176,13 +177,17 @@ def tableau_from_crw(word) -> Tableau:
 
 
 def column_insert(word) -> Tableau:
-    """Column insertion of a word into the empty tableau."""
+    """Column insertion of a word into the empty tableau.
+
+    Columns increase strictly, so the entry that x bumps, the lowest one
+    >= x, is found by bisection.
+    """
     cols = []
     for letter in word:
         x = letter
         for col in cols:
-            bump = next((k for k, v in enumerate(col) if v >= x), None)
-            if bump is None:
+            bump = bisect_left(col, x)
+            if bump == len(col):
                 col.append(x)
                 x = None
                 break

@@ -15,6 +15,12 @@ package builds by pairing is the only coquinv-free one.
 re-matches every settled pair, so it does not rely on the fall and stop
 rules that ``collapse`` uses.
 
+``_two_row_match`` is the bracket rule on two rows held as sets: it lists
+the column events and runs a stack over them, returning every matched pair.
+The package matches rows as bitmasks (``matching._match_rows``), so the
+collapse oracles here and ``sigma_by_sets`` drop, lift and swap balls
+through this matcher, not through the package's kernel.
+
 The second routes below each pin one theorem against the package's route:
 
 - ``row_insert``: row insertion of the column word gives the recording
@@ -48,17 +54,11 @@ from itertools import permutations, product
 
 from mlqkit import poly
 from mlqkit.charge import _check_partition_content
-from mlqkit.collapse import (
-    CollapseResult,
-    _drop_unmatched,
-    _unmatched_above,
-    collapse,
-    rotate90,
-)
+from mlqkit.collapse import CollapseResult, collapse, rotate90
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import InvariantError, SizeMismatch
 from mlqkit.fillings import ColumnFilling, coquinv
-from mlqkit.matching import _two_row_match, bracket_match
+from mlqkit.matching import bracket_match
 from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
@@ -72,6 +72,61 @@ from mlqkit.mlq import (
 )
 from mlqkit.poly import QXPolynomial, _x_key
 from mlqkit.tableaux import Tableau, column_reading_word, enumerate_ssyt
+
+
+def _two_row_match(upper, lower, cyclic=False):
+    """Match an upper row (opens) against a lower row (closes), column order.
+
+    Within a column the upper symbol precedes the lower one, matching the
+    top-down column reading.  Returns (pairs, unmatched_opens,
+    unmatched_closes, wrapping_pairs) as column lists; in cyclic mode the
+    trailing unmatched opens pair with the leading unmatched closes, outside
+    in.
+    """
+    stack, pairs, closes = [], [], []
+    for c in sorted(set(upper) | set(lower)):
+        if c in upper:
+            stack.append(c)
+        if c in lower:
+            if stack:
+                pairs.append((stack.pop(), c))
+            else:
+                closes.append(c)
+    if not cyclic:
+        return pairs, stack, closes, []
+    k = min(len(stack), len(closes))
+    wrapping = [(stack[-1 - t], closes[t]) for t in range(k)]
+    return pairs, stack[: len(stack) - k], closes[k:], wrapping
+
+
+def _unmatched_above(rows, i):
+    """Columns of row i+1 (1-based) unmatched against row i; rows are sets."""
+    _, opens, _, _ = _two_row_match(rows[i], rows[i - 1])
+    return opens
+
+
+def _drop_unmatched(rows, i):
+    """Move every ball of row i+1 unmatched against row i down, in place;
+    return how many moved."""
+    opens = _unmatched_above(rows, i)
+    for c in opens:
+        rows[i].remove(c)
+        rows[i - 1].add(c)
+    return len(opens)
+
+
+def sigma_by_sets(m, i):
+    """``mlq.sigma`` by the set matcher: rows i and i+1 exchange the balls
+    that the cylindrical matching leaves unmatched."""
+    _, opens, closes, _ = _two_row_match(m.row(i + 1), m.row(i), cyclic=True)
+    rows = [set(r) for r in m.rows]
+    for c in opens:
+        rows[i].remove(c)
+        rows[i - 1].add(c)
+    for c in closes:
+        rows[i - 1].remove(c)
+        rows[i].add(c)
+    return m.with_rows(rows)
 
 
 def label_mlq_by_matching(m):
@@ -168,7 +223,8 @@ def stationary_counts_by_sweep(lam, n: int) -> dict:
     """The label-word sweep with one state per word, not per rotation
     class."""
     return _label_word_sweep(
-        conjugate(lam), n, 1, lambda acc, value, row, dq: value + (acc or 0)
+        conjugate(lam), n, 1,
+        lambda acc, value, row, plus, minus, r: value + (acc or 0),
     )
 
 
@@ -195,8 +251,10 @@ def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
     content mu, each weighted by the major index of its quarter turn."""
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    n = len(mu) if mu else 1
-    if conjugate(lam) and conjugate(lam)[0] > n:
+    if not lam:  # the empty queue has no quarter turn; its maj is 0
+        return QXPolynomial(0, [((0, ()), 1)])
+    n = len(mu)
+    if conjugate(lam)[0] > n:
         return QXPolynomial.zero(0)
     return QXPolynomial(0, (
         ((maj(rotate90(m).trimmed()), ()), 1)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from mlqkit.core import conjugate, is_lattice, partitions
 from mlqkit.errors import NotNonwrapping, OutOfRange, ShapeMismatch
-from mlqkit.matching import lowering, raising, raise_all
+from mlqkit.matching import _columns, _mask, lowering, raising, raise_all
 from mlqkit.mlq import (
     MultilineQueue,
     _is_collapsed,
@@ -74,9 +74,9 @@ def test_batched_lift_exhaustive():
             for i in range(1, b.num_rows):
                 lifted = b
                 for k in range(b.n + 2):
-                    rows = [set(r) for r in b.rows]
+                    rows = [_mask(r) for r in b.rows]
                     _lift_unmatched(rows, i, k)
-                    assert b.with_rows(rows) == lifted
+                    assert b.with_rows(map(_columns, rows)) == lifted
                     lifted = lift(lifted, i)
 
 
@@ -246,18 +246,19 @@ def test_collapse_matches_full_sweep_exhaustive():
 def test_collapse_check_survives_optimize():
     # collapse checks by parking the pairs each sweep changed and raises a
     # typed error, so the check still fires when python -O strips asserts.
-    # A drop that moves only the first unmatched ball leaves row 2 unmatched.
+    # A drop that moves only the lowest unmatched ball (rows are bitmasks)
+    # leaves row 2 unmatched.
     script = (
         "import importlib\n"
         "from mlqkit.errors import InvariantError\n"
         "from mlqkit.mlq import MultilineQueue\n"
         "module = importlib.import_module('mlqkit.collapse')\n"
         "def first_only(rows, i):\n"
-        "    opens = module._unmatched_above(rows, i)[:1]\n"
-        "    for c in opens:\n"
-        "        rows[i].remove(c)\n"
-        "        rows[i - 1].add(c)\n"
-        "    return len(opens)\n"
+        "    opens, _ = module._match_rows(rows[i], rows[i - 1])\n"
+        "    first = opens & -opens\n"
+        "    rows[i] ^= first\n"
+        "    rows[i - 1] |= first\n"
+        "    return first.bit_count()\n"
         "module._drop_unmatched = first_only\n"
         "try:\n"
         "    module.collapse(MultilineQueue(3, [[1], [2, 3]]))\n"
@@ -287,13 +288,13 @@ def test_collapse_nonwrapping_match_count(monkeypatch):
         queues.append(collapse(m).queue)
     module = importlib.import_module("mlqkit.collapse")
     calls = []
-    real = module._two_row_match
+    real = module._match_rows
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, "_two_row_match", counting)
+    monkeypatch.setattr(module, "_match_rows", counting)
     for q in queues:
         assert is_nonwrapping(q)
         calls.clear()
@@ -339,6 +340,28 @@ def test_rotations():
     assert rotate270(rotate90(b)) == b
     assert rotate90(b).row_sizes() == (1, 1, 1)
     assert rotate180(b).rows == ((1, 3), (2,))
+
+
+def test_rotations_are_repeated_quarter_turns_exhaustive():
+    for rows in range(1, 4):
+        for n in range(1, 5):
+            for b in all_binary_matrices(rows, n):
+                assert rotate180(b) == rotate90(rotate90(b))
+                assert rotate270(b) == rotate90(rotate90(rotate90(b)))
+                assert rotate270(rotate90(b)) == b == rotate90(rotate270(b))
+
+
+def test_queue_without_rows():
+    # a quarter turn of a queue without rows used to invent a column, so
+    # four turns gave one row; the half turn keeps it
+    empty = MultilineQueue(3, [])
+    for turn in (rotate90, rotate270):
+        with pytest.raises(OutOfRange):
+            turn(empty)
+    assert rotate180(empty) == empty
+    # the default height is the queue's row count, not at least 1
+    assert collapse_inverse(*collapse(empty)) == empty
+    assert collapse_inverse(*collapse(MultilineQueue(3, [[]]))) == MultilineQueue(3, [[]])
 
 
 def test_collapse_left_preserves_maj():
@@ -477,11 +500,11 @@ def test_orthogonal_drops_commute():
 
 
 @st.composite
-def binary_matrices(draw, straight=False):
-    """Matrices up to 6x6, beyond the exhaustive range; with straight=True,
-    queues with weakly decreasing nonzero row sizes."""
-    n = draw(st.integers(1, 6))
-    sizes = draw(st.lists(st.integers(1 if straight else 0, n), min_size=1, max_size=6))
+def binary_matrices(draw, straight=False, size=6):
+    """Matrices up to size x size, beyond the exhaustive range; with
+    straight=True, queues with weakly decreasing nonzero row sizes."""
+    n = draw(st.integers(1, size))
+    sizes = draw(st.lists(st.integers(1 if straight else 0, n), min_size=1, max_size=size))
     if straight:
         sizes.sort(reverse=True)
     return MultilineQueue(n, [
@@ -519,6 +542,14 @@ def one_ball_rows(draw):
 @given(binary_matrices())
 def test_collapse_matches_full_sweep_random(m):
     assert_same_collapse(m)
+
+
+@given(binary_matrices(size=12))
+def test_collapse_matches_full_sweep_large_random(m):
+    # up to 12x12: the row masks span more bits than any exhaustive size
+    assert_same_collapse(m)
+    result = collapse(m)
+    assert collapse_inverse(result.queue, result.recorder, height=m.num_rows) == m
 
 
 @given(one_ball_rows())

@@ -161,3 +161,16 @@ def test_one_pairing_kernel():
 def test_cycle_finder():
     assert _find_cycle({"a": ["b"], "b": ["c"], "c": ["a"]}) == ["a", "b", "c", "a"]
     assert _find_cycle({"a": ["b", "c"], "b": ["c"], "c": []}) is None
+
+
+def test_one_two_row_matching_kernel():
+    # queue rows are matched as bitmasks by matching._match_rows; the set
+    # matcher _two_row_match is the oracle in tests/oracles.py only
+    for name, tree in MODULES.items():
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "_two_row_match" not in defined | referenced | _imported_names(tree), name
+    assert "_match_rows" in _imported_names(MODULES["collapse"])
+    assert "_match_rows" in _imported_names(MODULES["mlq"])

@@ -1,7 +1,22 @@
 from itertools import product
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
 from mlqkit.core import content
-from mlqkit.matching import bracket_match, lowering, raise_all, raising, reflect
+from mlqkit.matching import (
+    _columns,
+    _high_bits,
+    _mask,
+    _match_rows,
+    bracket_match,
+    lowering,
+    raise_all,
+    raising,
+    reflect,
+)
+from mlqkit.mlq import MultilineQueue, sigma
 
 PAPER_WORD = (3, 1, 2, 2, 1, 4, 3, 4, 2, 1, 3, 1, 2, 3, 2)
 
@@ -114,3 +129,38 @@ def test_reflect_content():
                 after = padded(reflect(w, i))
                 before[i - 1], before[i] = before[i], before[i - 1]
                 assert before == after
+
+
+@st.composite
+def row_pairs(draw):
+    """Two ball sets on n <= 20 columns, upper row first."""
+    n = draw(st.integers(1, 20))
+    columns = st.sets(st.integers(1, n), max_size=n)
+    return n, draw(columns), draw(columns)
+
+
+def test_match_rows_small_cases():
+    # column order, the open of a column before its close
+    assert _match_rows(_mask([2]), _mask([1])) == (_mask([2]), _mask([1]))
+    assert _match_rows(_mask([1]), _mask([2])) == (0, 0)
+    assert _match_rows(_mask([1]), _mask([1])) == (0, 0)
+    # the close at 3 takes the highest open at or below it
+    assert _match_rows(_mask([1, 2]), _mask([3])) == (_mask([1]), 0)
+
+
+@given(row_pairs())
+def test_match_rows_equals_set_matcher(pair):
+    _, upper, lower = pair
+    _, opens, closes, _ = oracles._two_row_match(upper, lower)
+    assert _match_rows(_mask(upper), _mask(lower)) == (_mask(opens), _mask(closes))
+    assert _columns(_mask(upper)) == tuple(sorted(upper))
+    for k in range(len(lower) + 2):
+        assert _high_bits(_mask(lower), k) == _mask(sorted(lower)[::-1][:k])
+
+
+@given(row_pairs())
+def test_sigma_equals_cyclic_set_matcher(pair):
+    n, upper, lower = pair
+    m = MultilineQueue(n, [lower, upper])
+    assert sigma(m, 1) == oracles.sigma_by_sets(m, 1)
+    assert sigma(sigma(m, 1), 1) == m

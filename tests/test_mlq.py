@@ -7,7 +7,6 @@ import oracles
 from mlqkit.charge import charge, charge_g
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NotStraight, ParseError, TooNarrow
-from mlqkit.matching import _two_row_match
 from mlqkit.mlq import (
     MultilineQueue,
     _label_row,
@@ -138,7 +137,7 @@ def test_parks_without_wrap_is_full_matching_exhaustive():
     subsets = [set(s) for k in range(8) for s in combinations(range(1, 8), k)]
     for upper in subsets:
         for lower in subsets:
-            _, opens, _, _ = _two_row_match(upper, lower)
+            _, opens, _, _ = oracles._two_row_match(upper, lower)
             assert _parks_without_wrap(sorted(upper), sorted(lower)) == (not opens)
 
 

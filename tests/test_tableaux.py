@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -80,6 +81,14 @@ def test_column_insert():
     assert column_insert((2, 1)).rows == ((1, 2),)
     word = tuple(reversed(column_reading_word(BIJ_T)))
     assert column_insert(word) == BIJ_T
+
+
+def test_column_insert_is_row_insert_of_reversal_exhaustive():
+    # column insertion of a word and row insertion of its reversal give the
+    # same tableau; all 5 461 words of length 0 to 6 over 1..4
+    for length in range(7):
+        for word in product(range(1, 5), repeat=length):
+            assert column_insert(word) == oracles.row_insert(word[::-1])
 
 
 def test_row_insert():
