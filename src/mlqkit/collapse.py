@@ -26,7 +26,6 @@ from itertools import combinations, product
 from .core import _is_count, check_partition, conjugate, is_lattice
 from .errors import (
     AlphabetTooSmall,
-    BadRowIndex,
     BadSigmaWord,
     ColumnMismatch,
     InvariantError,
@@ -38,8 +37,8 @@ from .errors import (
 from .matching import _columns, _high_bits, _mask, _match_rows
 from .mlq import (
     MultilineQueue,
+    _check_row_pair,
     _is_collapsed,
-    _parks_without_wrap,
     column_word,
     row_word,
     sigma,
@@ -101,8 +100,7 @@ def _from_masks(n, rows):
 
 def drop(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move the leftmost ball of row i+1 that is unmatched above to row i."""
-    if not 1 <= i < m.num_rows:
-        raise BadRowIndex(f"i={i} with {m.num_rows} rows")
+    _check_row_pair(m, i)
     rows = _row_masks(m)
     opens, _ = _match_rows(rows[i], rows[i - 1])
     first = opens & -opens
@@ -113,8 +111,7 @@ def drop(m: MultilineQueue, i: int) -> MultilineQueue:
 
 def lift(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move the rightmost ball of row i that is unmatched below to row i+1."""
-    if not 1 <= i < m.num_rows:
-        raise BadRowIndex(f"i={i} with {m.num_rows} rows")
+    _check_row_pair(m, i)
     rows = _row_masks(m)
     _lift_unmatched(rows, i, 1)
     return _from_masks(m.n, rows)
@@ -122,8 +119,7 @@ def lift(m: MultilineQueue, i: int) -> MultilineQueue:
 
 def drop_all(m: MultilineQueue, i: int) -> MultilineQueue:
     """Move every ball of row i+1 unmatched above down to row i; idempotent."""
-    if not 1 <= i < m.num_rows:
-        raise BadRowIndex(f"i={i} with {m.num_rows} rows")
+    _check_row_pair(m, i)
     rows = _row_masks(m)
     _drop_unmatched(rows, i)
     return _from_masks(m.n, rows)
@@ -146,14 +142,14 @@ def collapse(m: MultilineQueue) -> CollapseResult:
       are recorded as 0 without matching.
     - Check: the sweep changed only the rows from the stop step + 1 up to
       the landing row top+1, and the rows above it are empty.  The adjacent
-      pairs among the stop row..landing row must park without a wrap (see
-      ``mlq._is_collapsed``); every other pair is of unchanged rows and was
-      verified by an earlier sweep.  So after every sweep the prefix is
-      collapsed, or InvariantError is raised.
+      pairs among the stop row..landing row must match fully (see
+      ``mlq._is_collapsed``), the stop step's own pair, matched with nothing
+      moved, aside; every other pair is of unchanged rows and was verified
+      by an earlier sweep.  So after every sweep the prefix is collapsed,
+      or InvariantError is raised.
 
-    The rows are bitmasks throughout (see ``_drop_unmatched``); the check
-    decodes the pairs it parks to sorted columns, and the queue is decoded
-    once at the end.
+    The rows are bitmasks throughout (see ``_drop_unmatched``), checked as
+    they are, and the queue is decoded once at the end.
     """
     rows = []
     tableau_rows = []
@@ -177,13 +173,10 @@ def collapse(m: MultilineQueue) -> CollapseResult:
         tableau_rows[j].extend([r] * arrived)  # the last arrivals stay
         for i in range(j, 0, -1):
             drop_counts[(r, i)] = 0
-        if j + 1 < land:
-            below = _columns(rows[j])
-            for i in range(j + 1, land):
-                above = _columns(rows[i])
-                if not _parks_without_wrap(above, below):
-                    raise InvariantError(f"collapsed prefix moved at row {i}")
-                below = above
+        # a stop step (nothing arrived) has just matched rows[j + 1] fully
+        for i in range(j + 1 if arrived else j + 2, land):
+            if _match_rows(rows[i], rows[i - 1])[0]:
+                raise InvariantError(f"collapsed prefix moved at row {i}")
         top = land if rows[top] else top
     queue = _from_masks(m.n, rows)
     recorder = Tableau([row for row in tableau_rows if row])

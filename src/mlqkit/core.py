@@ -54,9 +54,18 @@ def dominance_leq(a, b) -> bool:
     return True
 
 
+def _check_composition(alpha) -> tuple:
+    """alpha as a tuple, or ParseError unless its parts are ints >= 0."""
+    alpha = tuple(alpha)
+    if not all(_is_count(a) and a >= 0 for a in alpha):
+        raise ParseError(f"parts must be nonnegative ints, got {alpha!r}")
+    return alpha
+
+
 def sort_to_partition(alpha) -> tuple:
-    """Rearrange the parts of a weak composition decreasingly, dropping zeros."""
-    return tuple(sorted((a for a in alpha if a > 0), reverse=True))
+    """Rearrange the parts of a weak composition decreasingly, dropping zeros;
+    ParseError unless it is one."""
+    return tuple(sorted(filter(None, _check_composition(alpha)), reverse=True))
 
 
 def _check_letters(w) -> tuple:
@@ -98,13 +107,19 @@ def n_stat(p) -> int:
 
 
 def partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n in reverse lexicographic order."""
-    if n == 0:
+    """All partitions of n with parts at most max_part (default n), reverse
+    lexicographically; ParseError unless both are ints >= 0 (not bools)."""
+    top = n if max_part is None else max_part
+    if not (_is_count(n) and _is_count(top) and min(n, top) >= 0):
+        raise ParseError(f"need ints n, max_part >= 0, got {n!r}, {max_part!r}")
+    return _partitions(n, top)
+
+
+def _partitions(n, top):
+    if not n:
         yield ()
-        return
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 

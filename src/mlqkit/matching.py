@@ -8,12 +8,15 @@ matches the remaining opens to the remaining closes around the circle.
 The same rule on two queue rows reads the balls of the upper row as opens
 and those of the lower row as closes, in column order, an open before a
 close in the same column.  ``_match_rows`` runs it on rows held as int
-bitmasks, bit c standing for column c; it is the one matching kernel of the
-queue operators (collapse, its inverse, the drops and lifts, ``sigma``).
-The word operators below keep their own implementation on positions.
+bitmasks, bit c standing for column c; it is the one matching kernel of
+queue rows: collapse, its check and its inverse, the drops and lifts,
+``sigma``, and the parking tests of ``mlq._is_collapsed`` and
+``poly.schur``.  The word operators below match positions on their own.
 """
 
 from dataclasses import dataclass
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -50,26 +53,21 @@ def match_brackets(events):
     return pairs, stack, closes
 
 
-def _wrap(opens, closes):
-    """Cyclic completion: trailing unmatched opens pair with leading
-    unmatched closes, outside in.  Returns (opens left, closes left,
-    wrapping_pairs)."""
-    k = min(len(opens), len(closes))
-    wrapping = [(opens[-1 - t], closes[t]) for t in range(k)]
-    return opens[: len(opens) - k], closes[k:], wrapping
-
-
 def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
-    """Match the letters i+1 against the letters i of w."""
+    """Match the letters i+1 against the letters i of w; ParseError unless
+    i is a positive int (not a bool)."""
+    if type(i) is not int or i < 1:
+        raise ParseError(f"letter index {i!r} is not a positive int")
     events = [
         (pos, letter == i + 1)
         for pos, letter in enumerate(w, start=1)
         if letter in (i, i + 1)
     ]
     pairs, opens, closes = match_brackets(events)
-    wrapping = []
-    if cyclic:
-        opens, closes, wrapping = _wrap(opens, closes)
+    # cyclic completion: trailing opens pair with leading closes, outside in
+    k = min(len(opens), len(closes)) if cyclic else 0
+    wrapping = [(opens[-1 - t], closes[t]) for t in range(k)]
+    opens, closes = opens[: len(opens) - k], closes[k:]
     return MatchData(
         matched_pairs=tuple(pairs),
         unmatched_opens=tuple(opens),
@@ -88,6 +86,12 @@ def _match_rows(upper, lower):
     bracket stack.  An unmatched open is never a column of ``lower`` and an
     unmatched close never one of ``upper``, so moving either set to the
     other row is an xor on one row and an or on the other.
+
+    No open stays unmatched exactly when the balls of ``upper`` park into
+    ``lower`` without a wrap, each on a free ball weakly right of it: both
+    say every suffix of columns holds at least as many balls of ``lower``
+    as of ``upper``, since first-fit parking succeeds or fails whatever
+    order the cars arrive in.  So it depends only on the two ball sets.
     """
     opens = upper
     closes = 0

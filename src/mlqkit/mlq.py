@@ -9,11 +9,10 @@ which are the same thing as binary matrices.
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from math import comb, prod
-from operator import ge
 
-from .core import _is_count, check_partition, conjugate
+from .core import _check_composition, _is_count, check_partition, conjugate
 from .errors import (
     BadRowIndex,
     InvariantError,
@@ -31,13 +30,16 @@ class MultilineQueue:
 
     def __init__(self, n, rows):
         _check_columns(n)
-        rows = tuple(tuple(sorted(set(r))) for r in rows)
+        try:
+            rows = [set(r) for r in rows]
+        except TypeError:
+            raise ParseError(f"rows {rows!r} are not collections of ball columns") from None
         for row in rows:
             for c in row:
                 if type(c) is not int or not 1 <= c <= n:
                     raise ParseError(f"ball column {c!r} is not an int in 1..{n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in rows))
 
     @property
     def num_rows(self):
@@ -176,9 +178,9 @@ def maj(m: MultilineQueue) -> int:
 
 
 def is_nonwrapping(m: MultilineQueue) -> bool:
-    """``maj_g(m) == 0``, which a collapsed queue satisfies.  The converse
-    fails off straight queues: in ``n=2;|1`` the ball pairs with nothing, so
-    it does not wrap, yet collapse moves it (see ``_is_collapsed``)."""
+    """``maj_g(m) == 0``.  On straight queues these are exactly the collapsed
+    queues (``_is_collapsed``); off them, ``n=2;|1`` is nonwrapping, since
+    its ball pairs with nothing, yet collapse moves the ball."""
     return maj_g(m) == 0
 
 
@@ -292,27 +294,13 @@ def _label_row(word, order, particle):
     return tuple(out), plus, minus
 
 
-def _parks_without_wrap(above, below) -> bool:
-    """True when no ball of row ``above`` wraps as it pairs into row
-    ``below``; both are sorted tuples of ball columns.
-
-    A ball wraps only when it finds no free ball weakly right of it.  First-
-    fit parking on a line succeeds or fails whatever order the cars arrive
-    in, so this depends only on the two sets: every suffix of columns must
-    hold at least as many balls of ``below`` as of ``above``, that is, the
-    k-th largest column of ``below`` is at least the k-th largest of
-    ``above`` for every k.
-    """
-    skip = len(below) - len(above)
-    return skip >= 0 and all(map(ge, below[skip:], above))
-
-
 def _is_collapsed(m: MultilineQueue) -> bool:
-    """True when m is a collapse fixed point: every row parks into the row
-    below without a wrap.  Collapse moves the balls that the bracket matching
-    leaves unmatched, and it leaves none exactly when ``_parks_without_wrap``
-    holds; that needs the row below to be as large, so m is straight."""
-    return all(map(_parks_without_wrap, m.rows[1:], m.rows))
+    """True when m is a collapse fixed point: collapse moves the balls that
+    the bracket matching (``_match_rows``) leaves unmatched, so every row
+    must match fully into the row below.  That is parking without a wrap,
+    and it needs the row below to be as large, so m is straight."""
+    pairs = pairwise(map(_mask, m.rows))
+    return not any(_match_rows(upper, lower)[0] for lower, upper in pairs)
 
 
 def _label_word_sweep(alpha, n: int, one, carry, state=None):
@@ -335,7 +323,7 @@ def _label_word_sweep(alpha, n: int, one, carry, state=None):
     never wraps, so the top row needs no case of its own.
     """
     _check_columns(n)
-    alpha = _check_row_sizes(alpha)
+    alpha = _check_composition(alpha)
     L = len(alpha)
     layer = {(L,) * n: one}
     merged = {}
@@ -373,19 +361,11 @@ def _check_columns(n):
         raise ParseError(f"column count must be a positive int, got {n!r}")
 
 
-def _check_row_sizes(alpha) -> tuple:
-    """alpha as a tuple, or ParseError unless every row size is an int >= 0."""
-    alpha = tuple(alpha)
-    if not all(_is_count(a) and a >= 0 for a in alpha):
-        raise ParseError(f"row sizes must be nonnegative ints, got {alpha!r}")
-    return alpha
-
-
 def _check_fits(alpha, n) -> tuple:
     """alpha as a tuple, ParseError unless n and the row sizes are valid, and
     TooNarrow when a row holds more balls than there are columns."""
     _check_columns(n)
-    alpha = _check_row_sizes(alpha)
+    alpha = _check_composition(alpha)
     if any(a > n for a in alpha):
         raise TooNarrow(f"row sizes {alpha} exceed {n} columns")
     return alpha
@@ -395,6 +375,12 @@ def maj_g(m: MultilineQueue) -> int:
     """Generalized major index: right wraps count positively, left wraps
     negatively, each weighted by label - source row + 1."""
     return sum(_wrap_weight(plus, minus, r) for r, _, plus, minus in _label_rows(m))
+
+
+def _check_row_pair(m: MultilineQueue, i):
+    """BadRowIndex unless i is an int (not a bool) naming rows i, i+1 of m."""
+    if not (_is_count(i) and 1 <= i < m.num_rows):
+        raise BadRowIndex(f"i={i!r} with {m.num_rows} rows")
 
 
 def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
@@ -407,8 +393,7 @@ def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
     i+1 is longer, and they move down, or the highest closes when row i is,
     and they move up.
     """
-    if not 1 <= i < m.num_rows:
-        raise BadRowIndex(f"i={i} with {m.num_rows} rows")
+    _check_row_pair(m, i)
     excess = len(m.row(i + 1)) - len(m.row(i))
     if not excess:
         return m

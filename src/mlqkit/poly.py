@@ -12,10 +12,10 @@ from .charge import charge
 from .core import check_partition, conjugate, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
+from .matching import _mask, _match_rows
 from .mlq import (
     _check_columns,
     _label_word_sweep,
-    _parks_without_wrap,
     _wrap_weight,
     enumerate_gmlq,
     maj,
@@ -179,28 +179,30 @@ def schur(lam, n: int) -> QXPolynomial:
     On a straight queue the pairings that label row r add to ``maj`` the sum
     of (label - r) over the balls of row r+1 that wrap; each such term is at
     least 1 and the empty sites weigh 0.  So a queue is nonwrapping exactly
-    when no ball wraps, and whether a ball of one row wraps into the next
-    depends only on the two ball sets (``_parks_without_wrap``): first-fit
-    parking succeeds or fails whatever order the balls arrive in.  The sweep
-    therefore runs row by row from the top with a row's ball set as its
-    state, passes only the row pairs that park without wrapping, and carries
-    packed contents as ``q_whittaker_gmlq`` does.
+    when no ball wraps.  Whether a ball of one row wraps into the next
+    depends only on the two ball sets: first-fit parking succeeds or fails
+    whatever order the balls arrive in, and it succeeds exactly when the
+    bracket matching ``_match_rows`` leaves no ball of the upper row
+    unmatched.  The sweep therefore runs row by row from the top with a
+    row's ball mask as its state, passes only the row pairs that match
+    fully, and carries packed contents as ``q_whittaker_gmlq`` does.
     """
     _check_columns(n)
     alpha = conjugate(lam)
     base = len(alpha) + 1
-    layer = {(): {0: 1}}  # nothing above the top row can wrap
+    layer = {0: {0: 1}}  # nothing above the top row can wrap
     for size in reversed(alpha):
         below = {}
         for row in combinations(range(1, n + 1), size):
+            mask = _mask(row)
             acc = {}
             for above, value in layer.items():
-                if _parks_without_wrap(above, row):
+                if not _match_rows(above, mask)[0]:
                     for x, count in value.items():
                         acc[x] = acc.get(x, 0) + count
             if acc:
                 code = _pack(row, base)
-                below[row] = {x + code: count for x, count in acc.items()}
+                below[mask] = {x + code: count for x, count in acc.items()}
         layer = below
     terms = {}
     for value in layer.values():

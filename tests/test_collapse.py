@@ -244,7 +244,7 @@ def test_collapse_matches_full_sweep_exhaustive():
 
 
 def test_collapse_check_survives_optimize():
-    # collapse checks by parking the pairs each sweep changed and raises a
+    # collapse checks by matching the pairs each sweep changed and raises a
     # typed error, so the check still fires when python -O strips asserts.
     # A drop that moves only the lowest unmatched ball (rows are bitmasks)
     # leaves row 2 unmatched.
@@ -276,9 +276,9 @@ def test_collapse_check_survives_optimize():
 
 def test_collapse_nonwrapping_match_count(monkeypatch):
     # on a collapsed queue every sweep stops at its first step, which is one
-    # matching, and checks the pair it changed by parking, so the matchings
-    # are at most the number of rows L; a sweep down to row 1 with a full
-    # re-check costs L(L-1)
+    # matching, and checks by matching only the pairs it changed, none of
+    # them here, so the matchings are at most the number of rows L; a sweep
+    # down to row 1 with a full re-check costs L(L-1)
     rng = random.Random(5)
     queues = [canonical_mlq((8, 6, 3, 1), 4)]
     for rows, n in [(8, 5), (10, 6), (12, 4)]:

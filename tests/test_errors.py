@@ -15,14 +15,17 @@ from mlqkit.collapse import (
     tab_of_mlq,
     twisted_collapse,
 )
+from mlqkit.core import partitions, sort_to_partition
 from mlqkit.errors import (
     AlphabetTooSmall,
     BadRowIndex,
     BadSigmaWord,
     ColumnMismatch,
     NotNonwrapping,
+    ParseError,
     VariableCountMismatch,
 )
+from mlqkit.matching import lowering, raise_all, raising, reflect
 from mlqkit.mlq import MultilineQueue, parse_mlq, sigma
 from mlqkit.poly import QXPolynomial
 from mlqkit.tableaux import Tableau
@@ -49,6 +52,30 @@ CASES = [
     (ColumnMismatch, mult_mlq, (TWO_ROWS, WRAPPING)),
     (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),
     (VariableCountMismatch, QXPolynomial.__add__, (QXPolynomial.one(2), QXPolynomial.one(3))),
+    # bad balls and rows used to raise a bare TypeError from sorting
+    (ParseError, MultilineQueue, (3, [[1, "a"]])),
+    (ParseError, MultilineQueue, (3, [5])),
+    # a bool is no row index, though True == 1 names a valid pair here
+    (BadRowIndex, drop, (TWO_ROWS, True)),
+    (BadRowIndex, drop, (TWO_ROWS, 1.5)),
+    (BadRowIndex, lift, (TWO_ROWS, True)),
+    (BadRowIndex, lift, (TWO_ROWS, 1.5)),
+    (BadRowIndex, drop_all, (TWO_ROWS, True)),
+    (BadRowIndex, drop_all, (TWO_ROWS, 1.5)),
+    (BadRowIndex, sigma, (TWO_ROWS, True)),
+    (BadRowIndex, sigma, (TWO_ROWS, 1.5)),
+    # reflect used to return (0, 2) and raising the word unchanged
+    (ParseError, reflect, ((1, 2), 0)),
+    (ParseError, raising, ((1, 2), 1.5)),
+    (ParseError, lowering, ((1, 2), True)),
+    (ParseError, raise_all, ((1, 2), -1)),
+    # partitions(-2) used to yield nothing and partitions(True) [(1,)]
+    (ParseError, partitions, (-2,)),
+    (ParseError, partitions, (True,)),
+    (ParseError, partitions, (1.5,)),
+    (ParseError, partitions, (3, -1)),
+    (ParseError, sort_to_partition, ((1, "a"),)),
+    (ParseError, sort_to_partition, ((2, -1),)),
 ]
 
 

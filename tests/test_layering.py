@@ -4,7 +4,8 @@ An import inside a function body hides a dependency from the module header
 and usually works around a cycle, so both are refused: every module of
 ``src/mlqkit`` is parsed with ``ast``, each function body is searched for
 imports, and the graph of relative imports between modules is searched for
-a cycle.  Every name a module or test file imports must also be used in it.
+a cycle.  Every name a module or test file imports must also be used in it,
+and no module has an ``assert`` statement, which ``python -O`` strips.
 """
 
 import ast
@@ -171,6 +172,30 @@ def test_one_two_row_matching_kernel():
             node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
         }
         referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert "_two_row_match" not in defined | referenced | _imported_names(tree), name
-    assert "_match_rows" in _imported_names(MODULES["collapse"])
-    assert "_match_rows" in _imported_names(MODULES["mlq"])
+        names = defined | referenced | _imported_names(tree)
+        assert "_two_row_match" not in names, name
+        # whether a row pair parks without a wrap is _match_rows too
+        assert "_parks_without_wrap" not in names, name
+    for name in ["collapse", "mlq", "poly"]:
+        assert "_match_rows" in _imported_names(MODULES[name]), name
+    # collapse checks its sweeps on the row masks it holds, without decoding
+    assert "_columns" not in _names_in_function(MODULES["collapse"], "collapse")
+
+
+def _names_in_function(tree, name):
+    """The names that the body of the module-level function name uses."""
+    (function,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+
+
+def test_no_assert_in_src():
+    # invariants raise typed errors, since python -O strips assert statements
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found

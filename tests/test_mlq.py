@@ -7,10 +7,10 @@ import oracles
 from mlqkit.charge import charge, charge_g
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NotStraight, ParseError, TooNarrow
+from mlqkit.matching import _mask, _match_rows
 from mlqkit.mlq import (
     MultilineQueue,
     _label_row,
-    _parks_without_wrap,
     _particle_mask,
     _priority_order,
     all_binary_matrices,
@@ -117,13 +117,15 @@ def test_nonwrapping():
 
 
 def test_parks_without_wrap_is_nonwrapping_exhaustive():
+    # on straight queues no ball wraps exactly when every row matches fully
+    # into the row below
     checked = 0
     for size in range(0, 7):
         for lam in partitions(size):
             for n in range(1, 6):
                 for m in enumerate_mlq(lam, n) if len(lam) <= n else ():
                     parks = all(
-                        _parks_without_wrap(m.row(r + 1), m.row(r))
+                        not _match_rows(_mask(m.row(r + 1)), _mask(m.row(r)))[0]
                         for r in range(1, m.num_rows)
                     )
                     assert parks == is_nonwrapping(m), m
@@ -132,13 +134,20 @@ def test_parks_without_wrap_is_nonwrapping_exhaustive():
 
 
 def test_parks_without_wrap_is_full_matching_exhaustive():
-    # parking without a wrap is the suffix count; the bracket matching
-    # leaves no ball of the upper row unmatched on exactly the same pairs
+    # the mask kernel leaves no ball of the upper row unmatched on exactly
+    # the pairs where the set matcher of the oracles does, and those are
+    # the pairs that park: every suffix of columns holds at least as many
+    # balls of the lower row as of the upper one
     subsets = [set(s) for k in range(8) for s in combinations(range(1, 8), k)]
     for upper in subsets:
         for lower in subsets:
             _, opens, _, _ = oracles._two_row_match(upper, lower)
-            assert _parks_without_wrap(sorted(upper), sorted(lower)) == (not opens)
+            matched = not _match_rows(_mask(upper), _mask(lower))[0]
+            parks = all(
+                sum(c >= k for c in lower) >= sum(c >= k for c in upper)
+                for k in range(1, 8)
+            )
+            assert matched == (not opens) == parks
 
 
 def test_canonical_mlq():
