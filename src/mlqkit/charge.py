@@ -1,8 +1,9 @@
 """Charge and cocharge statistics on permutations and words."""
 
 from bisect import bisect_left
+from itertools import pairwise
 
-from .core import content, is_partition, n_stat
+from .core import _check_letters, content, is_partition, n_stat
 from .errors import NonPartitionContent, NotAPermutation
 from .matching import reflect
 
@@ -12,8 +13,16 @@ def charge_permutation(perm) -> int:
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise NotAPermutation(f"{perm}")
-    position = {v: k for k, v in enumerate(perm)}
-    return sum(n - i for i in range(1, n) if position[i] < position[i + 1])
+    chosen = [0] * n
+    for p, v in enumerate(perm):
+        chosen[n - v] = p
+    return _charge_of_positions(chosen)
+
+
+def _charge_of_positions(chosen):
+    """Charge of the permutation of 1..n whose letter n - k stands at
+    position chosen[k]: each letter i with i + 1 to its right adds n - i."""
+    return sum(k for k in range(1, len(chosen)) if chosen[k] < chosen[k - 1])
 
 
 def _check_partition_content(w):
@@ -24,7 +33,19 @@ def _check_partition_content(w):
 
 
 def charge_subwords(w):
-    """Split a partition-content word into its charge subwords.
+    """Split a partition-content word into its charge subwords."""
+    return [tuple(w[p] for p in sorted(chosen)) for chosen in _subword_positions(w)]
+
+
+def _subword_positions(w):
+    """For each charge subword of w, the positions of its letters, largest
+    letter first; ParseError unless the letters are positive ints and
+    NonPartitionContent unless the content is a partition.
+
+    The content is checked on the lists of positions that the extraction
+    needs anyway: spots[k] holds the positions of letter k, and the content
+    is a partition exactly when their lengths weakly decrease from k = 1
+    (the largest letter occurs, so no letter below it is missing).
 
     Each subword is extracted by scanning cyclically for the largest
     remaining letter, then the next smaller one, and so on down to 1; the
@@ -32,12 +53,13 @@ def charge_subwords(w):
     letter keeps its remaining positions in a sorted list, so each step is
     one bisection from the cursor.
     """
-    mu = _check_partition_content(w)
-    spots = [[] for _ in range(len(mu) + 1)]  # spots[k]: positions of letter k
+    w = _check_letters(w)
+    largest = max(w, default=0)
+    spots = [[] for _ in range(largest + 1)]
     for p, letter in enumerate(w):
         spots[letter].append(p)
-    subwords = []
-    largest = len(mu)
+    if any(len(a) < len(b) for a, b in pairwise(spots[1:])):
+        raise NonPartitionContent(f"content {tuple(map(len, spots[1:]))}")
     while largest:
         chosen = []
         cursor = 0
@@ -47,16 +69,23 @@ def charge_subwords(w):
             p = left.pop(i if i < len(left) else 0)
             chosen.append(p)
             cursor = p + 1
-        subwords.append(tuple(w[p] for p in sorted(chosen)))
+        yield chosen
         # the content left is still a partition, so letters run out from the top
         while largest and not spots[largest]:
             largest -= 1
-    return subwords
 
 
 def charge(w) -> int:
-    """Charge of a word with partition content."""
-    return sum(charge_permutation(sub) for sub in charge_subwords(w))
+    """Charge of a word with partition content; ParseError unless its
+    letters are positive ints, NonPartitionContent unless the content is a
+    partition.
+
+    Both checks run once, in ``_subword_positions``, on the letter positions
+    that the subword extraction builds.  Each subword is a permutation by
+    construction, so it is charged from its positions without the check of
+    ``charge_permutation``.
+    """
+    return sum(map(_charge_of_positions, _subword_positions(w)))
 
 
 def cocharge(w) -> int:

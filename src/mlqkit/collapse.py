@@ -37,6 +37,7 @@ from .errors import (
 from .matching import _columns, _high_bits, _mask, _match_rows
 from .mlq import (
     MultilineQueue,
+    _check_columns,
     _check_row_pair,
     _is_collapsed,
     column_word,
@@ -94,8 +95,9 @@ def _row_masks(m):
 
 
 def _from_masks(n, rows):
-    """The queue on n columns whose rows are the masks rows."""
-    return MultilineQueue(n, map(_columns, rows))
+    """The queue on n columns whose rows are the masks rows; their bits
+    must lie in 1..n, as they do for masks moved between rows of a queue."""
+    return MultilineQueue._of(n, tuple(map(_columns, rows)))
 
 
 def drop(m: MultilineQueue, i: int) -> MultilineQueue:
@@ -179,8 +181,14 @@ def collapse(m: MultilineQueue) -> CollapseResult:
                 raise InvariantError(f"collapsed prefix moved at row {i}")
         top = land if rows[top] else top
     queue = _from_masks(m.n, rows)
-    recorder = Tableau([row for row in tableau_rows if row])
-    return CollapseResult(queue, recorder, drop_counts)
+    # rows of the recorder increase by construction, since sweep r appends
+    # r; its shape is the queue's row sizes, straight by the check above;
+    # that its columns increase strictly is the theorem, so it is checked
+    recorder = tuple(tuple(row) for row in tableau_rows if row)
+    for below, above in zip(recorder, recorder[1:]):
+        if any(x >= y for x, y in zip(below, above)):
+            raise InvariantError(f"recorder columns not strict: {below} under {above}")
+    return CollapseResult(queue, Tableau._of(recorder), drop_counts)
 
 
 def _check_has_rows(m):
@@ -193,12 +201,12 @@ def _check_has_rows(m):
 def rotate90(m: MultilineQueue) -> MultilineQueue:
     """Quarter turn counterclockwise: ball (r, c) goes to (c, L - r + 1)."""
     _check_has_rows(m)
-    height = m.num_rows
     rows = [[] for _ in range(m.n)]
-    for r, row in enumerate(m.rows):
+    # reading the rows top down makes each new row increase
+    for new_c, row in enumerate(reversed(m.rows), start=1):
         for c in row:
-            rows[c - 1].append(height - r)
-    return MultilineQueue(height, rows)
+            rows[c - 1].append(new_c)
+    return MultilineQueue._of(m.num_rows, tuple(map(tuple, rows)))
 
 
 def rotate270(m: MultilineQueue) -> MultilineQueue:
@@ -209,14 +217,14 @@ def rotate270(m: MultilineQueue) -> MultilineQueue:
     for r, row in enumerate(m.rows, start=1):
         for c in row:
             rows[m.n - c].append(r)
-    return MultilineQueue(m.num_rows, rows)
+    return MultilineQueue._of(m.num_rows, tuple(map(tuple, rows)))
 
 
 def rotate180(m: MultilineQueue) -> MultilineQueue:
     """Half turn: ball (r, c) goes to (L - r + 1, n - c + 1).  Unlike two
     quarter turns it keeps a queue without rows as it is."""
-    return MultilineQueue(
-        m.n, [[m.n + 1 - c for c in row] for row in reversed(m.rows)]
+    return MultilineQueue._of(
+        m.n, tuple(tuple(m.n + 1 - c for c in reversed(row)) for row in reversed(m.rows))
     )
 
 
@@ -249,11 +257,7 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     1..k for k recorder rows, and recorder row k has entries >= k.
     """
     _check_collapsed(queue)
-    sizes = tuple(s for s in queue.row_sizes() if s > 0)
-    if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
-        raise ShapeMismatch(
-            f"recorder shape {recorder.shape()} vs queue row sizes {sizes}"
-        )
+    _check_recorder_shape(queue, recorder)
     min_height = recorder.entry_max()
     if height is None:
         height = max(min_height, queue.num_rows)
@@ -262,6 +266,22 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
             f"height {height!r} is not an int >= {min_height}, the largest "
             "recorder entry"
         )
+    return _uncollapse(queue, recorder, height)
+
+
+def _check_recorder_shape(queue, recorder):
+    """ShapeMismatch unless the recorder's rows are as long as the queue's
+    nonempty rows."""
+    sizes = tuple(s for s in queue.row_sizes() if s > 0)
+    if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
+        raise ShapeMismatch(
+            f"recorder shape {recorder.shape()} vs queue row sizes {sizes}"
+        )
+
+
+def _uncollapse(queue, recorder, height):
+    """``collapse_inverse`` on checked input: queue collapsed, recorder of
+    its shape, height at least the largest recorder entry."""
     rows = _row_masks(queue)[:height]
     rows += [0] * (height - len(rows))
     multiplicity = Counter(  # (entry, recorder row): how often
@@ -289,13 +309,17 @@ def mrsk(m: MultilineQueue):
 
 
 def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
-    """Inverse of mrsk on collapsed queues: the left one gives the recorder."""
+    """Inverse of mrsk on collapsed queues: the left one gives the recorder.
+
+    Its entries are ball rows of ``rotate270(left)``, at most left.n, so
+    left.n rows are always enough."""
     _check_collapsed(left)
     _check_collapsed(down)
     if left.shape() != conjugate(down.shape()):
         raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")
     recorder = tableau_from_crw(column_word(rotate270(left)))
-    return collapse_inverse(down, recorder, height=left.n)
+    _check_recorder_shape(down, recorder)
+    return _uncollapse(down, recorder, left.n)
 
 
 def flip_up(m: MultilineQueue) -> MultilineQueue:
@@ -330,14 +354,18 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     bottom: one row per column, not one per entry.  Its row word is the
     reversed column reading word of t, whose column insertion is t; since
     tab_of_mlq(collapse(m).queue) == column_insert(row_word(m)), the
-    collapsed queue maps back to t.
+    collapsed queue maps back to t.  An explicit n must be a positive int
+    (ParseError otherwise); the empty tableau's default is one column.
     """
     if n is None:
-        n = t.entry_max()
+        n = max(t.entry_max(), 1)
+    else:
+        _check_columns(n)
     if t.entry_max() > n:
         raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
     width = len(t.rows[0]) if t.rows else 0
-    m = MultilineQueue(max(n, 1), [t.column(c) for c in range(width, 0, -1)])
+    # the columns of t increase strictly, so they are rows as stored
+    m = MultilineQueue._of(n, tuple(t.column(c) for c in range(width, 0, -1)))
     return collapse(m).queue.trimmed()
 
 
@@ -392,7 +420,8 @@ def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
         n = alphabet
     if alphabet > n:
         raise AlphabetTooSmall(f"entries up to {alphabet}, n={n}")
-    base = mlq_of_tableau(hat, n=n + ell)
+    # an empty filling gets one column, as mlq_of_tableau's default does
+    base = mlq_of_tableau(hat, n=max(n + ell, 1))
     out = BicoloredMLQ(base, ell)
     if not is_lattice(out.skew_word()):
         raise InvariantError(f"skew word {out.skew_word()} is not lattice")

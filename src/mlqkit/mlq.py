@@ -25,6 +25,15 @@ from .matching import _columns, _high_bits, _mask, _match_rows
 
 @dataclass(frozen=True)
 class MultilineQueue:
+    """A queue on n columns, rows bottom row first.
+
+    The public constructor is the boundary: it takes any n and any
+    collections of ball columns, raises ParseError unless n is a positive
+    int and every ball an int in 1..n, and stores each row sorted, as a
+    tuple.  ``_of`` is the engine's trusted constructor for rows that hold
+    this form by construction; it checks nothing.
+    """
+
     n: int
     rows: tuple
 
@@ -40,6 +49,16 @@ class MultilineQueue:
                     raise ParseError(f"ball column {c!r} is not an int in 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in rows))
+
+    @classmethod
+    def _of(cls, n, rows):
+        """The queue with fields n and rows, unchecked: n must be a positive
+        int and rows a tuple of tuples, each of distinct ints in 1..n in
+        increasing order, as ``__init__`` would store them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     @property
     def num_rows(self):
@@ -74,7 +93,7 @@ class MultilineQueue:
         rows = list(self.rows)
         while rows and not rows[-1]:
             rows.pop()
-        return MultilineQueue(self.n, rows)
+        return MultilineQueue._of(self.n, tuple(rows))
 
     def with_rows(self, rows):
         return MultilineQueue(self.n, rows)
@@ -407,7 +426,7 @@ def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
         upper, lower = upper | up, lower ^ up
     rows = list(m.rows)
     rows[i - 1], rows[i] = _columns(lower), _columns(upper)
-    return m.with_rows(rows)
+    return MultilineQueue._of(m.n, tuple(rows))
 
 
 def enumerate_mlq(lam, n: int):

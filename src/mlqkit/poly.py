@@ -32,7 +32,15 @@ from .tableaux import (
 
 
 class QXPolynomial:
-    """Polynomial in q and x_1..x_n with integer coefficients."""
+    """Polynomial in q and x_1..x_n with integer coefficients.
+
+    ``terms`` maps a canonical key (q exponent, ((i, e), ...) with i
+    increasing and every e > 0) to a nonzero coefficient.  The public
+    constructor takes a dict or an iterable of (key, coefficient) pairs,
+    adds the coefficients of equal keys and drops zeros; it trusts the keys
+    to be canonical.  ``_of`` is the engine's trusted constructor for a
+    dict that is already zero-free; it copies and checks nothing.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -44,6 +52,15 @@ class QXPolynomial:
                 if coeff:
                     self.terms[key] = self.terms.get(key, 0) + coeff
             self.terms = {k: v for k, v in self.terms.items() if v}
+
+    @classmethod
+    def _of(cls, n, terms):
+        """The polynomial with fields n and terms, unchecked: terms must be a
+        dict of canonical keys and nonzero coefficients, owned by the result."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
 
     @staticmethod
     def zero(n: int):
@@ -208,9 +225,8 @@ def schur(lam, n: int) -> QXPolynomial:
     for value in layer.values():
         for x, count in value.items():
             terms[x] = terms.get(x, 0) + count
-    return QXPolynomial(n, (
-        ((0, _unpack(x, base)), count) for x, count in terms.items()
-    ))
+    # counts are positive and distinct packed contents unpack to distinct keys
+    return QXPolynomial._of(n, {(0, _unpack(x, base)): count for x, count in terms.items()})
 
 
 def q_whittaker_schur(mu, n: int) -> dict:
@@ -233,7 +249,7 @@ def q_whittaker_schur(mu, n: int) -> dict:
         charges = by_shape.setdefault(shape, Counter())
         charges[charge(tuple(chain.from_iterable(reversed(rows))))] += 1
     return {
-        conjugate(shape): QXPolynomial(0, {(q, ()): k for q, k in charges.items()})
+        conjugate(shape): QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
         for shape, charges in by_shape.items()
     }
 
@@ -259,7 +275,8 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
         xs = _rearrangements(nu, n)
         for q, k in c_nu.items():
             terms.update(zip(zip(repeat(q), xs), repeat(k)))
-    return QXPolynomial(n, terms)
+    # sums of positive counts, each key set once: rearrangements differ
+    return QXPolynomial._of(n, terms)
 
 
 # The charge expansion is the monomial form of the Schur expansion, so both
@@ -362,7 +379,8 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
         if x not in exponents:
             exponents[x] = _unpack(x, base)
         out[q, exponents[x]] = count
-    return QXPolynomial(n, out)
+    # sums of positive counts, and each packed key gives one (q, x) key
+    return QXPolynomial._of(n, out)
 
 
 def kostka_foulkes(lam, mu) -> QXPolynomial:
@@ -371,9 +389,8 @@ def kostka_foulkes(lam, mu) -> QXPolynomial:
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    return QXPolynomial(0, (
-        ((tableau_charge(t), ()), 1) for t in enumerate_ssyt(lam, weight=mu)
-    ))
+    charges = Counter(tableau_charge(t) for t in enumerate_ssyt(lam, weight=mu))
+    return QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
 
 
 def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:

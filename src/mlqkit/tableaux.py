@@ -11,21 +11,40 @@ live in ``collapse``.
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .charge import charge as _charge
-from .core import _is_count, check_partition, content, is_lattice
-from .errors import ParseError, SizeMismatch
+from .core import _check_letters, _is_count, check_partition, content, is_lattice
+from .errors import InvariantError, ParseError, SizeMismatch
 from .matching import reflect
 
 
 @dataclass(frozen=True)
 class Tableau:
+    """A semistandard tableau, rows bottom row first.
+
+    The public constructor is the boundary: it drops empty rows, stores
+    each row as a tuple and raises ParseError unless the rows fill a
+    partition shape semistandardly (``_check_semistandard``).  ``_of`` is
+    the engine's trusted constructor for rows built under those rules; it
+    checks nothing.
+    """
+
     rows: tuple
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows if r)
         _check_semistandard(tuple(len(r) for r in rows), (), rows)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, rows):
+        """The tableau with field rows, unchecked: rows must be a tuple of
+        nonempty tuples of positive ints, of weakly decreasing lengths,
+        weakly increasing along each row and strictly up each column."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     def shape(self):
         return tuple(len(r) for r in self.rows)
@@ -68,7 +87,14 @@ def parse_tableau(text: str) -> Tableau:
 
 @dataclass(frozen=True)
 class SkewTableau:
-    """Filling of outer/inner with the inner cells empty."""
+    """Filling of outer/inner with the inner cells empty.
+
+    The public constructor is the boundary: it stores each row as a tuple,
+    pads inner with zeros to the length of outer and raises ParseError
+    unless the rows fill outer/inner semistandardly
+    (``_check_semistandard``).  ``_of`` is the engine's trusted constructor
+    for fillings built under those rules; it checks nothing.
+    """
 
     outer: tuple
     inner: tuple
@@ -80,6 +106,18 @@ class SkewTableau:
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, outer, inner, rows):
+        """The skew tableau with these fields, unchecked: outer a partition
+        as a tuple, inner a tuple of the same length inside it, and rows a
+        tuple of tuples, row r of outer_r - inner_r positive ints, weakly
+        increasing along each row and strictly up each column."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     def content(self):
         return content([v for r in self.rows for v in r])
@@ -153,35 +191,43 @@ def ls_action(t: Tableau, i: int) -> Tableau:
     return tableau_from_crw(reflect(column_reading_word(t), i))
 
 
-def _from_columns(cols) -> Tableau:
-    """The tableau whose columns, each listed bottom-up, are cols; ParseError
-    unless the column lengths weakly decrease."""
-    if any(len(a) < len(b) for a, b in zip(cols, cols[1:])):
-        raise ParseError("columns do not form a tableau")
+def _rows_of_columns(cols) -> tuple:
+    """The rows, bottom row first, of the columns cols, each listed
+    bottom-up; None unless the column lengths weakly decrease."""
+    if any(len(a) < len(b) for a, b in pairwise(cols)):
+        return None
     height = len(cols[0]) if cols else 0
-    return Tableau([[c[r] for c in cols if len(c) > r] for r in range(height)])
+    return tuple(tuple(c[r] for c in cols if len(c) > r) for r in range(height))
 
 
 def tableau_from_crw(word) -> Tableau:
-    """Rebuild a tableau from its column reading word.
+    """Rebuild a tableau from its column reading word; ParseError unless
+    the word is the column reading word of a tableau.
 
     Columns are the maximal strictly decreasing runs of the word.
     """
     cols = []
-    for v in word:
+    for v in _check_letters(word):
         if cols and cols[-1][-1] > v:
             cols[-1].append(v)
         else:
             cols.append([v])
-    return _from_columns([c[::-1] for c in cols])
+    rows = _rows_of_columns([c[::-1] for c in cols])
+    if rows is None:
+        raise ParseError("columns do not form a tableau")
+    return Tableau(rows)
 
 
 def column_insert(word) -> Tableau:
-    """Column insertion of a word into the empty tableau.
+    """Column insertion of a word into the empty tableau; ParseError unless
+    its letters are positive ints.
 
     Columns increase strictly, so the entry that x bumps, the lowest one
-    >= x, is found by bisection.
+    >= x, is found by bisection.  That the column lengths weakly decrease
+    and the rows weakly increase is Schensted's theorem, so those two are
+    checked (InvariantError) and the tableau is built unchecked otherwise.
     """
+    word = _check_letters(word)
     cols = []
     for letter in word:
         x = letter
@@ -194,7 +240,10 @@ def column_insert(word) -> Tableau:
             col[bump], x = x, col[bump]
         if x is not None:
             cols.append([x])
-    return _from_columns(cols)
+    rows = _rows_of_columns(cols)
+    if rows is None or any(a > b for row in rows for a, b in pairwise(row)):
+        raise InvariantError(f"column insertion of {word!r} gave columns {cols}")
+    return Tableau._of(rows)
 
 
 def superstandard(lam) -> Tableau:
@@ -233,7 +282,7 @@ def _ssyt_rows(outer, inner, max_entry, weight):
 
     def fill(k):
         if k == len(cells):
-            yield [row[i:] for row, i in zip(grid, inner)]
+            yield tuple(tuple(row[i:]) for row, i in zip(grid, inner))
             return
         r, c = cells[k]
         low = grid[r][c - 1] if c > inner[r] else 1
@@ -319,17 +368,20 @@ def enumerate_ssyt(shape, max_entry=None, weight=None):
     """All semistandard tableaux of the given shape.
 
     Either cap the alphabet with max_entry or fix the content with weight.
+    The rows are filled under the semistandard rules, so the tableaux are
+    built unchecked.
     """
     for rows in _ssyt_rows(shape, (), max_entry, weight):
-        yield Tableau(rows)
+        yield Tableau._of(rows)
 
 
 def enumerate_skew_ssyt(outer, inner, max_entry=None, weight=None):
     """All skew semistandard tableaux of shape outer/inner; none unless
-    inner lies inside outer."""
-    outer, inner = tuple(outer), tuple(inner)
+    inner lies inside outer.  Built unchecked, as in ``enumerate_ssyt``."""
+    outer = check_partition(outer)
+    padded = _inner_of(outer, check_partition(inner))
     for rows in _ssyt_rows(outer, inner, max_entry, weight):
-        yield SkewTableau(outer, inner, rows)
+        yield SkewTableau._of(outer, padded, rows)
 
 
 def straighten(t: SkewTableau):

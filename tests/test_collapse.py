@@ -565,12 +565,19 @@ def test_insertion_oracles_random(m):
 
 
 def test_mlq_of_tableau_matches_one_ball_per_letter_exhaustive():
-    # 10 340 tableaux: every SSYT with at most 7 cells and entries at most n
-    for n in range(6):
+    # 10 339 tableaux: every SSYT with at most 7 cells and entries at most
+    # n >= 1 (an explicit n of 0 is refused; see test_errors)
+    for n in range(1, 6):
         for size in range(8):
             for lam in partitions(size):
                 for t in enumerate_ssyt(lam, max_entry=n):
                     assert mlq_of_tableau(t, n) == oracles.mlq_of_tableau_by_letters(t, n)
+
+
+def test_mlq_of_empty_tableau_defaults_to_one_column():
+    # only an explicit n is refused when it is not a positive int
+    assert mlq_of_tableau(Tableau([])) == MultilineQueue(1, [])
+    assert mlq_of_tableau(Tableau([]), 2) == MultilineQueue(2, [])
 
 
 @given(binary_matrices())

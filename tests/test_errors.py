@@ -28,7 +28,7 @@ from mlqkit.errors import (
 from mlqkit.matching import lowering, raise_all, raising, reflect
 from mlqkit.mlq import MultilineQueue, parse_mlq, sigma
 from mlqkit.poly import QXPolynomial
-from mlqkit.tableaux import Tableau
+from mlqkit.tableaux import Tableau, column_insert, tableau_from_crw
 
 TWO_ROWS = parse_mlq("n=3;1,2|3")
 WRAPPING = parse_mlq("n=2;1|2")
@@ -76,6 +76,16 @@ CASES = [
     (ParseError, partitions, (3, -1)),
     (ParseError, sort_to_partition, ((1, "a"),)),
     (ParseError, sort_to_partition, ((2, -1),)),
+    # a str letter used to raise a bare TypeError from comparing letters
+    (ParseError, column_insert, ((2, 1, "x"),)),
+    (ParseError, tableau_from_crw, ((2, "a"),)),
+    (ParseError, column_insert, ((0,),)),
+    (ParseError, column_insert, ((True,),)),
+    # an explicit n is checked: "x" raised a bare TypeError, and 0 gave a
+    # queue on one column
+    (ParseError, mlq_of_tableau, (Tableau([[1]]), "x")),
+    (ParseError, mlq_of_tableau, (Tableau([]), 0)),
+    (ParseError, mlq_of_tableau, (Tableau([[1]]), True)),
 ]
 
 

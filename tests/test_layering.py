@@ -5,10 +5,13 @@ and usually works around a cycle, so both are refused: every module of
 ``src/mlqkit`` is parsed with ``ast``, each function body is searched for
 imports, and the graph of relative imports between modules is searched for
 a cycle.  Every name a module or test file imports must also be used in it,
-and no module has an ``assert`` statement, which ``python -O`` strips.
+and no module has an ``assert`` statement, which ``python -O`` strips.  The
+trusted constructors ``_of``, which skip validation, are called only from an
+allow-list of engine routes.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import mlqkit
@@ -199,3 +202,60 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+# module -> the functions that call a trusted constructor ``_of``; each
+# builds its result from data that has the checked form by construction
+TRUSTED_CALLERS = {
+    "mlq": {"MultilineQueue.trimmed", "sigma"},
+    "collapse": {
+        "_from_masks", "collapse", "rotate90", "rotate270", "rotate180", "mlq_of_tableau",
+    },
+    "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
+    "poly": {
+        "schur", "q_whittaker_schur", "q_whittaker_mlq", "q_whittaker_gmlq", "kostka_foulkes",
+    },
+}
+
+
+def _trusted_call_sites(node, scope=()):
+    """The dotted names of the functions (and classes) around each call of
+    an attribute named ``_of`` below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            if child.func.attr == "_of":
+                yield ".".join(scope)
+        yield from _trusted_call_sites(child, inner)
+
+
+def test_trusted_constructors_only_on_the_allow_list():
+    found = {name: set(_trusted_call_sites(tree)) for name, tree in MODULES.items()}
+    assert {name: sites for name, sites in found.items() if sites} == TRUSTED_CALLERS
+    # input from outside is validated: no parser and no public constructor
+    # may skip it
+    for sites in found.values():
+        for site in sites:
+            for part in site.split("."):
+                assert not part.startswith("parse_") and part != "__init__", site
+    defining = {
+        node.name
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_of" for f in node.body)
+    }
+    assert defining == {"MultilineQueue", "Tableau", "SkewTableau", "QXPolynomial"}
+
+
+def test_charge_stays_on_the_traced_path():
+    # the benchmark sees q_whittaker_schur and kostka_foulkes only through
+    # charge.charge, so neither may bypass it
+    assert "charge" in _calls_in_module(MODULES["poly"], "q_whittaker_schur")
+    assert "tableau_charge" in _calls_in_module(MODULES["poly"], "kostka_foulkes")
+    assert "_charge" in _calls_in_module(MODULES["tableaux"], "tableau_charge")
+    charge = importlib.import_module("mlqkit.charge").charge
+    assert importlib.import_module("mlqkit.poly").charge is charge
+    assert importlib.import_module("mlqkit.tableaux")._charge is charge
