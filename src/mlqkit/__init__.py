@@ -9,25 +9,25 @@ Modules import each other at module level and without cycles: ``core``,
 ``errors``, ``matching`` and ``charge`` come first, ``tableaux`` and ``mlq``
 build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
 
-Each quantity has one route here.  The q-Whittaker polynomial of a
-partition is the charge formula in the Schur basis, read off one traversal
-of tableaux by horizontal strips (``q_whittaker_schur``), and its monomial
-form comes from those coefficients and Kostka numbers
-(``q_whittaker_mlq``, also named ``q_whittaker_charge_expansion``).  The
-generalized form over any row order sums over label-word states row by row,
-and the stationary counts over their rotation classes, since the ring's
-rotations act on the queues; Schur polynomials sum over the ball sets of
-nonwrapping queues row by row, Kostka-Foulkes polynomials are charge sums
-over tableaux, recording tableaux come from ``collapse``, rectification
-from ``rectify_by_mlq`` and ``maj_g`` from the pairing rule.  The other
-routes the paper proves equal are reference implementations in the test
-suite (``tests/oracles.py``), which checks that they agree: enumerating
-every queue, the Schur expansion one shape at a time, row insertion of the
-column word and label-tracked collapsing (both give the recorder),
-collapsing one ball per letter (gives the queue of a tableau), top-down
-collapsing, jeu de taquin, charge by matching, the label-word sweep with
-one state per word (gives the stationary counts) and the energy of the
-indicator levels (which equals ``maj_g``).
+Each quantity has one route here, and one engine builds every tableau:
+chains of horizontal strips (``tableaux._strip_chains``).  q-Whittaker
+polynomials are the charge formula in the Schur basis, read off one
+traversal of the tableaux of a content (``q_whittaker_schur``), and in the
+monomial basis through Kostka numbers (``q_whittaker_mlq``, also named
+``q_whittaker_charge_expansion``); the generalized form sums over
+label-word states row by row, and the stationary counts over their rotation
+classes.  Schur polynomials sum over the ball sets of nonwrapping queues
+row by row, Kostka-Foulkes polynomials are charge sums over tableaux, LR
+coefficients count the strip chains that the lattice rule prunes, and skew
+Schur polynomials are their sums of Schur polynomials.  The other routes
+the paper proves equal are reference implementations in the test suite
+(``tests/oracles.py``), which checks that they agree: enumerating every
+queue, the Schur expansion one shape at a time, tableaux filled cell by
+cell (and the skew tableau sum and lattice filter on them), row insertion
+of the column word and label-tracked collapsing (both give the recorder),
+collapsing one ball per letter, top-down collapsing, jeu de taquin, charge
+by matching, the label-word sweep with one state per word and the energy
+of the indicator levels (which equals ``maj_g``).
 """
 
 from .core import (

@@ -357,10 +357,7 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     collapsed queue maps back to t.  An explicit n must be a positive int
     (ParseError otherwise); the empty tableau's default is one column.
     """
-    if n is None:
-        n = max(t.entry_max(), 1)
-    else:
-        _check_columns(n)
+    n = max(t.entry_max(), 1) if n is None else _check_columns(n)
     if t.entry_max() > n:
         raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
     width = len(t.rows[0]) if t.rows else 0
@@ -413,11 +410,11 @@ class BicoloredMLQ:
 
 
 def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
-    """Bicolored queue of a skew tableau via its straightening."""
+    """Bicolored queue of a skew tableau via its straightening; an explicit
+    n must be a positive int (ParseError otherwise)."""
     hat, ell = straighten(t)
     alphabet = max((v for r in t.rows for v in r), default=0)
-    if n is None:
-        n = alphabet
+    n = alphabet if n is None else _check_columns(n)
     if alphabet > n:
         raise AlphabetTooSmall(f"entries up to {alphabet}, n={n}")
     # an empty filling gets one column, as mlq_of_tableau's default does

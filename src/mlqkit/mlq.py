@@ -376,8 +376,10 @@ def _least_rotation(word):
 
 
 def _check_columns(n):
+    """n, or ParseError unless it is a positive int."""
     if not _is_count(n) or n < 1:
         raise ParseError(f"column count must be a positive int, got {n!r}")
+    return n
 
 
 def _check_fits(alpha, n) -> tuple:

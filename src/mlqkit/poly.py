@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import chain, combinations, repeat
 
 from .charge import charge
-from .core import check_partition, conjugate, is_lattice, partitions
+from .core import check_partition, conjugate, content, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .matching import _mask, _match_rows
@@ -23,9 +23,10 @@ from .mlq import (
 )
 from .tableaux import (
     _grown,
-    _horizontal_strips,
-    _ssyt_of_content,
-    enumerate_skew_ssyt,
+    _rooms,
+    _skew_chains,
+    _strip_chains,
+    _strips,
     enumerate_ssyt,
     tableau_charge,
 )
@@ -167,11 +168,6 @@ class QXPolynomial:
         return f"QXPolynomial({self.n}, {self.to_text()!r})"
 
 
-def _x_key(counts):
-    """Sparse x exponent vector of a content vector (counts[i-1] for x_i)."""
-    return tuple((i + 1, e) for i, e in enumerate(counts) if e)
-
-
 def _pack(row, base) -> int:
     """The content of one ball set as a packed int: x_c's exponent is the
     digit of base^(c-1)."""
@@ -244,7 +240,7 @@ def q_whittaker_schur(mu, n: int) -> dict:
     mu = check_partition(mu)
     _check_columns(n)
     by_shape = {}
-    for rows in _ssyt_of_content(conjugate(mu), n):
+    for rows in _strip_chains(conjugate(mu), width=n):
         shape = tuple(map(len, rows))
         charges = by_shape.setdefault(shape, Counter())
         charges[charge(tuple(chain.from_iterable(reversed(rows))))] += 1
@@ -290,7 +286,7 @@ def _dominant_kostka(size: int, n: int, width: int):
 
     A tableau of content nu is a chain of horizontal strips of sizes
     nu_1, nu_2, ..., so the counts are a shape-to-count sweep over
-    ``_horizontal_strips``; partitions that share a prefix share its sweep.
+    ``_strips``; partitions that share a prefix share its sweep.
     """
     grown = {}  # (shape, part): the shapes one strip of part cells leads to
 
@@ -307,7 +303,7 @@ def _dominant_kostka(size: int, n: int, width: int):
                 if (shape, part) not in grown:
                     grown[shape, part] = [
                         _grown(shape, adds)
-                        for adds in _horizontal_strips(shape, part, width)
+                        for adds in _strips(_rooms(shape, width), part)
                     ]
                 for new in grown[shape, part]:
                     below[new] = below.get(new, 0) + count
@@ -475,10 +471,18 @@ def _shift_schur(lam, vars_inner, total, offset) -> QXPolynomial:
 
 
 def skew_schur(outer, inner, n: int) -> QXPolynomial:
-    """Content sum over skew semistandard tableaux with entries at most n;
-    zero unless inner lies inside outer."""
+    """The skew Schur polynomial sum over nu of c^outer_{inner,nu} s_nu on
+    n variables; zero unless inner lies inside outer.
+
+    nu has at most len(outer) parts, and s_nu is 0 when it has more than n,
+    so one traversal of the lattice strip chains over min(len(outer), n)
+    letters of free strip sizes gives every coefficient.
+    """
     _check_columns(n)
-    return QXPolynomial(n, (
-        ((0, _x_key(t.content())), 1)
-        for t in enumerate_skew_ssyt(outer, inner, max_entry=n)
-    ))
+    letters = min(len(check_partition(outer)), n)
+    chains = _skew_chains(outer, inner, letters, lattice=True)[2]
+    terms = Counter()
+    for nu, c in Counter(content(chain.from_iterable(rows)) for rows in chains).items():
+        for key, k in schur(nu, n).terms.items():
+            terms[key] += c * k
+    return QXPolynomial(n, terms)

@@ -6,15 +6,20 @@ weakly increasing left to right, strictly increasing up each column.  This
 module is a leaf of the package: it knows nothing of multiline queues.  The
 bijections between tableaux and nonwrapping queues are collapsing, so they
 live in ``collapse``.
+
+One engine, ``_strip_chains``, enumerates every semistandard filling as a
+chain of horizontal strips, one per letter, as collapsing adds them.
+Littlewood-Richardson coefficients count its chains under the lattice rule,
+checked as each strip is placed (Fulton, Young Tableaux, section 5).
 """
 
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import accumulate, pairwise, product
 
 from .charge import charge as _charge
-from .core import _check_letters, _is_count, check_partition, content, is_lattice
+from .core import _check_composition, _check_letters, _is_count, check_partition, content
 from .errors import InvariantError, ParseError, SizeMismatch
 from .matching import reflect
 
@@ -90,8 +95,8 @@ class SkewTableau:
     """Filling of outer/inner with the inner cells empty.
 
     The public constructor is the boundary: it stores each row as a tuple,
-    pads inner with zeros to the length of outer and raises ParseError
-    unless the rows fill outer/inner semistandardly
+    pads inner with zeros to the length of outer (and takes it back padded)
+    and raises ParseError unless the rows fill outer/inner semistandardly
     (``_check_semistandard``).  ``_of`` is the engine's trusted constructor
     for fillings built under those rules; it checks nothing.
     """
@@ -119,9 +124,6 @@ class SkewTableau:
         object.__setattr__(self, "rows", rows)
         return self
 
-    def content(self):
-        return content([v for r in self.rows for v in r])
-
     def is_straight(self):
         return all(v == 0 for v in self.inner)
 
@@ -129,10 +131,13 @@ class SkewTableau:
 def _check_semistandard(outer, inner, rows):
     """(outer, inner padded with zeros to the length of outer), or
     ParseError unless rows, bottom row first, fill outer/inner
-    semistandardly: both shapes are partitions, inner lies inside outer, row
-    r holds outer_r - inner_r positive ints weakly increasing, and each
-    column strictly increases upward."""
+    semistandardly: both shapes are partitions (inner maybe padded with
+    zeros), inner lies inside outer, row r holds outer_r - inner_r positive
+    ints weakly increasing, and each column strictly increases upward."""
     outer = check_partition(outer)
+    inner = tuple(inner)
+    while inner and type(inner[-1]) is int and inner[-1] == 0:
+        inner = inner[:-1]  # the padding that a stored inner carries
     inner = _inner_of(outer, check_partition(inner))
     if inner is None:
         raise ParseError("inner shape not contained in outer")
@@ -174,11 +179,6 @@ def column_reading_word(t: Tableau):
     for c in range(1, width + 1):
         out.extend(reversed(t.column(c)))
     return tuple(out)
-
-
-def skew_rev_reading_word(t: SkewTableau):
-    """Rows bottom to top, each read right to left (the lattice-rule word)."""
-    return tuple(v for row in t.rows for v in reversed(row))
 
 
 def tableau_charge(t: Tableau) -> int:
@@ -251,69 +251,11 @@ def superstandard(lam) -> Tableau:
     return Tableau([[r] * k for r, k in enumerate(lam, start=1)])
 
 
-def _ssyt_rows(outer, inner, max_entry, weight):
-    """The filled rows of every semistandard filling of outer/inner, bottom
-    row first; none unless inner lies inside outer.
-
-    Exactly one of max_entry (the largest entry) and weight (the content, a
-    tuple of ints >= 0) must be given.  Cells are filled row by row from the
-    bottom, left to right, each with every value from the least its row and
-    column allow upward.
-    """
-    outer = check_partition(outer)
-    inner = _inner_of(outer, check_partition(inner))
-    if (max_entry is None) == (weight is None):
-        raise ParseError("give exactly one of max_entry and weight")
-    if weight is None:
-        if not _is_count(max_entry) or max_entry < 0:
-            raise ParseError(f"max_entry must be an int >= 0, got {max_entry!r}")
-        top, remaining = max_entry, None
-    else:
-        remaining = list(weight)
-        if not all(_is_count(v) and v >= 0 for v in remaining):
-            raise ParseError(f"weight must be ints >= 0, got {weight!r}")
-        top = len(remaining)
-    if inner is None:
-        return
-    if remaining is not None and sum(remaining) != sum(outer) - sum(inner):
-        return
-    cells = [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
-    grid = [[0] * k for k in outer]
-
-    def fill(k):
-        if k == len(cells):
-            yield tuple(tuple(row[i:]) for row, i in zip(grid, inner))
-            return
-        r, c = cells[k]
-        low = grid[r][c - 1] if c > inner[r] else 1
-        if r and c >= inner[r - 1]:  # the cell below is filled
-            low = max(low, grid[r - 1][c] + 1)
-        for v in range(low, top + 1):
-            if remaining is not None:
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[r][c] = v
-            yield from fill(k + 1)
-            if remaining is not None:
-                remaining[v - 1] += 1
-
-    yield from fill(0)
-
-
-def _horizontal_strips(shape, size, width):
-    """The row growths, bottom row first, of every horizontal strip of size
-    cells on the partition shape whose first row stays within width cells.
-
-    Row i may grow until it is as long as row i - 1 (the first row until it
-    has width cells), and one new row may start on top.  Those rooms sum to
-    width, so a strip of more than width cells has no place.  Each growth is
-    a tuple of len(shape) + 1 ints.
-    """
-    rooms = [low - high for low, high in zip((width,) + shape, shape + (0,))]
-    later = [0] * (len(rooms) + 1)  # later[i]: the room in rows i onwards
-    for i in range(len(rooms) - 1, -1, -1):
-        later[i] = later[i + 1] + rooms[i]
+def _strips(rooms, size, caps=None):
+    """The row growths, bottom row first, each a tuple, of every horizontal
+    strip of size cells in which row i grows by at most rooms[i] cells and,
+    with caps, rows 0 to i together by at most caps[i] cells."""
+    later = list(accumulate(reversed(rooms), initial=0))[::-1]  # room in rows i on
     if size > later[0]:
         return
     adds = [0] * len(rooms)
@@ -322,12 +264,22 @@ def _horizontal_strips(shape, size, width):
         if not left:
             yield tuple(adds)
             return
-        for k in range(max(0, left - later[i + 1]), min(rooms[i], left) + 1):
+        top = min(rooms[i], left)
+        if caps:
+            top = min(top, caps[i] - size + left)
+        for k in range(max(0, left - later[i + 1]), top + 1):
             adds[i] = k
             yield from grow(i + 1, left - k)
         adds[i] = 0
 
     yield from grow(0, size)
+
+
+def _rooms(shape, width):
+    """The cells each row of the partition shape may gain in one horizontal
+    strip whose first row stays within width cells, and one new row on top:
+    row i may grow until it is as long as row i - 1 was."""
+    return [low - high for low, high in zip((width,) + shape, shape + (0,))]
 
 
 def _grown(shape, adds) -> tuple:
@@ -336,21 +288,47 @@ def _grown(shape, adds) -> tuple:
     return new if new[-1] else new[:-1]
 
 
-def _ssyt_of_content(weight, width):
-    """The rows, bottom row first, of every semistandard tableau with content
-    weight whose first row has at most width cells, over every shape.
+def _strip_chains(sizes, outer=None, inner=(), width=0, lattice=False):
+    """The rows, bottom row first, of every semistandard filling built from
+    inner by horizontal strips, letter i adding sizes[i - 1] cells (any
+    number where that is None).
 
-    The cells holding letter i form a horizontal strip of weight[i - 1]
-    cells on the shape the smaller letters fill, so the tableaux are built
-    letter by letter from ``_horizontal_strips``.
+    With outer, these fill outer/inner (inner padded), rows listing their
+    filled cells, and a free letter with L letters to come leaves row j at
+    least outer[j + L] long, so that they can fill outer.  Without outer,
+    inner is empty and the first row has at most width cells.  With lattice,
+    the reverse reading word (rows bottom to top, each right to left) stays
+    lattice: letter i fills at most as many cells of rows 0 to r as letter
+    i - 1 fills in rows 0 to r - 1, and a free letter fills a cell or ends.
     """
-    rows = []
+    rows = [() for _ in inner]
+    known = {}  # (rooms, size, caps): the strips, found once per call
 
-    def place(letter, shape):
-        if letter > len(weight):
-            yield tuple(rows)
-            return
-        for adds in _horizontal_strips(shape, weight[letter - 1], width):
+    def place(letter, shape, left, caps):
+        if outer is None:
+            rooms = _rooms(shape, width)
+        else:
+            rooms = [min(o, low) - high for o, low, high in zip(outer, (outer[0],) + shape, shape)]
+        if sizes[letter - 1] is not None:
+            key = (tuple(rooms), sizes[letter - 1], caps)
+            if key not in known:
+                known[key] = list(_strips(rooms, sizes[letter - 1], caps))
+            growths = known[key]
+        else:
+            # each row apart gains from lows[j] to rooms[j] cells, and under
+            # caps at most caps[j] less the least gain of the rows below it
+            to_come = len(sizes) - letter
+            lows = [max(0, o - s) for o, s in zip(outer[to_come:], shape)]
+            lows += [0] * (len(shape) - len(lows))
+            if caps:
+                rooms = [min(r, c - b) for r, c, b in zip(rooms, caps, accumulate(lows, initial=0))]
+            growths = product(*map(range, lows, [r + 1 for r in rooms]))
+            if lattice:
+                growths = (
+                    adds for adds in growths
+                    if any(adds) and (not caps or all(map(int.__le__, accumulate(adds), caps)))
+                )
+        for adds in growths:
             saved = rows[:]
             for i, k in enumerate(adds):
                 if k:
@@ -358,29 +336,53 @@ def _ssyt_of_content(weight, width):
                         rows[i] += (letter,) * k
                     else:
                         rows.append((letter,) * k)
-            yield from place(letter + 1, _grown(shape, adds))
+            if left == sum(adds):
+                yield tuple(rows)
+            else:
+                new = _grown(shape, adds) if outer is None else tuple(map(int.__add__, shape, adds))
+                below = tuple(accumulate(adds[:-1], initial=0)) if lattice else None
+                yield from place(letter + 1, new, left - sum(adds), below)
             rows[:] = saved
 
-    yield from place(1, ())
+    cells = sum(sizes) if outer is None else sum(outer) - sum(inner)
+    yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows)]
+
+
+def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):
+    """(outer, padded inner, the ``_strip_chains`` of outer/inner with
+    entries at most max_entry or content weight, none unless inner lies
+    inside outer); ParseError unless exactly one bound is given, and valid."""
+    if (max_entry is None) == (weight is None):
+        raise ParseError("give exactly one of max_entry and weight")
+    if weight is not None:
+        sizes = _check_composition(weight)
+    elif _is_count(max_entry) and max_entry >= 0:
+        sizes = (None,) * max_entry
+    else:
+        raise ParseError(f"max_entry must be an int >= 0, got {max_entry!r}")
+    outer = check_partition(outer)
+    inner = _inner_of(outer, check_partition(inner))
+    if inner is None or (None not in sizes and sum(sizes) != sum(outer) - sum(inner)):
+        return outer, inner, ()
+    return outer, inner, _strip_chains(sizes, outer, inner, lattice=lattice)
 
 
 def enumerate_ssyt(shape, max_entry=None, weight=None):
     """All semistandard tableaux of the given shape.
 
     Either cap the alphabet with max_entry or fix the content with weight.
-    The rows are filled under the semistandard rules, so the tableaux are
-    built unchecked.
+    The chains of horizontal strips fill the rows under the semistandard
+    rules, so the tableaux are built unchecked.
     """
-    for rows in _ssyt_rows(shape, (), max_entry, weight):
+    for rows in _skew_chains(shape, (), max_entry, weight)[2]:
         yield Tableau._of(rows)
 
 
 def enumerate_skew_ssyt(outer, inner, max_entry=None, weight=None):
     """All skew semistandard tableaux of shape outer/inner; none unless
     inner lies inside outer.  Built unchecked, as in ``enumerate_ssyt``."""
-    outer = check_partition(outer)
-    padded = _inner_of(outer, check_partition(inner))
-    for rows in _ssyt_rows(outer, inner, max_entry, weight):
+    outer, padded, chains = _skew_chains(outer, inner, max_entry, weight)
+    for rows in chains:
         yield SkewTableau._of(outer, padded, rows)
 
 
@@ -399,20 +401,12 @@ def straighten(t: SkewTableau):
     return Tableau([r for r in rows if r]), ell
 
 
-def count_lattice_skew(outer, inner, weight) -> int:
-    """Skew semistandard tableaux with lattice reverse reading word."""
-    total = 0
-    for t in enumerate_skew_ssyt(outer, inner, weight=tuple(weight)):
-        if is_lattice(skew_rev_reading_word(t)):
-            total += 1
-    return total
-
-
 def lr_coefficient(lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient, skew or product form.
 
     With |lam| = |mu| + |nu| this is c^lam_{mu,nu}; with |lam| + |mu| = |nu|
-    it is c^nu_{lam,mu}.
+    it is c^nu_{lam,mu}.  It counts the skew tableaux of content nu (or mu)
+    with lattice reverse reading word as lattice-pruned strip chains.
     """
     lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
     if sum(lam) == sum(mu) + sum(nu):
@@ -421,4 +415,4 @@ def lr_coefficient(lam, mu, nu) -> int:
         top, inner, weight = nu, lam, mu
     else:
         raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
-    return count_lattice_skew(top, inner, weight)
+    return sum(1 for _ in _skew_chains(top, inner, weight=weight, lattice=True)[2])

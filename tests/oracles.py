@@ -42,6 +42,15 @@ The second routes below each pin one theorem against the package's route:
   matching alone equals the charge of the charge subwords.
 - ``energy_levels`` / ``energy_h``: the wraps of the indicator levels of each
   row's labels against the row below sum to ``maj_g``.
+- ``ssyt_rows_by_cells``: filling the cells of a (skew) shape one at a time
+  gives the semistandard tableaux that the package builds as chains of
+  horizontal strips (``tableaux._strip_chains``); ``schur_by_ssyt`` and
+  ``skew_schur_by_tableaux`` sum their contents.
+- ``lr_coefficient_by_filter``: the skew tableaux of content nu, filled cell
+  by cell and kept when their reverse reading word is a lattice word, are
+  as many as the chains that the lattice rule prunes strip by strip
+  (``lr_coefficient``); ``skew_schur_by_tableaux`` equals the sum over nu
+  of c^lam_{mu,nu} s_nu (``skew_schur``).
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
   expansion built one lam at a time, ``kostka_foulkes`` times ``schur``,
   gives the coefficients that the package reads off one traversal of
@@ -55,7 +64,7 @@ from itertools import permutations, product
 from mlqkit import poly
 from mlqkit.charge import _check_partition_content
 from mlqkit.collapse import CollapseResult, collapse, rotate90
-from mlqkit.core import conjugate, partitions
+from mlqkit.core import check_partition, conjugate, content, is_lattice, partitions
 from mlqkit.errors import InvariantError, SizeMismatch
 from mlqkit.fillings import ColumnFilling, coquinv
 from mlqkit.matching import bracket_match
@@ -70,8 +79,18 @@ from mlqkit.mlq import (
     maj_g,
     projection,
 )
-from mlqkit.poly import QXPolynomial, _x_key
-from mlqkit.tableaux import Tableau, column_reading_word, enumerate_ssyt
+from mlqkit.poly import QXPolynomial
+from mlqkit.tableaux import (
+    SkewTableau,
+    Tableau,
+    _inner_of,
+    column_reading_word,
+)
+
+
+def _x_key(counts):
+    """Sparse x exponent vector of a content vector (counts[i-1] for x_i)."""
+    return tuple((i + 1, e) for i, e in enumerate(counts) if e)
 
 
 def _two_row_match(upper, lower, cyclic=False):
@@ -239,11 +258,78 @@ def schur(lam, n: int) -> QXPolynomial:
     ))
 
 
-def schur_by_ssyt(lam, n: int) -> QXPolynomial:
-    """x^content summed over semistandard tableaux of shape lam."""
+def ssyt_rows_by_cells(outer, inner=(), max_entry=None, weight=None):
+    """The filled rows, bottom row first, of every semistandard filling of
+    outer/inner with entries at most max_entry or content weight; none
+    unless inner lies inside outer.
+
+    Cells are filled one at a time, row by row from the bottom and left to
+    right in each row, each with every value from the least its row and
+    column allow upward; the bounds are trusted.
+    """
+    outer = check_partition(outer)
+    inner = _inner_of(outer, check_partition(inner))
+    if inner is None:
+        return
+    top = max_entry if weight is None else len(weight)
+    remaining = None if weight is None else list(weight)
+    if remaining is not None and sum(remaining) != sum(outer) - sum(inner):
+        return
+    cells = [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
+    grid = [[0] * k for k in outer]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row[i:]) for row, i in zip(grid, inner))
+            return
+        r, c = cells[k]
+        low = grid[r][c - 1] if c > inner[r] else 1
+        if r and c >= inner[r - 1]:  # the cell below is filled
+            low = max(low, grid[r - 1][c] + 1)
+        for v in range(low, top + 1):
+            if remaining is not None:
+                if remaining[v - 1] == 0:
+                    continue
+                remaining[v - 1] -= 1
+            grid[r][c] = v
+            yield from fill(k + 1)
+            if remaining is not None:
+                remaining[v - 1] += 1
+
+    yield from fill(0)
+
+
+def skew_schur_by_tableaux(outer, inner, n: int) -> QXPolynomial:
+    """x^content summed over the skew tableaux of outer/inner with entries
+    at most n, filled cell by cell."""
     return QXPolynomial(n, (
-        ((0, _x_key(t.content())), 1) for t in enumerate_ssyt(lam, max_entry=n)
+        ((0, _x_key(content([v for r in rows for v in r]))), 1)
+        for rows in ssyt_rows_by_cells(outer, inner, max_entry=n)
     ))
+
+
+def schur_by_ssyt(lam, n: int) -> QXPolynomial:
+    """x^content summed over semistandard tableaux of shape lam, filled cell
+    by cell."""
+    return skew_schur_by_tableaux(lam, (), n)
+
+
+def skew_rev_reading_word(t) -> tuple:
+    """Rows bottom to top, each read right to left (the lattice-rule word)."""
+    return tuple(v for row in t.rows for v in reversed(row))
+
+
+def lr_coefficient_by_filter(lam, mu, nu) -> int:
+    """c^lam_{mu,nu}: the skew tableaux of lam/mu with content nu, filled
+    cell by cell, whose reverse reading word is a lattice word."""
+    if sum(lam) != sum(mu) + sum(nu):
+        raise SizeMismatch(f"|{lam}| != |{mu}| + |{nu}|")
+    inner = _inner_of(lam, mu)
+    return sum(
+        1
+        for rows in ssyt_rows_by_cells(lam, mu, weight=nu)
+        if is_lattice(skew_rev_reading_word(SkewTableau(lam, inner, rows)))
+    )
 
 
 def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:

@@ -12,6 +12,7 @@ from mlqkit.collapse import (
     mlq_of_tableau,
     mrsk_inverse,
     mult_mlq,
+    skew_to_mlq,
     tab_of_mlq,
     twisted_collapse,
 )
@@ -28,7 +29,7 @@ from mlqkit.errors import (
 from mlqkit.matching import lowering, raise_all, raising, reflect
 from mlqkit.mlq import MultilineQueue, parse_mlq, sigma
 from mlqkit.poly import QXPolynomial
-from mlqkit.tableaux import Tableau, column_insert, tableau_from_crw
+from mlqkit.tableaux import SkewTableau, Tableau, column_insert, tableau_from_crw
 
 TWO_ROWS = parse_mlq("n=3;1,2|3")
 WRAPPING = parse_mlq("n=2;1|2")
@@ -86,6 +87,11 @@ CASES = [
     (ParseError, mlq_of_tableau, (Tableau([[1]]), "x")),
     (ParseError, mlq_of_tableau, (Tableau([]), 0)),
     (ParseError, mlq_of_tableau, (Tableau([[1]]), True)),
+    # so is skew_to_mlq's: "x" raised a bare TypeError, and 0 gave a queue
+    # for a filling with no entries
+    (ParseError, skew_to_mlq, (SkewTableau((1,), (), [(1,)]), "x")),
+    (ParseError, skew_to_mlq, (SkewTableau((1,), (1,), [()]), 0)),
+    (ParseError, skew_to_mlq, (SkewTableau((1,), (), [(1,)]), True)),
 ]
 
 

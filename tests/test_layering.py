@@ -259,3 +259,35 @@ def test_charge_stays_on_the_traced_path():
     charge = importlib.import_module("mlqkit.charge").charge
     assert importlib.import_module("mlqkit.poly").charge is charge
     assert importlib.import_module("mlqkit.tableaux")._charge is charge
+
+
+def test_one_tableau_engine():
+    # every semistandard enumeration is a chain of horizontal strips
+    # (tableaux._strip_chains); the cell-by-cell backtracker is the oracle
+    # in tests/oracles.py only
+    for name, tree in MODULES.items():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_ssyt_rows", "_ssyt_of_content"}, name
+    tableaux, poly = MODULES["tableaux"], MODULES["poly"]
+    for start in ["enumerate_ssyt", "enumerate_skew_ssyt", "lr_coefficient"]:
+        assert "_strip_chains" in _calls_in_module(tableaux, start), start
+    # LR coefficients count the lattice-pruned chains, not filtered tableaux
+    assert not _calls_in_module(tableaux, "lr_coefficient") & {
+        "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
+    }
+    assert "_strip_chains" in _calls_in_module(poly, "q_whittaker_schur")
+    # skew Schur polynomials go through LR coefficients and Schur polynomials
+    skew = _calls_in_module(poly, "skew_schur")
+    assert {"_skew_chains", "schur"} <= skew
+    assert not skew & {"enumerate_skew_ssyt", "enumerate_ssyt"}
+    # no route of the package enumerates a capped alphabet unpruned: it asks
+    # the enumerators for a weight, and skew_schur's free letters come with
+    # the lattice rule
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                keywords = {k.arg for k in node.keywords}
+                if node.func.id in {"enumerate_ssyt", "enumerate_skew_ssyt"}:
+                    assert keywords == {"weight"}, f"{name}.py:{node.lineno}"
+                if node.func.id == "_skew_chains" and name != "tableaux":
+                    assert "lattice" in keywords, f"{name}.py:{node.lineno}"

@@ -2,6 +2,8 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from test_collapse import binary_matrices
 
 import oracles
 from mlqkit.charge import charge, charge_g
@@ -292,12 +294,26 @@ def test_sigma_preserves_labels_off_swapped_row():
                     assert other[(r, c)] == lab
 
 
+def _maj_g_is_charge_g_and_sigma_invariant(m):
+    base = maj_g(m)
+    assert base == charge_g(column_word(m)), m
+    for i in range(1, m.num_rows):
+        assert maj_g(sigma(m, i)) == base, (m, i)
+
+
 def test_maj_g_sigma_invariant_and_charge_cw():
-    for m in all_binary_matrices(3, 3):
-        base = maj_g(m)
-        assert base == charge_g(column_word(m))
-        for i in (1, 2):
-            assert maj_g(sigma(m, i)) == base
+    # the paper's composition-indexed statistic: maj_g is charge_g of the
+    # column word and is invariant under every sigma_i, on every binary
+    # matrix of 3 x 3, 3 x 4 and 4 x 3 (8 704 matrices)
+    for num_rows, n in [(3, 3), (3, 4), (4, 3)]:
+        for m in all_binary_matrices(num_rows, n):
+            _maj_g_is_charge_g_and_sigma_invariant(m)
+
+
+@given(binary_matrices())
+def test_maj_g_sigma_invariant_and_charge_cw_random(m):
+    # matrices up to 6 x 6
+    _maj_g_is_charge_g_and_sigma_invariant(m)
 
 
 def test_energy_example():

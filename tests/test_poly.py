@@ -93,10 +93,10 @@ def test_q_whittaker_schur_boundaries():
     ((2, 1), 0), ((2, 1), 1.5), ((2, 1), True),
 ])
 def test_q_whittaker_schur_checks_before_work(monkeypatch, mu, n):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("tableaux enumerated before the input was checked")
 
-    monkeypatch.setattr(poly, "_ssyt_of_content", refuse)
+    monkeypatch.setattr(poly, "_strip_chains", refuse)
     for route in (q_whittaker_schur, q_whittaker_mlq):
         with pytest.raises(ParseError):
             route(mu, n)

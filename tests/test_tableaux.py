@@ -22,7 +22,7 @@ from mlqkit.poly import QXPolynomial, skew_schur
 from mlqkit.tableaux import (
     SkewTableau,
     Tableau,
-    _ssyt_of_content,
+    _strip_chains,
     column_insert,
     column_reading_word,
     enumerate_skew_ssyt,
@@ -291,7 +291,9 @@ def test_lr_values():
         lr_coefficient((2,), (2,), (2,))
 
 
-def test_lr_two_paths_agree():
+def test_lr_routes_agree():
+    # the lattice-pruned chains, the paper's collapsing route and the
+    # cell-by-cell filter, on every triple with |lam| <= 6
     for total in range(1, 7):
         for lam in partitions(total):
             for inner_size in range(0, total + 1):
@@ -299,7 +301,41 @@ def test_lr_two_paths_agree():
                     for nu in partitions(total - inner_size):
                         a = lr_coefficient(lam, mu, nu)
                         b = lr_coefficient_by_mlq(lam, mu, nu)
-                        assert a == b, (lam, mu, nu, a, b)
+                        c = oracles.lr_coefficient_by_filter(lam, mu, nu)
+                        assert a == b == c, (lam, mu, nu, a, b, c)
+
+
+def test_lr_symmetries():
+    # c^lam_{mu,nu} = c^lam_{nu,mu} = c^{lam'}_{mu',nu'}, and the product
+    # form c^lam_{mu,nu} = lr_coefficient(mu, nu, lam), for every |lam| <= 7
+    for total in range(0, 8):
+        for lam in partitions(total):
+            for inner_size in range(0, total + 1):
+                for mu in partitions(inner_size):
+                    for nu in partitions(total - inner_size):
+                        c = lr_coefficient(lam, mu, nu)
+                        assert lr_coefficient(lam, nu, mu) == c, (lam, mu, nu)
+                        conj = lr_coefficient(conjugate(lam), conjugate(mu), conjugate(nu))
+                        assert conj == c, (lam, mu, nu)
+                        assert lr_coefficient(mu, nu, lam) == c, (lam, mu, nu)
+
+
+def test_lr_frontier_value():
+    # a frontier value, fast because the lattice rule prunes each strip as
+    # it is placed instead of filtering every skew tableau of content nu
+    assert lr_coefficient((8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (7, 6, 5, 4, 3, 1)) == 120
+
+
+def test_skew_schur_is_the_tableau_sum():
+    # s_{lam/mu} through c^lam_{mu,nu} s_nu equals the content sum over the
+    # skew tableaux filled cell by cell
+    for size in range(0, 7):
+        for lam in partitions(size):
+            for inner_size in range(0, 4):
+                for mu in partitions(inner_size):
+                    for n in range(1, 5):
+                        expected = oracles.skew_schur_by_tableaux(lam, mu, n)
+                        assert skew_schur(lam, mu, n) == expected, (lam, mu, n)
 
 
 def test_mult_shape_distribution():
@@ -345,6 +381,8 @@ def test_rejects_entries_that_are_not_positive_ints(rows):
 @pytest.mark.parametrize("outer, inner, rows", [
     ((1, 2), (), [[1], [2, 3]]),  # outer is not a partition
     ((2, 1), (0, 1), [[1, 2], []]),  # inner is not a partition
+    ((2, 1), (1, False), [[2], [1]]),  # a bool is no padding zero
+    ((2, 1), (1, 0.0), [[2], [1]]),  # nor is a float
     ((2, 1), (1,), [[2, 3], [1]]),  # row 1 holds one cell, not two
     ((2,), (3,), [[]]),  # inner is not inside outer
     ((2, 1), (), [[1, 2]]),  # one segment missing
@@ -377,38 +415,72 @@ def weak_compositions(total, parts):
 
 
 def test_straight_and_skew_enumerators_agree():
-    # one backtracker serves both: with an empty inner shape the skew
-    # enumerator yields the straight tableaux' rows in the same order
+    # one strip engine serves both; with an empty inner shape the skew
+    # enumerator yields the straight tableaux' rows, compared as multisets
     for size in range(0, 7):
         for lam in partitions(size):
             for n in range(1, 5):
-                straight = [t.rows for t in enumerate_ssyt(lam, max_entry=n)]
-                skew = [t.rows for t in enumerate_skew_ssyt(lam, (), max_entry=n)]
+                straight = Counter(t.rows for t in enumerate_ssyt(lam, max_entry=n))
+                skew = Counter(t.rows for t in enumerate_skew_ssyt(lam, (), max_entry=n))
                 assert straight == skew, (lam, n)
-                assert len(straight) == hook_content_count(lam, n), (lam, n)
-                by_weight = [
+                assert sum(straight.values()) == hook_content_count(lam, n), (lam, n)
+                by_weight = Counter(
                     t.rows for w in weak_compositions(size, n)
                     for t in enumerate_ssyt(lam, weight=w)
+                )
+                assert by_weight == straight, (lam, n)
+
+
+INNERS = [mu for size in range(0, 3) for mu in partitions(size)]
+
+
+def test_strip_chains_match_the_cell_oracle():
+    # straight and skew tableaux of every lam with |lam| <= 6 and inner
+    # shape of size <= 2, with entries at most 0..4 and with every weight of
+    # at most 4 letters, equal the cell-by-cell fillings as multisets
+    for size in range(0, 7):
+        for lam in partitions(size):
+            for mu in INNERS:
+                bounds = [{"max_entry": top} for top in range(5)] + [
+                    {"weight": w}
+                    for parts in range(5)
+                    for w in weak_compositions(max(size - sum(mu), 0), parts)
                 ]
-                assert sorted(by_weight) == sorted(straight), (lam, n)
+                for bound in bounds:
+                    expected = Counter(oracles.ssyt_rows_by_cells(lam, mu, **bound))
+                    got = Counter(t.rows for t in enumerate_skew_ssyt(lam, mu, **bound))
+                    assert got == expected, (lam, mu, bound)
+                    if not mu:
+                        straight = Counter(t.rows for t in enumerate_ssyt(lam, **bound))
+                        assert straight == expected, (lam, bound)
 
 
 def test_strips_give_every_tableau_of_a_content():
     # every weak composition of at most 4 parts, and every composition
-    # without zeros, of each size up to 7
+    # without zeros, of each size up to 7, against the cell-by-cell fillings
     contents = [
         c for size in range(0, 8) for parts in range(0, size + 1)
         for c in weak_compositions(size, parts) if parts <= 4 or 0 not in c
     ]
     for c in contents:
         by_shape = Counter(
-            t.rows for lam in partitions(sum(c)) for t in enumerate_ssyt(lam, weight=c)
+            rows for lam in partitions(sum(c))
+            for rows in oracles.ssyt_rows_by_cells(lam, weight=c)
         )
         for width in range(1, 6):
             expected = Counter({
                 rows: k for rows, k in by_shape.items() if not rows or len(rows[0]) <= width
             })
-            assert Counter(_ssyt_of_content(c, width)) == expected, (c, width)
+            assert Counter(_strip_chains(c, width=width)) == expected, (c, width)
+
+
+def test_skew_tableau_rebuilds_itself():
+    # inner is stored padded with zeros; the constructor takes it back
+    t = SkewTableau((2, 1), (1,), [(1,), (2,)])
+    assert t.inner == (1, 0)
+    assert SkewTableau(t.outer, t.inner, t.rows) == t
+    assert SkewTableau((2, 1), (1, 0, 0), [(1,), (2,)]) == t
+    assert SkewTableau((1,), (0,), [(1,)]) == SkewTableau((1,), (), [(1,)])
 
 
 @pytest.mark.parametrize("bounds", [

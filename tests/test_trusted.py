@@ -61,10 +61,7 @@ def same_tableau(t):
 
 
 def same_skew(t):
-    # inner is stored padded with zeros to the length of outer, and the
-    # constructor takes it as a partition, without them
-    inner = tuple(v for v in t.inner if v)
-    _same(t, SkewTableau(t.outer, inner, t.rows))
+    _same(t, SkewTableau(t.outer, t.inner, t.rows))
 
 
 def same_poly(p):
