@@ -4,7 +4,10 @@ Dropping a row means moving every ball that is unmatched against the row
 below it down by one.  Sweeping the drops bottom-to-top collapses any matrix
 to a nonwrapping queue together with a recording tableau; collapsing in two
 orthogonal directions gives a Robinson-Schensted-style bijection for
-matrices.
+matrices, ``mrsk``.  Its leftward collapse is the downward collapse's
+recorder transposed (the queue form of RSK symmetry), so ``mrsk`` costs one
+collapse and ``mrsk_inverse`` reads the recorder straight off the leftward
+queue.
 
 Drops and lifts work on rows held as int bitmasks, bit c standing for
 column c, through the one two-row kernel ``matching._match_rows``; a
@@ -31,6 +34,7 @@ from .errors import (
     InvariantError,
     NotNonwrapping,
     OutOfRange,
+    ParseError,
     ShapeMismatch,
     SizeMismatch,
 )
@@ -40,7 +44,6 @@ from .mlq import (
     _check_columns,
     _check_row_pair,
     _is_collapsed,
-    column_word,
     row_word,
     sigma,
 )
@@ -48,10 +51,10 @@ from .tableaux import (
     SkewTableau,
     Tableau,
     _inner_of,
+    _rows_of_columns,
     column_insert,
     straighten,
     superstandard,
-    tableau_from_crw,
 )
 
 
@@ -301,23 +304,56 @@ def mrsk(m: MultilineQueue):
 
     The second component is the rotation of the leftward collapse, a genuine
     nonwrapping queue over the original row count; the two shapes are
-    conjugate.
+    conjugate.  It is the downward collapse's recorder transposed, the
+    queue form of RSK symmetry: row c of the leftward queue holds L + 1 - r
+    for the entries r of recorder column c, where L = m.num_rows, and its
+    rows past the recorder's width are empty.  So one collapse does the
+    work of two.  Why it holds: ``mrsk_inverse`` reads a recorder off left
+    this way and uncollapses down with it, and uncollapsing down is
+    injective in the recorder, so ``mrsk_inverse . mrsk = id`` for the
+    leftward collapse already forces the recorder read off it to equal
+    ``collapse(m).recorder``.  A queue without rows is OutOfRange, as its
+    quarter turn is.
     """
-    down = collapse(m).queue
-    left = collapse(rotate90(m)).queue
-    return down, left
+    _check_has_rows(m)
+    down, recorder = collapse(m)
+    flip = m.num_rows + 1
+    left = [[] for _ in range(m.n)]
+    # recorder columns increase strictly, so taken from the last row back
+    # their flips increase
+    for row in reversed(recorder.rows):
+        for c, r in enumerate(row):
+            left[c].append(flip - r)
+    return down, MultilineQueue._of(m.num_rows, tuple(map(tuple, left)))
 
 
 def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     """Inverse of mrsk on collapsed queues: the left one gives the recorder.
 
-    Its entries are ball rows of ``rotate270(left)``, at most left.n, so
-    left.n rows are always enough."""
+    Both queues must be collapsed (NotNonwrapping), of transposed sizes,
+    left.n == down.num_rows and left.num_rows == down.n (ColumnMismatch),
+    and of conjugate shapes (ShapeMismatch).  Recorder column c is row c of
+    left with each entry x read as left.n + 1 - x, in increasing order: the
+    transposition identity of ``mrsk``.  Its entries are at most left.n, so
+    left.n rows are always enough.  Columns that do not form a tableau are
+    a ParseError.
+    """
     _check_collapsed(left)
     _check_collapsed(down)
+    if left.n != down.num_rows or left.num_rows != down.n:
+        raise ColumnMismatch(
+            f"left is {left.num_rows} rows on {left.n} columns, not the "
+            f"transpose of down's {down.num_rows} rows on {down.n} columns"
+        )
     if left.shape() != conjugate(down.shape()):
         raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")
-    recorder = tableau_from_crw(column_word(rotate270(left)))
+    flip = left.n + 1
+    # a collapsed queue's empty rows are its top ones, the trailing columns
+    columns = [tuple(flip - x for x in reversed(row)) for row in left.rows if row]
+    rows = _rows_of_columns(columns)
+    if rows is None:
+        raise ParseError("columns do not form a tableau")
+    recorder = Tableau(rows)
     _check_recorder_shape(down, recorder)
     return _uncollapse(down, recorder, left.n)
 

@@ -81,11 +81,17 @@ def _match_rows(upper, lower):
     mask ``lower`` (closes); return (unmatched opens, unmatched closes) as
     masks.
 
-    One pass over the balls of ``lower``, lowest column first: the close at
-    bit b takes the highest unmatched open at or below b, the top of the
-    bracket stack.  An unmatched open is never a column of ``lower`` and an
-    unmatched close never one of ``upper``, so moving either set to the
-    other row is an xor on one row and an or on the other.
+    The close of a column that also holds an open takes that open: the
+    open comes just before it, and no close of a lower column reaches it.
+    Removing that pair, adjacent in column order, leaves every other match
+    as it was, so the columns of ``upper & lower`` leave both rows up front.
+    Then one pass over the balls of ``lower``, lowest column first: the
+    close at bit b takes the highest unmatched open below b, the top of the
+    bracket stack.  The pass stops as soon as either side is empty: the
+    closes left are then unmatched, and so are the opens left.  An
+    unmatched open is never a column of ``lower`` and an unmatched close
+    never one of ``upper``, so moving either set to the other row is an xor
+    on one row and an or on the other.
 
     No open stays unmatched exactly when the balls of ``upper`` park into
     ``lower`` without a wrap, each on a free ball weakly right of it: both
@@ -93,17 +99,19 @@ def _match_rows(upper, lower):
     as of ``upper``, since first-fit parking succeeds or fails whatever
     order the cars arrive in.  So it depends only on the two ball sets.
     """
-    opens = upper
+    shared = upper & lower
+    opens = upper ^ shared
+    lower ^= shared
     closes = 0
-    while lower:
+    while lower and opens:
         low = lower & -lower
-        avail = opens & ((low << 1) - 1)
+        avail = opens & (low - 1)
         if avail:
             opens ^= 1 << (avail.bit_length() - 1)
         else:
             closes |= low
         lower ^= low
-    return opens, closes
+    return opens, closes | lower
 
 
 def _mask(columns):

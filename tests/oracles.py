@@ -30,6 +30,12 @@ The second routes below each pin one theorem against the package's route:
   collapsing one row per column.
 - ``labelled_collapse``: collapsing with every ball carrying its source row
   as a label reads off the same recording tableau.
+- ``mrsk_by_two_collapses`` / ``mrsk_inverse_by_crw``: collapsing the
+  quarter turn gives the leftward queue that ``mrsk`` reads off the
+  recorder of the one downward collapse, and ``recorder_of_left_by_crw``,
+  the tableau whose column reading word is the leftward queue turned back,
+  is the recorder that ``mrsk_inverse`` reads off its rows (the queue form
+  of RSK symmetry).
 - ``collapse_top_down``: sweeping the drops from the top gives the same
   collapsed queue (the drop operators satisfy the braid relations).
 - ``jdt_rectify``: jeu de taquin rectifies a skew tableau to the tableau that
@@ -63,15 +69,23 @@ from itertools import permutations, product
 
 from mlqkit import poly
 from mlqkit.charge import _check_partition_content
-from mlqkit.collapse import CollapseResult, collapse, rotate90
+from mlqkit.collapse import (
+    CollapseResult,
+    collapse,
+    collapse_inverse,
+    rotate90,
+    rotate270,
+)
 from mlqkit.core import check_partition, conjugate, content, is_lattice, partitions
-from mlqkit.errors import InvariantError, SizeMismatch
+from mlqkit.errors import InvariantError, NotNonwrapping, ShapeMismatch, SizeMismatch
 from mlqkit.fillings import ColumnFilling, coquinv
 from mlqkit.matching import bracket_match
 from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
+    _is_collapsed,
     _label_word_sweep,
+    column_word,
     enumerate_gmlq,
     enumerate_mlq,
     is_nonwrapping,
@@ -85,6 +99,7 @@ from mlqkit.tableaux import (
     Tableau,
     _inner_of,
     column_reading_word,
+    tableau_from_crw,
 )
 
 
@@ -407,6 +422,28 @@ def mlq_of_tableau_by_letters(t, n) -> MultilineQueue:
     per row, the letters of the reversed column reading word bottom up."""
     word = reversed(column_reading_word(t))
     return collapse(MultilineQueue(max(n, 1), [[v] for v in word])).queue.trimmed()
+
+
+def mrsk_by_two_collapses(m):
+    """``mrsk`` by two collapses: m, and its quarter turn."""
+    return collapse(m).queue, collapse(rotate90(m)).queue
+
+
+def recorder_of_left_by_crw(left) -> Tableau:
+    """The recorder of a leftward queue: turned back, its column word is the
+    column reading word of the recorder; ParseError unless it is one."""
+    return tableau_from_crw(column_word(rotate270(left)))
+
+
+def mrsk_inverse_by_crw(down, left) -> MultilineQueue:
+    """``mrsk_inverse`` through ``recorder_of_left_by_crw``, with the same
+    checks in the same order, on queues of transposed sizes."""
+    for q in (left, down):
+        if not _is_collapsed(q):
+            raise NotNonwrapping(q.to_text())
+    if left.shape() != conjugate(down.shape()):
+        raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")
+    return collapse_inverse(down, recorder_of_left_by_crw(left), height=left.n)
 
 
 def collapse_top_down(m) -> MultilineQueue:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mlqkit.core import conjugate, is_lattice, partitions
-from mlqkit.errors import NotNonwrapping, OutOfRange, ShapeMismatch
+from mlqkit.errors import MlqkitError, NotNonwrapping, OutOfRange, ShapeMismatch
 from mlqkit.matching import _columns, _mask, lowering, raising, raise_all
 from mlqkit.mlq import (
     MultilineQueue,
@@ -422,6 +422,65 @@ def test_mrsk_bijection_exhaustive():
     assert len(seen) == 512
 
 
+def _small_matrices(max_cells, max_side):
+    """Every matrix with L, n <= max_side and L * n <= max_cells cells."""
+    for rows in range(1, max_side + 1):
+        for n in range(1, min(max_side, max_cells // rows) + 1):
+            yield from all_binary_matrices(rows, n)
+
+
+def _outcome(function, *args):
+    """The value of the call, or the type of the package error it raised."""
+    try:
+        return function(*args)
+    except MlqkitError as error:
+        return type(error)
+
+
+def test_mrsk_equals_two_collapses_exhaustive():
+    # 9 418 matrices: L, n <= 4 and at most 12 cells
+    count = 0
+    for m in _small_matrices(12, 4):
+        assert mrsk(m) == oracles.mrsk_by_two_collapses(m)
+        count += 1
+    assert count == 9418
+
+
+def test_mrsk_inverse_equals_crw_route_exhaustive():
+    # every (down, left) pair of transposed sizes with L * n <= 6: the same
+    # queue or the same error type as reading the recorder off the column
+    # word of the turned-back left queue; the pairs it accepts are the 394
+    # images of mrsk, one per matrix of these sizes
+    accepted = 0
+    for rows in range(1, 7):
+        for n in range(1, 6 // rows + 1):
+            lefts = list(all_binary_matrices(n, rows))
+            for down in all_binary_matrices(rows, n):
+                for left in lefts:
+                    back = _outcome(mrsk_inverse, down, left)
+                    assert back == _outcome(oracles.mrsk_inverse_by_crw, down, left)
+                    if isinstance(back, MultilineQueue):
+                        assert mrsk(back) == (down, left)
+                        accepted += 1
+    assert accepted == 394
+
+
+def test_mrsk_of_no_rows_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        mrsk(MultilineQueue(3, []))
+
+
+def test_collapse_left_columns_are_recorder_columns():
+    # ball (r, c) of the leftward collapse for each entry r of recorder
+    # column c: the leftward queue is the recorder transposed
+    for m in _small_matrices(9, 3):
+        left = collapse_left(m)
+        recorder = collapse(m).recorder
+        for c in range(1, m.n + 1):
+            rows = tuple(r for r, row in enumerate(left.rows, start=1) if c in row)
+            assert rows == recorder.column(c), (m, c)
+
+
 def test_flip_reverses_column_content():
     m = canonical_mlq((2, 1), 3)
     flipped = flip_up(m)
@@ -517,6 +576,11 @@ def test_bijections_random(m):
     result = collapse(m)
     assert collapse_inverse(result.queue, result.recorder, height=m.num_rows) == m
     assert mrsk_inverse(*mrsk(m)) == m
+
+
+@given(binary_matrices())
+def test_mrsk_equals_two_collapses_random(m):
+    assert mrsk(m) == oracles.mrsk_by_two_collapses(m)
 
 
 @given(binary_matrices())

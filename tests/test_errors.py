@@ -49,6 +49,10 @@ CASES = [
     (NotNonwrapping, mrsk_inverse, (parse_mlq("n=3;1|2|"), parse_mlq("n=3;1,2||"))),
     # a down queue that is not straight used to raise NotStraight instead
     (NotNonwrapping, mrsk_inverse, (parse_mlq("n=3;1|1,2"), parse_mlq("n=3;1,2||"))),
+    # sizes that do not transpose used to return a matrix that mrsk does
+    # not send back: n=2;1 and n=2;||1, though mrsk(n=2;1) is (n=2;1, n=1;1|)
+    (ColumnMismatch, mrsk_inverse, (parse_mlq("n=2;1||"), parse_mlq("n=1;1|"))),
+    (ColumnMismatch, mrsk_inverse, (parse_mlq("n=2;1"), parse_mlq("n=3;1|"))),
     (AlphabetTooSmall, mlq_of_tableau, (Tableau([[3]]), 2)),
     (ColumnMismatch, mult_mlq, (TWO_ROWS, WRAPPING)),
     (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),

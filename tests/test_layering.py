@@ -209,7 +209,8 @@ def test_no_assert_in_src():
 TRUSTED_CALLERS = {
     "mlq": {"MultilineQueue.trimmed", "sigma"},
     "collapse": {
-        "_from_masks", "collapse", "rotate90", "rotate270", "rotate180", "mlq_of_tableau",
+        "_from_masks", "collapse", "rotate90", "rotate270", "rotate180", "mrsk",
+        "mlq_of_tableau",
     },
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
     "poly": {

@@ -146,6 +146,26 @@ def test_match_rows_small_cases():
     assert _match_rows(_mask([1]), _mask([1])) == (0, 0)
     # the close at 3 takes the highest open at or below it
     assert _match_rows(_mask([1, 2]), _mask([3])) == (_mask([1]), 0)
+    # a shared column matches itself, whatever lies between
+    assert _match_rows(_mask([1, 3]), _mask([2, 3])) == (0, 0)
+    assert _match_rows(_mask([2, 3]), _mask([1, 3])) == (_mask([2]), _mask([1]))
+    # one side empty: everything on the other side is unmatched
+    assert _match_rows(0, _mask([1, 4])) == (0, _mask([1, 4]))
+    assert _match_rows(_mask([1, 4]), 0) == (_mask([1, 4]), 0)
+    # the opens run out first: the closes left stay unmatched
+    assert _match_rows(_mask([1]), _mask([2, 3, 5])) == (0, _mask([3, 5]))
+
+
+def test_match_rows_exhaustive():
+    # all 16 384 pairs of subsets of {1..7}, shared columns and empty sides
+    # among them
+    subsets = [
+        [c for c in range(1, 8) if bits >> (c - 1) & 1] for bits in range(1 << 7)
+    ]
+    for upper in subsets:
+        for lower in subsets:
+            _, opens, closes, _ = oracles._two_row_match(upper, lower)
+            assert _match_rows(_mask(upper), _mask(lower)) == (_mask(opens), _mask(closes))
 
 
 @given(row_pairs())
