@@ -16,18 +16,21 @@ traversal of the tableaux of a content (``q_whittaker_schur``), and in the
 monomial basis through Kostka numbers (``q_whittaker_mlq``, also named
 ``q_whittaker_charge_expansion``); the generalized form sums over
 label-word states row by row, and the stationary counts over their rotation
-classes.  Schur polynomials sum over the ball sets of nonwrapping queues
-row by row, Kostka-Foulkes polynomials are charge sums over tableaux, LR
-coefficients count the strip chains that the lattice rule prunes, and skew
-Schur polynomials are their sums of Schur polynomials.  The other routes
-the paper proves equal are reference implementations in the test suite
-(``tests/oracles.py``), which checks that they agree: enumerating every
-queue, the Schur expansion one shape at a time, tableaux filled cell by
-cell (and the skew tableau sum and lattice filter on them), row insertion
-of the column word and label-tracked collapsing (both give the recorder),
-collapsing one ball per letter, top-down collapsing, jeu de taquin, charge
-by matching, the label-word sweep with one state per word and the energy
-of the indicator levels (which equals ``maj_g``).
+classes.  One expansion takes every Schur-basis sum to monomials through
+Kostka numbers (``poly._monomial_form``): q-Whittaker, Schur and skew Schur
+polynomials share it.  Schur polynomials are the weight sums of nonwrapping
+queues, which collapsing sends to tableaux; the Schur coefficients of a
+skew Schur polynomial are LR coefficients, counted as the strip chains that
+the lattice rule prunes.  Kostka-Foulkes polynomials are charge sums over
+tableaux.  The other routes the paper proves equal are reference
+implementations in the test suite (``tests/oracles.py``), which checks that
+they agree: enumerating every queue (and keeping the nonwrapping ones for
+Schur polynomials), the Schur expansion one shape at a time, tableaux
+filled cell by cell (and the skew tableau sum and lattice filter on them),
+row insertion of the column word and label-tracked collapsing (both give
+the recorder), collapsing one ball per letter, top-down collapsing, jeu de
+taquin, charge by matching, the label-word sweep with one state per word
+and the energy of the indicator levels (which equals ``maj_g``).
 """
 
 from .core import (

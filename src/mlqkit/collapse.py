@@ -410,8 +410,8 @@ def tab_of_mlq(m) -> Tableau:
 
 def insert_into_mlq(m, k: int):
     """Insert a ball at column k: new top row, then collapse."""
-    if not 1 <= k <= m.n:
-        raise OutOfRange(f"column {k} outside 1..{m.n}")
+    if not (_is_count(k) and 1 <= k <= m.n):
+        raise OutOfRange(f"column {k!r} outside 1..{m.n}")
     _check_collapsed(m)
     stacked = m.with_rows(list(m.trimmed().rows) + [(k,)])
     return collapse(stacked).queue.trimmed()

@@ -42,7 +42,9 @@ def conjugate(p) -> tuple:
 
 
 def dominance_leq(a, b) -> bool:
-    """True iff every prefix sum of a is at most the one of b (|a| = |b|)."""
+    """True iff every prefix sum of a is at most the one of b (|a| = |b|);
+    ParseError unless both are weak compositions."""
+    a, b = _check_composition(a), _check_composition(b)
     if sum(a) != sum(b):
         raise SizeMismatch(f"|{a}| != |{b}|")
     ta, tb = 0, 0

@@ -10,8 +10,8 @@ and those of the lower row as closes, in column order, an open before a
 close in the same column.  ``_match_rows`` runs it on rows held as int
 bitmasks, bit c standing for column c; it is the one matching kernel of
 queue rows: collapse, its check and its inverse, the drops and lifts,
-``sigma``, and the parking tests of ``mlq._is_collapsed`` and
-``poly.schur``.  The word operators below match positions on their own.
+``sigma``, and the parking test of ``mlq._is_collapsed``.  The word
+operators below match positions on their own.
 """
 
 from dataclasses import dataclass

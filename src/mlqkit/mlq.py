@@ -205,6 +205,7 @@ def is_nonwrapping(m: MultilineQueue) -> bool:
 
 def canonical_mlq(nu, n: int) -> MultilineQueue:
     """The left-justified queue of shape nu: row j holds columns 1..nu'_j."""
+    _check_columns(n)
     cols = conjugate(nu)
     if cols and cols[0] > n:
         raise TooNarrow(f"shape {nu} needs {cols[0]} columns, have {n}")
@@ -484,15 +485,3 @@ def stationary_counts(lam, n: int):
             )
         counts.update(dict.fromkeys(rotations, each))
     return counts
-
-
-def all_binary_matrices(num_rows: int, n: int):
-    """Every generalized queue on num_rows rows and n columns."""
-    cells = [(r, c) for r in range(1, num_rows + 1) for c in range(1, n + 1)]
-    for mask in range(1 << len(cells)):
-        rows = [[] for _ in range(num_rows)]
-        for k, (r, c) in enumerate(cells):
-            if mask >> k & 1:
-                rows[r - 1].append(c)
-        yield MultilineQueue(n, rows)
-

@@ -12,7 +12,6 @@ from .charge import charge
 from .core import check_partition, conjugate, content, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
-from .matching import _mask, _match_rows
 from .mlq import (
     _check_columns,
     _label_word_sweep,
@@ -187,42 +186,17 @@ def _unpack(x, base):
 
 
 def schur(lam, n: int) -> QXPolynomial:
-    """Schur polynomial as the weight sum over nonwrapping queues of shape lam.
+    """Schur polynomial s_lam on n variables, sum over nu of K_{lam,nu} m_nu.
 
-    On a straight queue the pairings that label row r add to ``maj`` the sum
-    of (label - r) over the balls of row r+1 that wrap; each such term is at
-    least 1 and the empty sites weigh 0.  So a queue is nonwrapping exactly
-    when no ball wraps.  Whether a ball of one row wraps into the next
-    depends only on the two ball sets: first-fit parking succeeds or fails
-    whatever order the balls arrive in, and it succeeds exactly when the
-    bracket matching ``_match_rows`` leaves no ball of the upper row
-    unmatched.  The sweep therefore runs row by row from the top with a
-    row's ball mask as its state, passes only the row pairs that match
-    fully, and carries packed contents as ``q_whittaker_gmlq`` does.
+    Collapsing sends the nonwrapping queues of shape lam bijectively to the
+    semistandard tableaux of shape lam, so their weight sum is the monomial
+    form of s_lam (``_monomial_form``).  It is 0 when lam has more than n
+    parts: no partition with at most n parts lies below such a lam in
+    dominance.
     """
     _check_columns(n)
-    alpha = conjugate(lam)
-    base = len(alpha) + 1
-    layer = {0: {0: 1}}  # nothing above the top row can wrap
-    for size in reversed(alpha):
-        below = {}
-        for row in combinations(range(1, n + 1), size):
-            mask = _mask(row)
-            acc = {}
-            for above, value in layer.items():
-                if not _match_rows(above, mask)[0]:
-                    for x, count in value.items():
-                        acc[x] = acc.get(x, 0) + count
-            if acc:
-                code = _pack(row, base)
-                below[mask] = {x + code: count for x, count in acc.items()}
-        layer = below
-    terms = {}
-    for value in layer.values():
-        for x, count in value.items():
-            terms[x] = terms.get(x, 0) + count
-    # counts are positive and distinct packed contents unpack to distinct keys
-    return QXPolynomial._of(n, {(0, _unpack(x, base)): count for x, count in terms.items()})
+    lam = check_partition(lam)
+    return _monomial_form({lam: QXPolynomial.one(0)}, sum(lam), n)
 
 
 def q_whittaker_schur(mu, n: int) -> dict:
@@ -251,18 +225,30 @@ def q_whittaker_schur(mu, n: int) -> dict:
 
 
 def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
-    """Weight generating function q^maj x^M over all queues of shape lam.
+    """Weight generating function q^maj x^M over all queues of shape lam:
+    the monomial form (``_monomial_form``) of the Schur expansion that
+    ``q_whittaker_schur`` reads off the charge formula."""
+    return _monomial_form(q_whittaker_schur(lam, n), sum(lam), n)
 
-    Computed from the Schur expansion (``q_whittaker_schur``) as a monomial
-    sum: the coefficient of x^nu for a partition nu is
-    c_nu(q) = sum over rho of K_{rho',lam'}(q) K_{rho,nu}, and the symmetric
+
+# The charge expansion is the monomial form of the Schur expansion, so both
+# names are one function.
+q_whittaker_charge_expansion = q_whittaker_mlq
+
+
+def _monomial_form(coeffs, size: int, n: int) -> QXPolynomial:
+    """The sum over rho of coeffs[rho] s_rho on n variables, in the monomial
+    basis; coeffs maps partitions rho of size to polynomials in q alone,
+    with positive coefficients.
+
+    The coefficient of x^nu for a partition nu is
+    c_nu(q) = sum over rho of coeffs[rho] K_{rho,nu}, and the symmetric
     polynomial gives every rearrangement of nu the same coefficient.  The
     Kostka numbers K_{rho,nu} come from ``_dominant_kostka``.
     """
-    coeffs = q_whittaker_schur(lam, n)
     width = max((rho[0] for rho in coeffs if rho), default=0)
     terms = {}
-    for nu, kostka in _dominant_kostka(sum(lam), n, width):
+    for nu, kostka in _dominant_kostka(size, n, width):
         c_nu = Counter()
         for rho, count in kostka.items():
             if rho in coeffs:
@@ -273,11 +259,6 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
             terms.update(zip(zip(repeat(q), xs), repeat(k)))
     # sums of positive counts, each key set once: rearrangements differ
     return QXPolynomial._of(n, terms)
-
-
-# The charge expansion is the monomial form of the Schur expansion, so both
-# names are one function.
-q_whittaker_charge_expansion = q_whittaker_mlq
 
 
 def _dominant_kostka(size: int, n: int, width: int):
@@ -476,13 +457,12 @@ def skew_schur(outer, inner, n: int) -> QXPolynomial:
 
     nu has at most len(outer) parts, and s_nu is 0 when it has more than n,
     so one traversal of the lattice strip chains over min(len(outer), n)
-    letters of free strip sizes gives every coefficient.
+    letters of free strip sizes gives every coefficient, and one
+    ``_monomial_form`` call expands them all.
     """
     _check_columns(n)
-    letters = min(len(check_partition(outer)), n)
-    chains = _skew_chains(outer, inner, letters, lattice=True)[2]
-    terms = Counter()
-    for nu, c in Counter(content(chain.from_iterable(rows)) for rows in chains).items():
-        for key, k in schur(nu, n).terms.items():
-            terms[key] += c * k
-    return QXPolynomial(n, terms)
+    outer, inner = check_partition(outer), check_partition(inner)
+    chains = _skew_chains(outer, inner, min(len(outer), n), lattice=True)[2]
+    counts = Counter(content(chain.from_iterable(rows)) for rows in chains)
+    coeffs = {nu: QXPolynomial(0, {(0, ()): c}) for nu, c in counts.items()}
+    return _monomial_form(coeffs, sum(outer) - sum(inner), n)

@@ -20,6 +20,8 @@ the column events and runs a stack over them, returning every matched pair.
 The package matches rows as bitmasks (``matching._match_rows``), so the
 collapse oracles here and ``sigma_by_sets`` drop, lift and swap balls
 through this matcher, not through the package's kernel.
+``all_binary_matrices`` lists every generalized queue of a size, for the
+exhaustive tests.
 
 The second routes below each pin one theorem against the package's route:
 
@@ -58,10 +60,11 @@ The second routes below each pin one theorem against the package's route:
   (``lr_coefficient``); ``skew_schur_by_tableaux`` equals the sum over nu
   of c^lam_{mu,nu} s_nu (``skew_schur``).
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
-  expansion built one lam at a time, ``kostka_foulkes`` times ``schur``,
-  gives the coefficients that the package reads off one traversal of
-  tableaux (``q_whittaker_schur``) and the monomial polynomial that the
-  label-word sweep sums over queues.
+  expansion built one lam at a time, ``kostka_foulkes`` times
+  ``schur_by_ssyt``, gives the coefficients that the package reads off one
+  traversal of tableaux (``q_whittaker_schur``) and the monomial polynomial
+  that the package expands through Kostka numbers (``poly._monomial_form``,
+  which ``schur`` shares, so it is not used here).
 """
 
 from collections import Counter
@@ -106,6 +109,17 @@ from mlqkit.tableaux import (
 def _x_key(counts):
     """Sparse x exponent vector of a content vector (counts[i-1] for x_i)."""
     return tuple((i + 1, e) for i, e in enumerate(counts) if e)
+
+
+def all_binary_matrices(num_rows: int, n: int):
+    """Every generalized queue on num_rows rows and n columns."""
+    cells = [(r, c) for r in range(1, num_rows + 1) for c in range(1, n + 1)]
+    for mask in range(1 << len(cells)):
+        rows = [[] for _ in range(num_rows)]
+        for k, (r, c) in enumerate(cells):
+            if mask >> k & 1:
+                rows[r - 1].append(c)
+        yield MultilineQueue(n, rows)
 
 
 def _two_row_match(upper, lower, cyclic=False):
@@ -234,10 +248,11 @@ def q_whittaker_schur(mu, n: int) -> dict:
 
 
 def q_whittaker_charge_expansion(mu, n: int) -> QXPolynomial:
-    """Sum over lam of K_{lam',mu'}(q) times s_lam, one lam at a time."""
+    """Sum over lam of K_{lam',mu'}(q) times s_lam, one lam at a time, each
+    s_lam from tableaux filled cell by cell."""
     terms = Counter()
     for lam, coeff in q_whittaker_schur(mu, n).items():
-        s_lam = poly.schur(lam, n)
+        s_lam = schur_by_ssyt(lam, n)
         for (q, _), k in coeff.terms.items():
             for (_, x), count in s_lam.terms.items():
                 terms[(q, x)] += k * count

@@ -16,7 +16,6 @@ from mlqkit.matching import _columns, _mask, lowering, raising, raise_all
 from mlqkit.mlq import (
     MultilineQueue,
     _is_collapsed,
-    all_binary_matrices,
     canonical_mlq,
     column_word,
     enumerate_mlq,
@@ -70,7 +69,7 @@ def test_drop_and_lift_basics():
 def test_batched_lift_exhaustive():
     # one batch of k lifts moves the k rightmost unmatched balls
     for size in [(2, 4), (3, 3), (2, 5), (3, 4)]:
-        for b in all_binary_matrices(*size):
+        for b in oracles.all_binary_matrices(*size):
             for i in range(1, b.num_rows):
                 lifted = b
                 for k in range(b.n + 2):
@@ -87,7 +86,7 @@ def test_drop_all_unmatched():
 
 
 def test_word_commutation_exhaustive():
-    for b in all_binary_matrices(2, 3):
+    for b in oracles.all_binary_matrices(2, 3):
         assert column_word(drop(b, 1)) == raising(column_word(b), 1)
         assert column_word(lift(b, 1)) == lowering(column_word(b), 1)
         assert column_word(drop_all(b, 1)) == raise_all(column_word(b), 1)
@@ -98,7 +97,7 @@ def test_word_commutation_exhaustive():
 
 
 def test_star_algebra_relations():
-    for b in all_binary_matrices(3, 3):
+    for b in oracles.all_binary_matrices(3, 3):
         for i in (1, 2):
             once = drop_all(b, i)
             assert drop_all(once, i) == once
@@ -153,7 +152,7 @@ def test_top_down_agrees():
     )
     one_row = MultilineQueue(3, [[1, 3]])
     assert oracles.collapse_top_down(one_row) == one_row
-    for b in all_binary_matrices(3, 3):
+    for b in oracles.all_binary_matrices(3, 3):
         assert oracles.collapse_top_down(b) == collapse(b).queue
 
 
@@ -165,7 +164,7 @@ def test_labelled_collapse():
         (4,),
     )
     assert oracles.labelled_collapse(MultilineQueue(3, [[1, 3]])).rows == ((1, 1),)
-    for b in all_binary_matrices(3, 3):
+    for b in oracles.all_binary_matrices(3, 3):
         assert oracles.labelled_collapse(b) == collapse(b).recorder
 
 
@@ -223,7 +222,7 @@ def test_collapse_inverse_skips_empty_lifts(monkeypatch):
 
     monkeypatch.setattr(module, "_lift_unmatched", counting)
     for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
-        for b in all_binary_matrices(*size):
+        for b in oracles.all_binary_matrices(*size):
             result = collapse(b)
             assert collapse_inverse(result.queue, result.recorder, height=b.num_rows) == b
     assert batches and 0 not in batches
@@ -238,7 +237,7 @@ def assert_same_collapse(m):
 
 def test_collapse_matches_full_sweep_exhaustive():
     for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
-        for b in all_binary_matrices(*size):
+        for b in oracles.all_binary_matrices(*size):
             assert_same_collapse(b)
             assert _is_collapsed(b) == (collapse(b).queue == b)
 
@@ -303,7 +302,7 @@ def test_collapse_nonwrapping_match_count(monkeypatch):
 
 
 def test_collapse_bijection_exhaustive():
-    for b in all_binary_matrices(4, 3):
+    for b in oracles.all_binary_matrices(4, 3):
         result = collapse(b)
         back = collapse_inverse(result.queue, result.recorder, height=4)
         assert back == b
@@ -345,7 +344,7 @@ def test_rotations():
 def test_rotations_are_repeated_quarter_turns_exhaustive():
     for rows in range(1, 4):
         for n in range(1, 5):
-            for b in all_binary_matrices(rows, n):
+            for b in oracles.all_binary_matrices(rows, n):
                 assert rotate180(b) == rotate90(rotate90(b))
                 assert rotate270(b) == rotate90(rotate90(rotate90(b)))
                 assert rotate270(rotate90(b)) == b == rotate90(rotate270(b))
@@ -408,7 +407,7 @@ def test_mrsk_double_collapse():
 
 def test_mrsk_bijection_exhaustive():
     seen = set()
-    for b in all_binary_matrices(3, 3):
+    for b in oracles.all_binary_matrices(3, 3):
         down, left = mrsk(b)
         assert down.trimmed().shape() == conjugate(left.trimmed().shape())
         assert down.column_content() == b.column_content()
@@ -426,7 +425,7 @@ def _small_matrices(max_cells, max_side):
     """Every matrix with L, n <= max_side and L * n <= max_cells cells."""
     for rows in range(1, max_side + 1):
         for n in range(1, min(max_side, max_cells // rows) + 1):
-            yield from all_binary_matrices(rows, n)
+            yield from oracles.all_binary_matrices(rows, n)
 
 
 def _outcome(function, *args):
@@ -454,8 +453,8 @@ def test_mrsk_inverse_equals_crw_route_exhaustive():
     accepted = 0
     for rows in range(1, 7):
         for n in range(1, 6 // rows + 1):
-            lefts = list(all_binary_matrices(n, rows))
-            for down in all_binary_matrices(rows, n):
+            lefts = list(oracles.all_binary_matrices(n, rows))
+            for down in oracles.all_binary_matrices(rows, n):
                 for left in lefts:
                     back = _outcome(mrsk_inverse, down, left)
                     assert back == _outcome(oracles.mrsk_inverse_by_crw, down, left)
@@ -503,7 +502,7 @@ def test_flip_is_an_involution_on_collapsed_queues():
     collapsed = [
         b
         for size in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]
-        for b in all_binary_matrices(*size)
+        for b in oracles.all_binary_matrices(*size)
         if collapse(b).queue == b
     ]
     assert len(collapsed) == 1143
@@ -529,7 +528,7 @@ def test_flip_maj_identity():
 def test_collapse_sigma_invariance():
     from mlqkit.tableaux import ls_action
 
-    for b in all_binary_matrices(3, 3):
+    for b in oracles.all_binary_matrices(3, 3):
         base = collapse(b)
         for i in (1, 2):
             other = collapse(sigma(b, i))
@@ -550,7 +549,7 @@ def test_orthogonal_drops_commute():
     def drop_left(b, j):
         return rotate270(drop_all(rot(b), j))
 
-    for b in all_binary_matrices(3, 3):
+    for b in oracles.all_binary_matrices(3, 3):
         for i in (1, 2):
             for j in (1, 2):
                 assert drop_left(drop_all(b, i), j) == drop_all(

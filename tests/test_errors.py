@@ -16,13 +16,14 @@ from mlqkit.collapse import (
     tab_of_mlq,
     twisted_collapse,
 )
-from mlqkit.core import partitions, sort_to_partition
+from mlqkit.core import dominance_leq, partitions, sort_to_partition
 from mlqkit.errors import (
     AlphabetTooSmall,
     BadRowIndex,
     BadSigmaWord,
     ColumnMismatch,
     NotNonwrapping,
+    OutOfRange,
     ParseError,
     VariableCountMismatch,
 )
@@ -96,6 +97,14 @@ CASES = [
     (ParseError, skew_to_mlq, (SkewTableau((1,), (), [(1,)]), "x")),
     (ParseError, skew_to_mlq, (SkewTableau((1,), (1,), [()]), 0)),
     (ParseError, skew_to_mlq, (SkewTableau((1,), (), [(1,)]), True)),
+    # a column that is no int used to raise a bare TypeError from comparing
+    (OutOfRange, insert_into_mlq, (TWO_ROWS, "a")),
+    (OutOfRange, insert_into_mlq, (TWO_ROWS, True)),
+    (OutOfRange, insert_into_mlq, (TWO_ROWS, 1.5)),
+    # so did a part that is no int
+    (ParseError, dominance_leq, ((1, "a"), (2,))),
+    (ParseError, dominance_leq, ((2,), (1, "a"))),
+    (ParseError, dominance_leq, ((2, -1), (1,))),
 ]
 
 

@@ -154,6 +154,25 @@ def test_q_whittaker_is_one_route():
     assert not called & {"schur", "kostka_foulkes"}
 
 
+def test_one_schur_to_monomial_expansion():
+    # every Schur-basis sum meets the monomial basis in poly._monomial_form,
+    # so Kostka numbers have one engine (_dominant_kostka)
+    poly = MODULES["poly"]
+    for start in ["schur", "skew_schur", "q_whittaker_mlq"]:
+        called = _calls_in_module(poly, start)
+        assert "_monomial_form" in called, start
+        assert "schur" not in called, start
+    # only the helper runs the Kostka sweep; test_q_whittaker_is_one_route
+    # pins that q_whittaker_mlq reads its coefficients off q_whittaker_schur
+    direct = {
+        node.name
+        for node in poly.body
+        if isinstance(node, ast.FunctionDef)
+        and "_dominant_kostka" in _names_in_function(poly, node.name)
+    }
+    assert direct == {"_monomial_form"}
+
+
 def test_one_pairing_kernel():
     # every labelling runs the pairing rule through mlq._label_row
     for module, start in [
@@ -179,8 +198,11 @@ def test_one_two_row_matching_kernel():
         assert "_two_row_match" not in names, name
         # whether a row pair parks without a wrap is _match_rows too
         assert "_parks_without_wrap" not in names, name
-    for name in ["collapse", "mlq", "poly"]:
+    for name in ["collapse", "mlq"]:
         assert "_match_rows" in _imported_names(MODULES[name]), name
+    # Schur polynomials are expanded through Kostka numbers, not by parking
+    # balls row by row, so poly matches no rows
+    assert "matching" not in set(_relative_imports(MODULES["poly"]))
     # collapse checks its sweeps on the row masks it holds, without decoding
     assert "_columns" not in _names_in_function(MODULES["collapse"], "collapse")
 
@@ -213,9 +235,7 @@ TRUSTED_CALLERS = {
         "mlq_of_tableau",
     },
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
-    "poly": {
-        "schur", "q_whittaker_schur", "q_whittaker_mlq", "q_whittaker_gmlq", "kostka_foulkes",
-    },
+    "poly": {"q_whittaker_schur", "_monomial_form", "q_whittaker_gmlq", "kostka_foulkes"},
 }
 
 
@@ -277,9 +297,10 @@ def test_one_tableau_engine():
         "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
     }
     assert "_strip_chains" in _calls_in_module(poly, "q_whittaker_schur")
-    # skew Schur polynomials go through LR coefficients and Schur polynomials
+    # skew Schur polynomials go through LR coefficients and one monomial
+    # expansion, not one Schur polynomial per nu
     skew = _calls_in_module(poly, "skew_schur")
-    assert {"_skew_chains", "schur"} <= skew
+    assert {"_skew_chains", "_monomial_form"} <= skew
     assert not skew & {"enumerate_skew_ssyt", "enumerate_ssyt"}
     # no route of the package enumerates a capped alphabet unpruned: it asks
     # the enumerators for a weight, and skew_schur's free letters come with

@@ -15,7 +15,6 @@ from mlqkit.mlq import (
     _label_row,
     _particle_mask,
     _priority_order,
-    all_binary_matrices,
     biwords,
     canonical_mlq,
     column_word,
@@ -271,7 +270,7 @@ def test_sigma_examples():
 
 
 def test_sigma_coxeter():
-    for m in all_binary_matrices(3, 3):
+    for m in oracles.all_binary_matrices(3, 3):
         assert sigma(sigma(m, 1), 1) == m
         assert sigma(sigma(m, 2), 2) == m
         lhs = sigma(sigma(sigma(m, 1), 2), 1)
@@ -280,12 +279,12 @@ def test_sigma_coxeter():
 
 
 def test_sigma_commute_far():
-    for m in all_binary_matrices(4, 2):
+    for m in oracles.all_binary_matrices(4, 2):
         assert sigma(sigma(m, 1), 3) == sigma(sigma(m, 3), 1)
 
 
 def test_sigma_preserves_labels_off_swapped_row():
-    for m in all_binary_matrices(3, 3):
+    for m in oracles.all_binary_matrices(3, 3):
         base, _, _ = label_gmlq(m)
         for i in (1, 2):
             other, _, _ = label_gmlq(sigma(m, i))
@@ -306,7 +305,7 @@ def test_maj_g_sigma_invariant_and_charge_cw():
     # column word and is invariant under every sigma_i, on every binary
     # matrix of 3 x 3, 3 x 4 and 4 x 3 (8 704 matrices)
     for num_rows, n in [(3, 3), (3, 4), (4, 3)]:
-        for m in all_binary_matrices(num_rows, n):
+        for m in oracles.all_binary_matrices(num_rows, n):
             _maj_g_is_charge_g_and_sigma_invariant(m)
 
 
@@ -325,7 +324,7 @@ def test_energy_example():
 
 
 def test_energy_equals_maj_g():
-    for m in all_binary_matrices(3, 4):
+    for m in oracles.all_binary_matrices(3, 4):
         assert oracles.energy_h(m) == maj_g(m)
     assert oracles.energy_h(MultilineQueue(3, [[1, 3]])) == 0
 

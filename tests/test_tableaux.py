@@ -2,12 +2,14 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mlqkit.charge import charge
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NonPartitionContent, ParseError, SizeMismatch
-from mlqkit.mlq import MultilineQueue, enumerate_mlq, is_nonwrapping, row_word
+from mlqkit.mlq import MultilineQueue, column_word, enumerate_mlq, is_nonwrapping, row_word
 from mlqkit.collapse import (
     collapse,
     insert_into_mlq,
@@ -95,8 +97,6 @@ def test_row_insert():
     assert oracles.row_insert((1, 2, 3)).rows == ((1, 2, 3),)
     assert oracles.row_insert((2, 1)).rows == ((1,), (2,))
     example = MultilineQueue(5, [[1, 3, 4], [1, 4, 5], [2, 5], [1, 3], [4]])
-    from mlqkit.mlq import column_word
-
     assert oracles.row_insert(column_word(example)) == collapse(example).recorder
 
 
@@ -104,18 +104,14 @@ ORACLE_SIZES = [(3, 3), (3, 4), (4, 3), (2, 5)]  # 9 728 matrices
 
 
 def test_row_insert_matches_recorder_exhaustive():
-    from mlqkit.mlq import all_binary_matrices, column_word
-
     for size in ORACLE_SIZES:
-        for b in all_binary_matrices(*size):
+        for b in oracles.all_binary_matrices(*size):
             assert oracles.row_insert(column_word(b)) == collapse(b).recorder
 
 
 def test_column_insert_matches_collapsed_queue_exhaustive():
-    from mlqkit.mlq import all_binary_matrices
-
     for size in ORACLE_SIZES:
-        for b in all_binary_matrices(*size):
+        for b in oracles.all_binary_matrices(*size):
             assert tab_of_mlq(collapse(b).queue) == column_insert(row_word(b))
 
 
@@ -336,6 +332,24 @@ def test_skew_schur_is_the_tableau_sum():
                     for n in range(1, 5):
                         expected = oracles.skew_schur_by_tableaux(lam, mu, n)
                         assert skew_schur(lam, mu, n) == expected, (lam, mu, n)
+
+
+@st.composite
+def skew_shape_on_ring(draw):
+    lam = draw(st.sampled_from([lam for size in range(0, 10) for lam in partitions(size)]))
+    mu = draw(st.sampled_from([
+        mu for size in range(0, min(sum(lam), 4) + 1) for mu in partitions(size)
+        if len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+    ]))
+    return lam, mu, draw(st.integers(1, 6))
+
+
+@settings(max_examples=25)
+@given(skew_shape_on_ring())
+def test_skew_schur_random(case):
+    # past the exhaustive range above: |lam| up to 9 and up to 6 variables
+    lam, mu, n = case
+    assert skew_schur(lam, mu, n) == oracles.skew_schur_by_tableaux(lam, mu, n)
 
 
 def test_mult_shape_distribution():

@@ -108,6 +108,9 @@ def test_rejects_bad_column_count(n):
         skew_schur((2, 1), (), n)
     with pytest.raises(ParseError):
         q_whittaker_coquinv((2, 1), n)
+    # before the shape is measured against n: 0 used to raise TooNarrow
+    with pytest.raises(ParseError):
+        canonical_mlq((2, 1), n)
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), (2.0, 1), (True,), (2.5,)])

@@ -11,6 +11,7 @@ coefficient.
 
 from itertools import permutations, product
 
+import oracles
 from hypothesis import given
 from test_collapse import binary_matrices
 
@@ -30,7 +31,7 @@ from mlqkit.collapse import (
     tab_of_mlq,
 )
 from mlqkit.core import conjugate, partitions
-from mlqkit.mlq import MultilineQueue, all_binary_matrices, sigma
+from mlqkit.mlq import MultilineQueue, sigma
 from mlqkit.poly import (
     QXPolynomial,
     kostka_foulkes,
@@ -102,7 +103,7 @@ def test_queue_routes_exhaustive():
     # every binary matrix with at most 3 rows and 1 to 3 columns
     for num_rows in range(4):
         for n in range(1, 4):
-            for m in all_binary_matrices(num_rows, n):
+            for m in oracles.all_binary_matrices(num_rows, n):
                 _queue_routes(m)
 
 
