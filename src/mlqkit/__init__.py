@@ -19,18 +19,21 @@ label-word states row by row, and the stationary counts over their rotation
 classes.  One expansion takes every Schur-basis sum to monomials through
 Kostka numbers (``poly._monomial_form``): q-Whittaker, Schur and skew Schur
 polynomials share it.  Schur polynomials are the weight sums of nonwrapping
-queues, which collapsing sends to tableaux; the Schur coefficients of a
-skew Schur polynomial are LR coefficients, counted as the strip chains that
-the lattice rule prunes.  Kostka-Foulkes polynomials are charge sums over
-tableaux.  The other routes the paper proves equal are reference
-implementations in the test suite (``tests/oracles.py``), which checks that
-they agree: enumerating every queue (and keeping the nonwrapping ones for
-Schur polynomials), the Schur expansion one shape at a time, tableaux
-filled cell by cell (and the skew tableau sum and lattice filter on them),
-row insertion of the column word and label-tracked collapsing (both give
-the recorder), collapsing one ball per letter, top-down collapsing, jeu de
-taquin, charge by matching, the label-word sweep with one state per word
-and the energy of the indicator levels (which equals ``maj_g``).
+queues, which collapsing sends to tableaux, and skew Schur polynomials the
+content sums of skew tableaux, so one sweep of strip chains from the inner
+shape to the outer counts their Kostka numbers (``tableaux._kostka_sweep``).
+LR coefficients count the strip chains that the lattice rule prunes, and
+Kostka-Foulkes polynomials are charge sums over tableaux.  The other routes
+the paper proves equal are reference implementations in the test suite
+(``tests/oracles.py``), which checks that they agree: enumerating every
+queue (and keeping the nonwrapping ones for Schur polynomials), the Schur
+expansion one shape at a time, tableaux filled cell by cell (and the skew
+tableau sum and lattice filter on them), the LR expansion of skew Schur
+polynomials, row insertion of the column word and label-tracked collapsing
+(both give the recorder), collapsing one ball per letter, top-down
+collapsing, jeu de taquin, charge by matching, the label-word sweep with one
+state per word and the energy of the indicator levels (which equals
+``maj_g``).
 """
 
 from .core import (

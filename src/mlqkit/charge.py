@@ -9,7 +9,10 @@ from .matching import reflect
 
 
 def charge_permutation(perm) -> int:
-    """Charge of a permutation of 1..n in one-line notation."""
+    """Charge of a permutation of 1..n in one-line notation; ParseError
+    unless its letters are positive ints, NotAPermutation unless they are
+    1..n."""
+    perm = _check_letters(perm)
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise NotAPermutation(f"{perm}")

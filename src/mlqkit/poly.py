@@ -6,10 +6,10 @@ all identity checks are structural equalities of canonical forms.
 
 import json
 from collections import Counter
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, repeat, zip_longest
 
 from .charge import charge
-from .core import check_partition, conjugate, content, is_lattice, partitions
+from .core import check_partition, conjugate, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import (
@@ -21,11 +21,9 @@ from .mlq import (
     row_word,
 )
 from .tableaux import (
-    _grown,
-    _rooms,
-    _skew_chains,
+    _inner_of,
+    _kostka_sweep,
     _strip_chains,
-    _strips,
     enumerate_ssyt,
     tableau_charge,
 )
@@ -196,7 +194,7 @@ def schur(lam, n: int) -> QXPolynomial:
     """
     _check_columns(n)
     lam = check_partition(lam)
-    return _monomial_form({lam: QXPolynomial.one(0)}, sum(lam), n)
+    return _monomial_form({lam: QXPolynomial.one(0)}, n)
 
 
 def q_whittaker_schur(mu, n: int) -> dict:
@@ -208,18 +206,19 @@ def q_whittaker_schur(mu, n: int) -> dict:
     P_mu(x; q, 0) = sum over lam of K_{lam',mu'}(q) s_lam, and s_lam is 0 on
     n variables when lam has more than n parts, which are the tableaux of
     shape lam' with more than n cells in their first row.  So one traversal
-    of the tableaux with content mu' and first row at most n, each charged
-    once, gives every coefficient.
+    of the tableaux with content mu' in the box of len(mu') rows of n cells,
+    each charged once, gives every coefficient.
     """
     mu = check_partition(mu)
     _check_columns(n)
+    sizes = conjugate(mu)
     by_shape = {}
-    for rows in _strip_chains(conjugate(mu), width=n):
-        shape = tuple(map(len, rows))
-        charges = by_shape.setdefault(shape, Counter())
+    for rows in _strip_chains(sizes, (n,) * len(sizes), (0,) * len(sizes)):
+        charges = by_shape.setdefault(tuple(map(len, rows)), Counter())
         charges[charge(tuple(chain.from_iterable(reversed(rows))))] += 1
-    return {
-        conjugate(shape): QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
+    return {  # the shapes without their empty rows
+        conjugate(tuple(filter(None, shape))):
+            QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
         for shape, charges in by_shape.items()
     }
 
@@ -228,7 +227,7 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
     """Weight generating function q^maj x^M over all queues of shape lam:
     the monomial form (``_monomial_form``) of the Schur expansion that
     ``q_whittaker_schur`` reads off the charge formula."""
-    return _monomial_form(q_whittaker_schur(lam, n), sum(lam), n)
+    return _monomial_form(q_whittaker_schur(lam, n), n)
 
 
 # The charge expansion is the monomial form of the Schur expansion, so both
@@ -236,62 +235,34 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
 q_whittaker_charge_expansion = q_whittaker_mlq
 
 
-def _monomial_form(coeffs, size: int, n: int) -> QXPolynomial:
-    """The sum over rho of coeffs[rho] s_rho on n variables, in the monomial
-    basis; coeffs maps partitions rho of size to polynomials in q alone,
-    with positive coefficients.
+def _monomial_form(coeffs, n: int, inner=()) -> QXPolynomial:
+    """The sum over rho of coeffs[rho] s_{rho/inner} on n variables, in the
+    monomial basis; coeffs maps partitions rho of one size, each holding the
+    partition inner, to polynomials in q alone with positive coefficients.
 
     The coefficient of x^nu for a partition nu is
-    c_nu(q) = sum over rho of coeffs[rho] K_{rho,nu}, and the symmetric
-    polynomial gives every rearrangement of nu the same coefficient.  The
-    Kostka numbers K_{rho,nu} come from ``_dominant_kostka``.
+    c_nu(q) = sum over rho of coeffs[rho] K_{rho/inner,nu}, and the
+    symmetric polynomial gives every rearrangement of nu the same
+    coefficient.  The Kostka numbers come from ``tableaux._kostka_sweep``
+    inside the union of the rho, since no chain of strips to a rho leaves it.
     """
-    width = max((rho[0] for rho in coeffs if rho), default=0)
+    if not coeffs:
+        return QXPolynomial.zero(n)
+    outer = tuple(map(max, zip_longest(*coeffs, fillvalue=0)))
+    size = sum(next(iter(coeffs))) - sum(inner)
     terms = {}
-    for nu, kostka in _dominant_kostka(size, n, width):
+    for nu, kostka in _kostka_sweep(outer, inner, size, n):
         c_nu = Counter()
         for rho, count in kostka.items():
             if rho in coeffs:
                 for (q, _), k in coeffs[rho].terms.items():
                     c_nu[q] += k * count
-        xs = _rearrangements(nu, n)
-        for q, k in c_nu.items():
-            terms.update(zip(zip(repeat(q), xs), repeat(k)))
+        if c_nu:
+            xs = _rearrangements(nu, n)
+            for q, k in c_nu.items():
+                terms.update(zip(zip(repeat(q), xs), repeat(k)))
     # sums of positive counts, each key set once: rearrangements differ
     return QXPolynomial._of(n, terms)
-
-
-def _dominant_kostka(size: int, n: int, width: int):
-    """Yield (nu, {rho: K_{rho,nu}}) for every partition nu of size with at
-    most n parts, over the shapes rho with first row at most width.
-
-    A tableau of content nu is a chain of horizontal strips of sizes
-    nu_1, nu_2, ..., so the counts are a shape-to-count sweep over
-    ``_strips``; partitions that share a prefix share its sweep.
-    """
-    grown = {}  # (shape, part): the shapes one strip of part cells leads to
-
-    def extend(nu, left, top, layer):
-        if not left:
-            yield nu, layer
-            return
-        slots = n - len(nu)
-        for part in range(min(top, left), 0, -1):
-            if part * slots < left:
-                break
-            below = {}
-            for shape, count in layer.items():
-                if (shape, part) not in grown:
-                    grown[shape, part] = [
-                        _grown(shape, adds)
-                        for adds in _strips(_rooms(shape, width), part)
-                    ]
-                for new in grown[shape, part]:
-                    below[new] = below.get(new, 0) + count
-            if below:
-                yield from extend(nu + (part,), left - part, part, below)
-
-    yield from extend((), size, width, {(): 1})
 
 
 def _rearrangements(nu, n: int):
@@ -377,6 +348,7 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
     It walks every queue with row sizes mu, so only the tests call it; it
     stays in the package because the benchmark's layer tracer names it.
     """
+    lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
     target = conjugate(lam)
@@ -452,17 +424,14 @@ def _shift_schur(lam, vars_inner, total, offset) -> QXPolynomial:
 
 
 def skew_schur(outer, inner, n: int) -> QXPolynomial:
-    """The skew Schur polynomial sum over nu of c^outer_{inner,nu} s_nu on
-    n variables; zero unless inner lies inside outer.
+    """The skew Schur polynomial s_{outer/inner} on n variables, the sum
+    over nu of K_{outer/inner,nu} m_nu; zero unless inner lies inside outer.
 
-    nu has at most len(outer) parts, and s_nu is 0 when it has more than n,
-    so one traversal of the lattice strip chains over min(len(outer), n)
-    letters of free strip sizes gives every coefficient, and one
-    ``_monomial_form`` call expands them all.
+    The skew Kostka numbers count the chains of horizontal strips from
+    inner to outer, so one ``_monomial_form`` call sweeps them.
     """
     _check_columns(n)
     outer, inner = check_partition(outer), check_partition(inner)
-    chains = _skew_chains(outer, inner, min(len(outer), n), lattice=True)[2]
-    counts = Counter(content(chain.from_iterable(rows)) for rows in chains)
-    coeffs = {nu: QXPolynomial(0, {(0, ()): c}) for nu, c in counts.items()}
-    return _monomial_form(coeffs, sum(outer) - sum(inner), n)
+    if _inner_of(outer, inner) is None:
+        return QXPolynomial.zero(n)
+    return _monomial_form({outer: QXPolynomial.one(0)}, n, inner)

@@ -10,7 +10,10 @@ live in ``collapse``.
 One engine, ``_strip_chains``, enumerates every semistandard filling as a
 chain of horizontal strips, one per letter, as collapsing adds them.
 Littlewood-Richardson coefficients count its chains under the lattice rule,
-checked as each strip is placed (Fulton, Young Tableaux, section 5).
+checked as each strip is placed (Fulton, Young Tableaux, section 5).  The
+same strips under the same room rule (``_rooms``) give the Kostka numbers
+K_{rho/inner,nu} of every shape rho between an inner and an outer shape in
+one sweep from inner to outer (``_kostka_sweep``), counted, not listed.
 """
 
 import json
@@ -247,8 +250,9 @@ def column_insert(word) -> Tableau:
 
 
 def superstandard(lam) -> Tableau:
-    """Tableau of shape lam whose row r is filled with r's."""
-    return Tableau([[r] * k for r, k in enumerate(lam, start=1)])
+    """Tableau of shape lam whose row r is filled with r's; ParseError
+    unless lam is a partition."""
+    return Tableau([[r] * k for r, k in enumerate(check_partition(lam), start=1)])
 
 
 def _strips(rooms, size, caps=None):
@@ -275,77 +279,95 @@ def _strips(rooms, size, caps=None):
     yield from grow(0, size)
 
 
-def _rooms(shape, width):
-    """The cells each row of the partition shape may gain in one horizontal
-    strip whose first row stays within width cells, and one new row on top:
-    row i may grow until it is as long as row i - 1 was."""
-    return [low - high for low, high in zip((width,) + shape, shape + (0,))]
+def _rooms(outer, shape):
+    """The cells each row of the partition shape, maybe padded with zeros,
+    may gain in one horizontal strip inside outer: row i may grow until it
+    is as long as row i - 1 was, or outer_i.  Unpadded, one new row on top
+    may start."""
+    return [min(o, low) - high for o, low, high in zip(outer, outer[:1] + shape, shape + (0,))]
 
 
-def _grown(shape, adds) -> tuple:
-    """The partition shape after a strip adds adds[i] cells to row i."""
-    new = tuple(map(int.__add__, shape + (0,), adds))
-    return new if new[-1] else new[:-1]
-
-
-def _strip_chains(sizes, outer=None, inner=(), width=0, lattice=False):
+def _strip_chains(sizes, outer, inner, lattice=False):
     """The rows, bottom row first, of every semistandard filling built from
-    inner by horizontal strips, letter i adding sizes[i - 1] cells (any
-    number where that is None).
+    inner (padded with zeros to the length of outer) by horizontal strips
+    inside outer, letter i adding sizes[i - 1] cells (any number where that
+    is None); rows list their filled cells.
 
-    With outer, these fill outer/inner (inner padded), rows listing their
-    filled cells, and a free letter with L letters to come leaves row j at
-    least outer[j + L] long, so that they can fill outer.  Without outer,
-    inner is empty and the first row has at most width cells.  With lattice,
-    the reverse reading word (rows bottom to top, each right to left) stays
-    lattice: letter i fills at most as many cells of rows 0 to r as letter
-    i - 1 fills in rows 0 to r - 1, and a free letter fills a cell or ends.
+    Free letters fill outer/inner: a free letter with L letters to come
+    leaves row j at least outer[j + L] long.  Fixed sizes fill sum(sizes)
+    cells, so in a box outer the rows may end short.  With lattice, for
+    fixed sizes, the reverse reading word (rows bottom to top, each right to
+    left) stays lattice: letter i fills at most as many cells of rows 0 to r
+    as letter i - 1 fills in rows 0 to r - 1.
     """
     rows = [() for _ in inner]
     known = {}  # (rooms, size, caps): the strips, found once per call
 
     def place(letter, shape, left, caps):
-        if outer is None:
-            rooms = _rooms(shape, width)
-        else:
-            rooms = [min(o, low) - high for o, low, high in zip(outer, (outer[0],) + shape, shape)]
+        rooms = _rooms(outer, shape)
         if sizes[letter - 1] is not None:
             key = (tuple(rooms), sizes[letter - 1], caps)
             if key not in known:
                 known[key] = list(_strips(rooms, sizes[letter - 1], caps))
             growths = known[key]
         else:
-            # each row apart gains from lows[j] to rooms[j] cells, and under
-            # caps at most caps[j] less the least gain of the rows below it
+            # each row apart gains from lows[j] to rooms[j] cells
             to_come = len(sizes) - letter
             lows = [max(0, o - s) for o, s in zip(outer[to_come:], shape)]
             lows += [0] * (len(shape) - len(lows))
-            if caps:
-                rooms = [min(r, c - b) for r, c, b in zip(rooms, caps, accumulate(lows, initial=0))]
             growths = product(*map(range, lows, [r + 1 for r in rooms]))
-            if lattice:
-                growths = (
-                    adds for adds in growths
-                    if any(adds) and (not caps or all(map(int.__le__, accumulate(adds), caps)))
-                )
         for adds in growths:
             saved = rows[:]
             for i, k in enumerate(adds):
                 if k:
-                    if i < len(rows):
-                        rows[i] += (letter,) * k
-                    else:
-                        rows.append((letter,) * k)
+                    rows[i] += (letter,) * k
             if left == sum(adds):
                 yield tuple(rows)
             else:
-                new = _grown(shape, adds) if outer is None else tuple(map(int.__add__, shape, adds))
+                new = tuple(map(int.__add__, shape, adds))
                 below = tuple(accumulate(adds[:-1], initial=0)) if lattice else None
                 yield from place(letter + 1, new, left - sum(adds), below)
             rows[:] = saved
 
-    cells = sum(sizes) if outer is None else sum(outer) - sum(inner)
+    cells = sum(outer) - sum(inner) if None in sizes else sum(sizes)
     yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows)]
+
+
+def _kostka_sweep(outer, inner, size, n):
+    """Yield (nu, {rho: K_{rho/inner,nu}}) for every partition nu of size
+    with at most n parts and some nonzero count, over the shapes rho with
+    inner inside rho inside outer.
+
+    A filling of rho/inner with content nu is a chain of horizontal strips
+    of sizes nu_1, nu_2, ... grown from inner under the room rule of
+    ``_strip_chains``, so the counts are a shape-to-count sweep over
+    ``_strips``; partitions that share a prefix share its sweep, and a
+    prefix that no strip inside outer extends ends there.
+    """
+    grown = {}  # (shape, part): the shapes one strip of part cells leads to
+
+    def extend(nu, left, top, layer):
+        if not left:
+            yield nu, layer
+            return
+        slots = n - len(nu)
+        for part in range(min(top, left), 0, -1):
+            if part * slots < left:
+                break
+            below = {}
+            for shape, count in layer.items():
+                if (shape, part) not in grown:
+                    grown[shape, part] = [
+                        new if new[-1] else new[:-1]  # no new row started
+                        for adds in _strips(_rooms(outer, shape), part)
+                        for new in [tuple(map(int.__add__, shape + (0,), adds))]
+                    ]
+                for new in grown[shape, part]:
+                    below[new] = below.get(new, 0) + count
+            if below:
+                yield from extend(nu + (part,), left - part, part, below)
+
+    yield from extend((), size, outer[0] if outer else 0, {inner: 1})
 
 
 def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):
@@ -364,7 +386,7 @@ def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):
     inner = _inner_of(outer, check_partition(inner))
     if inner is None or (None not in sizes and sum(sizes) != sum(outer) - sum(inner)):
         return outer, inner, ()
-    return outer, inner, _strip_chains(sizes, outer, inner, lattice=lattice)
+    return outer, inner, _strip_chains(sizes, outer, inner, lattice)
 
 
 def enumerate_ssyt(shape, max_entry=None, weight=None):

@@ -57,8 +57,12 @@ The second routes below each pin one theorem against the package's route:
 - ``lr_coefficient_by_filter``: the skew tableaux of content nu, filled cell
   by cell and kept when their reverse reading word is a lattice word, are
   as many as the chains that the lattice rule prunes strip by strip
-  (``lr_coefficient``); ``skew_schur_by_tableaux`` equals the sum over nu
-  of c^lam_{mu,nu} s_nu (``skew_schur``).
+  (``lr_coefficient``).
+- ``skew_schur_by_tableaux``: the content sum over the skew tableaux filled
+  cell by cell gives the skew Schur polynomial that the package expands
+  through skew Kostka numbers, swept from inner to outer (``skew_schur``);
+  so does the sum over nu of c^lam_{mu,nu} times ``schur_by_ssyt``, the LR
+  expansion, which is a theorem here and no route of the package.
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
   expansion built one lam at a time, ``kostka_foulkes`` times
   ``schur_by_ssyt``, gives the coefficients that the package reads off one

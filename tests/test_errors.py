@@ -16,6 +16,7 @@ from mlqkit.collapse import (
     tab_of_mlq,
     twisted_collapse,
 )
+from mlqkit.charge import charge_permutation
 from mlqkit.core import dominance_leq, partitions, sort_to_partition
 from mlqkit.errors import (
     AlphabetTooSmall,
@@ -29,8 +30,14 @@ from mlqkit.errors import (
 )
 from mlqkit.matching import lowering, raise_all, raising, reflect
 from mlqkit.mlq import MultilineQueue, parse_mlq, sigma
-from mlqkit.poly import QXPolynomial
-from mlqkit.tableaux import SkewTableau, Tableau, column_insert, tableau_from_crw
+from mlqkit.poly import QXPolynomial, kostka_foulkes_lattice
+from mlqkit.tableaux import (
+    SkewTableau,
+    Tableau,
+    column_insert,
+    superstandard,
+    tableau_from_crw,
+)
 
 TWO_ROWS = parse_mlq("n=3;1,2|3")
 WRAPPING = parse_mlq("n=2;1|2")
@@ -105,6 +112,16 @@ CASES = [
     (ParseError, dominance_leq, ((1, "a"), (2,))),
     (ParseError, dominance_leq, ((2,), (1, "a"))),
     (ParseError, dominance_leq, ((2, -1), (1,))),
+    # a float letter used to raise a bare TypeError, and a bool letter to
+    # count as 1
+    (ParseError, charge_permutation, ((1.0, 2),)),
+    (ParseError, charge_permutation, ((True, 2),)),
+    # a part that is no int used to raise a bare TypeError, and a
+    # composition NotStraight where kostka_foulkes raises ParseError
+    (ParseError, kostka_foulkes_lattice, ((1, "a"), (1,))),
+    (ParseError, kostka_foulkes_lattice, ((2, 1), (1, 2))),
+    # a bool part used to give the tableau with one 1
+    (ParseError, superstandard, ((True,),)),
 ]
 
 

@@ -12,6 +12,7 @@ allow-list of engine routes.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import mlqkit
@@ -155,22 +156,33 @@ def test_q_whittaker_is_one_route():
 
 
 def test_one_schur_to_monomial_expansion():
-    # every Schur-basis sum meets the monomial basis in poly._monomial_form,
-    # so Kostka numbers have one engine (_dominant_kostka)
+    # every (skew) Schur-basis sum meets the monomial basis in
+    # poly._monomial_form, so Kostka numbers have one engine, the sweep of
+    # tableaux._kostka_sweep from inner to outer
     poly = MODULES["poly"]
     for start in ["schur", "skew_schur", "q_whittaker_mlq"]:
         called = _calls_in_module(poly, start)
         assert "_monomial_form" in called, start
         assert "schur" not in called, start
-    # only the helper runs the Kostka sweep; test_q_whittaker_is_one_route
-    # pins that q_whittaker_mlq reads its coefficients off q_whittaker_schur
+    # the sweep lives in tableaux, and only the helper runs it;
+    # test_q_whittaker_is_one_route pins that q_whittaker_mlq reads its
+    # coefficients off q_whittaker_schur
+    for name, tree in MODULES.items():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert ("_kostka_sweep" in defined) == (name == "tableaux"), name
+        assert ("_rooms" in defined) == (name == "tableaux"), name
+        assert "_dominant_kostka" not in defined, name
+    # the sweep and the chains grow shapes under one room rule
+    for start in ["_kostka_sweep", "_strip_chains"]:
+        assert "_rooms" in _calls_in_module(MODULES["tableaux"], start), start
     direct = {
-        node.name
-        for node in poly.body
+        (name, node.name)
+        for name, tree in MODULES.items()
+        for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and "_dominant_kostka" in _names_in_function(poly, node.name)
+        and "_kostka_sweep" in _names_in_function(tree, node.name)
     }
-    assert direct == {"_monomial_form"}
+    assert direct == {("poly", "_monomial_form")}
 
 
 def test_one_pairing_kernel():
@@ -224,6 +236,34 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def _names_in(node):
+    """How often each name, attribute or imported name occurs below node."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            found.update(alias.name for alias in child.names)
+    return found
+
+
+def test_no_dead_private_helpers():
+    # a private function (or method) that nothing in src/ names outside its
+    # own body is dead code
+    everywhere = sum((_names_in(tree) for tree in MODULES.values()), Counter())
+    dead = [
+        f"{name}.py:{node.lineno} {node.name}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and everywhere[node.name] == _names_in(node)[node.name]
+    ]
+    assert not dead
 
 
 # module -> the functions that call a trusted constructor ``_of``; each
@@ -297,19 +337,23 @@ def test_one_tableau_engine():
         "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
     }
     assert "_strip_chains" in _calls_in_module(poly, "q_whittaker_schur")
-    # skew Schur polynomials go through LR coefficients and one monomial
-    # expansion, not one Schur polynomial per nu
+    # skew Schur polynomials are one monomial expansion of skew Kostka
+    # numbers, swept from inner to outer: no LR coefficients, no lattice
+    # traversal and no Schur polynomial per nu
     skew = _calls_in_module(poly, "skew_schur")
-    assert {"_skew_chains", "_monomial_form"} <= skew
-    assert not skew & {"enumerate_skew_ssyt", "enumerate_ssyt"}
-    # no route of the package enumerates a capped alphabet unpruned: it asks
-    # the enumerators for a weight, and skew_schur's free letters come with
-    # the lattice rule
+    assert "_monomial_form" in skew
+    assert not skew & {
+        "_skew_chains", "lr_coefficient", "enumerate_skew_ssyt", "enumerate_ssyt",
+    }
+    # the strips, their rooms and their chains of a shape are tableaux's
+    # own: poly names none of them
+    names = {node.id for node in ast.walk(poly) if isinstance(node, ast.Name)}
+    assert not (names | _imported_names(poly)) & {"_strips", "_rooms", "_grown", "_skew_chains"}
+    # no route of the package enumerates a capped alphabet: it asks the
+    # enumerators for a weight
     for name, tree in MODULES.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 keywords = {k.arg for k in node.keywords}
                 if node.func.id in {"enumerate_ssyt", "enumerate_skew_ssyt"}:
                     assert keywords == {"weight"}, f"{name}.py:{node.lineno}"
-                if node.func.id == "_skew_chains" and name != "tableaux":
-                    assert "lattice" in keywords, f"{name}.py:{node.lineno}"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mlqkit import poly
-from mlqkit.core import conjugate, partitions
+from mlqkit.core import conjugate, dominance_leq, partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
 from mlqkit.poly import (
@@ -123,6 +123,31 @@ def test_schur_routes_agree():
                 q0 = [(k, c) for k, c in q_whittaker_mlq(lam, n).terms.items() if k[0] == 0]
                 assert s == QXPolynomial(n, q0), (lam, n)
                 assert s.is_zero() == (len(lam) > n), (lam, n)
+
+
+@pytest.mark.parametrize("route, oracle, lam, n, calls", [
+    (schur, oracles.schur_by_ssyt, (4, 3, 2, 1), 8, 18),
+    (q_whittaker_mlq, oracles.q_whittaker_charge_expansion, (3, 2, 1), 5, 5),
+])
+def test_monomial_form_expands_only_nonzero_coefficients(
+    monkeypatch, route, oracle, lam, n, calls,
+):
+    # the Kostka sweep stays inside the shapes that carry a coefficient, and
+    # only a nonzero coefficient is rearranged: once for each partition
+    # below lam in dominance with at most n parts
+    rearranged = []
+    real = poly._rearrangements
+
+    def counted(nu, n):
+        rearranged.append(nu)
+        return real(nu, n)
+
+    monkeypatch.setattr(poly, "_rearrangements", counted)
+    assert route(lam, n) == oracle(lam, n)
+    assert len(rearranged) == calls
+    assert set(rearranged) == {
+        nu for nu in partitions(sum(lam)) if len(nu) <= n and dominance_leq(nu, lam)
+    }
 
 
 @settings(max_examples=25)

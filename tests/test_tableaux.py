@@ -334,6 +334,25 @@ def test_skew_schur_is_the_tableau_sum():
                         assert skew_schur(lam, mu, n) == expected, (lam, mu, n)
 
 
+def test_skew_schur_is_the_lr_expansion():
+    # s_{lam/mu} = sum over nu of c^lam_{mu,nu} s_nu (Littlewood-Richardson)
+    # against the skew Kostka sweep, for |lam| <= 7, |mu| <= 3 and n <= 4
+    schurs = {}
+    for size in range(0, 8):
+        for lam in partitions(size):
+            for inner_size in range(0, min(size, 3) + 1):
+                for mu in partitions(inner_size):
+                    for n in range(1, 5):
+                        expected = QXPolynomial.zero(n)
+                        for nu in partitions(size - inner_size):
+                            c = lr_coefficient(lam, mu, nu)
+                            if c:
+                                if (nu, n) not in schurs:
+                                    schurs[nu, n] = oracles.schur_by_ssyt(nu, n)
+                                expected = expected + schurs[nu, n] * c
+                        assert skew_schur(lam, mu, n) == expected, (lam, mu, n)
+
+
 @st.composite
 def skew_shape_on_ring(draw):
     lam = draw(st.sampled_from([lam for size in range(0, 10) for lam in partitions(size)]))
@@ -482,10 +501,13 @@ def test_strips_give_every_tableau_of_a_content():
             for rows in oracles.ssyt_rows_by_cells(lam, weight=c)
         )
         for width in range(1, 6):
+            # the box of len(c) rows of width cells, its empty rows dropped
             expected = Counter({
                 rows: k for rows, k in by_shape.items() if not rows or len(rows[0]) <= width
             })
-            assert Counter(_strip_chains(c, width=width)) == expected, (c, width)
+            box = _strip_chains(c, (width,) * len(c), (0,) * len(c))
+            found = Counter(tuple(r for r in rows if r) for rows in box)
+            assert found == expected, (c, width)
 
 
 def test_skew_tableau_rebuilds_itself():
