@@ -34,7 +34,6 @@ from .errors import (
     InvariantError,
     NotNonwrapping,
     OutOfRange,
-    ParseError,
     ShapeMismatch,
     SizeMismatch,
 )
@@ -335,8 +334,14 @@ def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     and of conjugate shapes (ShapeMismatch).  Recorder column c is row c of
     left with each entry x read as left.n + 1 - x, in increasing order: the
     transposition identity of ``mrsk``.  Its entries are at most left.n, so
-    left.n rows are always enough.  Columns that do not form a tableau are
-    a ParseError.
+    left.n rows are always enough.  The columns always form a tableau: a
+    collapsed left parks each row c + 1 into row c without a wrap, so every
+    suffix of columns holds at least as many balls of row c as of row c + 1
+    (``_match_rows``).  The flip x -> left.n + 1 - x turns suffixes into
+    prefixes, so recorder columns c and c + 1 satisfy C_c[i] <= C_{c+1}[i]:
+    rows weakly increase, columns strictly increase and column lengths
+    weakly decrease.  So the recorder is built unchecked, and its shape,
+    the conjugate of left's, is tested once against down's.
     """
     _check_collapsed(left)
     _check_collapsed(down)
@@ -350,12 +355,7 @@ def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     flip = left.n + 1
     # a collapsed queue's empty rows are its top ones, the trailing columns
     columns = [tuple(flip - x for x in reversed(row)) for row in left.rows if row]
-    rows = _rows_of_columns(columns)
-    if rows is None:
-        raise ParseError("columns do not form a tableau")
-    recorder = Tableau(rows)
-    _check_recorder_shape(down, recorder)
-    return _uncollapse(down, recorder, left.n)
+    return _uncollapse(down, Tableau._of(_rows_of_columns(columns)), left.n)
 
 
 def flip_up(m: MultilineQueue) -> MultilineQueue:

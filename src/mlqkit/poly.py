@@ -268,16 +268,19 @@ def _monomial_form(coeffs, n: int, inner=()) -> QXPolynomial:
 def _rearrangements(nu, n: int):
     """Sparse x exponent vectors of the distinct rearrangements of nu padded
     with zeros to n: the columns of the nonzero entries, times the distinct
-    orders of the parts of nu, each built by choosing the slots of one
-    distinct part at a time."""
+    orders of the parts of nu.  The orders are built one distinct part at a
+    time: each order so far gets the copies of the part inserted at every
+    set of final slots, lowest slot first."""
     orders = [()]
     for part, mult in Counter(nu).items():
-        size = len(orders[0]) + mult
+        slots = list(combinations(range(len(orders[0]) + mult), mult))
         longer = []
         for order in orders:
-            for slots in combinations(range(size), mult):
-                rest = iter(order)
-                longer.append(tuple(part if i in slots else next(rest) for i in range(size)))
+            for chosen in slots:
+                new = list(order)
+                for i in chosen:
+                    new.insert(i, part)
+                longer.append(tuple(new))
         orders = longer
     return [
         tuple(zip(cols, order))

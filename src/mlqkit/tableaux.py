@@ -14,6 +14,12 @@ checked as each strip is placed (Fulton, Young Tableaux, section 5).  The
 same strips under the same room rule (``_rooms``) give the Kostka numbers
 K_{rho/inner,nu} of every shape rho between an inner and an outer shape in
 one sweep from inner to outer (``_kostka_sweep``), counted, not listed.
+
+The chains are the lazy public enumeration, so ``_strip_chains`` and the
+enumerators over it are generators.  The strips of one letter (``_strips``)
+and the sweep's layers are few and tiny, so a generator frame per object
+would set their cost: both are plain recursion that appends to a list
+local to the call.
 """
 
 import json
@@ -256,27 +262,44 @@ def superstandard(lam) -> Tableau:
 
 
 def _strips(rooms, size, caps=None):
-    """The row growths, bottom row first, each a tuple, of every horizontal
-    strip of size cells in which row i grows by at most rooms[i] cells and,
-    with caps, rows 0 to i together by at most caps[i] cells."""
+    """The list of the row growths, bottom row first, each a tuple, of every
+    horizontal strip of size cells in which row i grows by at most rooms[i]
+    cells and, with caps, rows 0 to i together by at most caps[i] cells.
+
+    The caps weakly increase, as the prefix sums that ``lr_coefficient``
+    builds do, so no strip fits unless caps[-1] >= size.  Row i takes at
+    least the cells that the rows above it have no room for, so the last
+    row takes exactly the cells that are left; a strip is appended as soon
+    as its cells run out.
+    """
     later = list(accumulate(reversed(rooms), initial=0))[::-1]  # room in rows i on
-    if size > later[0]:
-        return
+    if size > later[0] or (caps and caps[-1] < size):
+        return []
+    if len(rooms) < 2:  # no row, or one row that takes every cell
+        return [(size,) * len(rooms)]
+    last = len(rooms) - 1
     adds = [0] * len(rooms)
+    out = []
 
     def grow(i, left):
-        if not left:
-            yield tuple(adds)
-            return
-        top = min(rooms[i], left)
-        if caps:
-            top = min(top, caps[i] - size + left)
-        for k in range(max(0, left - later[i + 1]), top + 1):
+        top = rooms[i] if rooms[i] < left else left
+        if caps and caps[i] - size + left < top:
+            top = caps[i] - size + left
+        low = left - later[i + 1]
+        for k in range(low if low > 0 else 0, top + 1):
             adds[i] = k
-            yield from grow(i + 1, left - k)
+            if k == left:
+                out.append(tuple(adds))
+            elif i + 1 < last:
+                grow(i + 1, left - k)
+            else:  # the last row takes the cells that are left
+                adds[last] = left - k
+                out.append(tuple(adds))
+                adds[last] = 0
         adds[i] = 0
 
-    yield from grow(0, size)
+    grow(0, size)
+    return out
 
 
 def _rooms(outer, shape):
@@ -284,7 +307,12 @@ def _rooms(outer, shape):
     may gain in one horizontal strip inside outer: row i may grow until it
     is as long as row i - 1 was, or outer_i.  Unpadded, one new row on top
     may start."""
-    return [min(o, low) - high for o, low, high in zip(outer, outer[:1] + shape, shape + (0,))]
+    rooms = []
+    low = outer[0] if outer else 0
+    for o, high in zip(outer, shape + (0,)):
+        rooms.append((o if o < low else low) - high)
+        low = high
+    return rooms
 
 
 def _strip_chains(sizes, outer, inner, lattice=False):
@@ -308,7 +336,7 @@ def _strip_chains(sizes, outer, inner, lattice=False):
         if sizes[letter - 1] is not None:
             key = (tuple(rooms), sizes[letter - 1], caps)
             if key not in known:
-                known[key] = list(_strips(rooms, sizes[letter - 1], caps))
+                known[key] = _strips(rooms, sizes[letter - 1], caps)
             growths = known[key]
         else:
             # each row apart gains from lows[j] to rooms[j] cells
@@ -334,40 +362,50 @@ def _strip_chains(sizes, outer, inner, lattice=False):
 
 
 def _kostka_sweep(outer, inner, size, n):
-    """Yield (nu, {rho: K_{rho/inner,nu}}) for every partition nu of size
-    with at most n parts and some nonzero count, over the shapes rho with
-    inner inside rho inside outer.
+    """The list of (nu, {rho: K_{rho/inner,nu}}) for every partition nu of
+    size with at most n parts and some nonzero count, over the shapes rho
+    with inner inside rho inside outer.
 
     A filling of rho/inner with content nu is a chain of horizontal strips
     of sizes nu_1, nu_2, ... grown from inner under the room rule of
     ``_strip_chains``, so the counts are a shape-to-count sweep over
     ``_strips``; partitions that share a prefix share its sweep, and a
-    prefix that no strip inside outer extends ends there.
+    prefix that no strip inside outer extends ends there.  The shapes and
+    strips are few and small, so the cost is per object: the sweep is plain
+    recursion that appends each finished nu to one list, with no generator
+    frame for a strip or a nu to pass through.
     """
     grown = {}  # (shape, part): the shapes one strip of part cells leads to
+    out = []
 
     def extend(nu, left, top, layer):
-        if not left:
-            yield nu, layer
-            return
         slots = n - len(nu)
         for part in range(min(top, left), 0, -1):
             if part * slots < left:
                 break
             below = {}
             for shape, count in layer.items():
-                if (shape, part) not in grown:
-                    grown[shape, part] = [
+                news = grown.get((shape, part))
+                if news is None:
+                    news = grown[shape, part] = [
                         new if new[-1] else new[:-1]  # no new row started
                         for adds in _strips(_rooms(outer, shape), part)
                         for new in [tuple(map(int.__add__, shape + (0,), adds))]
                     ]
-                for new in grown[shape, part]:
+                for new in news:
                     below[new] = below.get(new, 0) + count
-            if below:
-                yield from extend(nu + (part,), left - part, part, below)
+            if not below:
+                continue
+            if part == left:
+                out.append((nu + (part,), below))
+            else:
+                extend(nu + (part,), left - part, part, below)
 
-    yield from extend((), size, outer[0] if outer else 0, {inner: 1})
+    if size:
+        extend((), size, outer[0] if outer else 0, {inner: 1})
+    else:
+        out.append(((), {inner: 1}))
+    return out
 
 
 def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):

@@ -464,6 +464,26 @@ def test_mrsk_inverse_equals_crw_route_exhaustive():
     assert accepted == 394
 
 
+def assert_left_rows_read_as_a_recorder(left):
+    # mrsk_inverse builds its recorder unchecked: row c of a collapsed left,
+    # each entry x read as left.n + 1 - x in increasing order, is column c
+    # of a tableau whose shape is the conjugate of left's nonempty row sizes
+    flip = left.n + 1
+    columns = [tuple(flip - x for x in reversed(row)) for row in left.rows if row]
+    height = len(columns[0]) if columns else 0
+    recorder = Tableau([[col[r] for col in columns if len(col) > r] for r in range(height)])
+    for c, col in enumerate(columns, start=1):
+        assert recorder.column(c) == col, (left, c)
+    assert recorder.shape() == conjugate(tuple(s for s in left.row_sizes() if s)), left
+
+
+def test_collapsed_rows_read_as_a_recorder_exhaustive():
+    collapsed = [m for m in _small_matrices(12, 4) if _is_collapsed(m)]
+    for left in collapsed:
+        assert_left_rows_read_as_a_recorder(left)
+    assert len(collapsed) == 1346  # the fixed points of collapse at these sizes
+
+
 def test_mrsk_of_no_rows_is_out_of_range():
     with pytest.raises(OutOfRange):
         mrsk(MultilineQueue(3, []))
@@ -580,6 +600,11 @@ def test_bijections_random(m):
 @given(binary_matrices())
 def test_mrsk_equals_two_collapses_random(m):
     assert mrsk(m) == oracles.mrsk_by_two_collapses(m)
+
+
+@given(binary_matrices(size=8))
+def test_collapsed_rows_read_as_a_recorder_random(m):
+    assert_left_rows_read_as_a_recorder(collapse(m).queue)
 
 
 @given(binary_matrices())

@@ -94,9 +94,10 @@ def test_q_whittaker_schur_boundaries():
 ])
 def test_q_whittaker_schur_checks_before_work(monkeypatch, mu, n):
     def refuse(*args, **kwargs):
-        raise AssertionError("tableaux enumerated before the input was checked")
+        raise AssertionError("tableaux walked before the input was checked")
 
     monkeypatch.setattr(poly, "_strip_chains", refuse)
+    monkeypatch.setattr(poly, "_kostka_sweep", refuse)
     for route in (q_whittaker_schur, q_whittaker_mlq):
         with pytest.raises(ParseError):
             route(mu, n)
@@ -148,6 +149,18 @@ def test_monomial_form_expands_only_nonzero_coefficients(
     assert set(rearranged) == {
         nu for nu in partitions(sum(lam)) if len(nu) <= n and dominance_leq(nu, lam)
     }
+
+
+def test_rearrangements_are_the_distinct_permutations():
+    for size in range(8):
+        for nu in partitions(size):
+            for n in range(len(nu), 8):
+                found = [
+                    tuple(dict(xs).get(i, 0) for i in range(1, n + 1))
+                    for xs in poly._rearrangements(nu, n)
+                ]
+                assert len(set(found)) == len(found), (nu, n)
+                assert set(found) == set(permutations(nu + (0,) * (n - len(nu)))), (nu, n)
 
 
 @settings(max_examples=25)

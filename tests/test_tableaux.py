@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,9 @@ from mlqkit.poly import QXPolynomial, skew_schur
 from mlqkit.tableaux import (
     SkewTableau,
     Tableau,
+    _kostka_sweep,
     _strip_chains,
+    _strips,
     column_insert,
     column_reading_word,
     enumerate_skew_ssyt,
@@ -534,3 +536,67 @@ def test_ssyt_rejects_bad_bounds(bounds):
         list(enumerate_ssyt((2,), **bounds))
     with pytest.raises(ParseError):
         list(enumerate_skew_ssyt((2, 1), (1,), **bounds))
+
+
+def test_strips_are_the_bounded_growths_in_order():
+    # every growth of at most rooms[i] cells in row i, of the given size
+    # and, with caps, at most caps[i] cells in rows 0 to i together, in
+    # lexicographic order; the caps are those that lr_coefficient builds
+    # from the strip of the letter before
+    for k in range(5):
+        for rooms in product(range(4), repeat=k):
+            growths = list(product(*(range(r + 1) for r in rooms)))
+            lattice_caps = {tuple(accumulate(before[:-1], initial=0)) for before in growths}
+            for caps in [None, *sorted(lattice_caps)]:
+                for size in range(8):
+                    expected = [
+                        adds for adds in growths
+                        if sum(adds) == size
+                        and (caps is None or all(map(int.__le__, accumulate(adds), caps)))
+                    ]
+                    assert _strips(list(rooms), size, caps) == expected, (rooms, size, caps)
+
+
+def _shapes_between(inner, outer):
+    """The partitions that contain inner and lie inside outer."""
+    return [
+        rho
+        for size in range(sum(inner), sum(outer) + 1)
+        for rho in partitions(size)
+        if len(rho) <= len(outer)
+        and all(a <= b for a, b in zip(rho, outer))
+        and len(inner) <= len(rho)
+        and all(a <= b for a, b in zip(inner, rho))
+    ]
+
+
+def test_kostka_sweep_counts_the_fillings():
+    # every nu the sweep lists, and only those, has a nonzero skew Kostka
+    # number K_{rho/inner,nu} for some rho between inner and outer, and the
+    # sweep's counts are the cell oracle's
+    counts = {}
+    for outer_size in range(8):
+        for outer in partitions(outer_size):
+            for inner in _shapes_between((), outer):
+                if sum(inner) > 2:
+                    continue
+                for size in range(outer_size - sum(inner) + 1):
+                    rhos = [
+                        rho for rho in _shapes_between(inner, outer)
+                        if sum(rho) == sum(inner) + size
+                    ]
+                    for n in range(5):
+                        swept = _kostka_sweep(outer, inner, size, n)
+                        expected = {}
+                        for nu in partitions(size):
+                            if len(nu) > n:
+                                continue
+                            for rho in rhos:
+                                if (rho, inner, nu) not in counts:
+                                    counts[rho, inner, nu] = sum(
+                                        1 for _ in oracles.ssyt_rows_by_cells(rho, inner, weight=nu)
+                                    )
+                                if counts[rho, inner, nu]:
+                                    expected.setdefault(nu, {})[rho] = counts[rho, inner, nu]
+                        assert len(swept) == len(dict(swept)), (outer, inner, size, n)
+                        assert dict(swept) == expected, (outer, inner, size, n)
