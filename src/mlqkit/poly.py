@@ -1,12 +1,16 @@
 """Exact sparse polynomials in q and x_1..x_n, and the generating functions.
 
 Terms map (q exponent, sparse x exponent vector) to integer coefficients;
-all identity checks are structural equalities of canonical forms.
+all identity checks are structural equalities of canonical forms.  The
+symmetric results ``schur``, ``skew_schur`` and ``q_whittaker_mlq`` keep
+their m-basis form (``QXPolynomial._m``) and write terms only when read;
+``+`` and ``* int`` keep that form, and ``==`` never expands it.
 """
 
 import json
 from collections import Counter
 from itertools import chain, combinations, repeat, zip_longest
+from math import factorial, perm, prod
 
 from .charge import charge
 from .core import check_partition, conjugate, is_lattice, partitions
@@ -38,12 +42,20 @@ class QXPolynomial:
     adds the coefficients of equal keys and drops zeros; it trusts the keys
     to be canonical.  ``_of`` is the engine's trusted constructor for a
     dict that is already zero-free; it copies and checks nothing.
+
+    A symmetric polynomial may instead hold its m-basis form ``_m``
+    {(q, nu): c}, the coefficients of the monomial symmetric functions m_nu
+    (``_of_m``); ``_m`` is None for a full polynomial.  Its ``terms`` are
+    written on first read.  ``+`` and ``* int`` of two m-basis forms stay
+    m-basis forms, and ``==`` never expands one.  Every other operation
+    reads ``terms``.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_m")
 
     def __init__(self, n: int, terms=None):
         self.n = n
+        self._m = None
         self.terms = {}
         if terms:
             for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
@@ -57,8 +69,37 @@ class QXPolynomial:
         dict of canonical keys and nonzero coefficients, owned by the result."""
         self = object.__new__(cls)
         self.n = n
+        self._m = None
         self.terms = terms
         return self
+
+    @classmethod
+    def _of_m(cls, n, m):
+        """The symmetric polynomial sum of c q^e m_nu over the items
+        ((e, nu), c) of m, unchecked: each nu a partition with at most n
+        parts, each c nonzero, and m owned by the result."""
+        self = object.__new__(cls)
+        self.n = n
+        self._m = m
+        return self
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: the terms of an m-basis form, each
+        # nu rearranged once and its list dropped before the next nu (lists
+        # kept to the end more than doubled the cyclic collector's time)
+        if name != "terms":
+            raise AttributeError(name)
+        by_nu = {}
+        for (q, nu), c in self._m.items():
+            by_nu.setdefault(nu, []).append((q, c))
+        terms = {}
+        for nu, coeffs in by_nu.items():
+            xs = _rearrangements(nu, self.n)
+            for q, c in coeffs:
+                terms.update(zip(zip(repeat(q), xs), repeat(c)))
+        # rearrangements differ, so each key is set once
+        self.terms = terms
+        return terms
 
     @staticmethod
     def zero(n: int):
@@ -74,6 +115,11 @@ class QXPolynomial:
 
     def __add__(self, other):
         self._check(other)
+        if self._m is not None and other._m is not None:
+            out = dict(self._m)
+            for key, coeff in other._m.items():
+                out[key] = out.get(key, 0) + coeff
+            return QXPolynomial._of_m(self.n, {k: v for k, v in out.items() if v})
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0) + coeff
@@ -88,6 +134,9 @@ class QXPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if self._m is not None:
+                m = {k: v * other for k, v in self._m.items() if other}
+                return QXPolynomial._of_m(self.n, m)
             return QXPolynomial(self.n, {k: v * other for k, v in self.terms.items()})
         self._check(other)
         out = {}
@@ -104,10 +153,24 @@ class QXPolynomial:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QXPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
+        if not isinstance(other, QXPolynomial) or self.n != other.n:
+            return False
+        if self._m is None:
+            if other._m is None:
+                return self.terms == other.terms
+            self, other = other, self
+        elif other._m is not None:
+            return self._m == other._m
+        # self is an m-basis form and other is full: each key of other must
+        # carry the coefficient of its sorted exponents, and the key counts
+        # agree, n! / ((n - len(nu))! prod m_i(nu)!) for each (q, nu)
+        get = self._m.get
+        for (q, xs), c in other.terms.items():
+            if get((q, tuple(sorted([e for _, e in xs], reverse=True)))) != c:
+                return False
+        return len(other.terms) == sum(
+            perm(self.n, len(nu)) // prod(map(factorial, Counter(nu).values()))
+            for _, nu in self._m
         )
 
     def __hash__(self):
@@ -236,33 +299,30 @@ q_whittaker_charge_expansion = q_whittaker_mlq
 
 
 def _monomial_form(coeffs, n: int, inner=()) -> QXPolynomial:
-    """The sum over rho of coeffs[rho] s_{rho/inner} on n variables, in the
-    monomial basis; coeffs maps partitions rho of one size, each holding the
+    """The sum over rho of coeffs[rho] s_{rho/inner} on n variables, in its
+    m-basis form; coeffs maps partitions rho of one size, each holding the
     partition inner, to polynomials in q alone with positive coefficients.
 
-    The coefficient of x^nu for a partition nu is
-    c_nu(q) = sum over rho of coeffs[rho] K_{rho/inner,nu}, and the
-    symmetric polynomial gives every rearrangement of nu the same
-    coefficient.  The Kostka numbers come from ``tableaux._kostka_sweep``
-    inside the union of the rho, since no chain of strips to a rho leaves it.
+    The coefficient of m_nu is c_nu(q) = sum over rho of
+    coeffs[rho] K_{rho/inner,nu}, and the symmetric polynomial gives every
+    rearrangement of nu that coefficient when its ``terms`` are read.  The
+    Kostka numbers come from ``tableaux._kostka_sweep`` inside the union of
+    the rho, since no chain of strips to a rho leaves it.
     """
-    if not coeffs:
-        return QXPolynomial.zero(n)
-    outer = tuple(map(max, zip_longest(*coeffs, fillvalue=0)))
-    size = sum(next(iter(coeffs))) - sum(inner)
-    terms = {}
-    for nu, kostka in _kostka_sweep(outer, inner, size, n):
-        c_nu = Counter()
-        for rho, count in kostka.items():
-            if rho in coeffs:
-                for (q, _), k in coeffs[rho].terms.items():
-                    c_nu[q] += k * count
-        if c_nu:
-            xs = _rearrangements(nu, n)
+    m = {}
+    if coeffs:
+        outer = tuple(map(max, zip_longest(*coeffs, fillvalue=0)))
+        size = sum(next(iter(coeffs))) - sum(inner)
+        for nu, kostka in _kostka_sweep(outer, inner, size, n):
+            c_nu = Counter()
+            for rho, count in kostka.items():
+                if rho in coeffs:
+                    for (q, _), k in coeffs[rho].terms.items():
+                        c_nu[q] += k * count
             for q, k in c_nu.items():
-                terms.update(zip(zip(repeat(q), xs), repeat(k)))
-    # sums of positive counts, each key set once: rearrangements differ
-    return QXPolynomial._of(n, terms)
+                m[q, nu] = k
+    # sums of positive counts
+    return QXPolynomial._of_m(n, m)
 
 
 def _rearrangements(nu, n: int):
@@ -436,5 +496,5 @@ def skew_schur(outer, inner, n: int) -> QXPolynomial:
     _check_columns(n)
     outer, inner = check_partition(outer), check_partition(inner)
     if _inner_of(outer, inner) is None:
-        return QXPolynomial.zero(n)
+        return _monomial_form({}, n)
     return _monomial_form({outer: QXPolynomial.one(0)}, n, inner)

@@ -30,7 +30,6 @@ from itertools import accumulate, pairwise, product
 from .charge import charge as _charge
 from .core import _check_composition, _check_letters, _is_count, check_partition, content
 from .errors import InvariantError, ParseError, SizeMismatch
-from .matching import reflect
 
 
 @dataclass(frozen=True)
@@ -195,11 +194,6 @@ def tableau_charge(t: Tableau) -> int:
     return _charge(row_reading_word(t))
 
 
-def ls_action(t: Tableau, i: int) -> Tableau:
-    """Reflection on tableaux: reflect the column word, write it back."""
-    return tableau_from_crw(reflect(column_reading_word(t), i))
-
-
 def _rows_of_columns(cols) -> tuple:
     """The rows, bottom row first, of the columns cols, each listed
     bottom-up; None unless the column lengths weakly decrease."""
@@ -207,24 +201,6 @@ def _rows_of_columns(cols) -> tuple:
         return None
     height = len(cols[0]) if cols else 0
     return tuple(tuple(c[r] for c in cols if len(c) > r) for r in range(height))
-
-
-def tableau_from_crw(word) -> Tableau:
-    """Rebuild a tableau from its column reading word; ParseError unless
-    the word is the column reading word of a tableau.
-
-    Columns are the maximal strictly decreasing runs of the word.
-    """
-    cols = []
-    for v in _check_letters(word):
-        if cols and cols[-1][-1] > v:
-            cols[-1].append(v)
-        else:
-            cols.append([v])
-    rows = _rows_of_columns([c[::-1] for c in cols])
-    if rows is None:
-        raise ParseError("columns do not form a tableau")
-    return Tableau(rows)
 
 
 def column_insert(word) -> Tableau:

@@ -37,7 +37,8 @@ The second routes below each pin one theorem against the package's route:
   recorder of the one downward collapse, and ``recorder_of_left_by_crw``,
   the tableau whose column reading word is the leftward queue turned back,
   is the recorder that ``mrsk_inverse`` reads off its rows (the queue form
-  of RSK symmetry).
+  of RSK symmetry).  ``tableau_from_crw`` rebuilds a tableau from its
+  column reading word, and ``ls_action`` reflects that word.
 - ``collapse_top_down``: sweeping the drops from the top gives the same
   collapsed queue (the drop operators satisfy the braid relations).
 - ``jdt_rectify``: jeu de taquin rectifies a skew tableau to the tableau that
@@ -83,10 +84,23 @@ from mlqkit.collapse import (
     rotate90,
     rotate270,
 )
-from mlqkit.core import check_partition, conjugate, content, is_lattice, partitions
-from mlqkit.errors import InvariantError, NotNonwrapping, ShapeMismatch, SizeMismatch
+from mlqkit.core import (
+    _check_letters,
+    check_partition,
+    conjugate,
+    content,
+    is_lattice,
+    partitions,
+)
+from mlqkit.errors import (
+    InvariantError,
+    NotNonwrapping,
+    ParseError,
+    ShapeMismatch,
+    SizeMismatch,
+)
 from mlqkit.fillings import ColumnFilling, coquinv
-from mlqkit.matching import bracket_match
+from mlqkit.matching import bracket_match, reflect
 from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
@@ -105,8 +119,8 @@ from mlqkit.tableaux import (
     SkewTableau,
     Tableau,
     _inner_of,
+    _rows_of_columns,
     column_reading_word,
-    tableau_from_crw,
 )
 
 
@@ -446,6 +460,29 @@ def mlq_of_tableau_by_letters(t, n) -> MultilineQueue:
 def mrsk_by_two_collapses(m):
     """``mrsk`` by two collapses: m, and its quarter turn."""
     return collapse(m).queue, collapse(rotate90(m)).queue
+
+
+def tableau_from_crw(word) -> Tableau:
+    """Rebuild a tableau from its column reading word; ParseError unless
+    the word is the column reading word of a tableau.
+
+    Columns are the maximal strictly decreasing runs of the word.
+    """
+    cols = []
+    for v in _check_letters(word):
+        if cols and cols[-1][-1] > v:
+            cols[-1].append(v)
+        else:
+            cols.append([v])
+    rows = _rows_of_columns([c[::-1] for c in cols])
+    if rows is None:
+        raise ParseError("columns do not form a tableau")
+    return Tableau(rows)
+
+
+def ls_action(t: Tableau, i: int) -> Tableau:
+    """Reflection on tableaux: reflect the column word, write it back."""
+    return tableau_from_crw(reflect(column_reading_word(t), i))
 
 
 def recorder_of_left_by_crw(left) -> Tableau:

@@ -546,14 +546,12 @@ def test_flip_maj_identity():
 
 
 def test_collapse_sigma_invariance():
-    from mlqkit.tableaux import ls_action
-
     for b in oracles.all_binary_matrices(3, 3):
         base = collapse(b)
         for i in (1, 2):
             other = collapse(sigma(b, i))
             assert other.queue == base.queue
-            assert other.recorder == ls_action(base.recorder, i)
+            assert other.recorder == oracles.ls_action(base.recorder, i)
 
 
 def test_twisted_collapse():

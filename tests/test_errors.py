@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from mlqkit.collapse import (
     collapse_inverse,
     drop,
@@ -36,7 +37,6 @@ from mlqkit.tableaux import (
     Tableau,
     column_insert,
     superstandard,
-    tableau_from_crw,
 )
 
 TWO_ROWS = parse_mlq("n=3;1,2|3")
@@ -91,7 +91,7 @@ CASES = [
     (ParseError, sort_to_partition, ((2, -1),)),
     # a str letter used to raise a bare TypeError from comparing letters
     (ParseError, column_insert, ((2, 1, "x"),)),
-    (ParseError, tableau_from_crw, ((2, "a"),)),
+    (ParseError, oracles.tableau_from_crw, ((2, "a"),)),
     (ParseError, column_insert, ((0,),)),
     (ParseError, column_insert, ((True,),)),
     # an explicit n is checked: "x" raised a bare TypeError, and 0 gave a

@@ -6,8 +6,8 @@ and usually works around a cycle, so both are refused: every module of
 imports, and the graph of relative imports between modules is searched for
 a cycle.  Every name a module or test file imports must also be used in it,
 and no module has an ``assert`` statement, which ``python -O`` strips.  The
-trusted constructors ``_of``, which skip validation, are called only from an
-allow-list of engine routes.
+trusted constructors ``_of`` and ``QXPolynomial._of_m``, which skip
+validation, are called only from an allow-list of engine routes.
 """
 
 import ast
@@ -286,8 +286,9 @@ def test_no_dead_private_helpers():
     assert not dead
 
 
-# module -> the functions that call a trusted constructor ``_of``; each
-# builds its result from data that has the checked form by construction
+# module -> the functions that call a trusted constructor ``_of`` or
+# ``_of_m``; each builds its result from data that has the checked form by
+# construction
 TRUSTED_CALLERS = {
     "mlq": {"MultilineQueue.trimmed", "sigma"},
     "collapse": {
@@ -295,19 +296,23 @@ TRUSTED_CALLERS = {
         "mrsk_inverse", "mlq_of_tableau",
     },
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
-    "poly": {"q_whittaker_schur", "_monomial_form", "q_whittaker_gmlq", "kostka_foulkes"},
+    "poly": {
+        "q_whittaker_schur", "_monomial_form", "q_whittaker_gmlq", "kostka_foulkes",
+        # the sum and the int multiple of two m-basis forms drop their zeros
+        "QXPolynomial.__add__", "QXPolynomial.__mul__",
+    },
 }
 
 
 def _trusted_call_sites(node, scope=()):
     """The dotted names of the functions (and classes) around each call of
-    an attribute named ``_of`` below node."""
+    an attribute named ``_of`` or ``_of_m`` below node."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = scope + (child.name,)
         elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-            if child.func.attr == "_of":
+            if child.func.attr in {"_of", "_of_m"}:
                 yield ".".join(scope)
         yield from _trusted_call_sites(child, inner)
 
@@ -321,14 +326,19 @@ def test_trusted_constructors_only_on_the_allow_list():
         for site in sites:
             for part in site.split("."):
                 assert not part.startswith("parse_") and part != "__init__", site
-    defining = {
-        node.name
-        for tree in MODULES.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(isinstance(f, ast.FunctionDef) and f.name == "_of" for f in node.body)
-    }
-    assert defining == {"MultilineQueue", "Tableau", "SkewTableau", "QXPolynomial"}
+
+    def defining(constructor):
+        return {
+            node.name
+            for tree in MODULES.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == constructor
+                    for f in node.body)
+        }
+
+    assert defining("_of") == {"MultilineQueue", "Tableau", "SkewTableau", "QXPolynomial"}
+    assert defining("_of_m") == {"QXPolynomial"}
 
 
 def test_charge_stays_on_the_traced_path():

@@ -23,6 +23,7 @@ from mlqkit.poly import (
     q_whittaker_mlq,
     q_whittaker_schur,
     schur,
+    skew_schur,
 )
 
 # the enumeration oracle visits every queue; cap its count to keep this fast
@@ -133,9 +134,10 @@ def test_schur_routes_agree():
 def test_monomial_form_expands_only_nonzero_coefficients(
     monkeypatch, route, oracle, lam, n, calls,
 ):
-    # the Kostka sweep stays inside the shapes that carry a coefficient, and
-    # only a nonzero coefficient is rearranged: once for each partition
-    # below lam in dominance with at most n parts
+    # the result and its comparison with a full polynomial rearrange
+    # nothing; reading its terms rearranges each nonzero coefficient once,
+    # for each partition below lam in dominance with at most n parts, since
+    # the Kostka sweep stays inside the shapes that carry a coefficient
     rearranged = []
     real = poly._rearrangements
 
@@ -144,11 +146,110 @@ def test_monomial_form_expands_only_nonzero_coefficients(
         return real(nu, n)
 
     monkeypatch.setattr(poly, "_rearrangements", counted)
-    assert route(lam, n) == oracle(lam, n)
+    p = route(lam, n)
+    assert p == oracle(lam, n)
+    assert rearranged == []
+    assert p.terms
     assert len(rearranged) == calls
     assert set(rearranged) == {
         nu for nu in partitions(sum(lam)) if len(nu) <= n and dominance_leq(nu, lam)
     }
+
+
+def _full(p):
+    return QXPolynomial(p.n, p.terms)
+
+
+def _same_both_forms(p):
+    # an m-basis form equals its own expansion both ways round, without
+    # expanding for ==, and hashes the same
+    assert p._m is not None
+    full = _full(p)
+    assert full._m is None
+    assert p == full and full == p
+    assert hash(p) == hash(full)
+
+
+def test_symmetric_results_equal_their_expansions():
+    for size in range(0, 9):
+        for lam in partitions(size):
+            for n in range(1, 7):
+                _same_both_forms(schur(lam, n))
+                _same_both_forms(q_whittaker_mlq(lam, n))
+            for inner_size in range(0, 4):
+                for mu in partitions(inner_size):
+                    for n in range(1, 6):
+                        _same_both_forms(skew_schur(lam, mu, n))
+
+
+def _as_compact_iff_as_full(p, full):
+    # p is an m-basis form: it equals full exactly when its expansion does
+    expected = _full(p) == full
+    assert (p == full) == expected and (full == p) == expected
+    return expected
+
+
+def test_full_equals_compact_exactly_when_expansions_equal():
+    p = q_whittaker_mlq((3, 2, 1), 4)
+    terms = dict(p.terms)
+    key = next(iter(terms))
+    assert _as_compact_iff_as_full(p, _full(p))
+    # a non-symmetric full polynomial on the same keys
+    assert not _as_compact_iff_as_full(p, QXPolynomial(4, {**terms, key: terms[key] + 1}))
+    # one rearrangement missing
+    missing = dict(terms)
+    del missing[key]
+    assert not _as_compact_iff_as_full(p, QXPolynomial(4, missing))
+    # one key extra, each of its exponent orders in turn
+    for extra in [(0, ((1, 6),)), (99, ((1, 3), (2, 2), (3, 1))), (key[0] + 1, key[1])]:
+        assert extra not in terms
+        assert not _as_compact_iff_as_full(p, QXPolynomial(4, {**terms, extra: 1}))
+    # another number of variables, with the same keys
+    assert not _as_compact_iff_as_full(p, QXPolynomial(5, terms))
+    assert q_whittaker_mlq((3, 2, 1), 5) != QXPolynomial(5, terms)
+    # the zero polynomial, compact or full, against either
+    zero = schur((2, 1), 1)
+    assert zero._m == {}
+    assert _as_compact_iff_as_full(zero, QXPolynomial.zero(1))
+    assert not _as_compact_iff_as_full(p, QXPolynomial.zero(4))
+    assert not _as_compact_iff_as_full(zero, QXPolynomial(1, {(0, ((1, 3),)): 1}))
+
+
+def test_compact_arithmetic_stays_compact():
+    a, b = schur((3, 1), 4), q_whittaker_mlq((2, 2), 4)
+    for result, full in [
+        (a + b, _full(a) + _full(b)),
+        (b + a, _full(b) + _full(a)),
+        (a + a * -1, QXPolynomial.zero(4)),
+        (a * 3, _full(a) * 3),
+        (3 * b, 3 * _full(b)),
+        (b * 0, QXPolynomial.zero(4)),
+    ]:
+        assert result._m is not None
+        assert result == full and result.terms == full.terms
+        assert all(result._m.values())
+    # a full operand gives a full result
+    mixed = a + _full(b)
+    assert mixed._m is None and mixed == _full(a) + _full(b)
+    assert (a - b)._m is None and a - b == _full(a) - _full(b)
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from([lam for size in range(0, 11) for lam in partitions(size)]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_compact_form_random(lam, n, data):
+    p = q_whittaker_mlq(lam, n)
+    _same_both_forms(p)
+    if p.terms:
+        key = data.draw(st.sampled_from(sorted(p.terms)))
+        terms = dict(p.terms)
+        del terms[key]
+        assert not _as_compact_iff_as_full(p, QXPolynomial(n, terms))
+        terms[key] = p.terms[key] + data.draw(st.sampled_from([-1, 1]))
+        assert not _as_compact_iff_as_full(p, QXPolynomial(n, terms))
 
 
 def test_rearrangements_are_the_distinct_permutations():

@@ -37,7 +37,6 @@ from mlqkit.tableaux import (
     straighten,
     superstandard,
     tableau_charge,
-    tableau_from_crw,
 )
 
 # shape (6,4,3,2) reading-order example
@@ -119,14 +118,14 @@ def test_column_insert_matches_collapsed_queue_exhaustive():
 
 def test_tableau_from_crw():
     for t in (READING_T, CHARGE_T, BIJ_T, superstandard((3, 1))):
-        assert tableau_from_crw(column_reading_word(t)) == t
+        assert oracles.tableau_from_crw(column_reading_word(t)) == t
 
 
 def test_tableau_from_crw_rejects_other_words():
     # runs 2 1 | 1 | 3 2: a short column between two taller ones used to be
     # read as the tableau 1 1 2 / 2 3, whose column word is 2 1 3 1 2
     with pytest.raises(ParseError):
-        tableau_from_crw((2, 1, 1, 3, 2))
+        oracles.tableau_from_crw((2, 1, 1, 3, 2))
 
 
 def test_mlq_of_tableau_example():
