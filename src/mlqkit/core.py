@@ -26,7 +26,10 @@ def is_partition(parts) -> bool:
 
 def check_partition(parts) -> tuple:
     """parts as a tuple, or ParseError unless it is a partition."""
-    parts = tuple(parts)
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise ParseError(f"not a partition: {parts!r}") from None
     if not is_partition(parts):
         raise ParseError(f"not a partition: {parts!r}")
     return parts
@@ -58,7 +61,10 @@ def dominance_leq(a, b) -> bool:
 
 def _check_composition(alpha) -> tuple:
     """alpha as a tuple, or ParseError unless its parts are ints >= 0."""
-    alpha = tuple(alpha)
+    try:
+        alpha = tuple(alpha)
+    except TypeError:
+        raise ParseError(f"parts must be nonnegative ints, got {alpha!r}") from None
     if not all(_is_count(a) and a >= 0 for a in alpha):
         raise ParseError(f"parts must be nonnegative ints, got {alpha!r}")
     return alpha

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 from .core import _is_count, check_partition, conjugate
 from .errors import InvariantError, NotCoquinvFree, ParseError
-from .mlq import (
-    MultilineQueue,
-    _label_row,
-    _particle_mask,
-    _priority_order,
-    enumerate_mlq,
-)
+from .mlq import MultilineQueue, _label_layer, _particle_mask, enumerate_mlq
 
 
 @dataclass(frozen=True)
@@ -154,8 +148,7 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
         for i, x in enumerate(above, start=1):
             word[x - 1] = w - i + 1
         word = tuple(word)
-        particle = _particle_mask(m.n, here)
-        labels, _, _ = _label_row(word, _priority_order(word), particle)
+        ((labels, _, _),) = _label_layer(word, len(here), [_particle_mask(m.n, here)])
         above = tuple(sorted(here, key=lambda c: -labels[c - 1]))
         rows.append(above)
     tau = ColumnFilling(shape, rows[::-1], m.n)

@@ -226,7 +226,7 @@ def label_gmlq(m: MultilineQueue):
     """Particle and anti-particle labels of a generalized multiline queue.
 
     Top row: particles get the row number, anti-particles one less.  Each
-    lower row is labelled from the row above by ``_label_row``.  Returns
+    lower row is labelled from the row above by ``_label_layer``.  Returns
     (labels for every site, particle wrap list [(source row, label)], anti
     wrap list).
     """
@@ -247,8 +247,8 @@ def _label_rows(m: MultilineQueue):
     constant word L..L as ``_label_word_sweep`` does."""
     word = (m.num_rows,) * m.n
     for r in range(m.num_rows, 0, -1):
-        particle = _particle_mask(m.n, m.row(r))
-        word, plus, minus = _label_row(word, _priority_order(word), particle)
+        row = m.row(r)
+        ((word, plus, minus),) = _label_layer(word, len(row), [_particle_mask(m.n, row)])
         yield r, word, plus, minus
 
 
@@ -259,34 +259,28 @@ def _wrap_weight(plus, minus, r) -> int:
     return sum(plus) - sum(minus) - r * (len(plus) - len(minus))
 
 
-def _priority_order(word):
-    """Columns 0..n-1 of a label word in pairing order: decreasing label,
-    ties left to right."""
-    # sorted is stable under reverse=True, so ties stay left to right
-    return sorted(range(len(word)), key=word.__getitem__, reverse=True)
-
-
 def _particle_mask(n, here):
-    """Ball set ``here`` (columns 1..n) as a tuple of n flags, True on a
+    """Ball set ``here`` (columns 1..n) as a list of n flags, True on a
     particle."""
     particle = [False] * n
     for c in here:
         particle[c - 1] = True
-    return tuple(particle)
+    return particle
 
 
-def _label_row(word, order, particle):
-    """Label a row below a row labelled ``word``.
+def _label_layer(word, s, particles):
+    """Label every row in ``particles`` below a row labelled ``word``.
 
-    ``order`` is ``_priority_order(word)`` and ``particle`` the row's
-    ``_particle_mask``; callers that label many rows under one word, or one
-    row under many words, build each once.  The s highest-priority sites
-    above, s the row's ball count, pair to the first free particle weakly
-    right of them, the rest, lowest priority first, to the first free
-    anti-particle weakly left of them with the label decremented; both
-    searches wrap cyclically.  Returns (the row's labels for columns 1..n,
-    labels of the wrapping particle pairings, labels of the wrapping
-    anti-particle pairings).
+    Each entry of ``particles`` is a ball set with s balls, as its
+    ``_particle_mask``; the sweep passes a whole layer, the single-row
+    callers a one-element list.  The pairing order depends only on
+    ``word``, so it is sorted and split once per call: sites pair in
+    decreasing label, ties left to right, the s first to the first free
+    particle weakly right of them, the rest, lowest priority first, to the
+    first free anti-particle weakly left of them with the label
+    decremented; both searches wrap cyclically.  Returns, for each ball
+    set in order, (its labels for columns 1..n, labels of the wrapping
+    particle pairings, labels of the wrapping anti-particle pairings).
 
     The labels do not depend on where the ring is cut: rotating ``word``
     and the row together rotates them, since the sites that one label's
@@ -294,24 +288,31 @@ def _label_row(word, order, particle):
     pairings wrap does depend on the cut.
     """
     n = len(word)
-    s = sum(particle)
-    out = [None] * n
-    plus, minus = [], []
-    for src in order[:s]:
-        t = src
-        while not particle[t] or out[t] is not None:
-            t = t + 1 if t + 1 < n else 0
-        out[t] = word[src]
-        if t < src:
-            plus.append(word[src])
-    for src in reversed(order[s:]):
-        t = src
-        while particle[t] or out[t] is not None:
-            t = t - 1 if t else n - 1
-        out[t] = word[src] - 1
-        if t > src:
-            minus.append(word[src])
-    return tuple(out), plus, minus
+    # sorted is stable under reverse=True, so ties stay left to right
+    order = sorted(range(n), key=word.__getitem__, reverse=True)
+    high, low = order[:s], order[s:][::-1]
+    labelled = []
+    for particle in particles:
+        # a site holds True while it is a free particle and False while it
+        # is a free anti-particle; labels are ints, never bools
+        out = list(particle)
+        plus, minus = [], []
+        for src in high:
+            t = src
+            while out[t] is not True:
+                t = t + 1 if t + 1 < n else 0
+            out[t] = lab = word[src]
+            if t < src:
+                plus.append(lab)
+        for src in low:
+            t = src
+            while out[t] is not False:
+                t = t - 1 if t else n - 1
+            out[t] = word[src] - 1
+            if t > src:
+                minus.append(word[src])
+        labelled.append((tuple(out), plus, minus))
+    return labelled
 
 
 def _is_collapsed(m: MultilineQueue) -> bool:
@@ -323,20 +324,22 @@ def _is_collapsed(m: MultilineQueue) -> bool:
     return not any(_match_rows(upper, lower)[0] for lower, upper in pairs)
 
 
-def _label_word_sweep(alpha, n: int, one, carry, state=None):
+def _label_word_sweep(alpha, n: int, one, carry):
     """Sum a weight over all queues with row sizes alpha, row by row.
 
     A state is the label word of a row; it fixes every label below it, so
     queues that agree on a row's word are merged there.  ``one`` is the
-    weight of the empty queue.  ``carry(acc, value, row, plus, minus, r)``
-    adds to ``acc`` (None for a word not seen yet in the layer) the weight
-    ``value`` passed through row r with ball set ``row``, whose wrapping
-    pairings have the labels ``plus`` and ``minus`` (``_wrap_weight`` turns
-    them into the ``maj_g`` increment; a carry that ignores ``maj_g`` skips
-    it), and returns the sum.  ``state``, when given, maps each new word to
-    the state it is merged into (``stationary_counts`` merges the rotations
-    of a word); it is called once per distinct word.  Returns {bottom-row
-    state: weight}.
+    weight of the empty queue.  Each layer's ball sets and their particle
+    masks are built once, and each word is labelled against all of them in
+    one ``_label_layer`` call.  Then ``carry(below, value, rows, labelled,
+    r)`` runs once per word: it adds the word's weight ``value``, passed
+    through row r, into ``below``, the next layer's {state: weight}, where
+    ``rows`` lists the layer's ball sets and ``labelled`` the kernel's
+    (new word, plus, minus) for each; ``_wrap_weight`` turns the wrap
+    labels plus and minus into the ``maj_g`` increment.  The carry picks
+    the states: ``stationary_counts`` merges the rotations of a word, and
+    ``q_whittaker_gmlq`` folds the bottom layer into one.  Returns the
+    bottom layer.
 
     The sweep starts above the top row from the constant word L..L: pairing
     from it gives the top row's labels (L on particles, L-1 elsewhere) and
@@ -346,23 +349,13 @@ def _label_word_sweep(alpha, n: int, one, carry, state=None):
     alpha = _check_composition(alpha)
     L = len(alpha)
     layer = {(L,) * n: one}
-    merged = {}
     for r in range(L, 0, -1):
-        rows = [
-            (row, _particle_mask(n, row))
-            for row in combinations(range(1, n + 1), alpha[r - 1])
-        ]
+        s = alpha[r - 1]
+        rows = list(combinations(range(1, n + 1), s))
+        particles = [_particle_mask(n, row) for row in rows]
         below = {}
         for word, value in layer.items():
-            order = _priority_order(word)
-            for row, particle in rows:
-                new, plus, minus = _label_row(word, order, particle)
-                if state is not None:
-                    key = merged.get(new)
-                    if key is None:
-                        key = merged[new] = state(new)
-                    new = key
-                below[new] = carry(below.get(new), value, row, plus, minus, r)
+            carry(below, value, rows, _label_layer(word, s, particles), r)
         layer = below
     return layer
 
@@ -373,7 +366,8 @@ def _rotations(word):
 
 
 def _least_rotation(word):
-    return min(_rotations(word))
+    """The least cyclic rotation of a word, the key of its rotation class."""
+    return min(word[i:] + word[:i] for i in range(len(word)))
 
 
 def _check_columns(n):
@@ -458,22 +452,27 @@ def stationary_counts(lam, n: int):
     n sites, which is invariant under rotating the ring (Ferrari and
     Martin, arXiv:math/0501291), so the label-word sweep keeps one state
     per rotation class, its least rotation, and its value is the class
-    total.  That is exact: the top word L..L is fixed by rotation, and
-    ``_label_row`` commutes with rotating the word and the row together, so
-    every word of a class reaches every class below through equally many
-    rows.  A periodic word is a smaller class but needs no weighting during
-    the sweep, since totals count each queue once.  At the end the d
-    distinct rotations of a class share its total equally.
+    total.  The carry finds each new word's least rotation once per call,
+    as the min of its n rotations.  That is exact: the top word L..L is
+    fixed by rotation, and ``_label_layer`` commutes with rotating the word
+    and the row together, so every word of a class reaches every class
+    below through equally many rows.  A periodic word is a smaller class
+    but needs no weighting during the sweep, since totals count each queue
+    once.  At the end the d distinct rotations of a class share its total
+    equally.
     """
     lam = check_partition(lam)
     _check_columns(n)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
-    totals = _label_word_sweep(
-        conjugate(lam), n, 1,
-        lambda acc, value, row, plus, minus, r: value + (acc or 0),
-        _least_rotation,
-    )
+    least = {}  # word -> its least rotation, found once per call
+
+    def carry(below, value, rows, labelled, r):
+        for new, _, _ in labelled:
+            key = least.get(new) or least.setdefault(new, _least_rotation(new))
+            below[key] = below.get(key, 0) + value
+
+    totals = _label_word_sweep(conjugate(lam), n, 1, carry)
     counts = {}
     for word, total in totals.items():
         rotations = _rotations(word)

@@ -13,7 +13,7 @@ from itertools import chain, combinations, repeat, zip_longest
 from math import factorial, perm, prod
 
 from .charge import charge
-from .core import check_partition, conjugate, is_lattice, partitions
+from .core import _check_composition, check_partition, conjugate, is_lattice, partitions
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import (
@@ -359,39 +359,40 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     {q * base^n + packed content: count}, where the packed content holds
     x_c's exponent as the digit of base^(c-1); a column has at most one ball
     per row, so with base = rows + 1 the content stays below base^n and
-    divmod by base^n gives back q, negative or not.
+    divmod by base^n gives back q, negative or not.  Each layer's ball sets
+    are packed once, and the bottom layer folds into one accumulator.
     """
     _check_columns(n)
-    alpha = tuple(alpha)
+    alpha = _check_composition(alpha)
     base = len(alpha) + 1
     shift = base ** n
-    codes = {}  # ball set -> packed content, packed once per call
+    codes = {}  # r -> packed content of each ball set of layer r
 
-    def carry(acc, value, row, plus, minus, r):
-        code = codes.get(row)
-        if code is None:
-            code = codes[row] = _pack(row, base)
-        step = _wrap_weight(plus, minus, r) * shift + code
-        if acc is None:
-            acc = {}
-        for key, count in value.items():
-            key += step
-            acc[key] = acc.get(key, 0) + count
-        return acc
+    def carry(below, value, rows, labelled, r):
+        if r not in codes:
+            codes[r] = [_pack(row, base) for row in rows]
+        for code, (new, plus, minus) in zip(codes[r], labelled):
+            if plus or minus:
+                code += _wrap_weight(plus, minus, r) * shift
+            if r == 1:
+                new = None  # the bottom layer folds into one accumulator
+            acc = below.get(new)
+            if acc is None:
+                below[new] = {k + code: count for k, count in value.items()}
+            else:
+                for k, count in value.items():
+                    k += code
+                    acc[k] = acc.get(k, 0) + count
 
-    terms = {}
-    for value in _label_word_sweep(alpha, n, {0: 1}, carry).values():
-        for key, count in value.items():
-            terms[key] = terms.get(key, 0) + count
-    exponents = {}  # packed content -> sparse exponent vector
-    out = {}
-    for key, count in terms.items():
-        q, x = divmod(key, shift)
-        if x not in exponents:
-            exponents[x] = _unpack(x, base)
-        out[q, exponents[x]] = count
+    # one state below the bottom row: the empty queue's when alpha is (), and
+    # none when a row has more balls than there are columns
+    (terms,) = _label_word_sweep(alpha, n, {0: 1}, carry).values() or ({},)
+    # each distinct packed content is decoded once
+    exponents = {x: _unpack(x, base) for x in {key % shift for key in terms}}
     # sums of positive counts, and each packed key gives one (q, x) key
-    return QXPolynomial._of(n, out)
+    return QXPolynomial._of(n, {
+        (key // shift, exponents[key % shift]): count for key, count in terms.items()
+    })
 
 
 def kostka_foulkes(lam, mu) -> QXPolynomial:

@@ -5,7 +5,10 @@ The enumerate-and-sum routes visit every queue one at a time, so they are
 exponential in the number of rows; the package computes the same quantities
 over label-word states.  ``label_mlq_by_matching`` labels a straight queue by
 iterated cylindrical matching, independently of the pairing rule
-``mlq._label_row`` that every labelling in the package uses.  The Schur and
+``mlq._label_layer`` that every labelling in the package uses, and
+``label_row_by_scan`` runs that rule one row and one site at a time, apart
+from the kernel's per-word set-up, so the kernel is checked against it and
+not only through ``maj_g``, which calls the kernel.  The Schur and
 Kostka-Foulkes routes here are the paper's theorems: Schur polynomials sum
 over nonwrapping queues, and Kostka-Foulkes polynomials weigh nonwrapping
 queues by the major index of their quarter turn.  ``coquinv_free_fillings``
@@ -250,6 +253,40 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     ))
 
 
+def label_row_by_scan(word, row):
+    """(labels, wrapping particle labels, wrapping anti-particle labels) of
+    ball set ``row`` (columns 1..n) under a row labelled ``word``, one site
+    at a time.
+
+    Sources pair in decreasing label, ties left to right: the s first, s
+    the number of balls, each to the first free particle weakly right of
+    it, the rest, lowest priority first, each to the first free
+    anti-particle weakly left of it, with the label decremented; both scans
+    wrap cyclically.
+    """
+    n = len(word)
+    particle = [c + 1 in row for c in range(n)]
+    s = sum(particle)
+    order = sorted(range(n), key=word.__getitem__, reverse=True)
+    out = [None] * n
+    plus, minus = [], []
+    for src in order[:s]:
+        t = src
+        while not particle[t] or out[t] is not None:
+            t = t + 1 if t + 1 < n else 0
+        out[t] = word[src]
+        if t < src:
+            plus.append(word[src])
+    for src in reversed(order[s:]):
+        t = src
+        while particle[t] or out[t] is not None:
+            t = t - 1 if t else n - 1
+        out[t] = word[src] - 1
+        if t > src:
+            minus.append(word[src])
+    return tuple(out), plus, minus
+
+
 def q_whittaker_schur(mu, n: int) -> dict:
     """{lam: K_{lam',mu'}(q)} by one ``kostka_foulkes`` call per lam.
 
@@ -289,10 +326,12 @@ def stationary_counts(lam, n: int) -> dict:
 def stationary_counts_by_sweep(lam, n: int) -> dict:
     """The label-word sweep with one state per word, not per rotation
     class."""
-    return _label_word_sweep(
-        conjugate(lam), n, 1,
-        lambda acc, value, row, plus, minus, r: value + (acc or 0),
-    )
+
+    def carry(below, value, rows, labelled, r):
+        for new, _, _ in labelled:
+            below[new] = below.get(new, 0) + value
+
+    return _label_word_sweep(conjugate(lam), n, 1, carry)
 
 
 def schur(lam, n: int) -> QXPolynomial:

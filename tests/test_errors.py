@@ -18,7 +18,7 @@ from mlqkit.collapse import (
     twisted_collapse,
 )
 from mlqkit.charge import charge_permutation
-from mlqkit.core import dominance_leq, partitions, sort_to_partition
+from mlqkit.core import conjugate, dominance_leq, partitions, sort_to_partition
 from mlqkit.errors import (
     AlphabetTooSmall,
     BadRowIndex,
@@ -30,14 +30,30 @@ from mlqkit.errors import (
     VariableCountMismatch,
 )
 from mlqkit.matching import lowering, raise_all, raising, reflect
-from mlqkit.mlq import MultilineQueue, parse_mlq, sigma
-from mlqkit.poly import QXPolynomial, kostka_foulkes_lattice
+from mlqkit.mlq import MultilineQueue, enumerate_gmlq, parse_mlq, sigma, stationary_counts
+from mlqkit.poly import (
+    QXPolynomial,
+    kostka_foulkes,
+    kostka_foulkes_lattice,
+    q_whittaker_gmlq,
+    q_whittaker_mlq,
+    schur,
+    skew_schur,
+)
 from mlqkit.tableaux import (
     SkewTableau,
     Tableau,
     column_insert,
+    lr_coefficient,
     superstandard,
 )
+
+
+def enumerate_gmlq_list(alpha, n):
+    """``enumerate_gmlq`` run to the end, since a generator checks its
+    arguments only when it starts."""
+    return list(enumerate_gmlq(alpha, n))
+
 
 TWO_ROWS = parse_mlq("n=3;1,2|3")
 WRAPPING = parse_mlq("n=2;1|2")
@@ -122,6 +138,18 @@ CASES = [
     (ParseError, kostka_foulkes_lattice, ((2, 1), (1, 2))),
     # a bool part used to give the tableau with one 1
     (ParseError, superstandard, ((True,),)),
+    # a shape that is no sequence used to raise a bare TypeError from tuple()
+    (ParseError, conjugate, (5,)),
+    (ParseError, schur, (None, 3)),
+    (ParseError, q_whittaker_mlq, (2.5, 3)),
+    (ParseError, q_whittaker_gmlq, (5, 3)),
+    (ParseError, stationary_counts, (None, 3)),
+    (ParseError, enumerate_gmlq_list, (5, 3)),
+    (ParseError, kostka_foulkes, (5, (1,))),
+    (ParseError, kostka_foulkes, ((1,), None)),
+    (ParseError, lr_coefficient, (None, (1,), (1,))),
+    (ParseError, skew_schur, (2.5, (), 3)),
+    (ParseError, skew_schur, ((2,), 5, 3)),
 ]
 
 

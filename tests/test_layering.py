@@ -121,7 +121,7 @@ def test_collapse_does_not_label():
     # collapsing never runs the labelling engine
     labelling = {
         "label_mlq", "label_gmlq", "maj", "maj_g", "is_nonwrapping", "projection",
-        "_label_row", "_label_rows", "_label_word_sweep", "_priority_order",
+        "_label_layer", "_label_rows", "_label_word_sweep",
         "_particle_mask", "_rotations", "_least_rotation",
     }
     assert not _imported_names(MODULES["collapse"]) & labelling
@@ -206,11 +206,11 @@ def test_lazy_enumerators_and_eager_strip_helpers():
 
 
 def test_one_pairing_kernel():
-    # every labelling runs the pairing rule through mlq._label_row
+    # every labelling runs the pairing rule through mlq._label_layer
     for module, start in [
         ("mlq", "_label_word_sweep"), ("mlq", "_label_rows"), ("fillings", "filling_of_mlq"),
     ]:
-        assert "_label_row" in _calls_in_module(MODULES[module], start), (module, start)
+        assert "_label_layer" in _calls_in_module(MODULES[module], start), (module, start)
 
 
 def test_cycle_finder():

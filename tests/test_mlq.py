@@ -12,9 +12,8 @@ from mlqkit.errors import NotStraight, ParseError, TooNarrow
 from mlqkit.matching import _mask, _match_rows
 from mlqkit.mlq import (
     MultilineQueue,
-    _label_row,
+    _label_layer,
     _particle_mask,
-    _priority_order,
     biwords,
     canonical_mlq,
     column_word,
@@ -205,25 +204,38 @@ def test_gmlq_pairing_figure():
 def test_gmlq_label_row_step():
     # one labelling step with a prescribed word above
     word = (2, 5, 4, 2, 4, 2)
-    labels, _, _ = _label_row(word, _priority_order(word), _particle_mask(6, {1, 5}))
+    ((labels, _, _),) = _label_layer(word, 2, [_particle_mask(6, {1, 5})])
     assert labels == (4, 3, 1, 1, 5, 1)
+
+
+def test_label_layer_matches_scan():
+    # the layer kernel against the one-site-at-a-time scan, on every word
+    # over {0..3} and every ball set, with the wrap lists in pairing order
+    for n in range(1, 6):
+        for size in range(n + 1):
+            rows = list(combinations(range(1, n + 1), size))
+            particles = [_particle_mask(n, row) for row in rows]
+            for word in product(range(4), repeat=n):
+                labelled = _label_layer(word, size, particles)
+                assert labelled == [oracles.label_row_by_scan(word, row) for row in rows]
 
 
 def test_label_row_commutes_with_rotation():
     # the fact that lets stationary_counts keep one state per rotation
     # class: turning the ring one site turns the labels of the row below
     for n in range(1, 6):
-        for word in product(range(4), repeat=n):
-            turned = word[1:] + word[:1]
-            for size in range(n + 1):
-                for row in combinations(range(1, n + 1), size):
-                    labels, _, _ = _label_row(
-                        word, _priority_order(word), _particle_mask(n, row)
-                    )
-                    turned_row = [c - 1 if c > 1 else n for c in row]
-                    turned_labels, _, _ = _label_row(
-                        turned, _priority_order(turned), _particle_mask(n, turned_row)
-                    )
+        for size in range(n + 1):
+            rows = list(combinations(range(1, n + 1), size))
+            turned_rows = [[c - 1 if c > 1 else n for c in row] for row in rows]
+            particles = [_particle_mask(n, row) for row in rows]
+            turned_particles = [_particle_mask(n, row) for row in turned_rows]
+            for word in product(range(4), repeat=n):
+                turned = word[1:] + word[:1]
+                labelled = _label_layer(word, size, particles)
+                turned_labelled = _label_layer(turned, size, turned_particles)
+                for row, (labels, _, _), (turned_labels, _, _) in zip(
+                    rows, labelled, turned_labelled
+                ):
                     assert turned_labels == labels[1:] + labels[:1], (word, row)
 
 

@@ -1,6 +1,6 @@
 """The row-by-row routes agree with enumeration over all queues."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +88,33 @@ def test_empty_and_one_row():
     # more balls in a row than columns: no queues
     assert q_whittaker_gmlq((3,), 2).is_zero()
     assert q_whittaker_mlq((1, 1, 1), 2).is_zero()
+
+
+def test_gmlq_edge_compositions():
+    # rows with no ball or a ball on every site, in any order: layers whose
+    # pairings have no particle, or no anti-particle, to go to
+    for k in range(4):
+        for alpha in product(range(4), repeat=k):
+            for n in range(1, 4):
+                expected = oracles.q_whittaker_gmlq(alpha, n)
+                assert q_whittaker_gmlq(alpha, n) == expected, (alpha, n)
+
+
+def test_sweep_labels_each_word_once(monkeypatch):
+    # one kernel call per word of a layer, against all of the layer's ball
+    # sets: 1 + 5 + 20 words label the 5 + 50 + 200 transitions of (3,2,1)
+    expected = oracles.q_whittaker_gmlq((3, 2, 1), 5)
+    calls = []
+    kernel = mlq._label_layer
+
+    def counted(word, s, particles):
+        calls.append(len(particles))
+        return kernel(word, s, particles)
+
+    monkeypatch.setattr(mlq, "_label_layer", counted)
+    assert q_whittaker_gmlq((3, 2, 1), 5) == expected
+    assert len(calls) == 1 + 5 + 20
+    assert sum(calls) == 5 + 50 + 200
 
 
 @pytest.mark.parametrize("n", [True, False, 0, -1, 2.5, "3", None])
