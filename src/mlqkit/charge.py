@@ -3,7 +3,7 @@
 from bisect import bisect_left
 from itertools import pairwise
 
-from .core import _check_letters, content, is_partition, n_stat
+from .core import _as_tuple, _check_letters, content
 from .errors import NonPartitionContent, NotAPermutation
 from .matching import reflect
 
@@ -26,13 +26,6 @@ def _charge_of_positions(chosen):
     """Charge of the permutation of 1..n whose letter n - k stands at
     position chosen[k]: each letter i with i + 1 to its right adds n - i."""
     return sum(k for k in range(1, len(chosen)) if chosen[k] < chosen[k - 1])
-
-
-def _check_partition_content(w):
-    c = content(w)
-    if not is_partition(c):
-        raise NonPartitionContent(f"content {c}")
-    return c
 
 
 def charge_subwords(w):
@@ -92,9 +85,12 @@ def charge(w) -> int:
 
 
 def cocharge(w) -> int:
-    """Cocharge: n(content) minus charge."""
-    mu = _check_partition_content(w)
-    return n_stat(mu) - charge(w)
+    """Cocharge: n(content) minus charge.  ``charge`` checks the letters and
+    the content mu, and n(mu) is the sum of (i - 1) mu_i: each letter v of
+    the word adds v - 1."""
+    w = _as_tuple(w, "a word")
+    c = charge(w)
+    return sum(w) - len(w) - c
 
 
 def sorting_reflections(alpha):
@@ -123,6 +119,4 @@ def straighten_word(w):
 
 def charge_g(w) -> int:
     """Generalized charge: straighten the content, then take the charge."""
-    if not w:
-        return 0
     return charge(straighten_word(w))

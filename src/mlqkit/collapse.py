@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import _is_count, check_partition, conjugate, is_lattice
+from .core import _as_tuple, _check_count, _is_count, check_partition, conjugate, is_lattice
 from .errors import (
     AlphabetTooSmall,
     BadSigmaWord,
@@ -38,14 +38,7 @@ from .errors import (
     SizeMismatch,
 )
 from .matching import _columns, _high_bits, _mask, _match_rows
-from .mlq import (
-    MultilineQueue,
-    _check_columns,
-    _check_row_pair,
-    _is_collapsed,
-    row_word,
-    sigma,
-)
+from .mlq import MultilineQueue, _check_row_pair, _is_collapsed, row_word, sigma
 from .tableaux import (
     SkewTableau,
     Tableau,
@@ -371,6 +364,7 @@ def twisted_collapse(m: MultilineQueue, sigma_word) -> MultilineQueue:
     twist applies them left to right.  The untwisted queue must have weakly
     decreasing row sizes.
     """
+    sigma_word = _as_tuple(sigma_word, "a sigma word")
     untwisted = m
     for i in sigma_word:
         untwisted = sigma(untwisted, i)
@@ -393,7 +387,7 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     collapsed queue maps back to t.  An explicit n must be a positive int
     (ParseError otherwise); the empty tableau's default is one column.
     """
-    n = max(t.entry_max(), 1) if n is None else _check_columns(n)
+    n = max(t.entry_max(), 1) if n is None else _check_count(n, 1)
     if t.entry_max() > n:
         raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
     width = len(t.rows[0]) if t.rows else 0
@@ -450,7 +444,7 @@ def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
     n must be a positive int (ParseError otherwise)."""
     hat, ell = straighten(t)
     alphabet = max((v for r in t.rows for v in r), default=0)
-    n = alphabet if n is None else _check_columns(n)
+    n = alphabet if n is None else _check_count(n, 1)
     if alphabet > n:
         raise AlphabetTooSmall(f"entries up to {alphabet}, n={n}")
     # an empty filling gets one column, as mlq_of_tableau's default does

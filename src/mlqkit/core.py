@@ -1,9 +1,17 @@
-"""Partitions, weak compositions, and words.
+"""Partitions, weak compositions and words, and what valid input is.
 
 Partitions are tuples of weakly decreasing positive integers (no trailing
 zeros); weak compositions are tuples of nonnegative integers where trailing
 zeros are significant; words are tuples of positive integers.  All indices in
 the external contract are 1-based.
+
+Only this module says what valid input is; the others call its helpers,
+which raise ParseError.  A count is an int, never a bool or another int
+subclass (``_is_count``, ``_check_count``); a sequence is any iterable but a
+str (``_as_tuple``, ``_as_rows``); a word is a sequence of positive counts
+(``_check_letters``); text is a str, read stripped (``_text``).  Range checks
+with their own typed errors (BadRowIndex, OutOfRange, TooNarrow) call
+``_is_count`` in place.
 """
 
 from math import comb
@@ -12,13 +20,44 @@ from .errors import ParseError, SizeMismatch
 
 
 def _is_count(v) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """True for an int, not a bool or any other subclass of int."""
+    return type(v) is int
+
+
+def _check_count(v, low=0):
+    """v, or ParseError unless it is a count (``_is_count``) of at least low."""
+    if not _is_count(v) or v < low:
+        raise ParseError(f"need an int >= {low}, got {v!r}")
+    return v
+
+
+def _as_tuple(x, what) -> tuple:
+    """x as a tuple, or ParseError, naming x as what, unless it is an
+    iterable other than a str."""
+    if not isinstance(x, str):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise ParseError(f"{what} must be a sequence, got {x!r}")
+
+
+def _as_rows(rows) -> tuple:
+    """rows as a tuple of tuples; ParseError unless a sequence of sequences."""
+    return tuple(_as_tuple(r, "a row") for r in _as_tuple(rows, "the rows"))
+
+
+def _text(text) -> str:
+    """text stripped, or ParseError unless it is a str."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected text, got {text!r}")
+    return text.strip()
 
 
 def is_partition(parts) -> bool:
-    """True for a weakly decreasing tuple of positive ints (not bools)."""
-    parts = tuple(parts)
+    """True for a weakly decreasing tuple of positive counts; ParseError
+    unless parts is a sequence."""
+    parts = _as_tuple(parts, "a partition")
     if not all(_is_count(p) and p > 0 for p in parts):
         return False
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
@@ -26,10 +65,7 @@ def is_partition(parts) -> bool:
 
 def check_partition(parts) -> tuple:
     """parts as a tuple, or ParseError unless it is a partition."""
-    try:
-        parts = tuple(parts)
-    except TypeError:
-        raise ParseError(f"not a partition: {parts!r}") from None
+    parts = _as_tuple(parts, "a partition")
     if not is_partition(parts):
         raise ParseError(f"not a partition: {parts!r}")
     return parts
@@ -61,10 +97,7 @@ def dominance_leq(a, b) -> bool:
 
 def _check_composition(alpha) -> tuple:
     """alpha as a tuple, or ParseError unless its parts are ints >= 0."""
-    try:
-        alpha = tuple(alpha)
-    except TypeError:
-        raise ParseError(f"parts must be nonnegative ints, got {alpha!r}") from None
+    alpha = _as_tuple(alpha, "a composition")
     if not all(_is_count(a) and a >= 0 for a in alpha):
         raise ParseError(f"parts must be nonnegative ints, got {alpha!r}")
     return alpha
@@ -77,9 +110,9 @@ def sort_to_partition(alpha) -> tuple:
 
 
 def _check_letters(w) -> tuple:
-    """w as a tuple, or ParseError unless every letter is a positive int
-    (not a bool)."""
-    w = tuple(w)
+    """w as a tuple, or ParseError unless it is a sequence of positive
+    counts."""
+    w = _as_tuple(w, "a word")
     if not all(type(v) is int and v > 0 for v in w):
         raise ParseError(f"letters must be positive ints, got {w!r}")
     return w
@@ -116,11 +149,9 @@ def n_stat(p) -> int:
 
 def partitions(n: int, max_part: int | None = None):
     """All partitions of n with parts at most max_part (default n), reverse
-    lexicographically; ParseError unless both are ints >= 0 (not bools)."""
+    lexicographically; ParseError unless both are counts >= 0."""
     top = n if max_part is None else max_part
-    if not (_is_count(n) and _is_count(top) and min(n, top) >= 0):
-        raise ParseError(f"need ints n, max_part >= 0, got {n!r}, {max_part!r}")
-    return _partitions(n, top)
+    return _partitions(_check_count(n), _check_count(top))
 
 
 def _partitions(n, top):
@@ -132,7 +163,7 @@ def _partitions(n, top):
 
 
 def parse_partition(text: str) -> tuple:
-    text = text.strip()
+    text = _text(text)
     if text in ("", "-"):
         return ()
     try:
@@ -143,13 +174,9 @@ def parse_partition(text: str) -> tuple:
 
 
 def parse_word(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
+    text = _text(text)
     try:
-        letters = tuple(int(t) for t in text.split())
+        letters = [int(t) for t in text.split()]
     except ValueError as exc:
         raise ParseError(f"bad word {text!r}") from exc
-    if any(v < 1 for v in letters):
-        raise ParseError(f"bad word {text!r}")
-    return letters
+    return _check_letters(letters)

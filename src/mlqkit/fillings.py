@@ -19,32 +19,40 @@ the coquinv-free filling is unique, and one top-down pass builds it.
 import json
 from dataclasses import dataclass
 
-from .core import _is_count, check_partition, conjugate
+from .core import _as_rows, _check_count, _check_letters, _text, check_partition, conjugate
 from .errors import InvariantError, NotCoquinvFree, ParseError
 from .mlq import MultilineQueue, _label_layer, _particle_mask, enumerate_mlq
 
 
 @dataclass(frozen=True)
 class ColumnFilling:
+    """A filling of the diagram of shape with letters in 1..n, by default the
+    largest entry; ``_of`` is the engine's trusted constructor."""
+
     shape: tuple  # column heights, weakly decreasing
     rows: tuple  # row r (bottom-up) lists entries for columns 1..width(r)
     n: int  # alphabet size; entries lie in 1..n
 
     def __init__(self, shape, rows, n=None):
         shape = check_partition(shape)
-        rows = tuple(tuple(r) for r in rows)
+        rows = _as_rows(rows)
         if tuple(len(r) for r in rows) != conjugate(shape):
             raise ParseError(f"rows {rows} do not fill the diagram of {shape}")
-        if not all(_is_count(v) and v > 0 for r in rows for v in r):
-            raise ParseError(f"entries of {rows} must be positive ints")
-        top = max((v for r in rows for v in r), default=1)
-        if n is None:
-            n = top
-        elif not _is_count(n) or n < top:
-            raise ParseError(f"alphabet size {n!r} below the largest entry {top}")
+        top = max(_check_letters(v for r in rows for v in r), default=1)
+        n = top if n is None else _check_count(n, top)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _of(cls, shape, rows, n):
+        """The filling with these fields, unchecked: shape a partition, rows
+        tuples of ints in 1..n that fill its diagram, n a positive int."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
+        return self
 
     def entry(self, r, c):
         """Entry at row r, column c (both 1-based)."""
@@ -71,7 +79,7 @@ class ColumnFilling:
 
 
 def parse_filling(text: str) -> ColumnFilling:
-    text = text.strip()
+    text = _text(text)
     try:
         if text.startswith("{"):
             data = json.loads(text)
@@ -151,7 +159,7 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
         ((labels, _, _),) = _label_layer(word, len(here), [_particle_mask(m.n, here)])
         above = tuple(sorted(here, key=lambda c: -labels[c - 1]))
         rows.append(above)
-    tau = ColumnFilling(shape, rows[::-1], m.n)
+    tau = ColumnFilling._of(shape, tuple(rows[::-1]), m.n)
     if coquinv(tau):
         raise InvariantError(f"filling {tau} of {m} is not coquinv-free")
     return tau

@@ -16,7 +16,7 @@ operators below match positions on their own.
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .core import _check_count, _check_letters
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,11 @@ def match_brackets(events):
 
 def bracket_match(w, i: int, cyclic: bool = False) -> MatchData:
     """Match the letters i+1 against the letters i of w; ParseError unless
-    i is a positive int (not a bool)."""
-    if type(i) is not int or i < 1:
-        raise ParseError(f"letter index {i!r} is not a positive int")
+    w is a word and i a positive count."""
+    _check_count(i, 1)
     events = [
         (pos, letter == i + 1)
-        for pos, letter in enumerate(w, start=1)
+        for pos, letter in enumerate(_check_letters(w), start=1)
         if letter in (i, i + 1)
     ]
     pairs, opens, closes = match_brackets(events)

@@ -12,14 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations, pairwise, product
 from math import comb, prod
 
-from .core import _check_composition, _is_count, check_partition, conjugate
-from .errors import (
-    BadRowIndex,
-    InvariantError,
-    NotStraight,
-    ParseError,
-    TooNarrow,
+from .core import (
+    _as_rows, _check_composition, _check_count, _is_count, _text, check_partition, conjugate,
 )
+from .errors import BadRowIndex, InvariantError, NotStraight, ParseError, TooNarrow
 from .matching import _columns, _high_bits, _mask, _match_rows
 
 
@@ -29,7 +25,7 @@ class MultilineQueue:
 
     The public constructor is the boundary: it takes any n and any
     collections of ball columns, raises ParseError unless n is a positive
-    int and every ball an int in 1..n, and stores each row sorted, as a
+    count and every ball a count in 1..n, and stores each row sorted, as a
     tuple.  ``_of`` is the engine's trusted constructor for rows that hold
     this form by construction; it checks nothing.
     """
@@ -38,14 +34,11 @@ class MultilineQueue:
     rows: tuple
 
     def __init__(self, n, rows):
-        _check_columns(n)
-        try:
-            rows = [set(r) for r in rows]
-        except TypeError:
-            raise ParseError(f"rows {rows!r} are not collections of ball columns") from None
+        _check_count(n, 1)
+        rows = [set(r) for r in _as_rows(rows)]
         for row in rows:
             for c in row:
-                if type(c) is not int or not 1 <= c <= n:
+                if not (_is_count(c) and 1 <= c <= n):
                     raise ParseError(f"ball column {c!r} is not an int in 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in rows))
@@ -110,7 +103,7 @@ class MultilineQueue:
 
 
 def parse_mlq(text: str) -> MultilineQueue:
-    text = text.strip()
+    text = _text(text)
     if text.startswith("{"):
         try:
             data = json.loads(text)
@@ -205,7 +198,7 @@ def is_nonwrapping(m: MultilineQueue) -> bool:
 
 def canonical_mlq(nu, n: int) -> MultilineQueue:
     """The left-justified queue of shape nu: row j holds columns 1..nu'_j."""
-    _check_columns(n)
+    _check_count(n, 1)
     cols = conjugate(nu)
     if cols and cols[0] > n:
         raise TooNarrow(f"shape {nu} needs {cols[0]} columns, have {n}")
@@ -343,10 +336,9 @@ def _label_word_sweep(alpha, n: int, one, carry):
 
     The sweep starts above the top row from the constant word L..L: pairing
     from it gives the top row's labels (L on particles, L-1 elsewhere) and
-    never wraps, so the top row needs no case of its own.
+    never wraps, so the top row needs no case of its own.  The callers check
+    alpha and n.
     """
-    _check_columns(n)
-    alpha = _check_composition(alpha)
     L = len(alpha)
     layer = {(L,) * n: one}
     for r in range(L, 0, -1):
@@ -370,17 +362,10 @@ def _least_rotation(word):
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def _check_columns(n):
-    """n, or ParseError unless it is a positive int."""
-    if not _is_count(n) or n < 1:
-        raise ParseError(f"column count must be a positive int, got {n!r}")
-    return n
-
-
 def _check_fits(alpha, n) -> tuple:
     """alpha as a tuple, ParseError unless n and the row sizes are valid, and
     TooNarrow when a row holds more balls than there are columns."""
-    _check_columns(n)
+    _check_count(n, 1)
     alpha = _check_composition(alpha)
     if any(a > n for a in alpha):
         raise TooNarrow(f"row sizes {alpha} exceed {n} columns")
@@ -462,7 +447,7 @@ def stationary_counts(lam, n: int):
     equally.
     """
     lam = check_partition(lam)
-    _check_columns(n)
+    _check_count(n, 1)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
     least = {}  # word -> its least rotation, found once per call

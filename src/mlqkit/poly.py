@@ -13,17 +13,12 @@ from itertools import chain, combinations, repeat, zip_longest
 from math import factorial, perm, prod
 
 from .charge import charge
-from .core import _check_composition, check_partition, conjugate, is_lattice, partitions
+from .core import (
+    _as_tuple, _check_composition, _check_count, check_partition, conjugate, is_lattice, partitions,
+)
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
-from .mlq import (
-    _check_columns,
-    _label_word_sweep,
-    _wrap_weight,
-    enumerate_gmlq,
-    maj,
-    row_word,
-)
+from .mlq import _label_word_sweep, _wrap_weight, enumerate_gmlq, maj, row_word
 from .tableaux import (
     _inner_of,
     _kostka_sweep,
@@ -38,10 +33,11 @@ class QXPolynomial:
 
     ``terms`` maps a canonical key (q exponent, ((i, e), ...) with i
     increasing and every e > 0) to a nonzero coefficient.  The public
-    constructor takes a dict or an iterable of (key, coefficient) pairs,
-    adds the coefficients of equal keys and drops zeros; it trusts the keys
-    to be canonical.  ``_of`` is the engine's trusted constructor for a
-    dict that is already zero-free; it copies and checks nothing.
+    constructor takes a count n and a dict or a sequence of (key,
+    coefficient) pairs (ParseError otherwise), adds the coefficients of
+    equal keys and drops zeros; it trusts the keys to be canonical.  ``_of``
+    is the engine's trusted constructor for a dict that is already
+    zero-free; it copies and checks nothing.
 
     A symmetric polynomial may instead hold its m-basis form ``_m``
     {(q, nu): c}, the coefficients of the monomial symmetric functions m_nu
@@ -53,15 +49,15 @@ class QXPolynomial:
 
     __slots__ = ("n", "terms", "_m")
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
+    def __init__(self, n: int, terms=()):
+        self.n = _check_count(n)
         self._m = None
         self.terms = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if coeff:
-                    self.terms[key] = self.terms.get(key, 0) + coeff
-            self.terms = {k: v for k, v in self.terms.items() if v}
+        pairs = terms.items() if isinstance(terms, dict) else _as_tuple(terms, "the terms")
+        for key, coeff in pairs:
+            if coeff:
+                self.terms[key] = self.terms.get(key, 0) + coeff
+        self.terms = {k: v for k, v in self.terms.items() if v}
 
     @classmethod
     def _of(cls, n, terms):
@@ -255,7 +251,7 @@ def schur(lam, n: int) -> QXPolynomial:
     parts: no partition with at most n parts lies below such a lam in
     dominance.
     """
-    _check_columns(n)
+    _check_count(n, 1)
     lam = check_partition(lam)
     return _monomial_form({lam: QXPolynomial.one(0)}, n)
 
@@ -273,7 +269,7 @@ def q_whittaker_schur(mu, n: int) -> dict:
     each charged once, gives every coefficient.
     """
     mu = check_partition(mu)
-    _check_columns(n)
+    _check_count(n, 1)
     sizes = conjugate(mu)
     by_shape = {}
     for rows in _strip_chains(sizes, (n,) * len(sizes), (0,) * len(sizes)):
@@ -362,7 +358,7 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     divmod by base^n gives back q, negative or not.  Each layer's ball sets
     are packed once, and the bottom layer folds into one accumulator.
     """
-    _check_columns(n)
+    _check_count(n, 1)
     alpha = _check_composition(alpha)
     base = len(alpha) + 1
     shift = base ** n
@@ -431,7 +427,7 @@ def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
 def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:
     """Weight sum over coquinv-free fillings."""
     lam = check_partition(lam)
-    _check_columns(n)
+    _check_count(n, 1)
     if conjugate(lam) and conjugate(lam)[0] > n:
         return QXPolynomial.zero(n)
 
@@ -456,8 +452,8 @@ def dual_cauchy_check(n: int, length: int):
     Returns (left, right); x variables are 1..n and y variables are
     n+1..n+length; both counts must be positive ints.
     """
-    _check_columns(n)
-    _check_columns(length)
+    _check_count(n, 1)
+    _check_count(length, 1)
     total = n + length
     terms = Counter()
     for size in range(0, n * length + 1):
@@ -494,7 +490,7 @@ def skew_schur(outer, inner, n: int) -> QXPolynomial:
     The skew Kostka numbers count the chains of horizontal strips from
     inner to outer, so one ``_monomial_form`` call sweeps them.
     """
-    _check_columns(n)
+    _check_count(n, 1)
     outer, inner = check_partition(outer), check_partition(inner)
     if _inner_of(outer, inner) is None:
         return _monomial_form({}, n)

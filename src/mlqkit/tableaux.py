@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise, product
 
 from .charge import charge as _charge
-from .core import _check_composition, _check_letters, _is_count, check_partition, content
+from .core import (
+    _as_rows, _check_composition, _check_count, _check_letters, _text, check_partition, content,
+)
 from .errors import InvariantError, ParseError, SizeMismatch
 
 
@@ -46,7 +48,7 @@ class Tableau:
     rows: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows if r)
+        rows = tuple(filter(None, _as_rows(rows)))
         _check_semistandard(tuple(len(r) for r in rows), (), rows)
         object.__setattr__(self, "rows", rows)
 
@@ -83,7 +85,7 @@ class Tableau:
 
 
 def parse_tableau(text: str) -> Tableau:
-    text = text.strip()
+    text = _text(text)
     if text.startswith("{"):
         try:
             return Tableau(json.loads(text)["rows"])
@@ -114,7 +116,7 @@ class SkewTableau:
     rows: tuple  # filled cells only, row r starts at column inner_r + 1
 
     def __init__(self, outer, inner, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = _as_rows(rows)
         outer, inner = _check_semistandard(outer, inner, rows)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
@@ -143,14 +145,13 @@ def _check_semistandard(outer, inner, rows):
     zeros), inner lies inside outer, row r holds outer_r - inner_r positive
     ints weakly increasing, and each column strictly increases upward."""
     outer = check_partition(outer)
-    inner = tuple(inner)
-    while inner and type(inner[-1]) is int and inner[-1] == 0:
+    inner = _check_composition(inner)
+    while inner and not inner[-1]:
         inner = inner[:-1]  # the padding that a stored inner carries
     inner = _inner_of(outer, check_partition(inner))
     if inner is None:
         raise ParseError("inner shape not contained in outer")
-    if not all(type(v) is int and v > 0 for r in rows for v in r):
-        raise ParseError(f"tableau entries must be positive ints, got {rows!r}")
+    _check_letters(v for r in rows for v in r)
     if len(rows) != len(outer):
         raise ParseError("one filled segment per outer row expected")
     for i, r in enumerate(rows):
@@ -169,7 +170,6 @@ def _check_semistandard(outer, inner, rows):
 def _inner_of(outer, inner):
     """inner padded with zeros to the length of outer, or None unless the
     diagram of inner lies inside the diagram of outer."""
-    inner = tuple(inner)
     if any(v > (outer[k] if k < len(outer) else 0) for k, v in enumerate(inner)):
         return None
     return inner[: len(outer)] + (0,) * (len(outer) - len(inner))
@@ -390,12 +390,7 @@ def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):
     inside outer); ParseError unless exactly one bound is given, and valid."""
     if (max_entry is None) == (weight is None):
         raise ParseError("give exactly one of max_entry and weight")
-    if weight is not None:
-        sizes = _check_composition(weight)
-    elif _is_count(max_entry) and max_entry >= 0:
-        sizes = (None,) * max_entry
-    else:
-        raise ParseError(f"max_entry must be an int >= 0, got {max_entry!r}")
+    sizes = (None,) * _check_count(max_entry) if weight is None else _check_composition(weight)
     outer = check_partition(outer)
     inner = _inner_of(outer, check_partition(inner))
     if inner is None or (None not in sizes and sum(sizes) != sum(outer) - sum(inner)):

@@ -79,7 +79,6 @@ from collections import Counter
 from itertools import permutations, product
 
 from mlqkit import poly
-from mlqkit.charge import _check_partition_content
 from mlqkit.collapse import (
     CollapseResult,
     collapse,
@@ -93,10 +92,12 @@ from mlqkit.core import (
     conjugate,
     content,
     is_lattice,
+    is_partition,
     partitions,
 )
 from mlqkit.errors import (
     InvariantError,
+    NonPartitionContent,
     NotNonwrapping,
     ParseError,
     ShapeMismatch,
@@ -637,7 +638,9 @@ def charge_by_matching(w) -> int:
     k that match cylindrically against the already-selected k+1's.  Each
     letter that matches only by wrapping contributes r - k.
     """
-    lam = _check_partition_content(w)
+    lam = content(w)
+    if not is_partition(lam):
+        raise NonPartitionContent(f"content {lam}")
     if not lam:
         return 0
     total = 0

@@ -1,7 +1,10 @@
 """Each typed error is raised where its contract says."""
 
+import inspect
+
 import pytest
 
+import mlqkit
 import oracles
 from mlqkit.collapse import (
     collapse_inverse,
@@ -17,19 +20,36 @@ from mlqkit.collapse import (
     tab_of_mlq,
     twisted_collapse,
 )
-from mlqkit.charge import charge_permutation
-from mlqkit.core import conjugate, dominance_leq, partitions, sort_to_partition
+from mlqkit.charge import (
+    charge,
+    charge_g,
+    charge_permutation,
+    charge_subwords,
+    cocharge,
+)
+from mlqkit.core import (
+    conjugate,
+    content,
+    dominance_leq,
+    is_lattice,
+    parse_partition,
+    parse_word,
+    partitions,
+    sort_to_partition,
+)
 from mlqkit.errors import (
     AlphabetTooSmall,
     BadRowIndex,
     BadSigmaWord,
     ColumnMismatch,
+    MlqkitError,
     NotNonwrapping,
     OutOfRange,
     ParseError,
     VariableCountMismatch,
 )
-from mlqkit.matching import lowering, raise_all, raising, reflect
+from mlqkit.fillings import ColumnFilling, parse_filling
+from mlqkit.matching import bracket_match, lowering, raise_all, raising, reflect
 from mlqkit.mlq import MultilineQueue, enumerate_gmlq, parse_mlq, sigma, stationary_counts
 from mlqkit.poly import (
     QXPolynomial,
@@ -45,6 +65,7 @@ from mlqkit.tableaux import (
     Tableau,
     column_insert,
     lr_coefficient,
+    parse_tableau,
     superstandard,
 )
 
@@ -150,6 +171,39 @@ CASES = [
     (ParseError, lr_coefficient, (None, (1,), (1,))),
     (ParseError, skew_schur, (2.5, (), 3)),
     (ParseError, skew_schur, ((2,), 5, 3)),
+    # a word that is no sequence used to raise a bare TypeError from tuple()
+    (ParseError, charge, (5,)),
+    (ParseError, charge_g, (5,)),
+    (ParseError, cocharge, (5,)),
+    (ParseError, charge_permutation, (5,)),
+    (ParseError, charge_subwords, (5,)),
+    (ParseError, content, (5,)),
+    (ParseError, is_lattice, (5,)),
+    (ParseError, column_insert, (5,)),
+    (ParseError, bracket_match, (5, 1)),
+    (ParseError, raising, (5, 1)),
+    (ParseError, lowering, (5, 1)),
+    (ParseError, raise_all, (5, 1)),
+    (ParseError, reflect, (5, 1)),
+    # text that is no str used to raise AttributeError from .strip()
+    (ParseError, parse_partition, (5,)),
+    (ParseError, parse_word, (5,)),
+    (ParseError, parse_mlq, (5,)),
+    (ParseError, parse_tableau, (5,)),
+    (ParseError, parse_filling, (5,)),
+    # rows that are no sequence used to raise a bare TypeError
+    (ParseError, Tableau, (5,)),
+    (ParseError, SkewTableau, ((1,), (), 5)),
+    (ParseError, ColumnFilling, ((1,), 5)),
+    # terms that are no sequence used to raise a bare TypeError, and an n
+    # that is no count was taken as it came
+    (ParseError, QXPolynomial, (5, 3)),
+    (ParseError, QXPolynomial, ("a",)),
+    (ParseError, twisted_collapse, (TWO_ROWS, 5)),
+    # charge_g of None, 0 or "" used to return 0
+    (ParseError, charge_g, (None,)),
+    (ParseError, charge_g, (0,)),
+    (ParseError, charge_g, ("",)),
 ]
 
 
@@ -180,3 +234,45 @@ def _case_id(k):
 def test_typed_errors(error, function, args):
     with pytest.raises(error):
         function(*args)
+
+
+# the parameter names the package gives a queue, a tableau, a filling or a
+# polynomial: 5 or None in their place fails on its first attribute
+PACKAGE_OBJECTS = {"m", "m1", "queue", "down", "t", "tau", "p"}
+# records the package returns, which store their fields as given
+RECORDS = {"CollapseResult", "BicoloredMLQ"}
+
+
+def _outcome(function, args):
+    """What calling function(*args) raised, or None if it returned; a
+    generator is run to the end."""
+    try:
+        result = function(*args)
+        if inspect.isgenerator(result):
+            list(result)
+    except Exception as error:  # the sweep reports every kind it meets
+        return error
+    return None
+
+
+def test_no_public_call_raises_a_bare_type_error():
+    # every public callable of mlqkit, with 5 or None as its first argument
+    # and 3 for each other required one, raises a typed error; 5 is a valid
+    # count n, so there only None is tried
+    found = []
+    for name in sorted(set(dir(mlqkit)) - RECORDS):
+        function = getattr(mlqkit, name)
+        if name.startswith("_") or inspect.ismodule(function) or not callable(function):
+            continue
+        params = [
+            p for p in inspect.signature(function).parameters.values()
+            if p.default is p.empty
+        ]
+        for bad in (None,) if params[0].name == "n" else (5, None):
+            error = _outcome(function, [bad] + [3] * (len(params) - 1))
+            if isinstance(error, MlqkitError):
+                continue
+            if isinstance(error, AttributeError) and params[0].name in PACKAGE_OBJECTS:
+                continue
+            found.append(f"{name}({bad!r}, ...): {error!r}")
+    assert not found

@@ -7,7 +7,8 @@ imports, and the graph of relative imports between modules is searched for
 a cycle.  Every name a module or test file imports must also be used in it,
 and no module has an ``assert`` statement, which ``python -O`` strips.  The
 trusted constructors ``_of`` and ``QXPolynomial._of_m``, which skip
-validation, are called only from an allow-list of engine routes.
+validation, are called only from an allow-list of engine routes.  Only
+``core`` spells out what valid input is.
 """
 
 import ast
@@ -296,6 +297,7 @@ TRUSTED_CALLERS = {
         "mrsk_inverse", "mlq_of_tableau",
     },
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
+    "fillings": {"filling_of_mlq"},
     "poly": {
         "q_whittaker_schur", "_monomial_form", "q_whittaker_gmlq", "kostka_foulkes",
         # the sum and the int multiple of two m-basis forms drop their zeros
@@ -337,7 +339,9 @@ def test_trusted_constructors_only_on_the_allow_list():
                     for f in node.body)
         }
 
-    assert defining("_of") == {"MultilineQueue", "Tableau", "SkewTableau", "QXPolynomial"}
+    assert defining("_of") == {
+        "MultilineQueue", "Tableau", "SkewTableau", "ColumnFilling", "QXPolynomial",
+    }
     assert defining("_of_m") == {"QXPolynomial"}
 
 
@@ -387,3 +391,49 @@ def test_one_tableau_engine():
                 keywords = {k.arg for k in node.keywords}
                 if node.func.id in {"enumerate_ssyt", "enumerate_skew_ssyt"}:
                     assert keywords == {"weight"}, f"{name}.py:{node.lineno}"
+
+
+def _contract_breaches(tree):
+    """What a module outside ``core`` may not spell out itself: the int rule
+    (``type(v) is int``, ``... is not int``, ``isinstance(v, bool)``), the
+    strip of text, and a bare ``except TypeError`` around a conversion."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+        ):
+            if any(isinstance(n, ast.Name) and n.id == "int"
+                   for n in [node.left, *node.comparators]):
+                yield node.lineno, "int rule"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "isinstance" and "bool" in _names_in(node.args[-1]):
+                yield node.lineno, "int rule"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "strip":
+                yield node.lineno, "strip"
+        elif isinstance(node, ast.ExceptHandler):
+            if isinstance(node.type, ast.Name) and node.type.id == "TypeError":
+                yield node.lineno, "except TypeError"
+
+
+def test_one_input_contract():
+    # core's helpers decide what a count, a sequence, a word and text are
+    # (_is_count, _check_count, _as_tuple, _check_letters, _text); the
+    # parsers' handlers for malformed JSON, except (KeyError, TypeError,
+    # ValueError), are not conversions of a sequence and may stay
+    found = [
+        f"{name}.py:{line} {what}"
+        for name, tree in MODULES.items()
+        if name != "core"
+        for line, what in _contract_breaches(tree)
+    ]
+    assert not found
+    # the one guarded conversion of a sequence is core._as_tuple
+    converting = [
+        node.name
+        for node in MODULES["core"].body
+        if isinstance(node, ast.FunctionDef)
+        and any(what == "except TypeError" for _, what in _contract_breaches(node))
+    ]
+    assert converting == ["_as_tuple"]
+    for name, helper in [("mlq", "_check_columns"), ("charge", "_check_partition_content")]:
+        assert not hasattr(importlib.import_module(f"mlqkit.{name}"), helper), helper
