@@ -30,6 +30,7 @@ def _charge_of_positions(chosen):
 
 def charge_subwords(w):
     """Split a partition-content word into its charge subwords."""
+    w = _check_letters(w)
     return [tuple(w[p] for p in sorted(chosen)) for chosen in _subword_positions(w)]
 
 
@@ -112,9 +113,10 @@ def sorting_reflections(alpha):
 
 def straighten_word(w):
     """Apply reflections until the content is a partition."""
+    w = _check_letters(w)
     for i in sorting_reflections(content(w)):
         w = reflect(w, i)
-    return tuple(w)
+    return w
 
 
 def charge_g(w) -> int:

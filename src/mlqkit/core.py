@@ -9,7 +9,8 @@ Only this module says what valid input is; the others call its helpers,
 which raise ParseError.  A count is an int, never a bool or another int
 subclass (``_is_count``, ``_check_count``); a sequence is any iterable but a
 str (``_as_tuple``, ``_as_rows``); a word is a sequence of positive counts
-(``_check_letters``); text is a str, read stripped (``_text``).  Range checks
+(``_check_letters``); text is a str, read stripped (``_text``); terms are
+pairs of a canonical key and a coefficient (``_check_terms``).  Range checks
 with their own typed errors (BadRowIndex, OutOfRange, TooNarrow) call
 ``_is_count`` in place.
 """
@@ -45,6 +46,25 @@ def _as_tuple(x, what) -> tuple:
 def _as_rows(rows) -> tuple:
     """rows as a tuple of tuples; ParseError unless a sequence of sequences."""
     return tuple(_as_tuple(r, "a row") for r in _as_tuple(rows, "the rows"))
+
+
+def _check_terms(terms, n) -> tuple:
+    """The (key, coefficient) pairs of terms, a dict or a sequence of pairs;
+    ParseError unless each key is canonical on n variables: (q, ((i, e),
+    ...)) with int q, the ints i increasing in 1..n and ints e >= 1."""
+    pairs = tuple(terms.items()) if isinstance(terms, dict) else _as_tuple(terms, "the terms")
+    for pair in pairs:
+        key = pair[0] if type(pair) is tuple and len(pair) == 2 else None
+        ok = type(key) is tuple and len(key) == 2 and _is_count(key[0]) and type(key[1]) is tuple
+        last = 0  # the i before, so that the i increase from 1
+        for x in key[1] if ok else ():
+            ok = type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int
+            if not (ok and last < x[0] <= n and x[1] > 0):
+                raise ParseError(f"key {key!r} is not canonical on {n} variables")
+            last = x[0]
+        if not ok:
+            raise ParseError(f"not a (key, coefficient) pair: {pair!r}")
+    return pairs
 
 
 def _text(text) -> str:

@@ -142,35 +142,29 @@ def _high_bits(mask, k):
     return out
 
 
-def _replace(w, position, letter):
+def _replace(w, positions, letter):
     out = list(w)
-    out[position - 1] = letter
+    for pos in positions:
+        out[pos - 1] = letter
     return tuple(out)
 
 
 def raising(w, i: int):
     """Change the leftmost unmatched i+1 to an i (identity if none)."""
-    m = bracket_match(w, i)
-    if not m.unmatched_opens:
-        return tuple(w)
-    return _replace(w, m.unmatched_opens[0], i)
+    w = _check_letters(w)
+    return _replace(w, bracket_match(w, i).unmatched_opens[:1], i)
 
 
 def lowering(w, i: int):
     """Change the rightmost unmatched i to an i+1 (identity if none)."""
-    m = bracket_match(w, i)
-    if not m.unmatched_closes:
-        return tuple(w)
-    return _replace(w, m.unmatched_closes[-1], i + 1)
+    w = _check_letters(w)
+    return _replace(w, bracket_match(w, i).unmatched_closes[-1:], i + 1)
 
 
 def raise_all(w, i: int):
     """Change every unmatched i+1 to an i; idempotent."""
-    m = bracket_match(w, i)
-    out = list(w)
-    for pos in m.unmatched_opens:
-        out[pos - 1] = i
-    return tuple(out)
+    w = _check_letters(w)
+    return _replace(w, bracket_match(w, i).unmatched_opens, i)
 
 
 def reflect(w, i: int):
@@ -179,10 +173,8 @@ def reflect(w, i: int):
     The a unmatched i's and b unmatched i+1's form, in position order, the
     pattern i^a (i+1)^b; it is replaced by i^b (i+1)^a.
     """
+    w = _check_letters(w)
     m = bracket_match(w, i)
     slots = sorted(m.unmatched_closes + m.unmatched_opens)
     b = len(m.unmatched_opens)
-    out = list(w)
-    for k, pos in enumerate(slots):
-        out[pos - 1] = i if k < b else i + 1
-    return tuple(out)
+    return _replace(_replace(w, slots[:b], i), slots[b:], i + 1)

@@ -265,9 +265,9 @@ def _label_layer(word, s, particles):
     """Label every row in ``particles`` below a row labelled ``word``.
 
     Each entry of ``particles`` is a ball set with s balls, as its
-    ``_particle_mask``; the sweep passes a whole layer, the single-row
-    callers a one-element list.  The pairing order depends only on
-    ``word``, so it is sorted and split once per call: sites pair in
+    ``_particle_mask``; the sweep passes a layer or part of one, the
+    single-row callers a one-element list.  The pairing order depends only
+    on ``word``, so it is sorted and split once per call: sites pair in
     decreasing label, ties left to right, the s first to the first free
     particle weakly right of them, the rest, lowest priority first, to the
     first free anti-particle weakly left of them with the label
@@ -322,17 +322,18 @@ def _label_word_sweep(alpha, n: int, one, carry):
 
     A state is the label word of a row; it fixes every label below it, so
     queues that agree on a row's word are merged there.  ``one`` is the
-    weight of the empty queue.  Each layer's ball sets and their particle
-    masks are built once, and each word is labelled against all of them in
-    one ``_label_layer`` call.  Then ``carry(below, value, rows, labelled,
-    r)`` runs once per word: it adds the word's weight ``value``, passed
-    through row r, into ``below``, the next layer's {state: weight}, where
-    ``rows`` lists the layer's ball sets and ``labelled`` the kernel's
-    (new word, plus, minus) for each; ``_wrap_weight`` turns the wrap
-    labels plus and minus into the ``maj_g`` increment.  The carry picks
-    the states: ``stationary_counts`` merges the rotations of a word, and
-    ``q_whittaker_gmlq`` folds the bottom layer into one.  Returns the
-    bottom layer.
+    weight of the empty queue.  Each layer's ball sets are built once, as
+    particle masks.  Then ``carry(below, value, particles, label, r)`` runs
+    once per word: it adds the word's weight ``value``, passed through row
+    r, into ``below``, the next layer's {state: weight}.  ``particles``
+    lists the layer's masks, and ``label(picked)`` labels the masks picked
+    below the word in one ``_label_layer`` call, giving (new word, plus,
+    minus) for each; ``_wrap_weight`` turns the wrap labels into the
+    ``maj_g`` increment.  The carry picks the states and the ball sets:
+    ``stationary_counts`` labels every ball set and merges the rotations of
+    a word; ``q_whittaker_gmlq`` folds the bottom layer into one state and
+    labels there only the ball sets that reach a partition content.
+    Returns the bottom layer.
 
     The sweep starts above the top row from the constant word L..L: pairing
     from it gives the top row's labels (L on particles, L-1 elsewhere) and
@@ -343,11 +344,10 @@ def _label_word_sweep(alpha, n: int, one, carry):
     layer = {(L,) * n: one}
     for r in range(L, 0, -1):
         s = alpha[r - 1]
-        rows = list(combinations(range(1, n + 1), s))
-        particles = [_particle_mask(n, row) for row in rows]
+        particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
         below = {}
         for word, value in layer.items():
-            carry(below, value, rows, _label_layer(word, s, particles), r)
+            carry(below, value, particles, lambda picked: _label_layer(word, s, picked), r)
         layer = below
     return layer
 
@@ -452,8 +452,8 @@ def stationary_counts(lam, n: int):
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
     least = {}  # word -> its least rotation, found once per call
 
-    def carry(below, value, rows, labelled, r):
-        for new, _, _ in labelled:
+    def carry(below, value, particles, label, r):
+        for new, _, _ in label(particles):
             key = least.get(new) or least.setdefault(new, _least_rotation(new))
             below[key] = below.get(key, 0) + value
 

@@ -2,9 +2,12 @@
 
 Terms map (q exponent, sparse x exponent vector) to integer coefficients;
 all identity checks are structural equalities of canonical forms.  The
-symmetric results ``schur``, ``skew_schur`` and ``q_whittaker_mlq`` keep
-their m-basis form (``QXPolynomial._m``) and write terms only when read;
-``+`` and ``* int`` keep that form, and ``==`` never expands it.
+symmetric results ``schur``, ``skew_schur``, ``q_whittaker_mlq`` and
+``q_whittaker_gmlq`` keep their m-basis form (``QXPolynomial._m``) and
+write terms only when read; ``+`` and ``* int`` keep that form, and ``==``
+never expands it.  ``q_whittaker_gmlq`` sums only toward partition
+contents, and exactly so: sigma-invariance makes its sum symmetric, and
+packed contents add without a carry.
 """
 
 import json
@@ -14,7 +17,8 @@ from math import factorial, perm, prod
 
 from .charge import charge
 from .core import (
-    _as_tuple, _check_composition, _check_count, check_partition, conjugate, is_lattice, partitions,
+    _check_composition, _check_count, _check_terms, check_partition, conjugate, is_lattice,
+    partitions,
 )
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
@@ -34,8 +38,8 @@ class QXPolynomial:
     ``terms`` maps a canonical key (q exponent, ((i, e), ...) with i
     increasing and every e > 0) to a nonzero coefficient.  The public
     constructor takes a count n and a dict or a sequence of (key,
-    coefficient) pairs (ParseError otherwise), adds the coefficients of
-    equal keys and drops zeros; it trusts the keys to be canonical.  ``_of``
+    coefficient) pairs with canonical keys on n variables (ParseError
+    otherwise), adds the coefficients of equal keys and drops zeros.  ``_of``
     is the engine's trusted constructor for a dict that is already
     zero-free; it copies and checks nothing.
 
@@ -53,10 +57,8 @@ class QXPolynomial:
         self.n = _check_count(n)
         self._m = None
         self.terms = {}
-        pairs = terms.items() if isinstance(terms, dict) else _as_tuple(terms, "the terms")
-        for key, coeff in pairs:
-            if coeff:
-                self.terms[key] = self.terms.get(key, 0) + coeff
+        for key, coeff in _check_terms(terms, n):
+            self.terms[key] = self.terms.get(key, 0) + coeff
         self.terms = {k: v for k, v in self.terms.items() if v}
 
     @classmethod
@@ -116,17 +118,12 @@ class QXPolynomial:
             for key, coeff in other._m.items():
                 out[key] = out.get(key, 0) + coeff
             return QXPolynomial._of_m(self.n, {k: v for k, v in out.items() if v})
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return QXPolynomial(self.n, out)
+        return QXPolynomial(self.n, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) - coeff
-        return QXPolynomial(self.n, out)
+        negated = ((key, -coeff) for key, coeff in other.terms.items())
+        return QXPolynomial(self.n, [*self.terms.items(), *negated])
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -144,7 +141,8 @@ class QXPolynomial:
                     merged[i] = merged.get(i, 0) + e
                 key = (q1 + q2, tuple(sorted(merged.items())))
                 out[key] = out.get(key, 0) + c1 * c2
-        return QXPolynomial(self.n, out)
+        # the keys are canonical by construction; only zeros are dropped
+        return QXPolynomial._of(self.n, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -185,12 +183,9 @@ class QXPolynomial:
         return QXPolynomial(self.n, out)
 
     def _sorted_terms(self):
-        def grade(item):
-            (qe, xs), _ = item
-            total = qe + sum(e for _, e in xs)
-            return (total, qe, xs)
-
-        return sorted(self.terms.items(), key=grade)
+        # by total degree, then by key
+        items = self.terms.items()
+        return sorted(items, key=lambda t: (t[0][0] + sum(e for _, e in t[0][1]), t[0]))
 
     def to_text(self) -> str:
         if not self.terms:
@@ -202,12 +197,9 @@ class QXPolynomial:
                 factors.append("q" if qe == 1 else f"q^{qe}")
             for i, e in xs:
                 factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(coeff)] + factors))
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            parts.append("*".join(factors))
         return " + ".join(parts)
 
     def to_json(self) -> str:
@@ -222,24 +214,6 @@ class QXPolynomial:
 
     def __repr__(self):
         return f"QXPolynomial({self.n}, {self.to_text()!r})"
-
-
-def _pack(row, base) -> int:
-    """The content of one ball set as a packed int: x_c's exponent is the
-    digit of base^(c-1)."""
-    return sum(base ** (c - 1) for c in row)
-
-
-def _unpack(x, base):
-    """Sparse x exponent vector of a packed content."""
-    out = []
-    i = 1
-    while x:
-        x, e = divmod(x, base)
-        if e:
-            out.append((i, e))
-        i += 1
-    return tuple(out)
 
 
 def schur(lam, n: int) -> QXPolynomial:
@@ -346,48 +320,63 @@ def _rearrangements(nu, n: int):
 
 
 def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
-    """The generalized-queue form q^maj_g x^M over row sizes alpha.
+    """The m-basis form of q^maj_g x^M over the queues with row sizes alpha.
 
-    Every order of the row sizes lam' gives ``q_whittaker_mlq(lam, n)``,
-    which reads the same polynomial off the Schur expansion.  This route
+    Every order of the row sizes lam' gives ``q_whittaker_mlq(lam, n)``
+    (sigma-invariance), so the sum is symmetric and its coefficients of x^nu,
+    nu a partition with at most n parts (the targets), give it.  This route
     takes any row order: it sums over label-word states row by row
-    (``_label_word_sweep``) instead of over queues.  A weight is
-    {q * base^n + packed content: count}, where the packed content holds
-    x_c's exponent as the digit of base^(c-1); a column has at most one ball
-    per row, so with base = rows + 1 the content stays below base^n and
-    divmod by base^n gives back q, negative or not.  Each layer's ball sets
-    are packed once, and the bottom layer folds into one accumulator.
+    (``_label_word_sweep``).  A weight is {q * base^n + packed content:
+    count}, x_c's exponent the digit of base^(c-1).  A column has at most
+    one ball per row, so with base = rows + 1 packed sums never carry:
+    divmod by base^n gives back q, negative or not, and a content x above
+    the bottom row with a bottom ball set b lands on a target exactly when
+    x + code(b) is its packed content.  So the bottom row labels below each
+    word only the ball sets that ``fits`` lists for its contents.
     """
     _check_count(n, 1)
     alpha = _check_composition(alpha)
     base = len(alpha) + 1
     shift = base ** n
+    targets = {
+        sum(part * base ** c for c, part in enumerate(nu)): nu
+        for nu in partitions(sum(alpha), len(alpha)) if len(nu) <= n
+    }
     codes = {}  # r -> packed content of each ball set of layer r
+    fits = {}  # target - code(b) -> each bottom ball set b, by index
 
-    def carry(below, value, rows, labelled, r):
+    def carry(below, value, particles, label, r):
         if r not in codes:
-            codes[r] = [_pack(row, base) for row in rows]
-        for code, (new, plus, minus) in zip(codes[r], labelled):
+            codes[r] = [sum(base ** c for c, ball in enumerate(p) if ball) for p in particles]
+            if r == 1:
+                for b, code in enumerate(codes[1]):
+                    for target in targets:
+                        fits.setdefault(target - code, []).append(b)
+        if r == 1:
+            hits = {}  # b -> the keys of value that land on a target with b
+            for key in value:
+                for b in fits.get(key % shift, ()):
+                    hits.setdefault(b, []).append(key)
+            acc = below.setdefault(None, {})  # the bottom layer's one state
+            # a word with no ball set that lands is not labelled
+            for b, (_, plus, minus) in zip(hits, hits and label([particles[b] for b in hits])):
+                code = codes[1][b] + _wrap_weight(plus, minus, 1) * shift
+                for key in hits[b]:
+                    acc[key + code] = acc.get(key + code, 0) + value[key]
+            return
+        for code, (new, plus, minus) in zip(codes[r], label(particles)):
             if plus or minus:
                 code += _wrap_weight(plus, minus, r) * shift
-            if r == 1:
-                new = None  # the bottom layer folds into one accumulator
-            acc = below.get(new)
-            if acc is None:
-                below[new] = {k + code: count for k, count in value.items()}
-            else:
-                for k, count in value.items():
-                    k += code
-                    acc[k] = acc.get(k, 0) + count
+            acc = below.setdefault(new, {})
+            for k, count in value.items():
+                acc[k + code] = acc.get(k + code, 0) + count
 
     # one state below the bottom row: the empty queue's when alpha is (), and
     # none when a row has more balls than there are columns
     (terms,) = _label_word_sweep(alpha, n, {0: 1}, carry).values() or ({},)
-    # each distinct packed content is decoded once
-    exponents = {x: _unpack(x, base) for x in {key % shift for key in terms}}
-    # sums of positive counts, and each packed key gives one (q, x) key
-    return QXPolynomial._of(n, {
-        (key // shift, exponents[key % shift]): count for key, count in terms.items()
+    # sums of positive counts, and each packed key gives one (q, nu) key
+    return QXPolynomial._of_m(n, {
+        (key // shift, targets[key % shift]): count for key, count in terms.items()
     })
 
 
@@ -457,9 +446,7 @@ def dual_cauchy_check(n: int, length: int):
     total = n + length
     terms = Counter()
     for size in range(0, n * length + 1):
-        for lam in partitions(size):
-            if len(lam) > n or (lam and lam[0] > length):
-                continue
+        for lam in (p for p in partitions(size, length) if len(p) <= n):
             s_x = _shift_schur(lam, n, total, 0)
             s_y = _shift_schur(conjugate(lam), length, total, n)
             terms.update((s_x * s_y).terms)
@@ -475,12 +462,10 @@ def dual_cauchy_check(n: int, length: int):
 
 def _shift_schur(lam, vars_inner, total, offset) -> QXPolynomial:
     """Schur polynomial in vars offset+1..offset+vars_inner, in a larger ring."""
-    inner = schur(lam, vars_inner)
-    out = {}
-    for (qe, xs), coeff in inner.terms.items():
-        shifted = tuple(sorted((i + offset, e) for i, e in xs))
-        out[(qe, shifted)] = coeff
-    return QXPolynomial(total, out)
+    return QXPolynomial(total, {
+        (qe, tuple((i + offset, e) for i, e in xs)): coeff
+        for (qe, xs), coeff in schur(lam, vars_inner).terms.items()
+    })
 
 
 def skew_schur(outer, inner, n: int) -> QXPolynomial:

@@ -328,8 +328,8 @@ def stationary_counts_by_sweep(lam, n: int) -> dict:
     """The label-word sweep with one state per word, not per rotation
     class."""
 
-    def carry(below, value, rows, labelled, r):
-        for new, _, _ in labelled:
+    def carry(below, value, particles, label, r):
+        for new, _, _ in label(particles):
             below[new] = below.get(new, 0) + value
 
     return _label_word_sweep(conjugate(lam), n, 1, carry)

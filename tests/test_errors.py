@@ -204,7 +204,42 @@ CASES = [
     (ParseError, charge_g, (None,)),
     (ParseError, charge_g, (0,)),
     (ParseError, charge_g, ("",)),
+    # malformed pairs and keys raised a bare TypeError or ValueError, built a
+    # polynomial that failed in str(), or named a variable past n
+    (ParseError, QXPolynomial, (1, [5])),
+    (ParseError, QXPolynomial, (1, [((0, ()),)])),
+    (ParseError, QXPolynomial, (1, {5: 1})),
+    (ParseError, QXPolynomial, (1, {(0, ((2, 1),)): 1})),
 ]
+
+
+# (function, its arguments after the word, words it takes); the charge
+# statistics take words with a partition content, charge_permutation a
+# permutation
+WORD_FUNCTIONS = [
+    (bracket_match, (1,), ((2, 1, 1, 2), (1, 2, 2))),
+    (raising, (1,), ((2, 1), (2, 2, 1, 2))),
+    (lowering, (1,), ((2, 1), (1, 2, 1, 1))),
+    (raise_all, (1,), ((2, 2, 1, 2),)),
+    (reflect, (1,), ((2, 2, 1, 2), (1, 1, 2))),
+    (charge_g, (), ((1, 2), (2, 2, 1, 3))),
+    (charge, (), ((1, 2), (2, 1, 1, 3, 2, 1))),
+    (cocharge, (), ((2, 1, 1, 3, 2, 1),)),
+    (charge_subwords, (), ((1, 1, 2), (2, 1, 1, 3, 2, 1))),
+    (charge_permutation, (), ((3, 1, 2),)),
+    (content, (), ((2, 1, 1, 3),)),
+    (is_lattice, (), ((1, 2, 1), (1, 2, 2))),
+    (column_insert, (), ((2, 1, 1, 3, 2),)),
+]
+
+
+@pytest.mark.parametrize(
+    "function, rest, words", WORD_FUNCTIONS, ids=[f.__name__ for f, _, _ in WORD_FUNCTIONS],
+)
+def test_word_functions_read_a_one_shot_iterator(function, rest, words):
+    # a word is read once, into the tuple that core._check_letters returns
+    for w in words:
+        assert function(iter(w), *rest) == function(w, *rest), w
 
 
 # is_nonwrapping holds, since an unpaired ball does not wrap, but collapse

@@ -5,7 +5,8 @@ and usually works around a cycle, so both are refused: every module of
 ``src/mlqkit`` is parsed with ``ast``, each function body is searched for
 imports, and the graph of relative imports between modules is searched for
 a cycle.  Every name a module or test file imports must also be used in it,
-and no module has an ``assert`` statement, which ``python -O`` strips.  The
+and no module has an ``assert`` statement, which ``python -O`` strips, or
+state that outlives a call.  The
 trusted constructors ``_of`` and ``QXPolynomial._of_m``, which skip
 validation, are called only from an allow-list of engine routes.  Only
 ``core`` spells out what valid input is.
@@ -212,6 +213,98 @@ def test_one_pairing_kernel():
         ("mlq", "_label_word_sweep"), ("mlq", "_label_rows"), ("fillings", "filling_of_mlq"),
     ]:
         assert "_label_layer" in _calls_in_module(MODULES[module], start), (module, start)
+
+
+MUTABLE_BUILDERS = {
+    "list", "dict", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque",
+}
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _called(func):
+    """The last name of a called or decorating expression."""
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _is_mutable(node):
+    """True for a list, dict or set display or comprehension, or a call that
+    builds a mutable container."""
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    return isinstance(node, ast.Call) and _called(node.func) in MUTABLE_BUILDERS
+
+
+def _assigned(body):
+    """The values that the assignments among the statements body bind."""
+    for node in body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            yield node.lineno, node.value
+
+
+def _cross_call_state(tree):
+    """(line, what) for each place where state could outlive a call."""
+    for line, value in _assigned(tree.body):
+        if _is_mutable(value):
+            yield line, "module-level mutable container"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for line, value in _assigned(node.body):
+                if _is_mutable(value):
+                    yield line, "class-level mutable attribute"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+            if any(map(_is_mutable, defaults)):
+                yield node.lineno, "mutable default argument"
+            for decorator in getattr(node, "decorator_list", ()):
+                if isinstance(decorator, ast.Call):
+                    decorator = decorator.func
+                if _called(decorator) in CACHES:
+                    yield node.lineno, "cache decorator"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in CACHES for alias in node.names):
+                yield node.lineno, "cache import"
+
+
+def test_no_cross_call_state():
+    # a gain on repeated calls must come from the work of one call: no
+    # module or class keeps a mutable container, no default argument is
+    # shared between calls, and nothing is memoised across calls; caches
+    # local to one call (the carries' codes, _strip_chains' strips) stay
+    found = [
+        f"{name}.py:{line} {what}"
+        for name, tree in MODULES.items()
+        for line, what in _cross_call_state(tree)
+    ]
+    assert not found
+
+
+def test_cross_call_state_finder():
+    planted = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "SEEN = {}\n"
+        "ROWS: list = []\n"
+        "LIMIT = (1, 2)\n"
+        "class A:\n"
+        "    known = set()\n"
+        "    __slots__ = ('n',)\n"
+        "@functools.cache\n"
+        "def f(x, acc=[]):\n"
+        "    local = {}\n"
+        "@lru_cache(maxsize=None)\n"
+        "def g(x, *, seen=dict()):\n"
+        "    return x\n"
+    )
+    assert sorted(_cross_call_state(planted)) == [
+        (2, "cache import"),
+        (3, "module-level mutable container"),
+        (4, "module-level mutable container"),
+        (7, "class-level mutable attribute"),
+        (10, "cache decorator"),
+        (10, "mutable default argument"),
+        (13, "cache decorator"),
+        (13, "mutable default argument"),
+    ]
 
 
 def test_cycle_finder():

@@ -180,6 +180,12 @@ def test_symmetric_results_equal_their_expansions():
                 for mu in partitions(inner_size):
                     for n in range(1, 6):
                         _same_both_forms(skew_schur(lam, mu, n))
+    # every row order of lam' gives the generalized-queue route's m-basis form
+    for size in range(0, 8):
+        for lam in partitions(size):
+            for n in range(1, 6):
+                for alpha in set(permutations(conjugate(lam))):
+                    _same_both_forms(q_whittaker_gmlq(alpha, n))
 
 
 def _as_compact_iff_as_full(p, full):

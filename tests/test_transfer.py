@@ -1,6 +1,7 @@
 """The row-by-row routes agree with enumeration over all queues."""
 
 from itertools import permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -100,10 +101,8 @@ def test_gmlq_edge_compositions():
                 assert q_whittaker_gmlq(alpha, n) == expected, (alpha, n)
 
 
-def test_sweep_labels_each_word_once(monkeypatch):
-    # one kernel call per word of a layer, against all of the layer's ball
-    # sets: 1 + 5 + 20 words label the 5 + 50 + 200 transitions of (3,2,1)
-    expected = oracles.q_whittaker_gmlq((3, 2, 1), 5)
+def _kernel_calls(monkeypatch):
+    """The number of ball sets of each ``_label_layer`` call, as they come."""
     calls = []
     kernel = mlq._label_layer
 
@@ -112,9 +111,52 @@ def test_sweep_labels_each_word_once(monkeypatch):
         return kernel(word, s, particles)
 
     monkeypatch.setattr(mlq, "_label_layer", counted)
+    return calls
+
+
+@st.composite
+def rows_and_width(draw):
+    # zero rows and rows wider than n included; a row is kept while the
+    # oracle's queue count stays under the cap
+    n = draw(st.integers(1, 5))
+    alpha, queues = [], 1
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.integers(0, n + 1))
+        if queues * comb(n, a) <= MAX_QUEUES:
+            alpha.append(a)
+            queues *= comb(n, a)
+    return tuple(alpha), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows_and_width())
+def test_gmlq_random_compositions(case):
+    alpha, n = case
+    p = q_whittaker_gmlq(alpha, n)
+    assert p._m is not None
+    assert p == oracles.q_whittaker_gmlq(alpha, n)
+
+
+def test_sweep_labels_each_word_once(monkeypatch):
+    # one kernel call per word of a layer: above the bottom row against all
+    # of the layer's ball sets, 1 + 5 words and 5 + 50 transitions of
+    # (3,2,1); in the bottom row only against the ball sets that reach a
+    # dominant content, 14 of the 20 words and 32 of their 200 transitions
+    expected = oracles.q_whittaker_gmlq((3, 2, 1), 5)
+    calls = _kernel_calls(monkeypatch)
     assert q_whittaker_gmlq((3, 2, 1), 5) == expected
-    assert len(calls) == 1 + 5 + 20
-    assert sum(calls) == 5 + 50 + 200
+    assert len(calls) == 1 + 5 + 14
+    assert sum(calls) == 5 + 50 + 32
+    assert calls[:6] == [5] + [10] * 5 and 0 not in calls
+
+
+def test_stationary_counts_label_every_ball_set(monkeypatch):
+    # the rotation classes merge words, but each word still labels its whole
+    # layer: 1 + 1 + 4 words and 5 + 10 + 40 transitions of (3,2,1)
+    expected = oracles.stationary_counts((3, 2, 1), 5)
+    calls = _kernel_calls(monkeypatch)
+    assert stationary_counts((3, 2, 1), 5) == expected
+    assert calls == [5, 10] + [10] * 4
 
 
 @pytest.mark.parametrize("n", [True, False, 0, -1, 2.5, "3", None])
