@@ -24,9 +24,9 @@ Littlewood-Richardson coefficients.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, zip_longest
 
-from .core import _as_tuple, _check_count, _is_count, check_partition, conjugate, is_lattice
+from .core import _as_tuple, _check_count, _conjugate, _is_count, check_partition, is_lattice
 from .errors import (
     AlphabetTooSmall,
     BadSigmaWord,
@@ -46,7 +46,6 @@ from .tableaux import (
     _rows_of_columns,
     column_insert,
     straighten,
-    superstandard,
 )
 
 
@@ -343,7 +342,8 @@ def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
             f"left is {left.num_rows} rows on {left.n} columns, not the "
             f"transpose of down's {down.num_rows} rows on {down.n} columns"
         )
-    if left.shape() != conjugate(down.shape()):
+    # both are collapsed, so straight: compare left's shape with down's sizes
+    if _conjugate(left.row_sizes()) != tuple(filter(None, down.row_sizes())):
         raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")
     flip = left.n + 1
     # a collapsed queue's empty rows are its top ones, the trailing columns
@@ -466,9 +466,17 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     """The Littlewood-Richardson coefficient c^lam_{mu,nu} of
     ``tableaux.lr_coefficient``, counted by skew extensions of a fixed queue.
 
-    Counts the bicolored nonwrapping queues of shape lam with len(mu) skew
-    columns, lattice skew word, and straight part equal to the queue of a
-    fixed tableau of shape nu.
+    Counts the bicolored nonwrapping queues of shape lam with ell = len(mu)
+    skew columns, lattice skew word, and straight part equal to the queue of
+    a fixed tableau of shape nu.  For the superstandard tableau that queue,
+    ``mlq_of_tableau(superstandard(nu), len(nu))``, is the left-justified
+    ``canonical_mlq(nu, len(nu))``, so straight row r holds columns
+    ell+1..ell+nu'_r and no collapse runs.  Row r has room lam'_r - nu'_r
+    for skew balls.  Skew column j puts mu_j balls in distinct rows that
+    still have room, and a pick that leaves some room above ell - j is
+    skipped, since the later columns add at most one ball to a row.  So
+    every candidate has row sizes lam'; it is built through the public
+    constructor and kept if it is collapsed and its skew word is lattice.
     """
     lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
     if sum(lam) != sum(mu) + sum(nu):
@@ -478,24 +486,28 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     if not nu:
         return 1 if lam == mu else 0
     ell = len(mu)
-    straight = mlq_of_tableau(superstandard(nu), n=len(nu))
-    lam_cols = conjugate(lam)
-    height = len(lam_cols)
-    if straight.num_rows > height:
+    nu_cols = _conjugate(nu)
+    room = [a - b for a, b in zip_longest(_conjugate(lam), nu_cols, fillvalue=0)]
+    if min(room) < 0:  # nu does not fit inside lam, as when nu_1 > lam_1
         return 0
-    fixed_rows = [[c + ell for c in row] for row in straight.rows]
-    fixed_rows += [[]] * (height - straight.num_rows)
-    # each skew column j carries mu_j balls spread over distinct rows
-    per_column = [list(combinations(range(1, height + 1), k)) for k in mu]
-    total = 0
-    for choice in product(*per_column):
-        rows = [list(r) for r in fixed_rows]
-        for j, picked in enumerate(choice, start=1):
+    rows = [list(range(ell + 1, ell + k + 1)) for k in nu_cols]
+    rows += [[] for _ in range(len(room) - len(rows))]
+
+    def place(j, room):
+        if j > ell:
+            cand = MultilineQueue(len(nu) + ell, rows)
+            return int(_is_collapsed(cand) and is_lattice(BicoloredMLQ(cand, ell).skew_word()))
+        total = 0
+        for picked in combinations([r for r, k in enumerate(room) if k], mu[j - 1]):
+            left = list(room)
             for r in picked:
-                rows[r - 1].append(j)
-        if tuple(len(r) for r in rows) != lam_cols:
-            continue
-        cand = MultilineQueue(len(nu) + ell, rows)
-        if _is_collapsed(cand) and is_lattice(BicoloredMLQ(cand, ell).skew_word()):
-            total += 1
-    return total
+                left[r] -= 1
+            if max(left) <= ell - j:
+                for r in picked:
+                    rows[r].append(j)
+                total += place(j + 1, left)
+                for r in picked:
+                    rows[r].pop()
+        return total
+
+    return place(1, room)

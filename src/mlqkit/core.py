@@ -13,6 +13,10 @@ str (``_as_tuple``, ``_as_rows``); a word is a sequence of positive counts
 pairs of a canonical key and a coefficient (``_check_terms``).  Range checks
 with their own typed errors (BadRowIndex, OutOfRange, TooNarrow) call
 ``_is_count`` in place.
+
+``_conjugate`` is ``conjugate`` unchecked, for the engine's own shapes: it
+trusts its argument to be a weakly decreasing tuple of ints >= 0, such as
+the row sizes of a straight queue, and ignores the zeros.
 """
 
 from math import comb
@@ -94,10 +98,13 @@ def check_partition(parts) -> tuple:
 def conjugate(p) -> tuple:
     """Conjugate partition: column lengths of the diagram of p; ParseError
     unless p is a partition."""
-    p = check_partition(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1))
+    return _conjugate(check_partition(p))
+
+
+def _conjugate(p) -> tuple:
+    """``conjugate`` of p unchecked: p must be a weakly decreasing tuple of
+    ints >= 0, and its zeros are ignored."""
+    return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1)) if p else ()
 
 
 def dominance_leq(a, b) -> bool:

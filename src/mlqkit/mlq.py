@@ -13,7 +13,8 @@ from itertools import combinations, pairwise, product
 from math import comb, prod
 
 from .core import (
-    _as_rows, _check_composition, _check_count, _is_count, _text, check_partition, conjugate,
+    _as_rows, _check_composition, _check_count, _conjugate, _is_count, _text, check_partition,
+    conjugate,
 )
 from .errors import BadRowIndex, InvariantError, NotStraight, ParseError, TooNarrow
 from .matching import _columns, _high_bits, _mask, _match_rows
@@ -71,8 +72,7 @@ class MultilineQueue:
     def shape(self):
         """Partition whose conjugate gives the row sizes (straight queues)."""
         _check_straight(self)
-        sizes = tuple(s for s in self.row_sizes() if s > 0)
-        return conjugate(sizes)
+        return _conjugate(self.row_sizes())
 
     def column_content(self):
         counts = [0] * self.n

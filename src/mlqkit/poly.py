@@ -17,8 +17,8 @@ from math import factorial, perm, prod
 
 from .charge import charge
 from .core import (
-    _check_composition, _check_count, _check_terms, check_partition, conjugate, is_lattice,
-    partitions,
+    _check_composition, _check_count, _check_terms, _conjugate, _is_count, check_partition,
+    conjugate, is_lattice, partitions,
 )
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
@@ -114,16 +114,12 @@ class QXPolynomial:
     def __add__(self, other):
         self._check(other)
         if self._m is not None and other._m is not None:
-            out = dict(self._m)
-            for key, coeff in other._m.items():
-                out[key] = out.get(key, 0) + coeff
-            return QXPolynomial._of_m(self.n, {k: v for k, v in out.items() if v})
-        return QXPolynomial(self.n, [*self.terms.items(), *other.terms.items()])
+            return QXPolynomial._of_m(self.n, _summed(self._m, other._m))
+        return QXPolynomial._of(self.n, _summed(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        negated = ((key, -coeff) for key, coeff in other.terms.items())
-        return QXPolynomial(self.n, [*self.terms.items(), *negated])
+        return QXPolynomial._of(self.n, _summed(self.terms, other.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -174,13 +170,15 @@ class QXPolynomial:
         return not self.terms
 
     def swap_vars(self, i: int, j: int):
-        out = {}
-        for (qe, xs), coeff in self.terms.items():
-            swapped = tuple(
-                sorted((j if v == i else i if v == j else v, e) for v, e in xs)
-            )
-            out[(qe, swapped)] = out.get((qe, swapped), 0) + coeff
-        return QXPolynomial(self.n, out)
+        """Exchange x_i and x_j.  For ints i, j in 1..n this maps canonical
+        keys one to one onto canonical keys, so the result is unchecked."""
+        swap = [
+            ((qe, tuple(sorted((j if v == i else i if v == j else v, e) for v, e in xs))), c)
+            for (qe, xs), c in self.terms.items()
+        ]
+        if all(_is_count(v) and 1 <= v <= self.n for v in (i, j)):
+            return QXPolynomial._of(self.n, dict(swap))
+        return QXPolynomial(self.n, swap)
 
     def _sorted_terms(self):
         # by total degree, then by key
@@ -216,6 +214,14 @@ class QXPolynomial:
         return f"QXPolynomial({self.n}, {self.to_text()!r})"
 
 
+def _summed(a, b, sign=1) -> dict:
+    """a + sign * b for dicts of coefficients, as a new dict without zeros."""
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out.get(key, 0) + sign * coeff
+    return {k: v for k, v in out.items() if v}
+
+
 def schur(lam, n: int) -> QXPolynomial:
     """Schur polynomial s_lam on n variables, sum over nu of K_{lam,nu} m_nu.
 
@@ -244,13 +250,13 @@ def q_whittaker_schur(mu, n: int) -> dict:
     """
     mu = check_partition(mu)
     _check_count(n, 1)
-    sizes = conjugate(mu)
+    sizes = _conjugate(mu)
     by_shape = {}
     for rows in _strip_chains(sizes, (n,) * len(sizes), (0,) * len(sizes)):
         charges = by_shape.setdefault(tuple(map(len, rows)), Counter())
         charges[charge(tuple(chain.from_iterable(reversed(rows))))] += 1
-    return {  # the shapes without their empty rows
-        conjugate(tuple(filter(None, shape))):
+    return {  # tableau shapes, so _conjugate drops their empty rows
+        _conjugate(shape):
             QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
         for shape, charges in by_shape.items()
     }
@@ -429,10 +435,7 @@ def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:
 
 def is_symmetric(p: QXPolynomial) -> bool:
     """Invariance under every adjacent swap of the x variables."""
-    for i in range(1, p.n):
-        if p.swap_vars(i, i + 1) != p:
-            return False
-    return True
+    return all(p.swap_vars(i, i + 1) == p for i in range(1, p.n))
 
 
 def dual_cauchy_check(n: int, length: int):

@@ -62,6 +62,12 @@ The second routes below each pin one theorem against the package's route:
   by cell and kept when their reverse reading word is a lattice word, are
   as many as the chains that the lattice rule prunes strip by strip
   (``lr_coefficient``).
+- ``lr_coefficient_by_mlq_unpruned``: the collapsing route as the paper
+  states it, with every choice of rows for every skew column and the
+  straight part collapsed from the superstandard tableau, keeping the
+  candidates of row sizes lam'; the package fills only the rows that still
+  need skew balls and lays the straight part out left-justified
+  (``lr_coefficient_by_mlq``).
 - ``skew_schur_by_tableaux``: the content sum over the skew tableaux filled
   cell by cell gives the skew Schur polynomial that the package expands
   through skew Kostka numbers, swept from inner to outer (``skew_schur``);
@@ -76,13 +82,15 @@ The second routes below each pin one theorem against the package's route:
 """
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from mlqkit import poly
 from mlqkit.collapse import (
+    BicoloredMLQ,
     CollapseResult,
     collapse,
     collapse_inverse,
+    mlq_of_tableau,
     rotate90,
     rotate270,
 )
@@ -125,6 +133,7 @@ from mlqkit.tableaux import (
     _inner_of,
     _rows_of_columns,
     column_reading_word,
+    superstandard,
 )
 
 
@@ -418,6 +427,41 @@ def lr_coefficient_by_filter(lam, mu, nu) -> int:
         for rows in ssyt_rows_by_cells(lam, mu, weight=nu)
         if is_lattice(skew_rev_reading_word(SkewTableau(lam, inner, rows)))
     )
+
+
+def lr_coefficient_by_mlq_unpruned(lam, mu, nu) -> int:
+    """c^lam_{mu,nu}: the bicolored nonwrapping queues of shape lam with
+    len(mu) skew columns, lattice skew word and straight part the queue of
+    the superstandard tableau of shape nu, found among every way to put the
+    mu_j balls of each skew column j in distinct rows."""
+    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
+    if sum(lam) != sum(mu) + sum(nu):
+        raise SizeMismatch(f"|{lam}| != |{mu}| + |{nu}|")
+    if _inner_of(lam, mu) is None:
+        return 0
+    if not nu:
+        return 1 if lam == mu else 0
+    ell = len(mu)
+    straight = mlq_of_tableau(superstandard(nu), n=len(nu))
+    lam_cols = conjugate(lam)
+    height = len(lam_cols)
+    if straight.num_rows > height:
+        return 0
+    fixed_rows = [[c + ell for c in row] for row in straight.rows]
+    fixed_rows += [[]] * (height - straight.num_rows)
+    per_column = [list(combinations(range(1, height + 1), k)) for k in mu]
+    total = 0
+    for choice in product(*per_column):
+        rows = [list(r) for r in fixed_rows]
+        for j, picked in enumerate(choice, start=1):
+            for r in picked:
+                rows[r - 1].append(j)
+        if tuple(len(r) for r in rows) != lam_cols:
+            continue
+        cand = MultilineQueue(len(nu) + ell, rows)
+        if _is_collapsed(cand) and is_lattice(BicoloredMLQ(cand, ell).skew_word()):
+            total += 1
+    return total
 
 
 def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:

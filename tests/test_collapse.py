@@ -22,6 +22,7 @@ from mlqkit.mlq import (
     is_nonwrapping,
     maj,
     maj_g,
+    parse_mlq,
     row_word,
     sigma,
 )
@@ -484,6 +485,19 @@ def test_collapsed_rows_read_as_a_recorder_exhaustive():
     assert len(collapsed) == 1346  # the fixed points of collapse at these sizes
 
 
+def test_mrsk_inverse_shape_mismatch_message():
+    # both queues collapsed and of transposed sizes, but left's shape is not
+    # the conjugate of down's; the message names both shapes
+    cases = [
+        ("n=2;1,2|", "n=2;1,2|", "(1, 1) is not conjugate to (1, 1)"),
+        ("n=3;1,2|1|", "n=3;1,2,3||", "(1, 1, 1) is not conjugate to (2, 1)"),
+    ]
+    for down, left, message in cases:
+        with pytest.raises(ShapeMismatch) as error:
+            mrsk_inverse(parse_mlq(down), parse_mlq(left))
+        assert str(error.value) == message
+
+
 def test_mrsk_of_no_rows_is_out_of_range():
     with pytest.raises(OutOfRange):
         mrsk(MultilineQueue(3, []))
@@ -658,6 +672,18 @@ def test_mlq_of_tableau_matches_one_ball_per_letter_exhaustive():
             for lam in partitions(size):
                 for t in enumerate_ssyt(lam, max_entry=n):
                     assert mlq_of_tableau(t, n) == oracles.mlq_of_tableau_by_letters(t, n)
+
+
+def test_superstandard_queue_is_left_justified():
+    # the lemma behind lr_coefficient_by_mlq's straight part: collapsing the
+    # superstandard tableau of shape nu gives row j columns 1..nu'_j
+    cases = 0
+    for size in range(10):
+        for nu in partitions(size):
+            for n in range(max(len(nu), 1), len(nu) + 3):
+                assert mlq_of_tableau(superstandard(nu), n) == canonical_mlq(nu, n), (nu, n)
+                cases += 1
+    assert cases == 290  # 97 shapes, three widths each, two for the empty one
 
 
 def test_mlq_of_empty_tableau_defaults_to_one_column():

@@ -1,6 +1,7 @@
 import pytest
 
 from mlqkit.core import (
+    _conjugate,
     conjugate,
     content,
     dominance_leq,
@@ -25,6 +26,17 @@ def test_conjugate_involution():
     for size in range(13):
         for lam in partitions(size):
             assert conjugate(conjugate(lam)) == lam
+
+
+def test_unchecked_conjugate_ignores_zeros():
+    # _conjugate takes the engine's shapes, which may end in empty rows;
+    # conjugate still refuses a zero part
+    for size in range(13):
+        for lam in partitions(size):
+            for k in range(3):
+                assert _conjugate(lam + (0,) * k) == conjugate(lam), (lam, k)
+    with pytest.raises(ParseError):
+        conjugate((2, 1, 0))
 
 
 def test_dominance():

@@ -148,6 +148,25 @@ def _calls_in_module(tree, start):
     return called
 
 
+def test_lr_by_mlq_runs_no_collapse():
+    # the straight part is laid out left-justified and the skew balls go
+    # only to rows with room; every candidate is still built publicly,
+    # checked collapsed and its skew word checked lattice
+    called = _calls_in_module(MODULES["collapse"], "lr_coefficient_by_mlq")
+    assert not called & {"collapse", "mlq_of_tableau", "superstandard", "product"}
+    assert {"MultilineQueue", "_is_collapsed", "is_lattice"} <= called
+
+
+def test_unchecked_conjugate_only_in_core():
+    defining = {
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_conjugate"
+    }
+    assert defining == {"core"}
+
+
 def test_q_whittaker_is_one_route():
     # the charge expansion is the monomial form of the Schur expansion, read
     # off one traversal of tableaux, not one Kostka-Foulkes walk and one
@@ -393,8 +412,10 @@ TRUSTED_CALLERS = {
     "fillings": {"filling_of_mlq"},
     "poly": {
         "q_whittaker_schur", "_monomial_form", "q_whittaker_gmlq", "kostka_foulkes",
-        # the sum and the int multiple of two m-basis forms drop their zeros
-        "QXPolynomial.__add__", "QXPolynomial.__mul__",
+        # sums, differences and products drop their zeros, and a swap of two
+        # of the n variables maps canonical keys one to one
+        "QXPolynomial.__add__", "QXPolynomial.__sub__", "QXPolynomial.__mul__",
+        "QXPolynomial.swap_vars",
     },
 }
 

@@ -1,5 +1,7 @@
+import importlib
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -289,8 +291,9 @@ def test_lr_values():
 
 
 def test_lr_routes_agree():
-    # the lattice-pruned chains, the paper's collapsing route and the
-    # cell-by-cell filter, on every triple with |lam| <= 6
+    # the lattice-pruned chains, the paper's collapsing route with and
+    # without its row capacities, and the cell-by-cell filter, on every
+    # triple with |lam| <= 6
     for total in range(1, 7):
         for lam in partitions(total):
             for inner_size in range(0, total + 1):
@@ -299,7 +302,75 @@ def test_lr_routes_agree():
                         a = lr_coefficient(lam, mu, nu)
                         b = lr_coefficient_by_mlq(lam, mu, nu)
                         c = oracles.lr_coefficient_by_filter(lam, mu, nu)
-                        assert a == b == c, (lam, mu, nu, a, b, c)
+                        d = oracles.lr_coefficient_by_mlq_unpruned(lam, mu, nu)
+                        assert a == b == c == d, (lam, mu, nu, a, b, c, d)
+
+
+def _count_lr_work(monkeypatch, triples):
+    """Run lr_coefficient_by_mlq on triples, counting the searches for a
+    column's rows, the picks tried and the queues built."""
+    module = importlib.import_module("mlqkit.collapse")
+    work = Counter()
+
+    def counted_combinations(rows, k):
+        work["searches"] += 1
+        for pick in combinations(rows, k):
+            work["picks"] += 1
+            yield pick
+
+    class CountedQueue(module.MultilineQueue):
+        def __init__(self, n, rows):
+            work["queues"] += 1
+            super().__init__(n, rows)
+
+    monkeypatch.setattr(module, "combinations", counted_combinations)
+    monkeypatch.setattr(module, "MultilineQueue", CountedQueue)
+    return [lr_coefficient_by_mlq(*t) for t in triples], work
+
+
+def test_lr_by_mlq_fills_only_rows_with_room(monkeypatch):
+    # lam/mu/nu = (3,2)/(2,2)/(1): rows 1..3 have room 1, 2, 1.  Column 1
+    # tries its 3 picks and keeps {1,2} and {2,3}; {1,3} leaves row 2 room 2
+    # with one column to come.  Column 2 then tries one pick after each.
+    values, work = _count_lr_work(monkeypatch, [((3, 2), (2, 2), (1,))])
+    assert values == [1]
+    assert work == {"searches": 3, "picks": 5, "queues": 2}
+    # the benchmark's six triples: 36 picks and 18 queues, where every
+    # choice of rows for every skew column gives 147 candidates
+    values, work = _count_lr_work(monkeypatch, [
+        ((3, 2, 1), (2, 1), (2, 1)), ((4, 3, 2), (2, 1), (3, 2, 1)),
+        ((4, 3, 2, 1), (3, 1), (3, 2, 1)), ((4, 3, 2, 1), (2, 1), (3, 2, 1, 1)),
+        ((5, 3, 2), (3, 1), (3, 2, 1)), ((4, 4, 2), (3, 2), (2, 2, 1)),
+    ])
+    assert values == [2, 2, 3, 2, 2, 1]
+    assert (work["picks"], work["queues"]) == (36, 18)
+
+
+def _inside(outer, size):
+    """The partitions of size whose diagrams lie inside the one of outer."""
+    return [
+        p for p in partitions(size)
+        if len(p) <= len(outer) and all(a <= b for a, b in zip(p, outer))
+    ]
+
+
+@st.composite
+def lr_triples(draw):
+    # mu and nu inside lam, where the coefficient can be nonzero
+    lam = draw(st.sampled_from([lam for size in range(1, 11) for lam in partitions(size)]))
+    mu = draw(st.sampled_from([mu for k in range(sum(lam) + 1) for mu in _inside(lam, k)]))
+    return lam, mu, draw(st.sampled_from(_inside(lam, sum(lam) - sum(mu))))
+
+
+@given(lr_triples())
+def test_lr_by_mlq_random(triple):
+    # past the exhaustive range above: |lam| up to 10; the unpruned oracle
+    # only where it tries at most 2 000 row choices
+    lam, mu, nu = triple
+    c = lr_coefficient_by_mlq(*triple)
+    assert c == lr_coefficient(*triple), triple
+    if prod(comb(lam[0], k) for k in mu) <= 2000:
+        assert c == oracles.lr_coefficient_by_mlq_unpruned(*triple), triple
 
 
 def test_lr_symmetries():

@@ -9,9 +9,10 @@ hash the same, and a polynomial must have canonical keys and no zero
 coefficient.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import oracles
+import pytest
 from hypothesis import given
 from test_collapse import binary_matrices
 
@@ -31,6 +32,7 @@ from mlqkit.collapse import (
     tab_of_mlq,
 )
 from mlqkit.core import conjugate, partitions
+from mlqkit.errors import ParseError
 from mlqkit.mlq import MultilineQueue, sigma
 from mlqkit.poly import (
     QXPolynomial,
@@ -146,3 +148,28 @@ def test_polynomial_routes():
                     same_poly(coeff)
                 for alpha in set(permutations(conjugate(lam))):
                     same_poly(q_whittaker_gmlq(alpha, n))
+
+
+def test_full_arithmetic_and_swaps():
+    # sums, differences and variable swaps of full polynomials, a symmetric
+    # one and its product with x_1, which is not symmetric
+    for size in range(6):
+        for lam in partitions(size):
+            for n in range(1, 5):
+                full = QXPolynomial(n, q_whittaker_mlq(lam, n).terms)
+                skewed = full * QXPolynomial(n, {(0, ((1, 1),)): 1})
+                for p in (full, skewed):
+                    for other in (full, skewed):
+                        same_poly(p + other)
+                        same_poly(p - other)
+                    same_poly(p + p * -1)
+                    assert (p - p).is_zero() and (p + p * -1).is_zero()
+                    for i, j in combinations(range(1, n + 1), 2):
+                        swapped = p.swap_vars(i, j)
+                        same_poly(swapped)
+                        assert swapped.swap_vars(j, i) == p
+                    # outside x_1..x_n the public constructor decides
+                    assert p.swap_vars(n + 1, n + 2) == p
+                    if any(xs and xs[0][0] == 1 for _, xs in p.terms):
+                        with pytest.raises(ParseError):
+                            p.swap_vars(1, n + 1)
