@@ -14,14 +14,16 @@ chains of horizontal strips (``tableaux._strip_chains``).  q-Whittaker
 polynomials are the charge formula in the Schur basis, read off one
 traversal of the tableaux of a content (``q_whittaker_schur``), and in the
 monomial basis through Kostka numbers (``q_whittaker_mlq``, also named
-``q_whittaker_charge_expansion``); the generalized form sums over
-label-word states row by row, and the stationary counts over their rotation
-classes.  One expansion takes every Schur-basis sum to monomials through
-Kostka numbers (``poly._monomial_form``): q-Whittaker, Schur and skew Schur
-polynomials share it.  Schur polynomials are the weight sums of nonwrapping
-queues, which collapsing sends to tableaux, and skew Schur polynomials the
-content sums of skew tableaux, so one sweep of strip chains from the inner
-shape to the outer counts their Kostka numbers (``tableaux._kostka_sweep``).
+``q_whittaker_charge_expansion``); the generalized form, with the rows in
+any order, is the same polynomial (sigma-invariance), so it takes that
+route.  The stationary counts sum over label-word states row by row, one
+state per rotation class.  One expansion takes every Schur-basis sum to
+monomials through Kostka numbers (``poly._monomial_form``): q-Whittaker,
+Schur and skew Schur polynomials share it.  Schur polynomials are the
+weight sums of nonwrapping queues, which collapsing sends to tableaux, and
+skew Schur polynomials the content sums of skew tableaux, so one sweep of
+strip chains from the inner shape to the outer counts their Kostka numbers
+(``tableaux._kostka_sweep``).
 LR coefficients count the strip chains that the lattice rule prunes, and
 Kostka-Foulkes polynomials are charge sums over tableaux.  The other routes
 the paper proves equal are reference implementations in the test suite
@@ -31,9 +33,9 @@ expansion one shape at a time, tableaux filled cell by cell (and the skew
 tableau sum and lattice filter on them), the LR expansion of skew Schur
 polynomials, row insertion of the column word and label-tracked collapsing
 (both give the recorder), collapsing one ball per letter, top-down
-collapsing, jeu de taquin, charge by matching, the label-word sweep with one
-state per word and the energy of the indicator levels (which equals
-``maj_g``).
+collapsing, jeu de taquin, charge by matching, enumerating the queues with
+the rows in a given order, the label-word sweep with one state per word and
+the energy of the indicator levels (which equals ``maj_g``).
 """
 
 from .core import (

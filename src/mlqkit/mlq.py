@@ -237,7 +237,7 @@ def label_gmlq(m: MultilineQueue):
 def _label_rows(m: MultilineQueue):
     """Yield (r, row r's labels, its wrapping particle labels, its wrapping
     anti-particle labels) for r from the top row down, starting from the
-    constant word L..L as ``_label_word_sweep`` does."""
+    constant word L..L as ``stationary_counts`` does."""
     word = (m.num_rows,) * m.n
     for r in range(m.num_rows, 0, -1):
         row = m.row(r)
@@ -265,7 +265,7 @@ def _label_layer(word, s, particles):
     """Label every row in ``particles`` below a row labelled ``word``.
 
     Each entry of ``particles`` is a ball set with s balls, as its
-    ``_particle_mask``; the sweep passes a layer or part of one, the
+    ``_particle_mask``; ``stationary_counts`` passes a whole layer, the
     single-row callers a one-element list.  The pairing order depends only
     on ``word``, so it is sorted and split once per call: sites pair in
     decreasing label, ties left to right, the s first to the first free
@@ -315,41 +315,6 @@ def _is_collapsed(m: MultilineQueue) -> bool:
     and it needs the row below to be as large, so m is straight."""
     pairs = pairwise(map(_mask, m.rows))
     return not any(_match_rows(upper, lower)[0] for lower, upper in pairs)
-
-
-def _label_word_sweep(alpha, n: int, one, carry):
-    """Sum a weight over all queues with row sizes alpha, row by row.
-
-    A state is the label word of a row; it fixes every label below it, so
-    queues that agree on a row's word are merged there.  ``one`` is the
-    weight of the empty queue.  Each layer's ball sets are built once, as
-    particle masks.  Then ``carry(below, value, particles, label, r)`` runs
-    once per word: it adds the word's weight ``value``, passed through row
-    r, into ``below``, the next layer's {state: weight}.  ``particles``
-    lists the layer's masks, and ``label(picked)`` labels the masks picked
-    below the word in one ``_label_layer`` call, giving (new word, plus,
-    minus) for each; ``_wrap_weight`` turns the wrap labels into the
-    ``maj_g`` increment.  The carry picks the states and the ball sets:
-    ``stationary_counts`` labels every ball set and merges the rotations of
-    a word; ``q_whittaker_gmlq`` folds the bottom layer into one state and
-    labels there only the ball sets that reach a partition content.
-    Returns the bottom layer.
-
-    The sweep starts above the top row from the constant word L..L: pairing
-    from it gives the top row's labels (L on particles, L-1 elsewhere) and
-    never wraps, so the top row needs no case of its own.  The callers check
-    alpha and n.
-    """
-    L = len(alpha)
-    layer = {(L,) * n: one}
-    for r in range(L, 0, -1):
-        s = alpha[r - 1]
-        particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
-        below = {}
-        for word, value in layer.items():
-            carry(below, value, particles, lambda picked: _label_layer(word, s, picked), r)
-        layer = below
-    return layer
 
 
 def _rotations(word):
@@ -434,30 +399,39 @@ def stationary_counts(lam, n: int):
     """How many queues of shape lam project onto each bottom-row state.
 
     These are the stationary weights of the multispecies TASEP on a ring of
-    n sites, which is invariant under rotating the ring (Ferrari and
-    Martin, arXiv:math/0501291), so the label-word sweep keeps one state
-    per rotation class, its least rotation, and its value is the class
-    total.  The carry finds each new word's least rotation once per call,
-    as the min of its n rotations.  That is exact: the top word L..L is
-    fixed by rotation, and ``_label_layer`` commutes with rotating the word
-    and the row together, so every word of a class reaches every class
-    below through equally many rows.  A periodic word is a smaller class
-    but needs no weighting during the sweep, since totals count each queue
-    once.  At the end the d distinct rotations of a class share its total
-    equally.
+    n sites (Ferrari and Martin, arXiv:math/0501291): across each cyclic
+    bond a larger label hops left over a smaller one at rate 1, and 0 is a
+    hole.  The counts are summed row by row over label words: a row's word
+    fixes every label below it, so the queues that agree on it are merged
+    there, and each word labels every ball set of the next row in one
+    ``_label_layer`` call.  The sweep starts above the top row from the
+    constant word L..L, which gives the top row's labels and never wraps.
+
+    The chain is invariant under rotating the ring, so a layer keeps one
+    state per rotation class, its least rotation, and its value is the
+    class total; each new word's least rotation is found once per call.
+    That is exact: the top word is fixed by rotation, and ``_label_layer``
+    commutes with rotating the word and the row together, so every word of
+    a class reaches every class below through equally many rows.  A
+    periodic word is a smaller class but needs no weighting during the
+    sweep, since totals count each queue once.  At the end the d distinct
+    rotations of a class share its total equally.
     """
     lam = check_partition(lam)
     _check_count(n, 1)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
+    alpha = _conjugate(lam)
+    totals = {(len(alpha),) * n: 1}
     least = {}  # word -> its least rotation, found once per call
-
-    def carry(below, value, particles, label, r):
-        for new, _, _ in label(particles):
-            key = least.get(new) or least.setdefault(new, _least_rotation(new))
-            below[key] = below.get(key, 0) + value
-
-    totals = _label_word_sweep(conjugate(lam), n, 1, carry)
+    for s in reversed(alpha):
+        particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
+        below = {}
+        for word, total in totals.items():
+            for new, _, _ in _label_layer(word, s, particles):
+                key = least.get(new) or least.setdefault(new, _least_rotation(new))
+                below[key] = below.get(key, 0) + total
+        totals = below
     counts = {}
     for word, total in totals.items():
         rotations = _rotations(word)

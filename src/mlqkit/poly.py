@@ -5,9 +5,8 @@ all identity checks are structural equalities of canonical forms.  The
 symmetric results ``schur``, ``skew_schur``, ``q_whittaker_mlq`` and
 ``q_whittaker_gmlq`` keep their m-basis form (``QXPolynomial._m``) and
 write terms only when read; ``+`` and ``* int`` keep that form, and ``==``
-never expands it.  ``q_whittaker_gmlq`` sums only toward partition
-contents, and exactly so: sigma-invariance makes its sum symmetric, and
-packed contents add without a carry.
+never expands it.  ``q_whittaker_gmlq`` is ``q_whittaker_mlq`` of the
+partition its row sizes rearrange, by sigma-invariance.
 """
 
 import json
@@ -17,12 +16,12 @@ from math import factorial, perm, prod
 
 from .charge import charge
 from .core import (
-    _check_composition, _check_count, _check_terms, _conjugate, _is_count, check_partition,
-    conjugate, is_lattice, partitions,
+    _check_count, _check_terms, _conjugate, _is_count, check_partition, conjugate, is_lattice,
+    partitions, sort_to_partition,
 )
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
-from .mlq import _label_word_sweep, _wrap_weight, enumerate_gmlq, maj, row_word
+from .mlq import enumerate_gmlq, maj, row_word
 from .tableaux import (
     _inner_of,
     _kostka_sweep,
@@ -126,7 +125,8 @@ class QXPolynomial:
             if self._m is not None:
                 m = {k: v * other for k, v in self._m.items() if other}
                 return QXPolynomial._of_m(self.n, m)
-            return QXPolynomial(self.n, {k: v * other for k, v in self.terms.items()})
+            terms = {k: v * other for k, v in self.terms.items() if other}
+            return QXPolynomial._of(self.n, terms)
         self._check(other)
         out = {}
         for (q1, x1), c1 in self.terms.items():
@@ -328,62 +328,13 @@ def _rearrangements(nu, n: int):
 def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
     """The m-basis form of q^maj_g x^M over the queues with row sizes alpha.
 
-    Every order of the row sizes lam' gives ``q_whittaker_mlq(lam, n)``
-    (sigma-invariance), so the sum is symmetric and its coefficients of x^nu,
-    nu a partition with at most n parts (the targets), give it.  This route
-    takes any row order: it sums over label-word states row by row
-    (``_label_word_sweep``).  A weight is {q * base^n + packed content:
-    count}, x_c's exponent the digit of base^(c-1).  A column has at most
-    one ball per row, so with base = rows + 1 packed sums never carry:
-    divmod by base^n gives back q, negative or not, and a content x above
-    the bottom row with a bottom ball set b lands on a target exactly when
-    x + code(b) is its packed content.  So the bottom row labels below each
-    word only the ball sets that ``fits`` lists for its contents.
+    The paper's theorem for generalized queues (sigma-invariance): every
+    order alpha of the row sizes lam', with empty rows anywhere, gives the
+    same sum as the straight order, P_lam(x; q, 0).  So this is
+    ``q_whittaker_mlq`` of lam; ``tests/oracles.py`` sums over the queues
+    with the rows in the given order.
     """
-    _check_count(n, 1)
-    alpha = _check_composition(alpha)
-    base = len(alpha) + 1
-    shift = base ** n
-    targets = {
-        sum(part * base ** c for c, part in enumerate(nu)): nu
-        for nu in partitions(sum(alpha), len(alpha)) if len(nu) <= n
-    }
-    codes = {}  # r -> packed content of each ball set of layer r
-    fits = {}  # target - code(b) -> each bottom ball set b, by index
-
-    def carry(below, value, particles, label, r):
-        if r not in codes:
-            codes[r] = [sum(base ** c for c, ball in enumerate(p) if ball) for p in particles]
-            if r == 1:
-                for b, code in enumerate(codes[1]):
-                    for target in targets:
-                        fits.setdefault(target - code, []).append(b)
-        if r == 1:
-            hits = {}  # b -> the keys of value that land on a target with b
-            for key in value:
-                for b in fits.get(key % shift, ()):
-                    hits.setdefault(b, []).append(key)
-            acc = below.setdefault(None, {})  # the bottom layer's one state
-            # a word with no ball set that lands is not labelled
-            for b, (_, plus, minus) in zip(hits, hits and label([particles[b] for b in hits])):
-                code = codes[1][b] + _wrap_weight(plus, minus, 1) * shift
-                for key in hits[b]:
-                    acc[key + code] = acc.get(key + code, 0) + value[key]
-            return
-        for code, (new, plus, minus) in zip(codes[r], label(particles)):
-            if plus or minus:
-                code += _wrap_weight(plus, minus, r) * shift
-            acc = below.setdefault(new, {})
-            for k, count in value.items():
-                acc[k + code] = acc.get(k + code, 0) + count
-
-    # one state below the bottom row: the empty queue's when alpha is (), and
-    # none when a row has more balls than there are columns
-    (terms,) = _label_word_sweep(alpha, n, {0: 1}, carry).values() or ({},)
-    # sums of positive counts, and each packed key gives one (q, nu) key
-    return QXPolynomial._of_m(n, {
-        (key // shift, targets[key % shift]): count for key, count in terms.items()
-    })
+    return q_whittaker_mlq(_conjugate(sort_to_partition(alpha)), n)
 
 
 def kostka_foulkes(lam, mu) -> QXPolynomial:

@@ -3,8 +3,9 @@ against.
 
 The enumerate-and-sum routes visit every queue one at a time, so they are
 exponential in the number of rows; the package computes the same quantities
-over label-word states.  ``label_mlq_by_matching`` labels a straight queue by
-iterated cylindrical matching, independently of the pairing rule
+over label-word states (the stationary counts) or tableaux (the
+q-Whittaker polynomials).  ``label_mlq_by_matching`` labels a straight
+queue by iterated cylindrical matching, independently of the pairing rule
 ``mlq._label_layer`` that every labelling in the package uses, and
 ``label_row_by_scan`` runs that rule one row and one site at a time, apart
 from the kernel's per-word set-up, so the kernel is checked against it and
@@ -46,6 +47,9 @@ The second routes below each pin one theorem against the package's route:
   collapsed queue (the drop operators satisfy the braid relations).
 - ``jdt_rectify``: jeu de taquin rectifies a skew tableau to the tableau that
   ``rectify_by_mlq`` reads off the straight part of its bicolored queue.
+- ``q_whittaker_gmlq``: the sum over the queues with the rows in the given
+  order equals the straight sum (sigma-invariance), which is what the
+  package computes for every order (``poly.q_whittaker_gmlq``).
 - ``stationary_counts_by_sweep``: the label-word sweep with one state per
   word gives the counts that ``stationary_counts`` gets with one state per
   rotation class, splitting each class total over its rotations at the end
@@ -117,7 +121,8 @@ from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
     _is_collapsed,
-    _label_word_sweep,
+    _label_layer,
+    _particle_mask,
     column_word,
     enumerate_gmlq,
     enumerate_mlq,
@@ -335,13 +340,19 @@ def stationary_counts(lam, n: int) -> dict:
 
 def stationary_counts_by_sweep(lam, n: int) -> dict:
     """The label-word sweep with one state per word, not per rotation
-    class."""
-
-    def carry(below, value, particles, label, r):
-        for new, _, _ in label(particles):
-            below[new] = below.get(new, 0) + value
-
-    return _label_word_sweep(conjugate(lam), n, 1, carry)
+    class: from the constant word L..L above the top row, each word of a
+    layer labels every ball set of the next row in one ``_label_layer``
+    call."""
+    alpha = conjugate(lam)
+    layer = {(len(alpha),) * n: 1}
+    for s in reversed(alpha):
+        particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
+        below = Counter()
+        for word, count in layer.items():
+            for new, _, _ in _label_layer(word, s, particles):
+                below[new] += count
+        layer = below
+    return dict(layer)
 
 
 def schur(lam, n: int) -> QXPolynomial:

@@ -123,8 +123,7 @@ def test_collapse_does_not_label():
     # collapsing never runs the labelling engine
     labelling = {
         "label_mlq", "label_gmlq", "maj", "maj_g", "is_nonwrapping", "projection",
-        "_label_layer", "_label_rows", "_label_word_sweep",
-        "_particle_mask", "_rotations", "_least_rotation",
+        "_label_layer", "_label_rows", "_particle_mask", "_rotations", "_least_rotation",
     }
     assert not _imported_names(MODULES["collapse"]) & labelling
 
@@ -175,6 +174,18 @@ def test_q_whittaker_is_one_route():
     called = _calls_in_module(MODULES["poly"], "q_whittaker_mlq")
     assert "q_whittaker_schur" in called
     assert not called & {"schur", "kostka_foulkes"}
+    # every row order of lam' sums to the same polynomial (sigma-invariance),
+    # so the generalized form is the straight route and poly labels nothing
+    assert "q_whittaker_mlq" in _calls_in_module(MODULES["poly"], "q_whittaker_gmlq")
+    from_mlq = {
+        alias.name
+        for node in ast.walk(MODULES["poly"])
+        if isinstance(node, ast.ImportFrom) and node.module == "mlq"
+        for alias in node.names
+    }
+    assert from_mlq and not {
+        name for name in from_mlq if name.startswith("_label_") or name == "_wrap_weight"
+    }
 
 
 def test_one_schur_to_monomial_expansion():
@@ -229,7 +240,7 @@ def test_lazy_enumerators_and_eager_strip_helpers():
 def test_one_pairing_kernel():
     # every labelling runs the pairing rule through mlq._label_layer
     for module, start in [
-        ("mlq", "_label_word_sweep"), ("mlq", "_label_rows"), ("fillings", "filling_of_mlq"),
+        ("mlq", "stationary_counts"), ("mlq", "_label_rows"), ("fillings", "filling_of_mlq"),
     ]:
         assert "_label_layer" in _calls_in_module(MODULES[module], start), (module, start)
 
@@ -411,7 +422,7 @@ TRUSTED_CALLERS = {
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
     "fillings": {"filling_of_mlq"},
     "poly": {
-        "q_whittaker_schur", "_monomial_form", "q_whittaker_gmlq", "kostka_foulkes",
+        "q_whittaker_schur", "_monomial_form", "kostka_foulkes",
         # sums, differences and products drop their zeros, and a swap of two
         # of the n variables maps canonical keys one to one
         "QXPolynomial.__add__", "QXPolynomial.__sub__", "QXPolynomial.__mul__",

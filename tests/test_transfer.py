@@ -1,5 +1,6 @@
 """The row-by-row routes agree with enumeration over all queues."""
 
+import operator
 from itertools import permutations, product
 from math import comb
 
@@ -137,17 +138,13 @@ def test_gmlq_random_compositions(case):
     assert p == oracles.q_whittaker_gmlq(alpha, n)
 
 
-def test_sweep_labels_each_word_once(monkeypatch):
-    # one kernel call per word of a layer: above the bottom row against all
-    # of the layer's ball sets, 1 + 5 words and 5 + 50 transitions of
-    # (3,2,1); in the bottom row only against the ball sets that reach a
-    # dominant content, 14 of the 20 words and 32 of their 200 transitions
+def test_gmlq_labels_nothing(monkeypatch):
+    # every row order sums to the straight polynomial, so the generalized
+    # route reads the charge formula and runs no labelling
     expected = oracles.q_whittaker_gmlq((3, 2, 1), 5)
     calls = _kernel_calls(monkeypatch)
     assert q_whittaker_gmlq((3, 2, 1), 5) == expected
-    assert len(calls) == 1 + 5 + 14
-    assert sum(calls) == 5 + 50 + 32
-    assert calls[:6] == [5] + [10] * 5 and 0 not in calls
+    assert calls == []
 
 
 def test_stationary_counts_label_every_ball_set(monkeypatch):
@@ -281,6 +278,52 @@ def test_stationary_counts_sum_to_queue_count():
 def test_stationary_orbit_split_is_checked(monkeypatch):
     # a class total that its rotations cannot share equally raises a typed
     # error, which python -O keeps
-    monkeypatch.setattr(mlq, "_label_word_sweep", lambda *args: {(0, 1): 1})
+    # error, which python -O keeps: keyed by the word itself, the class of
+    # (1, 0) holds one queue for its two rotations
+    monkeypatch.setattr(mlq, "_least_rotation", lambda word: word)
     with pytest.raises(InvariantError):
         stationary_counts((1,), 2)
+
+
+def _balance_defects(counts, hop):
+    """The words w of ``counts`` at which the global balance of a ring
+    process fails: the two labels across a cyclic bond (a, a+1) swap at
+    rate 1 when hop(w_a, w_{a+1}), so count(w) times the bonds that can
+    swap must equal the sum of the counts of the words that reach w by one
+    swap."""
+    defects = []
+    for w, count in counts.items():
+        n = len(w)
+        out = inflow = 0
+        for a in range(n):
+            b = (a + 1) % n
+            if hop(w[a], w[b]):
+                out += 1
+            elif hop(w[b], w[a]):
+                v = list(w)
+                v[a], v[b] = v[b], v[a]
+                inflow += counts.get(tuple(v), 0)
+        if count * out != inflow:
+            defects.append(w)
+    return defects
+
+
+def test_stationary_counts_are_the_tasep_law():
+    # larger labels hop left over smaller ones and 0 is a hole; the chain on
+    # the words of one content is irreducible, so full support and global
+    # balance fix its stationary law up to scale.  The other orientation is
+    # the negative control: it fails exactly when the ring holds three or
+    # more distinct labels, holes included
+    cases = [(lam, n) for size in range(1, 8) for lam in partitions(size)
+             for n in range(2, 7) if len(lam) <= n]
+    assert len(cases) == 170
+    reversed_fails = []
+    for lam, n in cases:
+        word = lam + (0,) * (n - len(lam))
+        counts = stationary_counts(lam, n)
+        assert set(counts) == set(permutations(word)), (lam, n)
+        assert _balance_defects(counts, operator.lt) == [], (lam, n)
+        if _balance_defects(counts, operator.gt):
+            reversed_fails.append((lam, n))
+        assert (len(set(word)) >= 3) == ((lam, n) in reversed_fails), (lam, n)
+    assert len(reversed_fails) == 81

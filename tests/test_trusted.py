@@ -151,8 +151,9 @@ def test_polynomial_routes():
 
 
 def test_full_arithmetic_and_swaps():
-    # sums, differences and variable swaps of full polynomials, a symmetric
-    # one and its product with x_1, which is not symmetric
+    # sums, differences, int multiples and variable swaps of full
+    # polynomials, a symmetric one and its product with x_1, which is not
+    # symmetric
     for size in range(6):
         for lam in partitions(size):
             for n in range(1, 5):
@@ -164,6 +165,10 @@ def test_full_arithmetic_and_swaps():
                         same_poly(p - other)
                     same_poly(p + p * -1)
                     assert (p - p).is_zero() and (p + p * -1).is_zero()
+                    for k in (-2, 0, 1, 3):
+                        same_poly(p * k)
+                        assert p * k == QXPolynomial(n, {key: c * k for key, c in p.terms.items()})
+                    assert (p * 0).is_zero()
                     for i, j in combinations(range(1, n + 1), 2):
                         swapped = p.swap_vars(i, j)
                         same_poly(swapped)
