@@ -25,9 +25,13 @@ skew Schur polynomials the content sums of skew tableaux, so one sweep of
 strip chains from the inner shape to the outer counts their Kostka numbers
 (``tableaux._kostka_sweep``).
 LR coefficients count the strip chains that the lattice rule prunes, and
-Kostka-Foulkes polynomials are charge sums over tableaux.  The other routes
-the paper proves equal are reference implementations in the test suite
-(``tests/oracles.py``), which checks that they agree: enumerating every
+Kostka-Foulkes polynomials sum the fermionic formula of Kirillov and
+Reshetikhin over configurations, each q-binomial product counting many
+tableaux at once (``charge._fermionic_sum``).  The other routes the paper
+proves equal are reference implementations in the test suite
+(``tests/oracles.py``), which checks that they agree: the charge sum over
+tableaux, the fermionic formula with every partition tried at every level,
+enumerating every
 queue (and keeping the nonwrapping ones for Schur polynomials), the Schur
 expansion one shape at a time, tableaux filled cell by cell (and the skew
 tableau sum and lattice filter on them), the LR expansion of skew Schur

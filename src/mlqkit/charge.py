@@ -1,9 +1,12 @@
-"""Charge and cocharge statistics on permutations and words."""
+"""Charge and cocharge statistics on permutations and words, and their
+generating function over tableaux, the Kostka-Foulkes polynomial, by the
+fermionic formula (``_fermionic_sum``)."""
 
 from bisect import bisect_left
-from itertools import pairwise
+from itertools import accumulate, pairwise
+from operator import mul
 
-from .core import _as_tuple, _check_letters, content
+from .core import _as_tuple, _check_letters, _conjugate, content
 from .errors import NonPartitionContent, NotAPermutation
 from .matching import reflect
 
@@ -122,3 +125,181 @@ def straighten_word(w):
 def charge_g(w) -> int:
     """Generalized charge: straighten the content, then take the charge."""
     return charge(straighten_word(w))
+
+
+def _q_binomial(a, b) -> list:
+    """The Gaussian binomial [a choose b]_q as its coefficients, lowest
+    degree first; [] (zero) unless 0 <= b <= a.
+
+    With b the smaller of b and a - b, which give the same binomial, it is
+    the product over i < b of (1 - q^(a - i)) / (1 - q^(i + 1)); after
+    factor i the product is [a choose i + 1]_q, so each factor is one
+    multiplication and one exact division, both in place.
+    """
+    if not 0 <= b <= a:
+        return []
+    c = [1]
+    for i in range(min(b, a - b)):
+        up, down = a - i, i + 1
+        c += [0] * up
+        for j in range(len(c) - 1, up - 1, -1):
+            c[j] -= c[j - up]
+        for j in range(down, len(c)):
+            c[j] += c[j - down]
+        del c[len(c) - down:]  # the quotient's degree is down lower
+    return c
+
+
+def _times(a, b) -> list:
+    """The product of two coefficient lists."""
+    if a == [1]:
+        return b
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _fermionic_sum(lam, mu) -> list:
+    """The coefficients of K_{lam,mu}(q), lowest degree first, by the
+    fermionic formula of Kirillov and Reshetikhin (see Kirillov, "Ubiquity
+    of Kostka polynomials", arXiv:math/9912094); lam and mu are partitions
+    of one size, unchecked.
+
+    Let L = len(lam).  A configuration is nu = (nu1, ..., nu(L-1)) with
+    nu(k) a partition of lam_{k+1} + ... + lam_L; nu(0) = mu and
+    nu(L) = ().  With Q_n(rho) the sum of min(n, rho_i), the vacancy
+    numbers are P_n(k) = Q_n(nu(k-1)) - 2 Q_n(nu(k)) + Q_n(nu(k+1)), and
+    nu is admissible when P_n(k) >= 0 for every part n of every nu(k).
+    K_{lam,mu}(q) is the sum over admissible nu of q^c(nu) times the
+    product over k < L and the distinct parts n of nu(k) of
+    [P_n(k) + m_n choose m_n]_q, m_n the multiplicity of n in nu(k), where
+    c(nu) sums d(d - 1)/2 over k = 1..L and n >= 1, with d the number of
+    parts >= n of nu(k-1) less that of nu(k).
+
+    Level k's factors depend on nu(k-1), nu(k) and nu(k+1) alone, and c(nu)
+    is a sum over adjacent levels, so everything below a pair
+    (nu(k-1), nu(k)) is summed once per call (``below``, memoised by the
+    pair).  Each nu(k+1) is generated under the vacancy bounds
+    (``_next_levels``), not drawn from every partition of its size, and
+    within two more bounds that every admissible nu meets:
+
+    - P_p(k+1) >= 0 at the largest part p of nu(k+1), with
+      Q_p(nu(k+2)) <= |nu(k+2)|, leaves nu(k) at most lam_{k+1} - lam_{k+2}
+      cells beyond column p.  From nu(L-1), a partition of lam_L, up, every
+      part of nu(k) is then at most lam_{k+1} (``tops``).
+    - P_m(k) >= 0 at the smallest part m of nu(k), with Q_m(nu(k)) =
+      m len(nu(k)) and Q_m(rho) <= m len(rho), makes the lengths convex:
+      len(nu(k-1)) + len(nu(k+1)) >= 2 len(nu(k)).  As nu(L) = () follows
+      a nonempty nu(L-1), each level is at least one part shorter than the
+      level above it, so nu(k+1) has at most len(nu(k)) - 1 parts and at
+      least L - k - 1 and 2 len(nu(k)) - len(nu(k-1)).
+    """
+    # sizes[k] = |nu(k)|, with one 0 past nu(L) for the bound below it
+    sizes = list(accumulate(reversed(lam), initial=0))[::-1] + [0]
+    tops = lam[1:] + (0,)  # tops[k] bounds the parts of nu(k+1)
+    shapes = {}  # rho: (rho', Q(rho) as [Q_0, Q_1, ..., Q_{rho_1}], sum of rho'_n^2)
+    memo = {}  # (nu(k-1), nu(k)): q^C(nu(k-1), nu(k)) times the sum below
+    binomials = {}  # (P, m): [P + m choose m]_q
+
+    def shape(rho):
+        got = shapes.get(rho)
+        if got is None:
+            cols = _conjugate(rho)
+            got = shapes[rho] = cols, list(accumulate(cols, initial=0)), sum(map(mul, cols, cols))
+        return got
+
+    def below(k, prev, cur):
+        """q^C(prev, cur) times the sum over nu(k+1), ..., nu(L-1) of level
+        k's factors onwards, for nu(k-1) = prev (None at k = 0, which has
+        neither factors nor C) and nu(k) = cur."""
+        cols, q_cur, squares = shape(cur)
+        shift, parts, slacks, mults = 0, [], [], []
+        if prev is not None:
+            prev_cols, q_prev, prev_squares = shape(prev)
+            # C(prev, cur) is the sum of d(d - 1)/2 over d = prev'_n - cur'_n,
+            # and the d sum to |prev| - |cur|
+            dot = sum(map(mul, prev_cols, cols))
+            shift = (prev_squares - 2 * dot + squares - q_prev[-1] + q_cur[-1]) // 2
+            # P_n(k) >= 0 asks Q_n(nu(k+1)) >= 2 Q_n(cur) - Q_n(prev)
+            for n in sorted(set(cur)):
+                parts.append(n)
+                slacks.append(sizes[k + 1] - 2 * q_cur[n] + q_prev[min(n, len(q_prev) - 1)])
+                mults.append(cols[n - 1] - (cols[n] if n < len(cols) else 0))
+        if k == len(lam):
+            return [0] * shift + [1]
+        total = []
+        shortest = len(lam) - k - 1
+        if prev is not None:
+            shortest = max(shortest, 2 * len(cur) - len(prev))
+        levels = _next_levels(
+            sizes[k + 1], tops[k], (shortest, len(cur) - 1), q_cur, sizes[k + 2], parts, slacks,
+        )
+        for nxt, vacancies in levels:
+            key = cur, nxt
+            rest = memo.get(key)
+            if rest is None:
+                rest = memo[key] = below(k + 1, cur, nxt)
+            if not rest:
+                continue
+            for p, m in zip(vacancies, mults):
+                factor = binomials.get((p, m))
+                if factor is None:
+                    factor = binomials[p, m] = _q_binomial(p + m, m)
+                rest = _times(factor, rest)
+            if len(rest) > len(total):
+                total += [0] * (len(rest) - len(total))
+            for i, c in enumerate(rest):
+                total[i] += c
+        return [0] * shift + total if total else []
+
+    return below(0, None, mu)
+
+
+def _next_levels(size, top, lengths, q_cur, bound, parts, slacks) -> list:
+    """The list of (nu(k+1), [P_n(k) for the n in parts]) over the
+    partitions nu(k+1) of size with parts at most top, a number of parts
+    in the closed range lengths, P_n(k) >= 0 for the distinct parts n of
+    nu(k) (parts), and 2 Q_p(nu(k+1)) <= Q_p(nu(k)) + bound for each part
+    p of nu(k+1).  P_p(k+1) >= 0 needs the last, as Q_p(nu(k+2)) is at
+    most bound = |nu(k+2)|.  q_cur[n] is Q_n(nu(k)) for n up to the
+    largest part of nu(k), and P_n(k) is slacks[i] less the excess of
+    nu(k+1) over n = parts[i], the sum of max(0, part - n), which is
+    size - Q_n(nu(k+1)).
+
+    The parts are placed largest first.  A part p placed after count parts,
+    with left cells still to place, p's included, bounds every later part,
+    so Q_p(nu(k+1)) = p * count + left is known at once, and the parts from
+    p on number between left / p and left - p + 1.  An excess only grows as
+    parts are added, so a partial partition whose excess passes its slack
+    ends there.
+    """
+    out = []
+    placed = []
+    top_q = q_cur[-1]
+    shortest, longest = lengths
+
+    def grow(left, top, excess):
+        count = len(placed)
+        for p in range(min(top, left, count + 1 + left - shortest), 0, -1):
+            if p * (longest - count) < left:
+                break
+            if 2 * (left + p * count) > (q_cur[p] if p < len(q_cur) else top_q) + bound:
+                continue
+            new = [e + p - n if p > n else e for e, n in zip(excess, parts)]
+            if any(map(int.__gt__, new, slacks)):
+                continue
+            placed.append(p)
+            if p == left:
+                out.append((tuple(placed), list(map(int.__sub__, slacks, new))))
+            else:
+                grow(left - p, p, new)
+            placed.pop()
+
+    if size:
+        grow(size, top, [0] * len(parts))
+    elif min(slacks, default=0) >= 0:
+        out.append(((), slacks))
+    return out

@@ -26,7 +26,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, zip_longest
 
-from .core import _as_tuple, _check_count, _conjugate, _is_count, check_partition, is_lattice
+from .core import (
+    _as_tuple, _check_count, _check_instance, _conjugate, _is_count, check_partition, is_lattice,
+)
 from .errors import (
     AlphabetTooSmall,
     BadSigmaWord,
@@ -147,6 +149,7 @@ def collapse(m: MultilineQueue) -> CollapseResult:
     The rows are bitmasks throughout (see ``_drop_unmatched``), checked as
     they are, and the queue is decoded once at the end.
     """
+    _check_instance(m, MultilineQueue)
     rows = []
     tableau_rows = []
     drop_counts = {}
@@ -186,8 +189,9 @@ def collapse(m: MultilineQueue) -> CollapseResult:
 
 
 def _check_has_rows(m):
-    """OutOfRange for a queue without rows: its quarter turn would have no
-    columns."""
+    """ParseError unless m is a queue, OutOfRange for a queue without rows:
+    its quarter turn would have no columns."""
+    _check_instance(m, MultilineQueue)
     if not m.num_rows:
         raise OutOfRange(f"{m.to_text()} has no rows, so no quarter turn")
 
@@ -217,6 +221,7 @@ def rotate270(m: MultilineQueue) -> MultilineQueue:
 def rotate180(m: MultilineQueue) -> MultilineQueue:
     """Half turn: ball (r, c) goes to (L - r + 1, n - c + 1).  Unlike two
     quarter turns it keeps a queue without rows as it is."""
+    _check_instance(m, MultilineQueue)
     return MultilineQueue._of(
         m.n, tuple(tuple(m.n + 1 - c for c in reversed(row)) for row in reversed(m.rows))
     )
@@ -228,8 +233,10 @@ def collapse_left(m: MultilineQueue) -> MultilineQueue:
 
 
 def _check_collapsed(m):
-    """NotNonwrapping unless m is a collapse fixed point, the domain of every
-    inverse map here; ``mlq._is_collapsed`` decides it by parking."""
+    """ParseError unless m is a queue, NotNonwrapping unless it is a collapse
+    fixed point, the domain of every inverse map here; ``mlq._is_collapsed``
+    decides it by parking."""
+    _check_instance(m, MultilineQueue)
     if not _is_collapsed(m):
         raise NotNonwrapping(m.to_text())
 
@@ -251,6 +258,7 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     1..k for k recorder rows, and recorder row k has entries >= k.
     """
     _check_collapsed(queue)
+    _check_instance(recorder, Tableau)
     _check_recorder_shape(queue, recorder)
     min_height = recorder.entry_max()
     if height is None:
@@ -364,6 +372,7 @@ def twisted_collapse(m: MultilineQueue, sigma_word) -> MultilineQueue:
     twist applies them left to right.  The untwisted queue must have weakly
     decreasing row sizes.
     """
+    _check_instance(m, MultilineQueue)
     sigma_word = _as_tuple(sigma_word, "a sigma word")
     untwisted = m
     for i in sigma_word:
@@ -387,6 +396,7 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     collapsed queue maps back to t.  An explicit n must be a positive int
     (ParseError otherwise); the empty tableau's default is one column.
     """
+    _check_instance(t, Tableau)
     n = max(t.entry_max(), 1) if n is None else _check_count(n, 1)
     if t.entry_max() > n:
         raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
@@ -396,14 +406,15 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     return collapse(m).queue.trimmed()
 
 
-def tab_of_mlq(m) -> Tableau:
+def tab_of_mlq(m: MultilineQueue) -> Tableau:
     """Column insertion of the row word; inverse of mlq_of_tableau."""
     _check_collapsed(m)
     return column_insert(row_word(m))
 
 
-def insert_into_mlq(m, k: int):
+def insert_into_mlq(m: MultilineQueue, k: int):
     """Insert a ball at column k: new top row, then collapse."""
+    _check_instance(m, MultilineQueue)
     if not (_is_count(k) and 1 <= k <= m.n):
         raise OutOfRange(f"column {k!r} outside 1..{m.n}")
     _check_collapsed(m)
@@ -411,8 +422,10 @@ def insert_into_mlq(m, k: int):
     return collapse(stacked).queue.trimmed()
 
 
-def mult_mlq(m1, m2):
+def mult_mlq(m1: MultilineQueue, m2: MultilineQueue):
     """Stack m2 on top of m1 and collapse."""
+    _check_instance(m1, MultilineQueue)
+    _check_instance(m2, MultilineQueue)
     if m1.n != m2.n:
         raise ColumnMismatch(f"{m1.n} vs {m2.n} columns")
     stacked = m1.with_rows(list(m1.rows) + list(m2.rows))
@@ -457,6 +470,7 @@ def skew_to_mlq(t: SkewTableau, n=None) -> BicoloredMLQ:
 
 def rectify_by_mlq(t: SkewTableau) -> Tableau:
     """Rectification read off the straight columns of the bicolored queue."""
+    _check_instance(t, SkewTableau)
     if t.is_straight():
         return Tableau([r for r in t.rows if r])
     return tab_of_mlq(skew_to_mlq(t).straight_part())

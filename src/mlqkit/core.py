@@ -10,7 +10,10 @@ which raise ParseError.  A count is an int, never a bool or another int
 subclass (``_is_count``, ``_check_count``); a sequence is any iterable but a
 str (``_as_tuple``, ``_as_rows``); a word is a sequence of positive counts
 (``_check_letters``); text is a str, read stripped (``_text``); terms are
-pairs of a canonical key and a coefficient (``_check_terms``).  Range checks
+pairs of a canonical key and a coefficient (``_check_terms``); a queue,
+tableau, filling or polynomial is an instance of its class
+(``_check_instance``, which the caller hands the class, so this module
+imports nothing above it).  Range checks
 with their own typed errors (BadRowIndex, OutOfRange, TooNarrow) call
 ``_is_count`` in place.
 
@@ -34,6 +37,13 @@ def _check_count(v, low=0):
     if not _is_count(v) or v < low:
         raise ParseError(f"need an int >= {low}, got {v!r}")
     return v
+
+
+def _check_instance(x, cls):
+    """x, or ParseError unless it is an instance of cls."""
+    if not isinstance(x, cls):
+        raise ParseError(f"need a {cls.__name__}, got {x!r}")
+    return x
 
 
 def _as_tuple(x, what) -> tuple:

@@ -19,7 +19,9 @@ the coquinv-free filling is unique, and one top-down pass builds it.
 import json
 from dataclasses import dataclass
 
-from .core import _as_rows, _check_count, _check_letters, _text, check_partition, conjugate
+from .core import (
+    _as_rows, _check_count, _check_instance, _check_letters, _text, check_partition, conjugate,
+)
 from .errors import InvariantError, NotCoquinvFree, ParseError
 from .mlq import MultilineQueue, _label_layer, _particle_mask, enumerate_mlq
 
@@ -104,6 +106,7 @@ def coquinv(tau: ColumnFilling) -> int:
     (r-1, j) to the right.  When column i ends at row r-1 the top cell is
     missing and the triple counts iff entry(r-1, i) >= entry(r-1, j).
     """
+    _check_instance(tau, ColumnFilling)
     shape = tau.shape
     total = 0
     for r in range(2, (shape[0] if shape else 0) + 2):
@@ -125,6 +128,7 @@ def coquinv(tau: ColumnFilling) -> int:
 
 def maj_filling(tau: ColumnFilling) -> int:
     """Descents weighted by leg + 1: cells exceeding the cell below them."""
+    _check_instance(tau, ColumnFilling)
     total = 0
     for r in range(2, tau.num_rows() + 1):
         for c in range(1, len(tau.rows[r - 1]) + 1):
@@ -143,6 +147,7 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
     only coquinv-free choice (see the module docstring), and the result is
     checked against ``coquinv``.
     """
+    _check_instance(m, MultilineQueue)
     shape = m.shape()
     rows = []
     above = ()

@@ -13,8 +13,8 @@ from itertools import combinations, pairwise, product
 from math import comb, prod
 
 from .core import (
-    _as_rows, _check_composition, _check_count, _conjugate, _is_count, _text, check_partition,
-    conjugate,
+    _as_rows, _check_composition, _check_count, _check_instance, _conjugate, _is_count, _text,
+    check_partition, conjugate,
 )
 from .errors import BadRowIndex, InvariantError, NotStraight, ParseError, TooNarrow
 from .matching import _columns, _high_bits, _mask, _match_rows
@@ -125,11 +125,13 @@ def parse_mlq(text: str) -> MultilineQueue:
 
 def row_word(m: MultilineQueue):
     """Ball columns scanned bottom row to top, left to right in each row."""
+    _check_instance(m, MultilineQueue)
     return tuple(c for row in m.rows for c in row)
 
 
 def column_word(m: MultilineQueue):
     """Ball rows scanned column by column, top down within each column."""
+    _check_instance(m, MultilineQueue)
     out = []
     for c in range(1, m.n + 1):
         for r in range(m.num_rows, 0, -1):
@@ -140,6 +142,7 @@ def column_word(m: MultilineQueue):
 
 def biwords(m: MultilineQueue):
     """Row biword (lexicographic) and column biword (antilexicographic)."""
+    _check_instance(m, MultilineQueue)
     entries = [(r, c) for r in range(1, m.num_rows + 1) for c in m.row(r)]
     by_row = sorted(entries)
     by_col = sorted(entries, key=lambda rc: (rc[1], -rc[0]))
@@ -149,6 +152,8 @@ def biwords(m: MultilineQueue):
 
 
 def _check_straight(m: MultilineQueue):
+    """ParseError unless m is a queue, NotStraight unless it is straight."""
+    _check_instance(m, MultilineQueue)
     if not m.is_straight():
         raise NotStraight(f"row sizes {m.row_sizes()}")
 
@@ -209,6 +214,7 @@ def projection(m: MultilineQueue):
     """Bottom-row labels left to right; anti-particles read 0 in the straight
     case and their generalized label otherwise.  A queue without rows
     projects to all zeros."""
+    _check_instance(m, MultilineQueue)
     word = (0,) * m.n
     for _, word, _, _ in _label_rows(m):
         pass
@@ -223,6 +229,7 @@ def label_gmlq(m: MultilineQueue):
     (labels for every site, particle wrap list [(source row, label)], anti
     wrap list).
     """
+    _check_instance(m, MultilineQueue)
     labels = {}
     particle_wraps = []
     anti_wraps = []
@@ -340,11 +347,14 @@ def _check_fits(alpha, n) -> tuple:
 def maj_g(m: MultilineQueue) -> int:
     """Generalized major index: right wraps count positively, left wraps
     negatively, each weighted by label - source row + 1."""
+    _check_instance(m, MultilineQueue)
     return sum(_wrap_weight(plus, minus, r) for r, _, plus, minus in _label_rows(m))
 
 
 def _check_row_pair(m: MultilineQueue, i):
-    """BadRowIndex unless i is an int (not a bool) naming rows i, i+1 of m."""
+    """ParseError unless m is a queue, BadRowIndex unless i is an int (not a
+    bool) naming rows i, i+1 of m."""
+    _check_instance(m, MultilineQueue)
     if not (_is_count(i) and 1 <= i < m.num_rows):
         raise BadRowIndex(f"i={i!r} with {m.num_rows} rows")
 

@@ -6,7 +6,10 @@ symmetric results ``schur``, ``skew_schur``, ``q_whittaker_mlq`` and
 ``q_whittaker_gmlq`` keep their m-basis form (``QXPolynomial._m``) and
 write terms only when read; ``+`` and ``* int`` keep that form, and ``==``
 never expands it.  ``q_whittaker_gmlq`` is ``q_whittaker_mlq`` of the
-partition its row sizes rearrange, by sigma-invariance.
+partition its row sizes rearrange, by sigma-invariance.  ``kostka_foulkes``
+sums the fermionic formula over configurations (``charge._fermionic_sum``),
+not the charge over tableaux; ``q_whittaker_schur`` still charges the
+tableaux of one content, since one traversal gives every shape at once.
 """
 
 import json
@@ -14,21 +17,15 @@ from collections import Counter
 from itertools import chain, combinations, repeat, zip_longest
 from math import factorial, perm, prod
 
-from .charge import charge
+from .charge import _fermionic_sum, charge
 from .core import (
-    _check_count, _check_terms, _conjugate, _is_count, check_partition, conjugate, is_lattice,
-    partitions, sort_to_partition,
+    _check_count, _check_instance, _check_terms, _conjugate, _is_count, check_partition,
+    conjugate, is_lattice, partitions, sort_to_partition,
 )
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import enumerate_gmlq, maj, row_word
-from .tableaux import (
-    _inner_of,
-    _kostka_sweep,
-    _strip_chains,
-    enumerate_ssyt,
-    tableau_charge,
-)
+from .tableaux import _inner_of, _kostka_sweep, _strip_chains
 
 
 class QXPolynomial:
@@ -107,6 +104,7 @@ class QXPolynomial:
         return QXPolynomial(n, {(0, ()): 1})
 
     def _check(self, other):
+        _check_instance(other, QXPolynomial)
         if self.n != other.n:
             raise VariableCountMismatch(f"{self.n} != {other.n}")
 
@@ -338,13 +336,16 @@ def q_whittaker_gmlq(alpha, n: int) -> QXPolynomial:
 
 
 def kostka_foulkes(lam, mu) -> QXPolynomial:
-    """Kostka-Foulkes polynomial K_{lam,mu}(q) as the charge sum over
-    SSYT(lam, mu)."""
+    """Kostka-Foulkes polynomial K_{lam,mu}(q), the charge sum over
+    SSYT(lam, mu), by the fermionic formula of Kirillov and Reshetikhin: a
+    sum over admissible configurations of q-binomial products, each of
+    which counts many tableaux at once (``charge._fermionic_sum``).  The
+    charge sum itself is a route in ``tests/oracles.py``."""
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    charges = Counter(tableau_charge(t) for t in enumerate_ssyt(lam, weight=mu))
-    return QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
+    coeffs = _fermionic_sum(lam, mu)
+    return QXPolynomial._of(0, {(q, ()): k for q, k in enumerate(coeffs) if k})
 
 
 def kostka_foulkes_lattice(lam, mu) -> QXPolynomial:
@@ -386,6 +387,7 @@ def q_whittaker_coquinv(lam, n: int) -> QXPolynomial:
 
 def is_symmetric(p: QXPolynomial) -> bool:
     """Invariance under every adjacent swap of the x variables."""
+    _check_instance(p, QXPolynomial)
     return all(p.swap_vars(i, i + 1) == p for i in range(1, p.n))
 
 

@@ -29,7 +29,8 @@ from itertools import accumulate, pairwise, product
 
 from .charge import charge as _charge
 from .core import (
-    _as_rows, _check_composition, _check_count, _check_letters, _text, check_partition, content,
+    _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _text,
+    check_partition, content,
 )
 from .errors import InvariantError, ParseError, SizeMismatch
 
@@ -177,11 +178,13 @@ def _inner_of(outer, inner):
 
 def row_reading_word(t: Tableau):
     """Rows scanned top to bottom, left to right in each row."""
+    _check_instance(t, Tableau)
     return tuple(v for row in reversed(t.rows) for v in row)
 
 
 def column_reading_word(t: Tableau):
     """Columns scanned left to right, top down within each column."""
+    _check_instance(t, Tableau)
     width = len(t.rows[0]) if t.rows else 0
     out = []
     for c in range(1, width + 1):
@@ -424,6 +427,7 @@ def straighten(t: SkewTableau):
     encoded as j and ordinary v as v + len(inner).  Returns the straight
     tableau and the number of hatted letters.
     """
+    _check_instance(t, SkewTableau)
     ell = sum(1 for v in t.inner if v > 0)
     rows = []
     for r in range(len(t.outer)):

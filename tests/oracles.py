@@ -77,6 +77,18 @@ The second routes below each pin one theorem against the package's route:
   through skew Kostka numbers, swept from inner to outer (``skew_schur``);
   so does the sum over nu of c^lam_{mu,nu} times ``schur_by_ssyt``, the LR
   expansion, which is a theorem here and no route of the package.
+- ``kostka_foulkes_by_charge``: the Lascoux-Schutzenberger charge sum over
+  SSYT(lam, mu), which collapsing gives, equals the fermionic formula that
+  the package sums over configurations (``poly.kostka_foulkes``);
+  ``kostka_foulkes_by_configurations`` sums that formula term by term over
+  ``rigged_configurations``, found by trying every partition at every
+  level, with q-binomials counted as subsets (``q_binomial_by_subsets``),
+  so neither the package's pruning nor its memo of level pairs is used.
+- ``hall_littlewood``: the Hall-Littlewood polynomials at t = q, built from
+  ``kostka_foulkes`` by the unitriangular recursion, for the q-deformed
+  dual Cauchy identity that ties them to the q-Whittaker polynomials.
+- ``tasep_law``: the stationary law of the ring TASEP solved exactly over
+  Fractions, unique or None, against the normalised ``stationary_counts``.
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
   expansion built one lam at a time, ``kostka_foulkes`` times
   ``schur_by_ssyt``, gives the coefficients that the package reads off one
@@ -85,7 +97,9 @@ The second routes below each pin one theorem against the package's route:
   which ``schur`` shares, so it is not used here).
 """
 
+import operator
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from mlqkit import poly
@@ -138,7 +152,9 @@ from mlqkit.tableaux import (
     _inner_of,
     _rows_of_columns,
     column_reading_word,
+    enumerate_ssyt,
     superstandard,
+    tableau_charge,
 )
 
 
@@ -338,6 +354,44 @@ def stationary_counts(lam, n: int) -> dict:
     return counts
 
 
+def tasep_law(word, hop=operator.lt):
+    """The stationary law of the ring process on the rearrangements of
+    word, solved exactly, or None unless it is unique.  Across each cyclic
+    bond (a, a+1) the two labels swap at rate 1 when hop(w_a, w_{a+1}); the
+    default is the multispecies TASEP in which larger labels hop left over
+    smaller ones and 0 is a hole.
+
+    The balance equations pi Q = 0 sum to zero, so one of them is replaced
+    by sum(pi) = 1, and Gauss-Jordan elimination over Fractions finds a
+    pivot in every column exactly when the law is unique.
+    """
+    states = sorted(set(permutations(word)))
+    index = {w: i for i, w in enumerate(states)}
+    size, n = len(states), len(word)
+    rows = [[Fraction(0)] * (size + 1) for _ in range(size)]  # row j: balance at j
+    for w, i in index.items():
+        for a in range(n):
+            b = (a + 1) % n
+            if hop(w[a], w[b]):
+                v = list(w)
+                v[a], v[b] = w[b], w[a]
+                rows[index[tuple(v)]][i] += 1
+                rows[i][i] -= 1
+    rows[-1] = [Fraction(1)] * (size + 1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(size):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return {w: rows[i][size] for w, i in index.items()}
+
+
 def stationary_counts_by_sweep(lam, n: int) -> dict:
     """The label-word sweep with one state per word, not per rotation
     class: from the constant word L..L above the top row, each word of a
@@ -490,6 +544,112 @@ def kostka_foulkes_rotated(lam, mu) -> QXPolynomial:
         for m in enumerate_mlq(lam, n)
         if m.column_content()[: len(mu)] == tuple(mu) and is_nonwrapping(m)
     ))
+
+
+def kostka_foulkes_by_charge(lam, mu) -> QXPolynomial:
+    """K_{lam,mu}(q) as the Lascoux-Schutzenberger charge sum over
+    SSYT(lam, mu)."""
+    if sum(lam) != sum(mu):
+        raise SizeMismatch(f"|{lam}| != |{mu}|")
+    charges = Counter(tableau_charge(t) for t in enumerate_ssyt(lam, weight=mu))
+    return QXPolynomial(0, [((q, ()), k) for q, k in charges.items()])
+
+
+def _q_count(n, rho) -> int:
+    """Q_n(rho), the sum of min(n, rho_i)."""
+    return sum(min(n, part) for part in rho)
+
+
+def rigged_configurations(lam, mu) -> list:
+    """The admissible configurations (nu(1), ..., nu(L-1)) of the fermionic
+    formula, L = len(lam), found by trying every partition of every size
+    |nu(k)| = lam_{k+1} + ... + lam_L; nu(0) = mu and nu(L) = ().  Each
+    level holds its vacancy numbers
+    Q_n(nu(k-1)) - 2 Q_n(nu(k)) + Q_n(nu(k+1)) >= 0 at its parts n."""
+    sizes = [sum(lam[k:]) for k in range(1, len(lam))]
+    found = []
+    for middle in product(*(list(partitions(size)) for size in sizes)):
+        levels = (tuple(mu),) + middle + ((),)
+        if all(
+            _q_count(n, levels[k - 1]) - 2 * _q_count(n, levels[k]) + _q_count(n, levels[k + 1]) >= 0
+            for k in range(1, len(levels) - 1)
+            for n in levels[k]
+        ):
+            found.append(middle)
+    return found
+
+
+def q_binomial_by_subsets(a, b) -> Counter:
+    """[a choose b]_q as {e: count}: the b-subsets of 1..a by their sum
+    less b(b + 1)/2."""
+    return Counter(sum(s) - b * (b + 1) // 2 for s in combinations(range(1, a + 1), b))
+
+
+def kostka_foulkes_by_configurations(lam, mu) -> QXPolynomial:
+    """K_{lam,mu}(q) by the fermionic formula term by term: q^c(nu) times
+    the product of [P_n(k) + m_n choose m_n]_q over the levels k < L and
+    the distinct parts n of nu(k), summed over ``rigged_configurations``,
+    with c(nu) the sum over k = 1..L and n of d(d - 1)/2, d = nu(k-1)'_n -
+    nu(k)'_n.  No level is pruned early and no pair of levels is shared."""
+    total = Counter()
+    for middle in rigged_configurations(lam, mu):
+        levels = (tuple(mu),) + middle + ((),)
+        c = 0
+        for upper, lower in zip(levels, levels[1:]):
+            a, b = conjugate(upper), conjugate(lower)
+            for n in range(max(len(a), len(b))):
+                d = (a[n] if n < len(a) else 0) - (b[n] if n < len(b) else 0)
+                c += d * (d - 1) // 2
+        weight = Counter({c: 1})
+        for k in range(1, len(levels) - 1):
+            for n, m in Counter(levels[k]).items():
+                vacancy = (_q_count(n, levels[k - 1]) - 2 * _q_count(n, levels[k])
+                           + _q_count(n, levels[k + 1]))
+                product_weight = Counter()
+                for e, x in weight.items():
+                    for f, y in q_binomial_by_subsets(vacancy + m, m).items():
+                        product_weight[e + f] += x * y
+                weight = product_weight
+        total.update(weight)
+    return QXPolynomial(0, [((q, ()), k) for q, k in total.items()])
+
+
+def hall_littlewood(size, n: int) -> dict:
+    """{mu: P_mu(y_1..y_n; q)} over the partitions mu of size, the
+    Hall-Littlewood polynomials at t = q on n variables.
+
+    Macdonald III (2.6), s_mu = sum over nu of K_{mu,nu}(q) P_nu with
+    K_{mu,mu} = 1 and K_{mu,nu} = 0 unless nu <= mu in dominance, gives the
+    unitriangular recursion P_mu = s_mu - sum over nu < mu of K_{mu,nu}(q)
+    P_nu in the Schur basis, run from ``poly.kostka_foulkes``.  Reverse
+    lexicographic order extends dominance, so the partitions are taken from
+    last to first.  Each s_rho is ``schur_by_ssyt``.
+    """
+    in_schur = {}  # mu: {rho: the coefficient of s_rho, a polynomial in q}
+    for mu in reversed(list(partitions(size))):
+        coeffs = {mu: QXPolynomial.one(0)}
+        for nu, p_nu in in_schur.items():
+            k = poly.kostka_foulkes(mu, nu)
+            for rho, a in p_nu.items():
+                coeffs[rho] = coeffs.get(rho, QXPolynomial.zero(0)) - k * a
+        in_schur[mu] = {rho: a for rho, a in coeffs.items() if not a.is_zero()}
+    out = {}
+    for mu, coeffs in in_schur.items():
+        terms = Counter()
+        for rho, a in coeffs.items():
+            s_rho = schur_by_ssyt(rho, n)
+            for (qa, _), ca in a.terms.items():
+                for (qs, xs), cs in s_rho.terms.items():
+                    terms[qa + qs, xs] += ca * cs
+        out[mu] = QXPolynomial(n, terms)
+    return out
+
+
+def shifted(p, total, offset) -> QXPolynomial:
+    """p with x_i renamed x_{i + offset}, in a ring of total variables."""
+    return QXPolynomial(total, {
+        (q, tuple((i + offset, e) for i, e in xs)): c for (q, xs), c in p.terms.items()
+    })
 
 
 def coquinv_free_fillings(m) -> list:

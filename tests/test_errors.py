@@ -102,6 +102,10 @@ CASES = [
     (ColumnMismatch, mult_mlq, (TWO_ROWS, WRAPPING)),
     (BadSigmaWord, twisted_collapse, (parse_mlq("n=3;1|1,2"), [])),
     (VariableCountMismatch, QXPolynomial.__add__, (QXPolynomial.one(2), QXPolynomial.one(3))),
+    # an operand that is no polynomial used to raise AttributeError on .n
+    (ParseError, QXPolynomial.__add__, (QXPolynomial.one(2), "x")),
+    (ParseError, QXPolynomial.__sub__, (QXPolynomial.one(2), None)),
+    (ParseError, QXPolynomial.__mul__, (QXPolynomial.one(2), "x")),
     # bad balls and rows used to raise a bare TypeError from sorting
     (ParseError, MultilineQueue, (3, [[1, "a"]])),
     (ParseError, MultilineQueue, (3, [5])),
@@ -271,9 +275,15 @@ def test_typed_errors(error, function, args):
         function(*args)
 
 
-# the parameter names the package gives a queue, a tableau, a filling or a
-# polynomial: 5 or None in their place fails on its first attribute
-PACKAGE_OBJECTS = {"m", "m1", "queue", "down", "t", "tau", "p"}
+# a valid instance of each package class that a public function takes, for
+# the object slots not under test
+SAMPLES = {
+    MultilineQueue: parse_mlq("n=3;1,2|1"),
+    Tableau: Tableau([[1, 1], [2]]),
+    SkewTableau: SkewTableau((2, 1), (1,), [(1,), (2,)]),
+    ColumnFilling: ColumnFilling((2, 1), [(1, 2), (1,)]),
+    QXPolynomial: QXPolynomial.one(2),
+}
 # records the package returns, which store their fields as given
 RECORDS = {"CollapseResult", "BicoloredMLQ"}
 
@@ -290,11 +300,9 @@ def _outcome(function, args):
     return None
 
 
-def test_no_public_call_raises_a_bare_type_error():
-    # every public callable of mlqkit, with 5 or None as its first argument
-    # and 3 for each other required one, raises a typed error; 5 is a valid
-    # count n, so there only None is tried
-    found = []
+def _public_callables():
+    """(name, function, its required parameters) for every public callable
+    of mlqkit but the records."""
     for name in sorted(set(dir(mlqkit)) - RECORDS):
         function = getattr(mlqkit, name)
         if name.startswith("_") or inspect.ismodule(function) or not callable(function):
@@ -303,11 +311,37 @@ def test_no_public_call_raises_a_bare_type_error():
             p for p in inspect.signature(function).parameters.values()
             if p.default is p.empty
         ]
+        yield name, function, params
+
+
+def test_no_public_call_raises_a_bare_type_error():
+    # every public callable of mlqkit, with 5 or None as its first argument
+    # and 3 for each other required one, raises a typed error; 5 is a valid
+    # count n, so there only None is tried
+    found = []
+    for name, function, params in _public_callables():
         for bad in (None,) if params[0].name == "n" else (5, None):
             error = _outcome(function, [bad] + [3] * (len(params) - 1))
-            if isinstance(error, MlqkitError):
-                continue
-            if isinstance(error, AttributeError) and params[0].name in PACKAGE_OBJECTS:
-                continue
-            found.append(f"{name}({bad!r}, ...): {error!r}")
+            if not isinstance(error, MlqkitError):
+                found.append(f"{name}({bad!r}, ...): {error!r}")
     assert not found
+
+
+def test_every_object_slot_is_checked():
+    # each parameter annotated with a queue, tableau, filling or polynomial
+    # class, given "x", 5 or None while the other object slots hold valid
+    # samples and the rest 3, raises ParseError (core._check_instance)
+    assert all(type(sample) is cls for cls, sample in SAMPLES.items())
+    found, slots = [], 0
+    for name, function, params in _public_callables():
+        valid = [SAMPLES.get(p.annotation, 3) for p in params]
+        for k, p in enumerate(params):
+            if p.annotation not in SAMPLES:
+                continue
+            slots += 1
+            for bad in ("x", 5, None):
+                error = _outcome(function, valid[:k] + [bad] + valid[k + 1:])
+                if not isinstance(error, ParseError):
+                    found.append(f"{name} {p.name}={bad!r}: {error!r}")
+    assert not found
+    assert slots == 41

@@ -471,11 +471,16 @@ def test_trusted_constructors_only_on_the_allow_list():
 
 
 def test_charge_stays_on_the_traced_path():
-    # the benchmark sees q_whittaker_schur and kostka_foulkes only through
-    # charge.charge, so neither may bypass it
+    # the benchmark sees q_whittaker_schur only through charge.charge, so it
+    # may not bypass it
     assert "charge" in _calls_in_module(MODULES["poly"], "q_whittaker_schur")
-    assert "tableau_charge" in _calls_in_module(MODULES["poly"], "kostka_foulkes")
     assert "_charge" in _calls_in_module(MODULES["tableaux"], "tableau_charge")
+    # kostka_foulkes sums the fermionic formula over configurations: it
+    # builds no tableau and charges none
+    called = _calls_in_module(MODULES["poly"], "kostka_foulkes")
+    assert "_fermionic_sum" in called
+    assert not called & {"enumerate_ssyt", "tableau_charge", "charge", "_strip_chains"}
+    assert "_next_levels" in _calls_in_module(MODULES["charge"], "_fermionic_sum")
     charge = importlib.import_module("mlqkit.charge").charge
     assert importlib.import_module("mlqkit.poly").charge is charge
     assert importlib.import_module("mlqkit.tableaux")._charge is charge

@@ -1,6 +1,7 @@
 """The identities of poly.py."""
 
-from itertools import permutations
+import importlib
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,9 @@ from mlqkit.poly import (
     schur,
     skew_schur,
 )
+
+# the module, which the package's name charge, a function, hides
+charge_module = importlib.import_module("mlqkit.charge")
 
 # the enumeration oracle visits every queue; cap its count to keep this fast
 MAX_QUEUES = 5000
@@ -280,12 +284,93 @@ def test_schur_random(lam, n):
 
 
 def test_kostka_foulkes_routes_agree():
-    for size in range(0, 7):
+    # the package sums the fermionic formula over configurations; the
+    # charge sum over tableaux is checked term for term on every pair with
+    # |lam| <= 8, and the routes that enumerate queues or try every
+    # partition at every level up to |lam| = 6
+    pairs = 0
+    for size in range(0, 9):
         for lam in partitions(size):
             for mu in partitions(size):
                 k = kostka_foulkes(lam, mu)
-                assert kostka_foulkes_lattice(lam, mu) == k, (lam, mu)
-                assert oracles.kostka_foulkes_rotated(lam, mu) == k, (lam, mu)
+                assert oracles.kostka_foulkes_by_charge(lam, mu) == k, (lam, mu)
+                if size <= 6:
+                    assert kostka_foulkes_lattice(lam, mu) == k, (lam, mu)
+                    assert oracles.kostka_foulkes_rotated(lam, mu) == k, (lam, mu)
+                    assert oracles.kostka_foulkes_by_configurations(lam, mu) == k, (lam, mu)
+                pairs += 1
+    assert pairs == 919
+
+
+@settings(max_examples=15)
+@given(st.sampled_from([
+    (lam, mu) for size in range(9, 12) for lam in partitions(size) for mu in partitions(size)
+    if dominance_leq(mu, lam)
+]))
+def test_kostka_foulkes_random(pair):
+    assert kostka_foulkes(*pair) == oracles.kostka_foulkes_by_charge(*pair)
+
+
+def test_kostka_foulkes_visits_configurations_not_tableaux(monkeypatch):
+    # each level is generated under the vacancy, part and length bounds
+    # once per pair of levels above it; a looser bound shows as more work,
+    # though the sum stays right, so the work is pinned on every pair with
+    # |lam| <= 9 (each bound cuts some of them) and on (5,4,3,2,1)/(1^15),
+    # which has 292 864 tableaux and 58 admissible configurations
+    calls, levels = [], []
+    real = charge_module._next_levels
+
+    def counted(*args):
+        found = real(*args)
+        calls.append(args)
+        levels.extend(found)
+        return found
+
+    monkeypatch.setattr(charge_module, "_next_levels", counted)
+    for size in range(0, 10):
+        for lam in partitions(size):
+            for mu in partitions(size):
+                kostka_foulkes(lam, mu)
+    # every level generated keeps its vacancy numbers >= 0
+    assert all(min(vacancies, default=0) >= 0 for _, vacancies in levels)
+    assert (len(calls), len(levels)) == (4561, 4156)
+    calls.clear()
+    levels.clear()
+    lam, mu = (5, 4, 3, 2, 1), (1,) * 15
+    k = kostka_foulkes(lam, mu)
+    assert (len(calls), len(levels)) == (92, 149)
+    assert sum(k.terms.values()) == 292_864
+    assert len(oracles.rigged_configurations(lam, mu)) == 58
+    assert k == oracles.kostka_foulkes_by_configurations(lam, mu)
+
+
+def test_q_binomial_counts_subsets_by_sum():
+    for a in range(0, 9):
+        for b in range(-1, a + 2):
+            expected = oracles.q_binomial_by_subsets(a, b) if 0 <= b <= a else {}
+            coeffs = charge_module._q_binomial(a, b)
+            assert {e: c for e, c in enumerate(coeffs) if c} == expected, (a, b)
+            assert not coeffs or coeffs[-1], (a, b)
+
+
+def test_q_dual_cauchy():
+    # Macdonald VI (5.4) at t = 0: prod over i <= m, j <= k of (1 + x_i y_j)
+    # is the sum over lam with at most m parts and lam_1 <= k of
+    # P_lam(x; q, 0) P_lam'(y; q), the q-Whittaker polynomial times the
+    # Hall-Littlewood polynomial at t = q, which oracles.hall_littlewood
+    # builds from kostka_foulkes
+    for m, k in product(range(1, 4), repeat=2):
+        total = m + k
+        right = QXPolynomial.zero(total)
+        for size in range(0, m * k + 1):
+            hall_littlewood = oracles.hall_littlewood(size, k)
+            for lam in partitions(size, k):
+                if len(lam) <= m:
+                    x_side = oracles.shifted(q_whittaker_mlq(lam, m), total, 0)
+                    y_side = oracles.shifted(hall_littlewood[conjugate(lam)], total, m)
+                    right = right + x_side * y_side
+        _, left = dual_cauchy_check(m, k)
+        assert right == left, (m, k)
 
 
 def test_dual_cauchy():

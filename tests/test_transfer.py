@@ -1,6 +1,7 @@
 """The row-by-row routes agree with enumeration over all queues."""
 
 import operator
+from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 
@@ -327,3 +328,19 @@ def test_stationary_counts_are_the_tasep_law():
             reversed_fails.append((lam, n))
         assert (len(set(word)) >= 3) == ((lam, n) in reversed_fails), (lam, n)
     assert len(reversed_fails) == 81
+
+
+@pytest.mark.parametrize("lam, n", [((3, 2, 1), 4), ((2, 2, 1), 5), ((2, 1, 1), 5)])
+def test_stationary_counts_are_the_unique_tasep_law(lam, n):
+    # global balance fixes the law only up to scale and only if the chain
+    # has one stationary law; the exact solve of pi Q = 0 shows that it
+    # has, and that the normalised counts are it.  The reversed orientation
+    # has another law here (three or more distinct labels), and a chain with
+    # no moves has many, which the solve reports as None
+    word = lam + (0,) * (n - len(lam))
+    counts = stationary_counts(lam, n)
+    total = sum(counts.values())
+    law = oracles.tasep_law(word)
+    assert law == {w: Fraction(c, total) for w, c in counts.items()}
+    assert oracles.tasep_law(word, operator.gt) not in (None, law)
+    assert oracles.tasep_law(word, lambda a, b: False) is None
