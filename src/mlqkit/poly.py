@@ -5,11 +5,12 @@ all identity checks are structural equalities of canonical forms.  The
 symmetric results ``schur``, ``skew_schur``, ``q_whittaker_mlq`` and
 ``q_whittaker_gmlq`` keep their m-basis form (``QXPolynomial._m``) and
 write terms only when read; ``+`` and ``* int`` keep that form, and ``==``
-never expands it.  ``q_whittaker_gmlq`` is ``q_whittaker_mlq`` of the
-partition its row sizes rearrange, by sigma-invariance.  ``kostka_foulkes``
-sums the fermionic formula over configurations (``charge._fermionic_sum``),
-not the charge over tableaux; ``q_whittaker_schur`` still charges the
-tableaux of one content, since one traversal gives every shape at once.
+never expands it.  ``q_whittaker_mlq`` sums the t = 0 branching rule over
+psi-weighted strip chains (``tableaux._psi``), and ``q_whittaker_gmlq`` is
+it of the partition its row sizes rearrange, by sigma-invariance.
+``kostka_foulkes`` sums the fermionic formula over configurations
+(``charge._fermionic_sum``); only ``q_whittaker_schur``, the Schur basis,
+charges tableaux: one traversal of one content gives every shape at once.
 """
 
 import json
@@ -25,7 +26,7 @@ from .core import (
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import enumerate_gmlq, maj, row_word
-from .tableaux import _inner_of, _kostka_sweep, _strip_chains
+from .tableaux import _inner_of, _kostka_sweep, _psi, _strip_chains
 
 
 class QXPolynomial:
@@ -261,18 +262,23 @@ def q_whittaker_schur(mu, n: int) -> dict:
 
 
 def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
-    """Weight generating function q^maj x^M over all queues of shape lam:
-    the monomial form (``_monomial_form``) of the Schur expansion that
-    ``q_whittaker_schur`` reads off the charge formula."""
-    return _monomial_form(q_whittaker_schur(lam, n), n)
+    """Weight generating function q^maj x^M over all queues of shape lam,
+    P_lam(x_1..x_n; q, 0), in its m-basis form, by the branching rule at
+    t = 0 (Macdonald VI (7.13')): the coefficient of m_nu sums, over the
+    chains of horizontal strips of sizes nu_1, nu_2, ... from () to lam,
+    the product of their weights psi (``tableaux._psi``).  One weighted
+    sweep (``_monomial_form``) charges no tableau."""
+    _check_count(n, 1)
+    lam = check_partition(lam)
+    return _monomial_form({lam: QXPolynomial.one(0)}, n, weight=_psi)
 
 
-# The charge expansion is the monomial form of the Schur expansion, so both
-# names are one function.
+# The charge expansion P_lam = sum over rho of K_{rho',lam'}(q) s_rho is the
+# same polynomial, so both names are one function.
 q_whittaker_charge_expansion = q_whittaker_mlq
 
 
-def _monomial_form(coeffs, n: int, inner=()) -> QXPolynomial:
+def _monomial_form(coeffs, n: int, inner=(), weight=None) -> QXPolynomial:
     """The sum over rho of coeffs[rho] s_{rho/inner} on n variables, in its
     m-basis form; coeffs maps partitions rho of one size, each holding the
     partition inner, to polynomials in q alone with positive coefficients.
@@ -281,20 +287,20 @@ def _monomial_form(coeffs, n: int, inner=()) -> QXPolynomial:
     coeffs[rho] K_{rho/inner,nu}, and the symmetric polynomial gives every
     rearrangement of nu that coefficient when its ``terms`` are read.  The
     Kostka numbers come from ``tableaux._kostka_sweep`` inside the union of
-    the rho, since no chain of strips to a rho leaves it.
+    the rho, since no chain of strips to a rho leaves it; a strip weight
+    (see ``_kostka_sweep``) makes each a polynomial in q, spread over q^e.
     """
     m = {}
     if coeffs:
         outer = tuple(map(max, zip_longest(*coeffs, fillvalue=0)))
         size = sum(next(iter(coeffs))) - sum(inner)
-        for nu, kostka in _kostka_sweep(outer, inner, size, n):
-            c_nu = Counter()
+        for nu, kostka in _kostka_sweep(outer, inner, size, n, weight):
             for rho, count in kostka.items():
                 if rho in coeffs:
+                    degrees = list(enumerate(count)) if weight else [(0, count)]
                     for (q, _), k in coeffs[rho].terms.items():
-                        c_nu[q] += k * count
-            for q, k in c_nu.items():
-                m[q, nu] = k
+                        for e, c in degrees:
+                            m[q + e, nu] = m.get((q + e, nu), 0) + k * c
     # sums of positive counts
     return QXPolynomial._of_m(n, m)
 

@@ -14,6 +14,8 @@ checked as each strip is placed (Fulton, Young Tableaux, section 5).  The
 same strips under the same room rule (``_rooms``) give the Kostka numbers
 K_{rho/inner,nu} of every shape rho between an inner and an outer shape in
 one sweep from inner to outer (``_kostka_sweep``), counted, not listed.
+Weighted by psi (``_psi``) per strip, the same sweep sums the t = 0
+branching rule of the q-Whittaker polynomials.
 
 The chains are the lazy public enumeration, so ``_strip_chains`` and the
 enumerators over it are generators.  The strips of one letter (``_strips``)
@@ -27,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, pairwise, product
 
-from .charge import charge as _charge
+from .charge import _q_binomial, _times, charge as _charge
 from .core import (
     _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _text,
     check_partition, content,
@@ -294,6 +296,18 @@ def _rooms(outer, shape):
     return rooms
 
 
+def _psi(shape, new):
+    """The coefficients of psi_{new/shape}(q, 0) for a horizontal strip
+    new/shape (shape maybe one row shorter), Macdonald VI (6.24): the
+    product over rows i of [new_i - new_{i+1} choose new_i - shape_i]_q,
+    whose factor is 1 where a row gains nothing or all it may."""
+    out = [1]
+    for high, low, above in zip(new, shape + (0,), new[1:] + (0,)):
+        if 0 < high - low < high - above:
+            out = _times(_q_binomial(high - above, high - low), out)
+    return out
+
+
 def _strip_chains(sizes, outer, inner, lattice=False):
     """The rows, bottom row first, of every semistandard filling built from
     inner (padded with zeros to the length of outer) by horizontal strips
@@ -340,7 +354,7 @@ def _strip_chains(sizes, outer, inner, lattice=False):
     yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows)]
 
 
-def _kostka_sweep(outer, inner, size, n):
+def _kostka_sweep(outer, inner, size, n, weight=None):
     """The list of (nu, {rho: K_{rho/inner,nu}}) for every partition nu of
     size with at most n parts and some nonzero count, over the shapes rho
     with inner inside rho inside outer.
@@ -353,6 +367,10 @@ def _kostka_sweep(outer, inner, size, n):
     strips are few and small, so the cost is per object: the sweep is plain
     recursion that appends each finished nu to one list, with no generator
     frame for a strip or a nu to pass through.
+
+    With weight, a function (shape, new shape) -> q-coefficient list found
+    once per strip, next to its shape, a chain counts as the product of its
+    strips' weights: the state values are coefficient lists, not ints.
     """
     grown = {}  # (shape, part): the shapes one strip of part cells leads to
     out = []
@@ -371,8 +389,22 @@ def _kostka_sweep(outer, inner, size, n):
                         for adds in _strips(_rooms(outer, shape), part)
                         for new in [tuple(map(int.__add__, shape + (0,), adds))]
                     ]
-                for new in news:
-                    below[new] = below.get(new, 0) + count
+                    if weight:
+                        news = grown[shape, part] = [(new, weight(shape, new)) for new in news]
+                if not weight:
+                    for new in news:
+                        below[new] = below.get(new, 0) + count
+                    continue
+                for new, w in news:
+                    add = _times(w, count)
+                    got = below.get(new)
+                    if got is None:
+                        below[new] = add[:]  # _times may hand back count itself
+                        continue
+                    if len(got) < len(add):
+                        got += [0] * (len(add) - len(got))
+                    for i, c in enumerate(add):
+                        got[i] += c
             if not below:
                 continue
             if part == left:
@@ -380,10 +412,11 @@ def _kostka_sweep(outer, inner, size, n):
             else:
                 extend(nu + (part,), left - part, part, below)
 
+    start = {inner: [1] if weight else 1}
     if size:
-        extend((), size, outer[0] if outer else 0, {inner: 1})
+        extend((), size, outer[0] if outer else 0, start)
     else:
-        out.append(((), {inner: 1}))
+        out.append(((), start))
     return out
 
 

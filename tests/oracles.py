@@ -3,8 +3,8 @@ against.
 
 The enumerate-and-sum routes visit every queue one at a time, so they are
 exponential in the number of rows; the package computes the same quantities
-over label-word states (the stationary counts) or tableaux (the
-q-Whittaker polynomials).  ``label_mlq_by_matching`` labels a straight
+over label-word states (the stationary counts) or chains of horizontal
+strips (the q-Whittaker polynomials).  ``label_mlq_by_matching`` labels a straight
 queue by iterated cylindrical matching, independently of the pairing rule
 ``mlq._label_layer`` that every labelling in the package uses, and
 ``label_row_by_scan`` runs that rule one row and one site at a time, apart
@@ -92,9 +92,11 @@ The second routes below each pin one theorem against the package's route:
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
   expansion built one lam at a time, ``kostka_foulkes`` times
   ``schur_by_ssyt``, gives the coefficients that the package reads off one
-  traversal of tableaux (``q_whittaker_schur``) and the monomial polynomial
-  that the package expands through Kostka numbers (``poly._monomial_form``,
-  which ``schur`` shares, so it is not used here).
+  traversal of tableaux (``q_whittaker_schur``) and the polynomial that the
+  package sums by the t = 0 branching rule, one psi-weighted sweep of strip
+  chains (``q_whittaker_mlq``).  The two package routes meet only in the
+  unweighted sweep of ``poly._monomial_form``, which ``schur`` shares too,
+  so it is not used here.
 """
 
 import operator

@@ -167,13 +167,17 @@ def test_unchecked_conjugate_only_in_core():
 
 
 def test_q_whittaker_is_one_route():
-    # the charge expansion is the monomial form of the Schur expansion, read
-    # off one traversal of tableaux, not one Kostka-Foulkes walk and one
-    # Schur polynomial per shape
+    # the charge expansion is the m-basis form that the t = 0 branching rule
+    # gives: one sweep of strip chains inside lam, each strip weighted by
+    # psi, with no tableau charged, no Schur expansion read off first and
+    # no Kostka-Foulkes walk or Schur polynomial per shape
     assert mlqkit.q_whittaker_charge_expansion is mlqkit.q_whittaker_mlq
     called = _calls_in_module(MODULES["poly"], "q_whittaker_mlq")
-    assert "q_whittaker_schur" in called
-    assert not called & {"schur", "kostka_foulkes"}
+    assert "_monomial_form" in called
+    assert "_psi" in _names_in_function(MODULES["poly"], "q_whittaker_mlq")
+    assert not called & {"q_whittaker_schur", "charge", "schur", "kostka_foulkes"}
+    # psi is the q-binomial product that tableaux builds next to the room rule
+    assert "_q_binomial" in _calls_in_module(MODULES["tableaux"], "_psi")
     # every row order of lam' sums to the same polynomial (sigma-invariance),
     # so the generalized form is the straight route and poly labels nothing
     assert "q_whittaker_mlq" in _calls_in_module(MODULES["poly"], "q_whittaker_gmlq")
@@ -198,8 +202,8 @@ def test_one_schur_to_monomial_expansion():
         assert "_monomial_form" in called, start
         assert "schur" not in called, start
     # the sweep lives in tableaux, and only the helper runs it;
-    # test_q_whittaker_is_one_route pins that q_whittaker_mlq reads its
-    # coefficients off q_whittaker_schur
+    # test_q_whittaker_is_one_route pins that q_whittaker_mlq runs it with
+    # the strip weight tableaux._psi, not through q_whittaker_schur
     for name, tree in MODULES.items():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert ("_kostka_sweep" in defined) == (name == "tableaux"), name

@@ -26,6 +26,7 @@ from mlqkit.poly import (
     schur,
     skew_schur,
 )
+from mlqkit.tableaux import _psi
 
 # the module, which the package's name charge, a function, hides
 charge_module = importlib.import_module("mlqkit.charge")
@@ -91,6 +92,100 @@ def test_q_whittaker_schur_boundaries():
         assert q_whittaker_schur((1,) * (n + 1), n) == {}
         assert q_whittaker_schur((2,) * (n + 1), n) == {}
         assert q_whittaker_mlq((2,) * (n + 1), n).is_zero()
+
+
+def _by_charge(lam, n):
+    # the Schur expansion by charge, expanded through unweighted Kostka
+    # numbers: of the branching route it shares only the sweep's
+    # recursion, not psi and not the weighted sums
+    return poly._monomial_form(q_whittaker_schur(lam, n), n)
+
+
+def test_q_whittaker_branching_is_the_charge_expansion_exhaustive():
+    for size in range(0, 9):
+        for lam in partitions(size):
+            for n in range(1, 7):
+                assert q_whittaker_mlq(lam, n)._m == _by_charge(lam, n)._m, (lam, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([lam for size in range(0, 11) for lam in partitions(size)]),
+    st.integers(1, 7),
+)
+def test_q_whittaker_branching_is_the_charge_expansion_random(lam, n):
+    assert q_whittaker_mlq(lam, n)._m == _by_charge(lam, n)._m
+
+
+def test_q_whittaker_branching_is_the_charge_expansion_at_the_frontier():
+    lam, n = (6, 5, 4, 3, 2, 1), 8
+    p = q_whittaker_mlq(lam, n)
+    assert p._m == _by_charge(lam, n)._m
+    # P_lam is m_lam plus lower terms in dominance
+    assert {(q, nu): c for (q, nu), c in p._m.items() if nu == lam} == {(0, lam): 1}
+    assert all(dominance_leq(nu, lam) and len(nu) <= n for _, nu in p._m)
+
+
+def _horizontal_strips_below(lam):
+    """Every mu with lam/mu a horizontal strip: lam_{i+1} <= mu_i <= lam_i."""
+    ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
+    for mu in product(*ranges):
+        yield tuple(v for v in mu if v)
+
+
+def test_q_whittaker_branching_rule_on_queues():
+    # Macdonald VI (7.13') at t = 0, both sides summed over queues:
+    # P_lam(x_1..x_n) = sum over mu of psi_{lam/mu}(q) x_n^{|lam/mu|}
+    # P_mu(x_1..x_{n-1}), so psi is pinned by the paper's objects, not by
+    # the sweep that multiplies it along chains
+    fewer = {}
+    for size in range(0, 7):
+        for lam in partitions(size):
+            for n in range(2, 5):
+                right = {}
+                for mu in _horizontal_strips_below(lam):
+                    if (mu, n - 1) not in fewer:
+                        fewer[mu, n - 1] = oracles.q_whittaker_mlq(mu, n - 1)
+                    strip = size - sum(mu)
+                    last = ((n, strip),) if strip else ()
+                    for d, c in enumerate(_psi(mu, lam)):
+                        for (q, xs), k in fewer[mu, n - 1].terms.items():
+                            key = (q + d, xs + last)
+                            right[key] = right.get(key, 0) + c * k
+                expected = QXPolynomial(n, right)
+                assert oracles.q_whittaker_mlq(lam, n) == expected, (lam, n)
+                assert q_whittaker_mlq(lam, n) == expected, (lam, n)
+
+
+def test_psi_boundaries():
+    # a row that gains nothing, or every cell it may, gives the factor 1;
+    # the first strip, a single row, always weighs 1
+    assert _psi((), ()) == [1]
+    assert _psi((), (4,)) == [1]
+    assert _psi((2, 1), (2, 1)) == [1]
+    assert _psi((2, 2), (4, 2, 1)) == [1]
+    # (2,1)/(1): row 1 gains 1 of its 2 - 1 = 1 cells, row 2 one of 1
+    assert _psi((1,), (2, 1)) == [1]
+    # (2)/(1): row 1 gains 1 of 2 cells, [2 choose 1]_q = 1 + q
+    assert _psi((1,), (2,)) == [1, 1]
+    # (4,2)/(3,1): [2 choose 1]_q [2 choose 1]_q = 1 + 2q + q^2
+    assert _psi((3, 1), (4, 2)) == [1, 2, 1]
+
+
+def test_q_whittaker_mlq_boundaries():
+    for n in range(1, 5):
+        assert q_whittaker_mlq((), n) == QXPolynomial.one(n)
+        # more parts than variables: no chain of n strips reaches lam
+        for lam in [(1,) * (n + 1), (3, 2) + (1,) * n]:
+            assert q_whittaker_mlq(lam, n).is_zero(), (lam, n)
+            assert q_whittaker_mlq(lam, n)._m == {}, (lam, n)
+    # one variable: only a one-row lam has a queue, and its weight is x_1^k
+    for size in range(0, 6):
+        for lam in partitions(size):
+            p = q_whittaker_mlq(lam, 1)
+            assert p == oracles.q_whittaker_mlq(lam, 1), lam
+            expected = QXPolynomial(1, {(0, ((1, size),) if size else ()): 1})
+            assert p == (expected if len(lam) <= 1 else QXPolynomial.zero(1)), lam
 
 
 @pytest.mark.parametrize("mu, n", [
