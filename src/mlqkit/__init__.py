@@ -10,36 +10,19 @@ Modules import each other at module level and without cycles: ``core``,
 build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
 
 Each quantity has one route here, and one engine builds every tableau:
-chains of horizontal strips (``tableaux._strip_chains``).  q-Whittaker
-polynomials are the charge formula in the Schur basis, read off one
-traversal of the tableaux of a content (``q_whittaker_schur``), and in the
-monomial basis through Kostka numbers (``q_whittaker_mlq``, also named
-``q_whittaker_charge_expansion``); the generalized form, with the rows in
-any order, is the same polynomial (sigma-invariance), so it takes that
-route.  The stationary counts sum over label-word states row by row, one
-state per rotation class.  One expansion takes every Schur-basis sum to
-monomials through Kostka numbers (``poly._monomial_form``): q-Whittaker,
-Schur and skew Schur polynomials share it.  Schur polynomials are the
-weight sums of nonwrapping queues, which collapsing sends to tableaux, and
-skew Schur polynomials the content sums of skew tableaux, so one sweep of
-strip chains from the inner shape to the outer counts their Kostka numbers
-(``tableaux._kostka_sweep``).
-LR coefficients count the strip chains that the lattice rule prunes, and
-Kostka-Foulkes polynomials sum the fermionic formula of Kirillov and
-Reshetikhin over configurations, each q-binomial product counting many
-tableaux at once (``charge._fermionic_sum``).  The other routes the paper
-proves equal are reference implementations in the test suite
-(``tests/oracles.py``), which checks that they agree: the charge sum over
-tableaux, the fermionic formula with every partition tried at every level,
-enumerating every
-queue (and keeping the nonwrapping ones for Schur polynomials), the Schur
-expansion one shape at a time, tableaux filled cell by cell (and the skew
-tableau sum and lattice filter on them), the LR expansion of skew Schur
-polynomials, row insertion of the column word and label-tracked collapsing
-(both give the recorder), collapsing one ball per letter, top-down
-collapsing, jeu de taquin, charge by matching, enumerating the queues with
-the rows in a given order, the label-word sweep with one state per word and
-the energy of the indicator levels (which equals ``maj_g``).
+chains of horizontal strips (``tableaux._strip_chains``).  One sweep of
+them counts Kostka numbers (``tableaux._kostka_sweep``), through which
+``poly._monomial_form`` takes Schur and skew Schur polynomials to
+monomials, and, with each strip weighted by psi, q-Whittaker polynomials by
+the t = 0 branching rule (``q_whittaker_mlq``); the generalized form, rows
+in any order, is the same polynomial (sigma-invariance).  The charge
+formula gives the Schur basis (``q_whittaker_schur``).  The stationary
+counts sum over label-word states, one per rotation class.  LR
+coefficients count lattice-pruned strip chains, and Kostka-Foulkes
+polynomials sum the fermionic formula of Kirillov and Reshetikhin
+(``charge._fermionic_sum``).  The other routes the paper proves equal are
+reference implementations that the tests check them against
+(``tests/oracles.py``, which lists them).
 """
 
 from .core import (

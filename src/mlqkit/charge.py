@@ -1,9 +1,12 @@
 """Charge and cocharge statistics on permutations and words, and their
 generating function over tableaux, the Kostka-Foulkes polynomial, by the
-fermionic formula (``_fermionic_sum``)."""
+fermionic formula (``_fermionic_sum``).  Every q-weighted sum of the
+package packs its q-polynomials into ints (``_packed``), and takes its
+Gaussian binomials from ``_q_binomial``."""
 
 from bisect import bisect_left
 from itertools import accumulate, pairwise
+from math import factorial, prod
 from operator import mul
 
 from .core import _as_tuple, _check_letters, _conjugate, content
@@ -150,15 +153,21 @@ def _q_binomial(a, b) -> list:
     return c
 
 
-def _times(a, b) -> list:
-    """The product of two coefficient lists."""
-    if a == [1]:
-        return b
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
+def _packed(coeffs, width) -> int:
+    """The q-polynomial of coeffs, lowest degree first, at q = 2^width: while
+    every coefficient stays below 2^width, a sum or product of packed
+    polynomials is the int sum or product, and q^s is a shift by s width."""
+    return sum(c << (i * width) for i, c in enumerate(coeffs))
+
+
+def _unpacked(value, width) -> list:
+    """The coefficients of a ``_packed`` q-polynomial, lowest degree first;
+    a zero below the top keeps its degree."""
+    mask = (1 << width) - 1
+    out = []
+    while value:
+        out.append(value & mask)
+        value >>= width
     return out
 
 
@@ -196,13 +205,20 @@ def _fermionic_sum(lam, mu) -> list:
       a nonempty nu(L-1), each level is at least one part shorter than the
       level above it, so nu(k+1) has at most len(nu(k)) - 1 parts and at
       least L - k - 1 and 2 len(nu(k)) - len(nu(k-1)).
+
+    The sums are ``_packed`` with 2^width above |mu|! / prod mu_i!, the
+    number of words of content mu, which bounds K_{lam,mu}(1), the number
+    of tableaux of shape lam and content mu, and so every coefficient.  A
+    partial sum times a power of q and factors with constant term 1 is a
+    term of the total, and coefficients are nonnegative, so it fits too.
     """
     # sizes[k] = |nu(k)|, with one 0 past nu(L) for the bound below it
     sizes = list(accumulate(reversed(lam), initial=0))[::-1] + [0]
     tops = lam[1:] + (0,)  # tops[k] bounds the parts of nu(k+1)
     shapes = {}  # rho: (rho', Q(rho) as [Q_0, Q_1, ..., Q_{rho_1}], sum of rho'_n^2)
     memo = {}  # (nu(k-1), nu(k)): q^C(nu(k-1), nu(k)) times the sum below
-    binomials = {}  # (P, m): [P + m choose m]_q
+    width = (factorial(sum(mu)) // prod(map(factorial, mu))).bit_length()
+    binomials = {}  # (P, m): [P + m choose m]_q, packed
 
     def shape(rho):
         got = shapes.get(rho)
@@ -229,8 +245,8 @@ def _fermionic_sum(lam, mu) -> list:
                 slacks.append(sizes[k + 1] - 2 * q_cur[n] + q_prev[min(n, len(q_prev) - 1)])
                 mults.append(cols[n - 1] - (cols[n] if n < len(cols) else 0))
         if k == len(lam):
-            return [0] * shift + [1]
-        total = []
+            return 1 << shift * width
+        total = 0
         shortest = len(lam) - k - 1
         if prev is not None:
             shortest = max(shortest, 2 * len(cur) - len(prev))
@@ -245,17 +261,13 @@ def _fermionic_sum(lam, mu) -> list:
             if not rest:
                 continue
             for p, m in zip(vacancies, mults):
-                factor = binomials.get((p, m))
-                if factor is None:
-                    factor = binomials[p, m] = _q_binomial(p + m, m)
-                rest = _times(factor, rest)
-            if len(rest) > len(total):
-                total += [0] * (len(rest) - len(total))
-            for i, c in enumerate(rest):
-                total[i] += c
-        return [0] * shift + total if total else []
+                if (p, m) not in binomials:
+                    binomials[p, m] = _packed(_q_binomial(p + m, m), width)
+                rest *= binomials[p, m]
+            total += rest
+        return total << shift * width
 
-    return below(0, None, mu)
+    return _unpacked(below(0, None, mu), width)
 
 
 def _next_levels(size, top, lengths, q_cur, bound, parts, slacks) -> list:

@@ -113,8 +113,12 @@ def conjugate(p) -> tuple:
 
 def _conjugate(p) -> tuple:
     """``conjugate`` of p unchecked: p must be a weakly decreasing tuple of
-    ints >= 0, and its zeros are ignored."""
-    return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1)) if p else ()
+    ints >= 0, and its zeros are ignored.  From the last part up, columns
+    len(cols) + 1 to p[j] have j + 1 cells."""
+    cols = []
+    for j in range(len(p) - 1, -1, -1):
+        cols += [j + 1] * (p[j] - len(cols))
+    return tuple(cols)
 
 
 def dominance_leq(a, b) -> bool:

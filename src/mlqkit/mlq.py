@@ -329,11 +329,6 @@ def _rotations(word):
     return {word[i:] + word[:i] for i in range(len(word))}
 
 
-def _least_rotation(word):
-    """The least cyclic rotation of a word, the key of its rotation class."""
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
 def _check_fits(alpha, n) -> tuple:
     """alpha as a tuple, ParseError unless n and the row sizes are valid, and
     TooNarrow when a row holds more balls than there are columns."""
@@ -418,14 +413,15 @@ def stationary_counts(lam, n: int):
     constant word L..L, which gives the top row's labels and never wraps.
 
     The chain is invariant under rotating the ring, so a layer keeps one
-    state per rotation class, its least rotation, and its value is the
-    class total; each new word's least rotation is found once per call.
-    That is exact: the top word is fixed by rotation, and ``_label_layer``
-    commutes with rotating the word and the row together, so every word of
-    a class reaches every class below through equally many rows.  A
-    periodic word is a smaller class but needs no weighting during the
-    sweep, since totals count each queue once.  At the end the d distinct
-    rotations of a class share its total equally.
+    state per rotation class, and its value is the class total.  A class is
+    keyed by its first word that the call meets, and every rotation of that
+    word is registered under it then, so the key is found once per class,
+    not once per word.  That is exact: the top word is fixed by rotation,
+    and ``_label_layer`` commutes with rotating the word and the row
+    together, so every word of a class reaches every class below through
+    equally many rows.  A periodic word is a smaller class but needs no
+    weighting during the sweep, since totals count each queue once.  At the
+    end the d distinct rotations of a class share its total equally.
     """
     lam = check_partition(lam)
     _check_count(n, 1)
@@ -433,13 +429,15 @@ def stationary_counts(lam, n: int):
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
     alpha = _conjugate(lam)
     totals = {(len(alpha),) * n: 1}
-    least = {}  # word -> its least rotation, found once per call
+    keys = {}  # word -> the key of its rotation class
     for s in reversed(alpha):
         particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
         below = {}
         for word, total in totals.items():
             for new, _, _ in _label_layer(word, s, particles):
-                key = least.get(new) or least.setdefault(new, _least_rotation(new))
+                if new not in keys:  # the first word met of its class
+                    keys.update(dict.fromkeys(_rotations(new), new))
+                key = keys[new]
                 below[key] = below.get(key, 0) + total
         totals = below
     counts = {}

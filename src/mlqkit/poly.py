@@ -9,8 +9,9 @@ never expands it.  ``q_whittaker_mlq`` sums the t = 0 branching rule over
 psi-weighted strip chains (``tableaux._psi``), and ``q_whittaker_gmlq`` is
 it of the partition its row sizes rearrange, by sigma-invariance.
 ``kostka_foulkes`` sums the fermionic formula over configurations
-(``charge._fermionic_sum``); only ``q_whittaker_schur``, the Schur basis,
-charges tableaux: one traversal of one content gives every shape at once.
+(``charge._fermionic_sum``); both sum packed ints.  Only
+``q_whittaker_schur``, the Schur basis, charges tableaux: one traversal of
+one content gives every shape at once.
 """
 
 import json
@@ -288,7 +289,7 @@ def _monomial_form(coeffs, n: int, inner=(), weight=None) -> QXPolynomial:
     rearrangement of nu that coefficient when its ``terms`` are read.  The
     Kostka numbers come from ``tableaux._kostka_sweep`` inside the union of
     the rho, since no chain of strips to a rho leaves it; a strip weight
-    (see ``_kostka_sweep``) makes each a polynomial in q, spread over q^e.
+    (see ``_kostka_sweep``) makes each a coefficient list, spread over q^e.
     """
     m = {}
     if coeffs:

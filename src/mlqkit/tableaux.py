@@ -15,7 +15,7 @@ same strips under the same room rule (``_rooms``) give the Kostka numbers
 K_{rho/inner,nu} of every shape rho between an inner and an outer shape in
 one sweep from inner to outer (``_kostka_sweep``), counted, not listed.
 Weighted by psi (``_psi``) per strip, the same sweep sums the t = 0
-branching rule of the q-Whittaker polynomials.
+branching rule of the q-Whittaker polynomials on packed ints.
 
 The chains are the lazy public enumeration, so ``_strip_chains`` and the
 enumerators over it are generators.  The strips of one letter (``_strips``)
@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, pairwise, product
 
-from .charge import _q_binomial, _times, charge as _charge
+from .charge import _packed, _q_binomial, _unpacked, charge as _charge
 from .core import (
     _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _text,
     check_partition, content,
@@ -296,15 +296,18 @@ def _rooms(outer, shape):
     return rooms
 
 
-def _psi(shape, new):
-    """The coefficients of psi_{new/shape}(q, 0) for a horizontal strip
-    new/shape (shape maybe one row shorter), Macdonald VI (6.24): the
-    product over rows i of [new_i - new_{i+1} choose new_i - shape_i]_q,
-    whose factor is 1 where a row gains nothing or all it may."""
-    out = [1]
+def _psi(shape, new, width, binomials):
+    """psi_{new/shape}(q, 0) of a horizontal strip (shape maybe one row
+    shorter), Macdonald VI (6.24), ``charge._packed`` at width: the product
+    over rows i of [new_i - new_{i+1} choose new_i - shape_i]_q, 1 where a
+    row gains nothing or all it may, from the caller's table binomials."""
+    out = 1
     for high, low, above in zip(new, shape + (0,), new[1:] + (0,)):
         if 0 < high - low < high - above:
-            out = _times(_q_binomial(high - above, high - low), out)
+            key = high - above, high - low
+            if key not in binomials:
+                binomials[key] = _packed(_q_binomial(*key), width)
+            out *= binomials[key]
     return out
 
 
@@ -368,11 +371,20 @@ def _kostka_sweep(outer, inner, size, n, weight=None):
     recursion that appends each finished nu to one list, with no generator
     frame for a strip or a nu to pass through.
 
-    With weight, a function (shape, new shape) -> q-coefficient list found
-    once per strip, next to its shape, a chain counts as the product of its
-    strips' weights: the state values are coefficient lists, not ints.
+    With weight (``_psi``), called as weight(shape, new, width, binomials)
+    once per strip, a chain counts as the product of its strips' weights,
+    and each count is a q-coefficient list, lowest degree first.  A strip
+    weighs 1 without it, so one loop sums ints: with weight,
+    ``charge._packed`` at width outer_1 n + 1, unpacked at the end.  From
+    inner = (), state (sigma, nu_1..nu_k) is the x^nu coefficient of
+    P_sigma(x_1..x_k; q, 0), at q = 1 that of e_{sigma'} (Macdonald VI
+    (4.14)): the number of 0/1 matrices with row sums sigma' and column sums
+    nu_1..nu_k, at most 2^(sigma_1 k) < 2^width.  No coefficient exceeds its
+    value at q = 1, and a weight times a count is a term of a later state.
     """
-    grown = {}  # (shape, part): the shapes one strip of part cells leads to
+    width = (outer[0] if outer else 0) * n + 1
+    binomials = {}  # (a, b): packed [a choose b]_q, for the weight
+    grown = {}  # (shape, part): (new shape, its strip's weight) for each strip
     out = []
 
     def extend(nu, left, top, layer):
@@ -385,26 +397,15 @@ def _kostka_sweep(outer, inner, size, n, weight=None):
                 news = grown.get((shape, part))
                 if news is None:
                     news = grown[shape, part] = [
-                        new if new[-1] else new[:-1]  # no new row started
-                        for adds in _strips(_rooms(outer, shape), part)
-                        for new in [tuple(map(int.__add__, shape + (0,), adds))]
+                        (new, weight(shape, new, width, binomials) if weight else 1)
+                        for new in [
+                            new if new[-1] else new[:-1]  # no new row started
+                            for adds in _strips(_rooms(outer, shape), part)
+                            for new in [tuple(map(int.__add__, shape + (0,), adds))]
+                        ]
                     ]
-                    if weight:
-                        news = grown[shape, part] = [(new, weight(shape, new)) for new in news]
-                if not weight:
-                    for new in news:
-                        below[new] = below.get(new, 0) + count
-                    continue
                 for new, w in news:
-                    add = _times(w, count)
-                    got = below.get(new)
-                    if got is None:
-                        below[new] = add[:]  # _times may hand back count itself
-                        continue
-                    if len(got) < len(add):
-                        got += [0] * (len(add) - len(got))
-                    for i, c in enumerate(add):
-                        got[i] += c
+                    below[new] = below.get(new, 0) + w * count
             if not below:
                 continue
             if part == left:
@@ -412,11 +413,12 @@ def _kostka_sweep(outer, inner, size, n, weight=None):
             else:
                 extend(nu + (part,), left - part, part, below)
 
-    start = {inner: [1] if weight else 1}
     if size:
-        extend((), size, outer[0] if outer else 0, start)
+        extend((), size, outer[0] if outer else 0, {inner: 1})
     else:
-        out.append(((), start))
+        out.append(((), {inner: 1}))
+    if weight:
+        return [(nu, {rho: _unpacked(v, width) for rho, v in counts.items()}) for nu, counts in out]
     return out
 
 

@@ -123,7 +123,7 @@ def test_collapse_does_not_label():
     # collapsing never runs the labelling engine
     labelling = {
         "label_mlq", "label_gmlq", "maj", "maj_g", "is_nonwrapping", "projection",
-        "_label_layer", "_label_rows", "_particle_mask", "_rotations", "_least_rotation",
+        "_label_layer", "_label_rows", "_particle_mask", "_rotations",
     }
     assert not _imported_names(MODULES["collapse"]) & labelling
 
@@ -176,8 +176,10 @@ def test_q_whittaker_is_one_route():
     assert "_monomial_form" in called
     assert "_psi" in _names_in_function(MODULES["poly"], "q_whittaker_mlq")
     assert not called & {"q_whittaker_schur", "charge", "schur", "kostka_foulkes"}
-    # psi is the q-binomial product that tableaux builds next to the room rule
-    assert "_q_binomial" in _calls_in_module(MODULES["tableaux"], "_psi")
+    # psi is the q-binomial product that tableaux builds next to the room
+    # rule, packed into an int, and the sweep unpacks its sums at the end
+    assert {"_q_binomial", "_packed"} <= _calls_in_module(MODULES["tableaux"], "_psi")
+    assert "_unpacked" in _calls_in_module(MODULES["tableaux"], "_kostka_sweep")
     # every row order of lam' sums to the same polynomial (sigma-invariance),
     # so the generalized form is the straight route and poly labels nothing
     assert "q_whittaker_mlq" in _calls_in_module(MODULES["poly"], "q_whittaker_gmlq")
@@ -190,6 +192,29 @@ def test_q_whittaker_is_one_route():
     assert from_mlq and not {
         name for name in from_mlq if name.startswith("_label_") or name == "_wrap_weight"
     }
+
+
+def test_one_q_polynomial_representation():
+    # every q-weighted sum packs its q-polynomials into ints
+    # (charge._packed), so no module multiplies coefficient lists, and the
+    # Gaussian binomials of psi and of the fermionic formula come from the
+    # one builder charge._q_binomial
+    defined = {
+        (name, node.name)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_times" not in {function for _, function in defined}
+    assert {(name, f) for name, f in defined if "binom" in f} == {("charge", "_q_binomial")}
+    assert {(name, f) for name, f in defined if "pack" in f} == {
+        ("charge", "_packed"), ("charge", "_unpacked"),
+    }
+    assert {"_q_binomial", "_packed", "_unpacked"} <= _calls_in_module(
+        MODULES["charge"], "_fermionic_sum"
+    )
+    # the strips of a shape have one enumerator, which the sweeps share
+    assert {(name, f) for name, f in defined if "strips" in f} == {("tableaux", "_strips")}
 
 
 def test_one_schur_to_monomial_expansion():

@@ -1,7 +1,8 @@
 """The identities of poly.py."""
 
 import importlib
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mlqkit import poly
+from mlqkit.charge import _packed, _unpacked
 from mlqkit.core import conjugate, dominance_leq, partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
@@ -26,7 +28,7 @@ from mlqkit.poly import (
     schur,
     skew_schur,
 )
-from mlqkit.tableaux import _psi
+from mlqkit.tableaux import _psi, enumerate_ssyt
 
 # the module, which the package's name charge, a function, hides
 charge_module = importlib.import_module("mlqkit.charge")
@@ -126,6 +128,16 @@ def test_q_whittaker_branching_is_the_charge_expansion_at_the_frontier():
     assert all(dominance_leq(nu, lam) and len(nu) <= n for _, nu in p._m)
 
 
+# bits per coefficient for psi decoded in the tests: every coefficient of a
+# psi below is far smaller than 2^WIDTH
+WIDTH = 32
+
+
+def _psi_coefficients(shape, new):
+    """psi_{new/shape}(q, 0) as its coefficients, lowest degree first."""
+    return _unpacked(_psi(shape, new, WIDTH, {}), WIDTH)
+
+
 def _horizontal_strips_below(lam):
     """Every mu with lam/mu a horizontal strip: lam_{i+1} <= mu_i <= lam_i."""
     ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
@@ -148,7 +160,7 @@ def test_q_whittaker_branching_rule_on_queues():
                         fewer[mu, n - 1] = oracles.q_whittaker_mlq(mu, n - 1)
                     strip = size - sum(mu)
                     last = ((n, strip),) if strip else ()
-                    for d, c in enumerate(_psi(mu, lam)):
+                    for d, c in enumerate(_psi_coefficients(mu, lam)):
                         for (q, xs), k in fewer[mu, n - 1].terms.items():
                             key = (q + d, xs + last)
                             right[key] = right.get(key, 0) + c * k
@@ -160,16 +172,23 @@ def test_q_whittaker_branching_rule_on_queues():
 def test_psi_boundaries():
     # a row that gains nothing, or every cell it may, gives the factor 1;
     # the first strip, a single row, always weighs 1
-    assert _psi((), ()) == [1]
-    assert _psi((), (4,)) == [1]
-    assert _psi((2, 1), (2, 1)) == [1]
-    assert _psi((2, 2), (4, 2, 1)) == [1]
+    assert _psi_coefficients((), ()) == [1]
+    assert _psi_coefficients((), (4,)) == [1]
+    assert _psi_coefficients((2, 1), (2, 1)) == [1]
+    assert _psi_coefficients((2, 2), (4, 2, 1)) == [1]
     # (2,1)/(1): row 1 gains 1 of its 2 - 1 = 1 cells, row 2 one of 1
-    assert _psi((1,), (2, 1)) == [1]
+    assert _psi_coefficients((1,), (2, 1)) == [1]
     # (2)/(1): row 1 gains 1 of 2 cells, [2 choose 1]_q = 1 + q
-    assert _psi((1,), (2,)) == [1, 1]
-    # (4,2)/(3,1): [2 choose 1]_q [2 choose 1]_q = 1 + 2q + q^2
-    assert _psi((3, 1), (4, 2)) == [1, 2, 1]
+    assert _psi_coefficients((1,), (2,)) == [1, 1]
+    # (4,2)/(3,1): [2 choose 1]_q [2 choose 1]_q = 1 + 2q + q^2, with the
+    # one binomial packed once into the caller's table and read twice
+    table = {}
+    assert _unpacked(_psi((3, 1), (4, 2), WIDTH, table), WIDTH) == [1, 2, 1]
+    assert table == {(2, 1): _packed([1, 1], WIDTH)}
+    # (5,3)/(3,2): row 1 gains all 2 cells it may, row 2 one of 3, so
+    # [3 choose 1]_q = 1 + q + q^2, at a width of 2 bits, which holds it
+    assert _unpacked(_psi((3, 2), (5, 3), 2, {}), 2) == [1, 1, 1]
+    assert _psi((3, 2), (5, 3), 2, {}) == 0b010101
 
 
 def test_q_whittaker_mlq_boundaries():
@@ -446,6 +465,85 @@ def test_q_binomial_counts_subsets_by_sum():
             coeffs = charge_module._q_binomial(a, b)
             assert {e: c for e, c in enumerate(coeffs) if c} == expected, (a, b)
             assert not coeffs or coeffs[-1], (a, b)
+
+
+def test_packing_keeps_every_degree():
+    # q = 2^width: a zero coefficient below the top keeps its degree, and
+    # while every coefficient fits in width bits a sum or product of packed
+    # polynomials is the int sum or product, and q^s a shift by s * width
+    for width in (1, 2, 5, 8, 33):
+        top = (1 << width) - 1
+        for coeffs in ([], [1], [0, 1], [1, 0, 1], [0, 0, top, 0, 1], [top] * 3):
+            packed = _packed(coeffs, width)
+            assert _unpacked(packed, width) == coeffs, (width, coeffs)
+            assert _unpacked(packed << 2 * width, width) == ([0, 0] + coeffs if coeffs else [])
+    a, b = _packed([1, 0, 2], 4), _packed([0, 3, 1], 4)
+    assert _unpacked(a * b, 4) == [0, 3, 1, 6, 2]
+    assert _unpacked(a + b, 4) == [1, 3, 3]
+    # too narrow a width carries into the next degree: 3 * 3 = 9 needs 4 bits
+    assert _unpacked(_packed([3], 2) * _packed([3], 2), 2) != [9]
+
+
+def _zero_one_matrices(rows, cols, memo):
+    """How many 0/1 matrices have row sums rows and column sums cols."""
+    if not rows:
+        return int(not any(cols))
+    key = rows, cols
+    if key not in memo:
+        memo[key] = sum(
+            _zero_one_matrices(rows[1:], tuple(c - (j in chosen) for j, c in enumerate(cols)), memo)
+            for chosen in combinations(range(len(cols)), rows[0])
+            if all(cols[j] for j in chosen)
+        )
+    return memo[key]
+
+
+def test_q_whittaker_at_q_one_is_elementary_and_fits_its_width():
+    # P_lam(x; 1, 0) = e_{lam'}(x) (Macdonald VI (4.14)), so the q = 1 sum
+    # of the m_nu coefficient counts the 0/1 matrices with row sums lam'
+    # and column sums nu; there are fewer than 2^(lam_1 n) matrices with
+    # lam_1 rows and n columns, the width that the sweep packs with
+    memo = {}
+    for size in range(1, 9):
+        for lam in partitions(size):
+            for n in range(len(lam), 7):
+                at_one = {}
+                for (_, nu), c in q_whittaker_mlq(lam, n)._m.items():
+                    assert 0 < c < 2 ** (lam[0] * n), (lam, n, nu)
+                    at_one[nu] = at_one.get(nu, 0) + c
+                expected = {
+                    nu: count
+                    for nu in partitions(size) if len(nu) <= n
+                    for count in [_zero_one_matrices(conjugate(lam), nu, memo)] if count
+                }
+                assert at_one == expected, (lam, n)
+
+
+def test_kostka_foulkes_at_q_one_counts_tableaux_within_the_multinomial():
+    # K_{lam,mu}(1) is the number of tableaux of shape lam and content mu,
+    # at most the number of words of content mu, the multinomial, which
+    # bounds every coefficient of the packed sum
+    for size in range(0, 9):
+        for lam in partitions(size):
+            for mu in partitions(size):
+                k = kostka_foulkes(lam, mu)
+                at_one = sum(k.terms.values())
+                assert at_one == sum(1 for _ in enumerate_ssyt(lam, weight=mu)), (lam, mu)
+                assert at_one <= factorial(size) // prod(map(factorial, mu)), (lam, mu)
+
+
+def test_kostka_foulkes_with_zero_coefficients():
+    # a zero coefficient below the top keeps its degree: the fake degrees of
+    # the one-row and square shapes have gaps and start above q^0
+    def coefficients(lam, mu):
+        k = kostka_foulkes(lam, mu)
+        return [k.terms.get((q, ()), 0) for q in range(max(q for q, _ in k.terms) + 1)]
+
+    assert coefficients((2,), (1, 1)) == [0, 1]
+    assert coefficients((3,), (1, 1, 1)) == [0, 0, 0, 1]
+    assert coefficients((2, 2), (1, 1, 1, 1)) == [0, 0, 1, 0, 1]
+    assert coefficients((3, 3), (1,) * 6) == [0] * 6 + [1, 0, 1, 1, 1, 0, 1]
+    assert coefficients((4,), (2, 2)) == [0, 0, 1]
 
 
 def test_q_dual_cauchy():

@@ -1,9 +1,10 @@
 """The row-by-row routes agree with enumeration over all queues."""
 
 import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -278,12 +279,38 @@ def test_stationary_counts_sum_to_queue_count():
 
 def test_stationary_orbit_split_is_checked(monkeypatch):
     # a class total that its rotations cannot share equally raises a typed
-    # error, which python -O keeps
-    # error, which python -O keeps: keyed by the word itself, the class of
-    # (1, 0) holds one queue for its two rotations
-    monkeypatch.setattr(mlq, "_least_rotation", lambda word: word)
-    with pytest.raises(InvariantError):
-        stationary_counts((1,), 2)
+    # error, which python -O keeps: with the last ball set of each layer
+    # left unlabelled, one queue of the class of (1, 0) is lost and the
+    # other cannot be shared by its two rotations
+    real = mlq._label_layer
+    monkeypatch.setattr(
+        mlq, "_label_layer", lambda word, s, particles: real(word, s, particles[:-1]),
+    )
+    for lam, n in [((1,), 2), ((2, 1), 3), ((3, 2, 1), 5)]:
+        with pytest.raises(InvariantError):
+            stationary_counts(lam, n)
+
+
+def test_stationary_classes_are_keyed_once(monkeypatch):
+    # at first sight of a word every rotation of it is registered under it,
+    # so the sweep finds the rotations of each class once per call, and the
+    # split finds them once more for each class of the bottom layer
+    found = []
+    real = mlq._rotations
+
+    def counted(word):
+        rotations = real(word)
+        found.append(frozenset(rotations))
+        return rotations
+
+    monkeypatch.setattr(mlq, "_rotations", counted)
+    counts = stationary_counts((3, 2, 1), 5)
+    assert counts == oracles.stationary_counts((3, 2, 1), 5)
+    bottom = {frozenset(real(word)) for word in counts}
+    assert len(found) == len(set(found)) + len(bottom)
+    # 1 + 4 + 12 classes in the three layers, the 60 words of the bottom
+    # layer aperiodic
+    assert (len(set(found)), len(bottom)) == (1 + 4 + 12, 12)
 
 
 def _balance_defects(counts, hop):
@@ -328,6 +355,35 @@ def test_stationary_counts_are_the_tasep_law():
             reversed_fails.append((lam, n))
         assert (len(set(word)) >= 3) == ((lam, n) in reversed_fails), (lam, n)
     assert len(reversed_fails) == 81
+
+
+@st.composite
+def content_on_ring(draw):
+    n = draw(st.integers(2, 9))
+    lam = draw(st.sampled_from([
+        lam for size in range(1, 11) for lam in partitions(size) if len(lam) <= n
+    ]))
+    return lam, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(content_on_ring())
+def test_stationary_counts_are_the_tasep_law_random(case):
+    # the exhaustive check above, drawn up to |lam| = 10 and n = 9: every
+    # word of the content has a count, global balance holds, and a single
+    # count raised by 1 breaks it at that word
+    lam, n = case
+    word = lam + (0,) * (n - len(lam))
+    counts = stationary_counts(lam, n)
+    assert len(counts) == comb(n, len(lam)) * (
+        factorial(len(lam)) // prod(map(factorial, Counter(lam).values()))
+    )
+    assert all(sorted(w) == sorted(word) for w in counts)
+    assert _balance_defects(counts, operator.lt) == []
+    if len(counts) > 1:
+        raised = dict(counts)
+        raised[word] += 1
+        assert word in _balance_defects(raised, operator.lt)
 
 
 @pytest.mark.parametrize("lam, n", [((3, 2, 1), 4), ((2, 2, 1), 5), ((2, 1, 1), 5)])
