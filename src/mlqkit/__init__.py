@@ -11,18 +11,18 @@ build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
 
 Each quantity has one route here, and one engine builds every tableau:
 chains of horizontal strips (``tableaux._strip_chains``).  One sweep of
-them counts Kostka numbers (``tableaux._kostka_sweep``), through which
-``poly._monomial_form`` takes Schur and skew Schur polynomials to
-monomials, and, with each strip weighted by psi, q-Whittaker polynomials by
-the t = 0 branching rule (``q_whittaker_mlq``); the generalized form, rows
-in any order, is the same polynomial (sigma-invariance).  The charge
-formula gives the Schur basis (``q_whittaker_schur``).  The stationary
-counts sum over label-word states, one per rotation class.  LR
-coefficients count lattice-pruned strip chains, and Kostka-Foulkes
-polynomials sum the fermionic formula of Kirillov and Reshetikhin
-(``charge._fermionic_sum``).  The other routes the paper proves equal are
-reference implementations that the tests check them against
-(``tests/oracles.py``, which lists them).
+them per shape (``tableaux._kostka_sweep``) counts the Kostka numbers that
+take Schur and skew Schur polynomials to monomials, and, with each strip
+weighted by psi, sums q-Whittaker polynomials by the t = 0 branching rule
+(``q_whittaker_mlq``); the generalized form, rows in any order, is the same
+polynomial (sigma-invariance).  The stationary counts sum over label-word
+states, one per rotation class.  LR coefficients count lattice-pruned strip
+chains, and Kostka-Foulkes polynomials sum the fermionic formula of
+Kirillov and Reshetikhin (``charge._fermionic_sum``), which also gives the
+Schur basis of the charge formula (``q_whittaker_schur``), one shape at a
+time.  The other routes the paper proves equal are reference
+implementations that the tests check them against (``tests/oracles.py``,
+which lists them).
 """
 
 from .core import (

@@ -4,30 +4,32 @@ Terms map (q exponent, sparse x exponent vector) to integer coefficients;
 all identity checks are structural equalities of canonical forms.  The
 symmetric results ``schur``, ``skew_schur``, ``q_whittaker_mlq`` and
 ``q_whittaker_gmlq`` keep their m-basis form (``QXPolynomial._m``) and
-write terms only when read; ``+`` and ``* int`` keep that form, and ``==``
-never expands it.  ``q_whittaker_mlq`` sums the t = 0 branching rule over
-psi-weighted strip chains (``tableaux._psi``), and ``q_whittaker_gmlq`` is
-it of the partition its row sizes rearrange, by sigma-invariance.
-``kostka_foulkes`` sums the fermionic formula over configurations
-(``charge._fermionic_sum``); both sum packed ints.  Only
-``q_whittaker_schur``, the Schur basis, charges tableaux: one traversal of
-one content gives every shape at once.
+write terms only when read; ``+`` and ``* int`` keep that form, and
+neither ``==`` nor ``is_zero`` expands it.  Each is one sweep of strip
+chains (``tableaux._kostka_sweep``): unweighted, it counts the skew Kostka
+numbers of ``schur`` and ``skew_schur``; with each strip weighted by psi,
+it sums the t = 0 branching rule of ``q_whittaker_mlq``, and
+``q_whittaker_gmlq`` is that of the partition its row sizes rearrange, by
+sigma-invariance.  ``kostka_foulkes`` sums the fermionic formula over
+configurations (``charge._fermionic_sum``), and ``q_whittaker_schur``, the
+Schur basis, is one ``kostka_foulkes`` per shape.  No route here charges a
+tableau.
 """
 
 import json
 from collections import Counter
-from itertools import chain, combinations, repeat, zip_longest
+from itertools import combinations, repeat
 from math import factorial, perm, prod
 
-from .charge import _fermionic_sum, charge
+from .charge import _fermionic_sum
 from .core import (
     _check_count, _check_instance, _check_terms, _conjugate, _is_count, check_partition,
-    conjugate, is_lattice, partitions, sort_to_partition,
+    conjugate, dominance_leq, is_lattice, partitions, sort_to_partition,
 )
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
 from .mlq import enumerate_gmlq, maj, row_word
-from .tableaux import _inner_of, _kostka_sweep, _psi, _strip_chains
+from .tableaux import _inner_of, _kostka_sweep
 
 
 class QXPolynomial:
@@ -45,8 +47,8 @@ class QXPolynomial:
     {(q, nu): c}, the coefficients of the monomial symmetric functions m_nu
     (``_of_m``); ``_m`` is None for a full polynomial.  Its ``terms`` are
     written on first read.  ``+`` and ``* int`` of two m-basis forms stay
-    m-basis forms, and ``==`` never expands one.  Every other operation
-    reads ``terms``.
+    m-basis forms, and neither ``==`` nor ``is_zero`` expands one.  Every
+    other operation reads ``terms``.
     """
 
     __slots__ = ("n", "terms", "_m")
@@ -167,7 +169,8 @@ class QXPolynomial:
         return hash((self.n, frozenset(self.terms.items())))
 
     def is_zero(self):
-        return not self.terms
+        # an m-basis form holds no zero coefficient
+        return not (self.terms if self._m is None else self._m)
 
     def swap_vars(self, i: int, j: int):
         """Exchange x_i and x_j.  For ints i, j in 1..n this maps canonical
@@ -227,13 +230,13 @@ def schur(lam, n: int) -> QXPolynomial:
 
     Collapsing sends the nonwrapping queues of shape lam bijectively to the
     semistandard tableaux of shape lam, so their weight sum is the monomial
-    form of s_lam (``_monomial_form``).  It is 0 when lam has more than n
-    parts: no partition with at most n parts lies below such a lam in
-    dominance.
+    form of s_lam, which one unweighted sweep of strip chains counts
+    (``tableaux._kostka_sweep``).  It is 0 when lam has more than n parts:
+    no partition with at most n parts lies below such a lam in dominance.
     """
     _check_count(n, 1)
     lam = check_partition(lam)
-    return _monomial_form({lam: QXPolynomial.one(0)}, n)
+    return QXPolynomial._of_m(n, _kostka_sweep(lam, (), n))
 
 
 def q_whittaker_schur(mu, n: int) -> dict:
@@ -243,22 +246,17 @@ def q_whittaker_schur(mu, n: int) -> dict:
 
     Collapsing gives the Lascoux-Schutzenberger charge formula
     P_mu(x; q, 0) = sum over lam of K_{lam',mu'}(q) s_lam, and s_lam is 0 on
-    n variables when lam has more than n parts, which are the tableaux of
-    shape lam' with more than n cells in their first row.  So one traversal
-    of the tableaux with content mu' in the box of len(mu') rows of n cells,
-    each charged once, gives every coefficient.
+    n variables when lam has more than n parts, that is when lam' has a
+    part above n.  K_{lam',mu'} is nonzero exactly when lam' dominates mu',
+    so each such lam' with parts at most n takes one ``kostka_foulkes``.
     """
     mu = check_partition(mu)
     _check_count(n, 1)
-    sizes = _conjugate(mu)
-    by_shape = {}
-    for rows in _strip_chains(sizes, (n,) * len(sizes), (0,) * len(sizes)):
-        charges = by_shape.setdefault(tuple(map(len, rows)), Counter())
-        charges[charge(tuple(chain.from_iterable(reversed(rows))))] += 1
-    return {  # tableau shapes, so _conjugate drops their empty rows
-        _conjugate(shape):
-            QXPolynomial._of(0, {(q, ()): k for q, k in charges.items()})
-        for shape, charges in by_shape.items()
+    dual = _conjugate(mu)
+    return {
+        _conjugate(shape): kostka_foulkes(shape, dual)
+        for shape in partitions(sum(mu), n)
+        if dominance_leq(dual, shape)
     }
 
 
@@ -268,42 +266,15 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
     t = 0 (Macdonald VI (7.13')): the coefficient of m_nu sums, over the
     chains of horizontal strips of sizes nu_1, nu_2, ... from () to lam,
     the product of their weights psi (``tableaux._psi``).  One weighted
-    sweep (``_monomial_form``) charges no tableau."""
+    sweep (``tableaux._kostka_sweep``) charges no tableau."""
     _check_count(n, 1)
     lam = check_partition(lam)
-    return _monomial_form({lam: QXPolynomial.one(0)}, n, weight=_psi)
+    return QXPolynomial._of_m(n, _kostka_sweep(lam, (), n, weighted=True))
 
 
 # The charge expansion P_lam = sum over rho of K_{rho',lam'}(q) s_rho is the
 # same polynomial, so both names are one function.
 q_whittaker_charge_expansion = q_whittaker_mlq
-
-
-def _monomial_form(coeffs, n: int, inner=(), weight=None) -> QXPolynomial:
-    """The sum over rho of coeffs[rho] s_{rho/inner} on n variables, in its
-    m-basis form; coeffs maps partitions rho of one size, each holding the
-    partition inner, to polynomials in q alone with positive coefficients.
-
-    The coefficient of m_nu is c_nu(q) = sum over rho of
-    coeffs[rho] K_{rho/inner,nu}, and the symmetric polynomial gives every
-    rearrangement of nu that coefficient when its ``terms`` are read.  The
-    Kostka numbers come from ``tableaux._kostka_sweep`` inside the union of
-    the rho, since no chain of strips to a rho leaves it; a strip weight
-    (see ``_kostka_sweep``) makes each a coefficient list, spread over q^e.
-    """
-    m = {}
-    if coeffs:
-        outer = tuple(map(max, zip_longest(*coeffs, fillvalue=0)))
-        size = sum(next(iter(coeffs))) - sum(inner)
-        for nu, kostka in _kostka_sweep(outer, inner, size, n, weight):
-            for rho, count in kostka.items():
-                if rho in coeffs:
-                    degrees = list(enumerate(count)) if weight else [(0, count)]
-                    for (q, _), k in coeffs[rho].terms.items():
-                        for e, c in degrees:
-                            m[q + e, nu] = m.get((q + e, nu), 0) + k * c
-    # sums of positive counts
-    return QXPolynomial._of_m(n, m)
 
 
 def _rearrangements(nu, n: int):
@@ -436,10 +407,10 @@ def skew_schur(outer, inner, n: int) -> QXPolynomial:
     over nu of K_{outer/inner,nu} m_nu; zero unless inner lies inside outer.
 
     The skew Kostka numbers count the chains of horizontal strips from
-    inner to outer, so one ``_monomial_form`` call sweeps them.
+    inner to outer, so one ``tableaux._kostka_sweep`` counts them.
     """
     _check_count(n, 1)
     outer, inner = check_partition(outer), check_partition(inner)
     if _inner_of(outer, inner) is None:
-        return _monomial_form({}, n)
-    return _monomial_form({outer: QXPolynomial.one(0)}, n, inner)
+        return QXPolynomial._of_m(n, {})
+    return QXPolynomial._of_m(n, _kostka_sweep(outer, inner, n))

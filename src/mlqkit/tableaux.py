@@ -11,17 +11,17 @@ One engine, ``_strip_chains``, enumerates every semistandard filling as a
 chain of horizontal strips, one per letter, as collapsing adds them.
 Littlewood-Richardson coefficients count its chains under the lattice rule,
 checked as each strip is placed (Fulton, Young Tableaux, section 5).  The
-same strips under the same room rule (``_rooms``) give the Kostka numbers
-K_{rho/inner,nu} of every shape rho between an inner and an outer shape in
-one sweep from inner to outer (``_kostka_sweep``), counted, not listed.
-Weighted by psi (``_psi``) per strip, the same sweep sums the t = 0
-branching rule of the q-Whittaker polynomials on packed ints.
+same strips under the same room rule (``_rooms``) give the skew Kostka
+numbers K_{outer/inner,nu} of one shape, the m-basis form of its skew Schur
+polynomial, in one sweep from inner to outer (``_kostka_sweep``), counted,
+not listed.  Weighted by psi (``_psi``) per strip, the same sweep sums the
+t = 0 branching rule of the q-Whittaker polynomials on packed ints.
 
 The chains are the lazy public enumeration, so ``_strip_chains`` and the
 enumerators over it are generators.  The strips of one letter (``_strips``)
 and the sweep's layers are few and tiny, so a generator frame per object
-would set their cost: both are plain recursion that appends to a list
-local to the call.
+would set their cost: both are plain recursion that fills a list or a
+dict local to the call.
 """
 
 import json
@@ -357,25 +357,24 @@ def _strip_chains(sizes, outer, inner, lattice=False):
     yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows)]
 
 
-def _kostka_sweep(outer, inner, size, n, weight=None):
-    """The list of (nu, {rho: K_{rho/inner,nu}}) for every partition nu of
-    size with at most n parts and some nonzero count, over the shapes rho
-    with inner inside rho inside outer.
+def _kostka_sweep(outer, inner, n, weighted=False):
+    """The m-basis form {(e, nu): c} of s_{outer/inner} on n variables, or
+    weighted, of the q-Whittaker polynomial P_outer(x; q, 0) from inner =
+    (): every c nonzero and every nu a partition with at most n parts.
 
-    A filling of rho/inner with content nu is a chain of horizontal strips
+    A filling of outer/inner with content nu is a chain of horizontal strips
     of sizes nu_1, nu_2, ... grown from inner under the room rule of
-    ``_strip_chains``, so the counts are a shape-to-count sweep over
-    ``_strips``; partitions that share a prefix share its sweep, and a
-    prefix that no strip inside outer extends ends there.  The shapes and
-    strips are few and small, so the cost is per object: the sweep is plain
-    recursion that appends each finished nu to one list, with no generator
-    frame for a strip or a nu to pass through.
+    ``_strip_chains``, so the skew Kostka numbers K_{outer/inner,nu} are a
+    shape-to-count sweep over ``_strips``; partitions that share a prefix
+    share its sweep, and a prefix that no strip inside outer extends ends
+    there.  Once every cell is placed the one shape left is outer.  The
+    shapes and strips are few and small, so the cost is per object: the
+    sweep is plain recursion that sets each finished nu in one dict, with
+    no generator frame for a strip or a nu to pass through.
 
-    With weight (``_psi``), called as weight(shape, new, width, binomials)
-    once per strip, a chain counts as the product of its strips' weights,
-    and each count is a q-coefficient list, lowest degree first.  A strip
-    weighs 1 without it, so one loop sums ints: with weight,
-    ``charge._packed`` at width outer_1 n + 1, unpacked at the end.  From
+    Weighted, a chain counts as the product of its strips' weights ``_psi``,
+    the t = 0 branching rule, on ints ``charge._packed`` at width
+    outer_1 n + 1, each unpacked once; unweighted, a strip weighs 1.  From
     inner = (), state (sigma, nu_1..nu_k) is the x^nu coefficient of
     P_sigma(x_1..x_k; q, 0), at q = 1 that of e_{sigma'} (Macdonald VI
     (4.14)): the number of 0/1 matrices with row sums sigma' and column sums
@@ -383,9 +382,9 @@ def _kostka_sweep(outer, inner, size, n, weight=None):
     value at q = 1, and a weight times a count is a term of a later state.
     """
     width = (outer[0] if outer else 0) * n + 1
-    binomials = {}  # (a, b): packed [a choose b]_q, for the weight
+    binomials = {}  # (a, b): packed [a choose b]_q, for the weights
     grown = {}  # (shape, part): (new shape, its strip's weight) for each strip
-    out = []
+    out = {}
 
     def extend(nu, left, top, layer):
         slots = n - len(nu)
@@ -397,7 +396,7 @@ def _kostka_sweep(outer, inner, size, n, weight=None):
                 news = grown.get((shape, part))
                 if news is None:
                     news = grown[shape, part] = [
-                        (new, weight(shape, new, width, binomials) if weight else 1)
+                        (new, _psi(shape, new, width, binomials) if weighted else 1)
                         for new in [
                             new if new[-1] else new[:-1]  # no new row started
                             for adds in _strips(_rooms(outer, shape), part)
@@ -408,17 +407,20 @@ def _kostka_sweep(outer, inner, size, n, weight=None):
                     below[new] = below.get(new, 0) + w * count
             if not below:
                 continue
-            if part == left:
-                out.append((nu + (part,), below))
-            else:
+            if part < left:
                 extend(nu + (part,), left - part, part, below)
+            elif weighted:
+                for e, c in enumerate(_unpacked(below[outer], width)):
+                    if c:
+                        out[e, nu + (part,)] = c
+            else:
+                out[0, nu + (part,)] = below[outer]
 
-    if size:
-        extend((), size, outer[0] if outer else 0, {inner: 1})
+    cells = sum(outer) - sum(inner)
+    if cells:
+        extend((), cells, outer[0], {inner: 1})
     else:
-        out.append(((), {inner: 1}))
-    if weight:
-        return [(nu, {rho: _unpacked(v, width) for rho, v in counts.items()}) for nu, counts in out]
+        out[0, ()] = 1
     return out
 
 

@@ -90,13 +90,13 @@ The second routes below each pin one theorem against the package's route:
 - ``tasep_law``: the stationary law of the ring TASEP solved exactly over
   Fractions, unique or None, against the normalised ``stationary_counts``.
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
-  expansion built one lam at a time, ``kostka_foulkes`` times
-  ``schur_by_ssyt``, gives the coefficients that the package reads off one
-  traversal of tableaux (``q_whittaker_schur``) and the polynomial that the
-  package sums by the t = 0 branching rule, one psi-weighted sweep of strip
-  chains (``q_whittaker_mlq``).  The two package routes meet only in the
-  unweighted sweep of ``poly._monomial_form``, which ``schur`` shares too,
-  so it is not used here.
+  expansion built one lam at a time, the charge sum over SSYT(lam', mu')
+  (``kostka_foulkes_by_charge``) times ``schur_by_ssyt``, gives the
+  coefficients that the package sums by the fermionic formula, one
+  ``kostka_foulkes`` per lam (``q_whittaker_schur``), and the polynomial
+  that the package sums by the t = 0 branching rule, one psi-weighted
+  sweep of strip chains (``q_whittaker_mlq``).  No package route charges a
+  tableau, so the charge traversal of the paper lives here.
 """
 
 import operator
@@ -321,15 +321,16 @@ def label_row_by_scan(word, row):
 
 
 def q_whittaker_schur(mu, n: int) -> dict:
-    """{lam: K_{lam',mu'}(q)} by one ``kostka_foulkes`` call per lam.
+    """{lam: K_{lam',mu'}(q)}, each the charge sum over SSYT(lam', mu')
+    (``kostka_foulkes_by_charge``).
 
     s_lam is 0 on n variables when lam has more than n parts, so those lam
-    are skipped before their Kostka-Foulkes polynomial is computed.
+    are skipped before their tableaux are charged.
     """
     out = {}
     for lam in partitions(sum(mu)):
         if len(lam) <= n:
-            coeff = poly.kostka_foulkes(conjugate(lam), conjugate(mu))
+            coeff = kostka_foulkes_by_charge(conjugate(lam), conjugate(mu))
             if not coeff.is_zero():
                 out[lam] = coeff
     return out

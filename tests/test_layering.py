@@ -173,13 +173,14 @@ def test_q_whittaker_is_one_route():
     # no Kostka-Foulkes walk or Schur polynomial per shape
     assert mlqkit.q_whittaker_charge_expansion is mlqkit.q_whittaker_mlq
     called = _calls_in_module(MODULES["poly"], "q_whittaker_mlq")
-    assert "_monomial_form" in called
-    assert "_psi" in _names_in_function(MODULES["poly"], "q_whittaker_mlq")
+    assert "_kostka_sweep" in called
+    assert _sweep_weights(MODULES["poly"], "q_whittaker_mlq") == [True]
     assert not called & {"q_whittaker_schur", "charge", "schur", "kostka_foulkes"}
     # psi is the q-binomial product that tableaux builds next to the room
-    # rule, packed into an int, and the sweep unpacks its sums at the end
+    # rule, packed into an int; the sweep weighs each strip by it and
+    # unpacks each finished sum
     assert {"_q_binomial", "_packed"} <= _calls_in_module(MODULES["tableaux"], "_psi")
-    assert "_unpacked" in _calls_in_module(MODULES["tableaux"], "_kostka_sweep")
+    assert {"_psi", "_unpacked"} <= _calls_in_module(MODULES["tableaux"], "_kostka_sweep")
     # every row order of lam' sums to the same polynomial (sigma-invariance),
     # so the generalized form is the straight route and poly labels nothing
     assert "q_whittaker_mlq" in _calls_in_module(MODULES["poly"], "q_whittaker_gmlq")
@@ -217,23 +218,38 @@ def test_one_q_polynomial_representation():
     assert {(name, f) for name, f in defined if "strips" in f} == {("tableaux", "_strips")}
 
 
+def _sweep_weights(tree, start):
+    """The weighted flag of each ``_kostka_sweep`` call in the module-level
+    function start, False where the call leaves it out."""
+    (function,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == start
+    ]
+    return [
+        ast.literal_eval(given[0]) if given else False
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _called(node.func) == "_kostka_sweep"
+        for given in [node.args[3:] + [k.value for k in node.keywords if k.arg == "weighted"]]
+    ]
+
+
 def test_one_schur_to_monomial_expansion():
-    # every (skew) Schur-basis sum meets the monomial basis in
-    # poly._monomial_form, so Kostka numbers have one engine, the sweep of
-    # tableaux._kostka_sweep from inner to outer
+    # every (skew) Schur polynomial is the m-basis form that one unweighted
+    # sweep of tableaux._kostka_sweep from inner to outer returns, so Kostka
+    # numbers have one engine; test_q_whittaker_is_one_route pins that
+    # q_whittaker_mlq runs the same sweep weighted by tableaux._psi
     poly = MODULES["poly"]
     for start in ["schur", "skew_schur", "q_whittaker_mlq"]:
         called = _calls_in_module(poly, start)
-        assert "_monomial_form" in called, start
+        assert "_kostka_sweep" in called, start
         assert "schur" not in called, start
-    # the sweep lives in tableaux, and only the helper runs it;
-    # test_q_whittaker_is_one_route pins that q_whittaker_mlq runs it with
-    # the strip weight tableaux._psi, not through q_whittaker_schur
+    for start in ["schur", "skew_schur"]:
+        assert _sweep_weights(poly, start) == [False], start
+    # the sweep lives in tableaux, with no helper around it
     for name, tree in MODULES.items():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert ("_kostka_sweep" in defined) == (name == "tableaux"), name
         assert ("_rooms" in defined) == (name == "tableaux"), name
-        assert "_dominant_kostka" not in defined, name
+        assert not defined & {"_dominant_kostka", "_monomial_form"}, name
     # the sweep and the chains grow shapes under one room rule
     for start in ["_kostka_sweep", "_strip_chains"]:
         assert "_rooms" in _calls_in_module(MODULES["tableaux"], start), start
@@ -244,7 +260,7 @@ def test_one_schur_to_monomial_expansion():
         if isinstance(node, ast.FunctionDef)
         and "_kostka_sweep" in _names_in_function(tree, node.name)
     }
-    assert direct == {("poly", "_monomial_form")}
+    assert direct == {("poly", "schur"), ("poly", "skew_schur"), ("poly", "q_whittaker_mlq")}
 
 
 def test_lazy_enumerators_and_eager_strip_helpers():
@@ -451,7 +467,7 @@ TRUSTED_CALLERS = {
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
     "fillings": {"filling_of_mlq"},
     "poly": {
-        "q_whittaker_schur", "_monomial_form", "kostka_foulkes",
+        "schur", "skew_schur", "q_whittaker_mlq", "kostka_foulkes",
         # sums, differences and products drop their zeros, and a swap of two
         # of the n variables maps canonical keys one to one
         "QXPolynomial.__add__", "QXPolynomial.__sub__", "QXPolynomial.__mul__",
@@ -500,19 +516,23 @@ def test_trusted_constructors_only_on_the_allow_list():
 
 
 def test_charge_stays_on_the_traced_path():
-    # the benchmark sees q_whittaker_schur only through charge.charge, so it
-    # may not bypass it
-    assert "charge" in _calls_in_module(MODULES["poly"], "q_whittaker_schur")
+    # tableaux charge through charge.charge, which the benchmark traces
     assert "_charge" in _calls_in_module(MODULES["tableaux"], "tableau_charge")
+    charge = importlib.import_module("mlqkit.charge").charge
+    assert importlib.import_module("mlqkit.tableaux")._charge is charge
     # kostka_foulkes sums the fermionic formula over configurations: it
     # builds no tableau and charges none
     called = _calls_in_module(MODULES["poly"], "kostka_foulkes")
     assert "_fermionic_sum" in called
     assert not called & {"enumerate_ssyt", "tableau_charge", "charge", "_strip_chains"}
     assert "_next_levels" in _calls_in_module(MODULES["charge"], "_fermionic_sum")
-    charge = importlib.import_module("mlqkit.charge").charge
-    assert importlib.import_module("mlqkit.poly").charge is charge
-    assert importlib.import_module("mlqkit.tableaux")._charge is charge
+    # the Schur basis of the charge formula is one kostka_foulkes per shape,
+    # so poly charges no tableau; the charge sum over tableaux is the oracle
+    # in tests/oracles.py
+    called = _calls_in_module(MODULES["poly"], "q_whittaker_schur")
+    assert "kostka_foulkes" in called
+    assert not called & {"enumerate_ssyt", "tableau_charge", "charge", "_strip_chains"}
+    assert not _imported_names(MODULES["poly"]) & {"charge", "_strip_chains", "_psi"}
 
 
 def test_one_tableau_engine():
@@ -529,19 +549,20 @@ def test_one_tableau_engine():
     assert not _calls_in_module(tableaux, "lr_coefficient") & {
         "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
     }
-    assert "_strip_chains" in _calls_in_module(poly, "q_whittaker_schur")
     # skew Schur polynomials are one monomial expansion of skew Kostka
     # numbers, swept from inner to outer: no LR coefficients, no lattice
     # traversal and no Schur polynomial per nu
     skew = _calls_in_module(poly, "skew_schur")
-    assert "_monomial_form" in skew
+    assert "_kostka_sweep" in skew
     assert not skew & {
         "_skew_chains", "lr_coefficient", "enumerate_skew_ssyt", "enumerate_ssyt",
     }
     # the strips, their rooms and their chains of a shape are tableaux's
     # own: poly names none of them
     names = {node.id for node in ast.walk(poly) if isinstance(node, ast.Name)}
-    assert not (names | _imported_names(poly)) & {"_strips", "_rooms", "_grown", "_skew_chains"}
+    assert not (names | _imported_names(poly)) & {
+        "_strips", "_rooms", "_grown", "_skew_chains", "_strip_chains",
+    }
     # no route of the package enumerates a capped alphabet: it asks the
     # enumerators for a weight
     for name, tree in MODULES.items():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from mlqkit import poly
 from mlqkit.charge import _packed, _unpacked
-from mlqkit.core import conjugate, dominance_leq, partitions
+from mlqkit.core import conjugate, dominance_leq, is_partition, partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
 from mlqkit.poly import (
@@ -86,6 +86,11 @@ def test_q_whittaker_schur_random(mu, n):
     assert q_whittaker_schur(mu, n) == oracles.q_whittaker_schur(mu, n)
 
 
+def test_q_whittaker_schur_at_the_frontier():
+    mu, n = (5, 4, 3, 2, 1), 7
+    assert q_whittaker_schur(mu, n) == oracles.q_whittaker_schur(mu, n)
+
+
 def test_q_whittaker_schur_boundaries():
     for n in range(1, 4):
         assert q_whittaker_schur((), n) == {(): QXPolynomial.one(0)}
@@ -96,18 +101,25 @@ def test_q_whittaker_schur_boundaries():
         assert q_whittaker_mlq((2,) * (n + 1), n).is_zero()
 
 
-def _by_charge(lam, n):
-    # the Schur expansion by charge, expanded through unweighted Kostka
-    # numbers: of the branching route it shares only the sweep's
-    # recursion, not psi and not the weighted sums
-    return poly._monomial_form(q_whittaker_schur(lam, n), n)
+def _by_charge(coeffs, n):
+    # the m-basis form of the sum over rho of coeffs[rho] s_rho, the Schur
+    # expansion by the charge oracle, through unweighted Kostka numbers: of
+    # the branching route it shares only the sweep's recursion, not psi and
+    # not the weighted sums; s_rho is 0 for rho with more than n parts
+    m = {}
+    for rho, coeff in coeffs.items():
+        for (q, _), k in coeff.terms.items():
+            for (_, nu), c in schur(rho, n)._m.items():
+                m[q, nu] = m.get((q, nu), 0) + k * c
+    return m
 
 
 def test_q_whittaker_branching_is_the_charge_expansion_exhaustive():
     for size in range(0, 9):
         for lam in partitions(size):
+            widest = oracles.q_whittaker_schur(lam, 6)
             for n in range(1, 7):
-                assert q_whittaker_mlq(lam, n)._m == _by_charge(lam, n)._m, (lam, n)
+                assert q_whittaker_mlq(lam, n)._m == _by_charge(widest, n), (lam, n)
 
 
 @settings(max_examples=15, deadline=None)
@@ -116,13 +128,13 @@ def test_q_whittaker_branching_is_the_charge_expansion_exhaustive():
     st.integers(1, 7),
 )
 def test_q_whittaker_branching_is_the_charge_expansion_random(lam, n):
-    assert q_whittaker_mlq(lam, n)._m == _by_charge(lam, n)._m
+    assert q_whittaker_mlq(lam, n)._m == _by_charge(oracles.q_whittaker_schur(lam, n), n)
 
 
 def test_q_whittaker_branching_is_the_charge_expansion_at_the_frontier():
     lam, n = (6, 5, 4, 3, 2, 1), 8
     p = q_whittaker_mlq(lam, n)
-    assert p._m == _by_charge(lam, n)._m
+    assert p._m == _by_charge(oracles.q_whittaker_schur(lam, n), n)
     # P_lam is m_lam plus lower terms in dominance
     assert {(q, nu): c for (q, nu), c in p._m.items() if nu == lam} == {(0, lam): 1}
     assert all(dominance_leq(nu, lam) and len(nu) <= n for _, nu in p._m)
@@ -213,9 +225,9 @@ def test_q_whittaker_mlq_boundaries():
 ])
 def test_q_whittaker_schur_checks_before_work(monkeypatch, mu, n):
     def refuse(*args, **kwargs):
-        raise AssertionError("tableaux walked before the input was checked")
+        raise AssertionError("work started before the input was checked")
 
-    monkeypatch.setattr(poly, "_strip_chains", refuse)
+    monkeypatch.setattr(poly, "kostka_foulkes", refuse)
     monkeypatch.setattr(poly, "_kostka_sweep", refuse)
     for route in (q_whittaker_schur, q_whittaker_mlq):
         with pytest.raises(ParseError):
@@ -274,14 +286,38 @@ def test_monomial_form_expands_only_nonzero_coefficients(
     }
 
 
+def test_is_zero_reads_the_monomial_form(monkeypatch):
+    # an m-basis form answers is_zero from its coefficients, zero or not,
+    # and rearranges nothing; its terms, once read, agree
+    rearranged = []
+    real = poly._rearrangements
+
+    def counted(nu, n):
+        rearranged.append(nu)
+        return real(nu, n)
+
+    monkeypatch.setattr(poly, "_rearrangements", counted)
+    p = q_whittaker_mlq((5, 4, 3, 2, 1), 7)
+    zeros = [q_whittaker_mlq((2, 2, 1), 2), skew_schur((2, 1), (3,), 3), p * 0, p + p * -1]
+    for z in zeros:
+        assert z._m == {} and z.is_zero()
+    assert p._m and not p.is_zero()
+    assert rearranged == []
+    assert p.terms and not any(z.terms for z in zeros)
+    assert rearranged
+
+
 def _full(p):
     return QXPolynomial(p.n, p.terms)
 
 
 def _same_both_forms(p):
-    # an m-basis form equals its own expansion both ways round, without
-    # expanding for ==, and hashes the same
+    # an m-basis form keeps the contract of QXPolynomial._of_m, and equals
+    # its own expansion both ways round, without expanding for ==, and
+    # hashes the same
     assert p._m is not None
+    for (_, nu), c in p._m.items():
+        assert c and is_partition(nu) and len(nu) <= p.n, (nu, c)
     full = _full(p)
     assert full._m is None
     assert p == full and full == p
