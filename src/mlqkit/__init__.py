@@ -10,10 +10,12 @@ Modules import each other at module level and without cycles: ``core``,
 build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
 
 Each quantity has one route here, and one engine builds every tableau:
-chains of horizontal strips (``tableaux._strip_chains``).  One sweep of
-them per shape (``tableaux._kostka_sweep``) counts the Kostka numbers that
-take Schur and skew Schur polynomials to monomials, and, with each strip
-weighted by psi, sums q-Whittaker polynomials by the t = 0 branching rule
+chains of horizontal strips (``tableaux._strip_chains``) from one strip
+kernel (``tableaux._strips``).  One sweep of them per shape
+(``tableaux._kostka_sweep``) counts the Kostka numbers that take Schur and
+skew Schur polynomials to monomials, and, with the psi weight that the
+kernel builds for each strip, sums q-Whittaker polynomials by the t = 0
+branching rule
 (``q_whittaker_mlq``); the generalized form, rows in any order, is the same
 polynomial (sigma-invariance).  The stationary counts sum over label-word
 states, one per rotation class.  LR coefficients count lattice-pruned strip

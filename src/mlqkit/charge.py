@@ -206,18 +206,24 @@ def _fermionic_sum(lam, mu) -> list:
       level above it, so nu(k+1) has at most len(nu(k)) - 1 parts and at
       least L - k - 1 and 2 len(nu(k)) - len(nu(k-1)).
 
-    The sums are ``_packed`` with 2^width above |mu|! / prod mu_i!, the
-    number of words of content mu, which bounds K_{lam,mu}(1), the number
-    of tableaux of shape lam and content mu, and so every coefficient.  A
-    partial sum times a power of q and factors with constant term 1 is a
-    term of the total, and coefficients are nonnegative, so it fits too.
+    The sums are ``_packed`` with 2^width above K_{lam,mu}(1), the number of
+    tableaux of shape lam and content mu, and so above every coefficient:
+    it is at most |mu|! / prod mu_i!, the number of words of content mu,
+    and at most f^lam = |lam|! / prod of the hook lengths, the number of
+    standard tableaux of shape lam, into which standardizing maps them one
+    to one.  A partial sum times a power of q and factors with constant
+    term 1 is a term of the total, and coefficients are nonnegative, so it
+    fits too.
     """
     # sizes[k] = |nu(k)|, with one 0 past nu(L) for the bound below it
     sizes = list(accumulate(reversed(lam), initial=0))[::-1] + [0]
     tops = lam[1:] + (0,)  # tops[k] bounds the parts of nu(k+1)
     shapes = {}  # rho: (rho', Q(rho) as [Q_0, Q_1, ..., Q_{rho_1}], sum of rho'_n^2)
     memo = {}  # (nu(k-1), nu(k)): q^C(nu(k-1), nu(k)) times the sum below
-    width = (factorial(sum(mu)) // prod(map(factorial, mu))).bit_length()
+    cols = _conjugate(lam)
+    hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+    words = factorial(sum(mu)) // prod(map(factorial, mu))
+    width = min(words, factorial(sum(lam)) // hooks).bit_length()
     binomials = {}  # (P, m): [P + m choose m]_q, packed
 
     def shape(rho):

@@ -325,8 +325,8 @@ def _is_collapsed(m: MultilineQueue) -> bool:
 
 
 def _rotations(word):
-    """The distinct cyclic rotations of a word."""
-    return {word[i:] + word[:i] for i in range(len(word))}
+    """The cyclic rotations of a word, one per shift, repeats included."""
+    return [word[i:] + word[:i] for i in range(len(word))]
 
 
 def _check_fits(alpha, n) -> tuple:
@@ -414,14 +414,15 @@ def stationary_counts(lam, n: int):
 
     The chain is invariant under rotating the ring, so a layer keeps one
     state per rotation class, and its value is the class total.  A class is
-    keyed by its first word that the call meets, and every rotation of that
-    word is registered under it then, so the key is found once per class,
-    not once per word.  That is exact: the top word is fixed by rotation,
-    and ``_label_layer`` commutes with rotating the word and the row
-    together, so every word of a class reaches every class below through
-    equally many rows.  A periodic word is a smaller class but needs no
-    weighting during the sweep, since totals count each queue once.  At the
-    end the d distinct rotations of a class share its total equally.
+    keyed by its first word that the call meets, and the n rotations of
+    that word are registered under it then, so each labelled word costs one
+    lookup and the rotations are built once per class.  That is exact: the
+    top word is fixed by rotation, and ``_label_layer`` commutes with
+    rotating the word and the row together, so every word of a class
+    reaches every class below through equally many rows.  A periodic word
+    is a smaller class but needs no weighting during the sweep, since
+    totals count each queue once.  At the end the d distinct rotations of
+    a class share its total equally.
     """
     lam = check_partition(lam)
     _check_count(n, 1)
@@ -435,14 +436,15 @@ def stationary_counts(lam, n: int):
         below = {}
         for word, total in totals.items():
             for new, _, _ in _label_layer(word, s, particles):
-                if new not in keys:  # the first word met of its class
+                key = keys.get(new)
+                if key is None:  # the first word met of its class
+                    key = new
                     keys.update(dict.fromkeys(_rotations(new), new))
-                key = keys[new]
                 below[key] = below.get(key, 0) + total
         totals = below
     counts = {}
     for word, total in totals.items():
-        rotations = _rotations(word)
+        rotations = set(_rotations(word))
         each, rest = divmod(total, len(rotations))
         if rest:
             raise InvariantError(

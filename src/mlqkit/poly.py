@@ -6,25 +6,26 @@ symmetric results ``schur``, ``skew_schur``, ``q_whittaker_mlq`` and
 ``q_whittaker_gmlq`` keep their m-basis form (``QXPolynomial._m``) and
 write terms only when read; ``+`` and ``* int`` keep that form, and
 neither ``==`` nor ``is_zero`` expands it.  Each is one sweep of strip
-chains (``tableaux._kostka_sweep``): unweighted, it counts the skew Kostka
-numbers of ``schur`` and ``skew_schur``; with each strip weighted by psi,
-it sums the t = 0 branching rule of ``q_whittaker_mlq``, and
-``q_whittaker_gmlq`` is that of the partition its row sizes rearrange, by
-sigma-invariance.  ``kostka_foulkes`` sums the fermionic formula over
-configurations (``charge._fermionic_sum``), and ``q_whittaker_schur``, the
-Schur basis, is one ``kostka_foulkes`` per shape.  No route here charges a
-tableau.
+chains (``tableaux._kostka_sweep``) that grows each shape once, by every
+strip at once (``tableaux._strips``): unweighted, it counts the skew Kostka
+numbers of ``schur`` and ``skew_schur``; with the psi weight that the strip
+kernel multiplies in row by row, it sums the t = 0 branching rule of
+``q_whittaker_mlq``, and ``q_whittaker_gmlq`` is that of the partition its
+row sizes rearrange, by sigma-invariance.  ``kostka_foulkes`` sums the
+fermionic formula over configurations (``charge._fermionic_sum``), and
+``q_whittaker_schur``, the Schur basis, is one fermionic sum per dominating
+shape.  No route here charges a tableau.
 """
 
 import json
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat, takewhile
 from math import factorial, perm, prod
 
 from .charge import _fermionic_sum
 from .core import (
-    _check_count, _check_instance, _check_terms, _conjugate, _is_count, check_partition,
-    conjugate, dominance_leq, is_lattice, partitions, sort_to_partition,
+    _check_count, _check_instance, _check_terms, _conjugate, _is_count, _partitions,
+    check_partition, conjugate, is_lattice, partitions, sort_to_partition,
 )
 from .errors import SizeMismatch, VariableCountMismatch
 from .fillings import enumerate_coquinv_free, maj_filling
@@ -248,15 +249,22 @@ def q_whittaker_schur(mu, n: int) -> dict:
     P_mu(x; q, 0) = sum over lam of K_{lam',mu'}(q) s_lam, and s_lam is 0 on
     n variables when lam has more than n parts, that is when lam' has a
     part above n.  K_{lam',mu'} is nonzero exactly when lam' dominates mu',
-    so each such lam' with parts at most n takes one ``kostka_foulkes``.
+    which needs lam'_1 >= mu'_1 = len(mu): so nothing when len(mu) > n, and
+    only the shapes lam' with first part from len(mu) to n are generated,
+    each checked by prefix sums and summed by one fermionic formula.
     """
     mu = check_partition(mu)
     _check_count(n, 1)
+    if len(mu) > n:
+        return {}
     dual = _conjugate(mu)
+    floors = list(accumulate(dual))
+    # reverse lexicographic, so the first parts only fall
+    shapes = takewhile(lambda shape: shape[:1] >= dual[:1], _partitions(sum(mu), n))
     return {
-        _conjugate(shape): kostka_foulkes(shape, dual)
-        for shape in partitions(sum(mu), n)
-        if dominance_leq(dual, shape)
+        _conjugate(shape): _kostka_foulkes(shape, dual)
+        for shape in shapes
+        if all(map(int.__ge__, accumulate(shape), floors))
     }
 
 
@@ -265,7 +273,8 @@ def q_whittaker_mlq(lam, n: int) -> QXPolynomial:
     P_lam(x_1..x_n; q, 0), in its m-basis form, by the branching rule at
     t = 0 (Macdonald VI (7.13')): the coefficient of m_nu sums, over the
     chains of horizontal strips of sizes nu_1, nu_2, ... from () to lam,
-    the product of their weights psi (``tableaux._psi``).  One weighted
+    the product of their weights psi, which the strip kernel
+    (``tableaux._strips``) builds as it grows each strip.  One weighted
     sweep (``tableaux._kostka_sweep``) charges no tableau."""
     _check_count(n, 1)
     lam = check_partition(lam)
@@ -322,6 +331,11 @@ def kostka_foulkes(lam, mu) -> QXPolynomial:
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
+    return _kostka_foulkes(lam, mu)
+
+
+def _kostka_foulkes(lam, mu) -> QXPolynomial:
+    """``kostka_foulkes`` of two partitions of one size, unchecked."""
     coeffs = _fermionic_sum(lam, mu)
     return QXPolynomial._of(0, {(q, ()): k for q, k in enumerate(coeffs) if k})
 

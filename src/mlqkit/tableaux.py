@@ -7,21 +7,17 @@ module is a leaf of the package: it knows nothing of multiline queues.  The
 bijections between tableaux and nonwrapping queues are collapsing, so they
 live in ``collapse``.
 
-One engine, ``_strip_chains``, enumerates every semistandard filling as a
-chain of horizontal strips, one per letter, as collapsing adds them.
-Littlewood-Richardson coefficients count its chains under the lattice rule,
-checked as each strip is placed (Fulton, Young Tableaux, section 5).  The
-same strips under the same room rule (``_rooms``) give the skew Kostka
-numbers K_{outer/inner,nu} of one shape, the m-basis form of its skew Schur
-polynomial, in one sweep from inner to outer (``_kostka_sweep``), counted,
-not listed.  Weighted by psi (``_psi``) per strip, the same sweep sums the
-t = 0 branching rule of the q-Whittaker polynomials on packed ints.
+One kernel, ``_strips``, grows a shape by its horizontal strips under one
+room rule (``_rooms``), each weighted by psi.  On it, ``_strip_chains``
+enumerates every semistandard filling as a chain of strips, one per letter,
+as collapsing adds them; Littlewood-Richardson coefficients count its
+chains under the lattice rule, checked as each strip is placed (Fulton,
+Young Tableaux, section 5).  ``_kostka_sweep`` counts the chains from inner
+to outer without listing them: the skew Kostka numbers K_{outer/inner,nu},
+or with psi, the t = 0 branching rule of the q-Whittaker polynomials.
 
-The chains are the lazy public enumeration, so ``_strip_chains`` and the
-enumerators over it are generators.  The strips of one letter (``_strips``)
-and the sweep's layers are few and tiny, so a generator frame per object
-would set their cost: both are plain recursion that fills a list or a
-dict local to the call.
+The chains are the lazy public enumeration, so ``_strip_chains`` and its
+enumerators are generators; the few, tiny strips and sweep layers are not.
 """
 
 import json
@@ -242,119 +238,129 @@ def superstandard(lam) -> Tableau:
     return Tableau([[r] * k for r, k in enumerate(check_partition(lam), start=1)])
 
 
-def _strips(rooms, size, caps=None):
-    """The list of the row growths, bottom row first, each a tuple, of every
-    horizontal strip of size cells in which row i grows by at most rooms[i]
-    cells and, with caps, rows 0 to i together by at most caps[i] cells.
-
-    The caps weakly increase, as the prefix sums that ``lr_coefficient``
-    builds do, so no strip fits unless caps[-1] >= size.  Row i takes at
-    least the cells that the rows above it have no room for, so the last
-    row takes exactly the cells that are left; a strip is appended as soon
-    as its cells run out.
-    """
-    later = list(accumulate(reversed(rooms), initial=0))[::-1]  # room in rows i on
-    if size > later[0] or (caps and caps[-1] < size):
-        return []
-    if len(rooms) < 2:  # no row, or one row that takes every cell
-        return [(size,) * len(rooms)]
-    last = len(rooms) - 1
-    adds = [0] * len(rooms)
-    out = []
-
-    def grow(i, left):
-        top = rooms[i] if rooms[i] < left else left
-        if caps and caps[i] - size + left < top:
-            top = caps[i] - size + left
-        low = left - later[i + 1]
-        for k in range(low if low > 0 else 0, top + 1):
-            adds[i] = k
-            if k == left:
-                out.append(tuple(adds))
-            elif i + 1 < last:
-                grow(i + 1, left - k)
-            else:  # the last row takes the cells that are left
-                adds[last] = left - k
-                out.append(tuple(adds))
-                adds[last] = 0
-        adds[i] = 0
-
-    grow(0, size)
-    return out
-
-
 def _rooms(outer, shape):
-    """The cells each row of the partition shape, maybe padded with zeros,
-    may gain in one horizontal strip inside outer: row i may grow until it
-    is as long as row i - 1 was, or outer_i.  Unpadded, one new row on top
-    may start."""
+    """The cells each row of the partition shape, padded with zeros to the
+    length of outer, may gain in one horizontal strip inside outer: row i
+    may grow until it is as long as row i - 1 was, or outer_i."""
     rooms = []
     low = outer[0] if outer else 0
-    for o, high in zip(outer, shape + (0,)):
+    for o, high in zip(outer, shape):
         rooms.append((o if o < low else low) - high)
         low = high
     return rooms
 
 
-def _psi(shape, new, width, binomials):
-    """psi_{new/shape}(q, 0) of a horizontal strip (shape maybe one row
-    shorter), Macdonald VI (6.24), ``charge._packed`` at width: the product
-    over rows i of [new_i - new_{i+1} choose new_i - shape_i]_q, 1 where a
-    row gains nothing or all it may, from the caller's table binomials."""
-    out = 1
-    for high, low, above in zip(new, shape + (0,), new[1:] + (0,)):
-        if 0 < high - low < high - above:
-            key = high - above, high - low
-            if key not in binomials:
-                binomials[key] = _packed(_q_binomial(*key), width)
-            out *= binomials[key]
+def _strips(outer, shape, binomials, size=None, before=None):
+    """The horizontal strips on shape inside outer as {cells added: [(new,
+    w)]}, each list in lexicographic order of new, shape a partition padded
+    with zeros to the length of outer: row i of new runs from shape_i up by
+    at most ``_rooms``.  With size, only the strips of size cells, and with
+    before too, the shape before the last strip, only those that keep the
+    lattice rule of ``_strip_chains``.
+
+    w is psi_{new/shape}(q, 0), Macdonald VI (6.24), the product over rows
+    i of [new_i - new_{i+1} choose new_i - shape_i]_q from the caller's
+    table binomials[b][a] = [a choose b]_q (packed, or all 1 to count).  The
+    rows are placed from row 0, and row i's factor joins the running weight
+    once new_{i+1} is placed.  Rows without room, and with size those after
+    the last cell, keep their length; row i takes at least the cells that
+    the rows after it have no room for.
+    """
+    caps = None  # the lattice caps on rows 0 to i together, weakly increasing
+    if before is not None:
+        caps = list(accumulate(map(int.__sub__, shape[:-1], before), initial=0))
+        if caps[-1] < size:
+            return {}
+    rooms = _rooms(outer, shape)
+    first, last = 0, len(rooms) - 1
+    while last >= 0 and not rooms[last]:
+        last -= 1
+    if size is not None:
+        later = list(accumulate(reversed(rooms[: last + 1]), initial=0))[::-1]  # room in rows i on
+        if size > later[0]:
+            return {}
+    if last < 0:
+        return {0: [(shape, 1)]}
+    while not rooms[first]:
+        first += 1
+    nexts = shape[1:] + (0,)
+    new = list(shape)
+    out = {}
+
+    def grow(i, added, w, above, gained):
+        # rows before i are placed, and row i - 1 grew by gained to above
+        base = shape[i]
+        low, high, full = base, base + rooms[i], -1
+        if size is not None:
+            full = base + size - added  # row i's length once it places every cell
+            if full < high:
+                high = full
+            if caps and base + caps[i] - added < high:
+                high = base + caps[i] - added
+            if full - later[i + 1] > low:
+                low = full - later[i + 1]
+        column = binomials[gained]
+        for v in range(low, high + 1):
+            new[i] = v
+            if i < last and v != full:
+                grow(i + 1, added + v - base, w * column[above - v], v, v - base)
+                continue
+            f = w * column[above - v] * binomials[v - base][v - nexts[i]]
+            if added + v - base in out:
+                out[added + v - base].append((tuple(new), f))
+            else:
+                out[added + v - base] = [(tuple(new), f)]
+        new[i] = base
+
+    # before row first, every factor is [a choose 0] = 1
+    grow(first, 0, 1, shape[first - 1] if first else outer[0], 0)
     return out
 
 
-def _strip_chains(sizes, outer, inner, lattice=False):
+def _strip_chains(sizes, outer, inner, lattice=False, fill=True):
     """The rows, bottom row first, of every semistandard filling built from
     inner (padded with zeros to the length of outer) by horizontal strips
     inside outer, letter i adding sizes[i - 1] cells (any number where that
-    is None); rows list their filled cells.
+    is None); rows list their filled cells, or without fill, None.
 
     Free letters fill outer/inner: a free letter with L letters to come
     leaves row j at least outer[j + L] long.  Fixed sizes fill sum(sizes)
     cells, so in a box outer the rows may end short.  With lattice, for
-    fixed sizes, the reverse reading word (rows bottom to top, each right to
-    left) stays lattice: letter i fills at most as many cells of rows 0 to r
-    as letter i - 1 fills in rows 0 to r - 1.
+    fixed sizes, the reverse reading word (rows bottom to top, each right
+    to left) stays lattice: letter i fills at most as many cells of rows 0
+    to r as letter i - 1 fills in rows 0 to r - 1.  The strips of a
+    (shape, letter), ``_strips`` for fixed sizes, are found once per call.
     """
-    rows = [() for _ in inner]
-    known = {}  # (rooms, size, caps): the strips, found once per call
+    rows, known = [() for _ in inner], {}  # known: (shape, letter, before): [(new, cells)]
+    ones = [[1] * (outer[0] + 1)] * (outer[0] + 1) if outer else None
 
-    def place(letter, shape, left, caps):
-        rooms = _rooms(outer, shape)
-        if sizes[letter - 1] is not None:
-            key = (tuple(rooms), sizes[letter - 1], caps)
-            if key not in known:
-                known[key] = _strips(rooms, sizes[letter - 1], caps)
-            growths = known[key]
-        else:
-            # each row apart gains from lows[j] to rooms[j] cells
-            to_come = len(sizes) - letter
-            lows = [max(0, o - s) for o, s in zip(outer[to_come:], shape)]
-            lows += [0] * (len(shape) - len(lows))
-            growths = product(*map(range, lows, [r + 1 for r in rooms]))
-        for adds in growths:
-            saved = rows[:]
-            for i, k in enumerate(adds):
-                if k:
-                    rows[i] += (letter,) * k
-            if left == sum(adds):
-                yield tuple(rows)
+    def place(letter, shape, left, before):
+        key = shape, letter, before
+        if key not in known:
+            size = sizes[letter - 1]
+            if size is None:  # row j gains from lows[j] to rooms[j] cells
+                lows = [max(0, o - s) for o, s in zip(outer[len(sizes) - letter:], shape)]
+                lows += [0] * (len(shape) - len(lows))
+                growths = product(*map(range, lows, [r + 1 for r in _rooms(outer, shape)]))
+                known[key] = [(tuple(map(int.__add__, shape, adds)), sum(adds)) for adds in growths]
             else:
-                new = tuple(map(int.__add__, shape, adds))
-                below = tuple(accumulate(adds[:-1], initial=0)) if lattice else None
-                yield from place(letter + 1, new, left - sum(adds), below)
-            rows[:] = saved
+                strips = _strips(outer, shape, ones, size, before).get(size, ())
+                known[key] = [(new, size) for new, _ in strips]
+        for new, added in known[key]:
+            if fill:
+                saved = rows[:]
+                for i, (a, b) in enumerate(zip(shape, new)):
+                    if b > a:
+                        rows[i] += (letter,) * (b - a)
+            if left == added:
+                yield tuple(rows) if fill else None
+            else:
+                yield from place(letter + 1, new, left - added, shape if lattice else None)
+            if fill:
+                rows[:] = saved
 
     cells = sum(outer) - sum(inner) if None in sizes else sum(sizes)
-    yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows)]
+    yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows) if fill else None]
 
 
 def _kostka_sweep(outer, inner, n, weighted=False):
@@ -363,28 +369,27 @@ def _kostka_sweep(outer, inner, n, weighted=False):
     (): every c nonzero and every nu a partition with at most n parts.
 
     A filling of outer/inner with content nu is a chain of horizontal strips
-    of sizes nu_1, nu_2, ... grown from inner under the room rule of
-    ``_strip_chains``, so the skew Kostka numbers K_{outer/inner,nu} are a
-    shape-to-count sweep over ``_strips``; partitions that share a prefix
-    share its sweep, and a prefix that no strip inside outer extends ends
-    there.  Once every cell is placed the one shape left is outer.  The
-    shapes and strips are few and small, so the cost is per object: the
-    sweep is plain recursion that sets each finished nu in one dict, with
-    no generator frame for a strip or a nu to pass through.
+    of sizes nu_1, nu_2, ... from inner, so the skew Kostka numbers are a
+    shape-to-count sweep; partitions that share a prefix share its sweep,
+    and a prefix that no strip extends ends there.  Shapes stay padded to
+    the length of outer, the one shape left once every cell is placed, and
+    the strips of each, of every size, are found once per call
+    (``_strips``).  The sweep is plain recursion into one dict.
 
-    Weighted, a chain counts as the product of its strips' weights ``_psi``,
-    the t = 0 branching rule, on ints ``charge._packed`` at width
-    outer_1 n + 1, each unpacked once; unweighted, a strip weighs 1.  From
-    inner = (), state (sigma, nu_1..nu_k) is the x^nu coefficient of
-    P_sigma(x_1..x_k; q, 0), at q = 1 that of e_{sigma'} (Macdonald VI
-    (4.14)): the number of 0/1 matrices with row sums sigma' and column sums
-    nu_1..nu_k, at most 2^(sigma_1 k) < 2^width.  No coefficient exceeds its
-    value at q = 1, and a weight times a count is a term of a later state.
+    Weighted, a chain counts as the product of its strips' psi, the t = 0
+    branching rule, on ints ``charge._packed`` at width outer_1 n + 1,
+    each unpacked once.  From inner = (), state (sigma, nu_1..nu_k) is the
+    x^nu coefficient of P_sigma(x_1..x_k; q, 0), at q = 1 that of
+    e_{sigma'} (Macdonald VI (4.14)): the number of 0/1 matrices with row
+    sums sigma' and column sums nu_1..nu_k, at most 2^(sigma_1 k) <
+    2^width.  No coefficient exceeds its value at q = 1, and a weight times
+    a count is a term of a later state.
     """
-    width = (outer[0] if outer else 0) * n + 1
-    binomials = {}  # (a, b): packed [a choose b]_q, for the weights
-    grown = {}  # (shape, part): (new shape, its strip's weight) for each strip
-    out = {}
+    top = outer[0] if outer else 0
+    width, grown, out = top * n + 1, {}, {}  # grown: shape: its strips by size
+    # binomials[b][a]: [a choose b]_q packed where weighted and 0 < b < a, else 1
+    binomials = [[_packed(_q_binomial(a, b), width) if weighted and 0 < b < a else 1
+                  for a in range(top + 1)] for b in range(top + 1)]
 
     def extend(nu, left, top, layer):
         slots = n - len(nu)
@@ -393,17 +398,10 @@ def _kostka_sweep(outer, inner, n, weighted=False):
                 break
             below = {}
             for shape, count in layer.items():
-                news = grown.get((shape, part))
-                if news is None:
-                    news = grown[shape, part] = [
-                        (new, _psi(shape, new, width, binomials) if weighted else 1)
-                        for new in [
-                            new if new[-1] else new[:-1]  # no new row started
-                            for adds in _strips(_rooms(outer, shape), part)
-                            for new in [tuple(map(int.__add__, shape + (0,), adds))]
-                        ]
-                    ]
-                for new, w in news:
+                strips = grown.get(shape)
+                if strips is None:
+                    strips = grown[shape] = _strips(outer, shape, binomials)
+                for new, w in strips.get(part, ()):
                     below[new] = below.get(new, 0) + w * count
             if not below:
                 continue
@@ -418,13 +416,13 @@ def _kostka_sweep(outer, inner, n, weighted=False):
 
     cells = sum(outer) - sum(inner)
     if cells:
-        extend((), cells, outer[0], {inner: 1})
+        extend((), cells, top, {inner + (0,) * (len(outer) - len(inner)): 1})
     else:
         out[0, ()] = 1
     return out
 
 
-def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):
+def _skew_chains(outer, inner, max_entry=None, weight=None):
     """(outer, padded inner, the ``_strip_chains`` of outer/inner with
     entries at most max_entry or content weight, none unless inner lies
     inside outer); ParseError unless exactly one bound is given, and valid."""
@@ -435,7 +433,7 @@ def _skew_chains(outer, inner, max_entry=None, weight=None, lattice=False):
     inner = _inner_of(outer, check_partition(inner))
     if inner is None or (None not in sizes and sum(sizes) != sum(outer) - sum(inner)):
         return outer, inner, ()
-    return outer, inner, _strip_chains(sizes, outer, inner, lattice)
+    return outer, inner, _strip_chains(sizes, outer, inner)
 
 
 def enumerate_ssyt(shape, max_entry=None, weight=None):
@@ -487,4 +485,6 @@ def lr_coefficient(lam, mu, nu) -> int:
         top, inner, weight = nu, lam, mu
     else:
         raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
-    return sum(1 for _ in _skew_chains(top, inner, weight=weight, lattice=True)[2])
+    inner = _inner_of(top, inner)
+    chains = () if inner is None else _strip_chains(weight, top, inner, lattice=True, fill=False)
+    return sum(1 for _ in chains)

@@ -92,8 +92,8 @@ The second routes below each pin one theorem against the package's route:
 - ``q_whittaker_schur`` / ``q_whittaker_charge_expansion``: the Schur
   expansion built one lam at a time, the charge sum over SSYT(lam', mu')
   (``kostka_foulkes_by_charge``) times ``schur_by_ssyt``, gives the
-  coefficients that the package sums by the fermionic formula, one
-  ``kostka_foulkes`` per lam (``q_whittaker_schur``), and the polynomial
+  coefficients that the package sums by the fermionic formula, one per
+  dominating lam' (``q_whittaker_schur``), and the polynomial
   that the package sums by the t = 0 branching rule, one psi-weighted
   sweep of strip chains (``q_whittaker_mlq``).  No package route charges a
   tableau, so the charge traversal of the paper lives here.

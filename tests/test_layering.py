@@ -176,11 +176,15 @@ def test_q_whittaker_is_one_route():
     assert "_kostka_sweep" in called
     assert _sweep_weights(MODULES["poly"], "q_whittaker_mlq") == [True]
     assert not called & {"q_whittaker_schur", "charge", "schur", "kostka_foulkes"}
-    # psi is the q-binomial product that tableaux builds next to the room
-    # rule, packed into an int; the sweep weighs each strip by it and
-    # unpacks each finished sum
-    assert {"_q_binomial", "_packed"} <= _calls_in_module(MODULES["tableaux"], "_psi")
-    assert {"_psi", "_unpacked"} <= _calls_in_module(MODULES["tableaux"], "_kostka_sweep")
+    # psi is the q-binomial product that the strip kernel multiplies in
+    # under the room rule as it places each row, from a table that the
+    # sweep packs into ints; the sweep unpacks each finished sum, and no
+    # second pass weighs a strip after it is grown
+    tableaux = MODULES["tableaux"]
+    assert {"_q_binomial", "_packed", "_strips", "_unpacked"} <= _calls_in_module(
+        tableaux, "_kostka_sweep"
+    )
+    assert "_rooms" in _calls_in_module(tableaux, "_strips")
     # every row order of lam' sums to the same polynomial (sigma-invariance),
     # so the generalized form is the straight route and poly labels nothing
     assert "q_whittaker_mlq" in _calls_in_module(MODULES["poly"], "q_whittaker_gmlq")
@@ -214,8 +218,12 @@ def test_one_q_polynomial_representation():
     assert {"_q_binomial", "_packed", "_unpacked"} <= _calls_in_module(
         MODULES["charge"], "_fermionic_sum"
     )
-    # the strips of a shape have one enumerator, which the sweeps share
+    # the strips of a shape have one enumerator, the kernel that weighs
+    # them too, which both sweeps share
     assert {(name, f) for name, f in defined if "strips" in f} == {("tableaux", "_strips")}
+    assert not {f for _, f in defined} & {"_psi"}
+    for start in ["_kostka_sweep", "_strip_chains"]:
+        assert "_strips" in _calls_in_module(MODULES["tableaux"], start), start
 
 
 def _sweep_weights(tree, start):
@@ -236,7 +244,7 @@ def test_one_schur_to_monomial_expansion():
     # every (skew) Schur polynomial is the m-basis form that one unweighted
     # sweep of tableaux._kostka_sweep from inner to outer returns, so Kostka
     # numbers have one engine; test_q_whittaker_is_one_route pins that
-    # q_whittaker_mlq runs the same sweep weighted by tableaux._psi
+    # q_whittaker_mlq runs the same sweep with the kernel's psi weights
     poly = MODULES["poly"]
     for start in ["schur", "skew_schur", "q_whittaker_mlq"]:
         called = _calls_in_module(poly, start)
@@ -250,9 +258,10 @@ def test_one_schur_to_monomial_expansion():
         assert ("_kostka_sweep" in defined) == (name == "tableaux"), name
         assert ("_rooms" in defined) == (name == "tableaux"), name
         assert not defined & {"_dominant_kostka", "_monomial_form"}, name
-    # the sweep and the chains grow shapes under one room rule
+    # the sweep and the chains grow shapes under one room rule, through the
+    # one strip kernel
     for start in ["_kostka_sweep", "_strip_chains"]:
-        assert "_rooms" in _calls_in_module(MODULES["tableaux"], start), start
+        assert {"_rooms", "_strips"} <= _calls_in_module(MODULES["tableaux"], start), start
     direct = {
         (name, node.name)
         for name, tree in MODULES.items()
@@ -351,6 +360,51 @@ def test_no_cross_call_state():
         for line, what in _cross_call_state(tree)
     ]
     assert not found
+
+
+def _module_state(tree):
+    """(line, what) for each name that tree binds at module level, each
+    global declaration and each import of functools, whose caches outlive a
+    call."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for root in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for target in ast.walk(root):
+                    if isinstance(target, ast.Name):
+                        yield node.lineno, f"binds {target.id}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, "global"
+        elif isinstance(node, ast.Import) and "functools" in {
+            alias.name.split(".")[0] for alias in node.names
+        }:
+            yield node.lineno, "imports functools"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield node.lineno, "imports functools"
+
+
+def test_no_module_level_state():
+    # every memo is local to one call, so a repeated input is never served
+    # from a cache: at module level src/ binds only the version string and
+    # one function alias, no function declares a global, and nothing
+    # imports functools
+    found = {(name, what) for name, tree in MODULES.items() for _, what in _module_state(tree)}
+    assert found == {
+        ("__init__", "binds __version__"), ("poly", "binds q_whittaker_charge_expansion"),
+    }
+    assert isinstance(mlqkit.__version__, str)
+    planted = ast.parse(
+        "import functools as f\n"
+        "from functools import partial\n"
+        "SEEN, (A, B) = {}, (1, 2)\n"
+        "LIMIT: int = 3\n"
+        "def g():\n"
+        "    global SEEN\n"
+    )
+    assert sorted(_module_state(planted)) == [
+        (1, "imports functools"), (2, "imports functools"), (3, "binds A"), (3, "binds B"),
+        (3, "binds SEEN"), (4, "binds LIMIT"), (6, "global"),
+    ]
 
 
 def test_cross_call_state_finder():
@@ -453,6 +507,14 @@ def test_no_dead_private_helpers():
         and everywhere[node.name] == _names_in(node)[node.name]
     ]
     assert not dead
+    # the strip kernel is named by both of its sweeps, not by itself alone
+    tableaux = MODULES["tableaux"]
+    users = {
+        node.name for node in tableaux.body
+        if isinstance(node, ast.FunctionDef) and node.name != "_strips"
+        and "_strips" in _names_in(node)
+    }
+    assert users == {"_strip_chains", "_kostka_sweep"}
 
 
 # module -> the functions that call a trusted constructor ``_of`` or
@@ -467,7 +529,7 @@ TRUSTED_CALLERS = {
     "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
     "fillings": {"filling_of_mlq"},
     "poly": {
-        "schur", "skew_schur", "q_whittaker_mlq", "kostka_foulkes",
+        "schur", "skew_schur", "q_whittaker_mlq", "_kostka_foulkes",
         # sums, differences and products drop their zeros, and a swap of two
         # of the n variables maps canonical keys one to one
         "QXPolynomial.__add__", "QXPolynomial.__sub__", "QXPolynomial.__mul__",
@@ -526,13 +588,15 @@ def test_charge_stays_on_the_traced_path():
     assert "_fermionic_sum" in called
     assert not called & {"enumerate_ssyt", "tableau_charge", "charge", "_strip_chains"}
     assert "_next_levels" in _calls_in_module(MODULES["charge"], "_fermionic_sum")
-    # the Schur basis of the charge formula is one kostka_foulkes per shape,
-    # so poly charges no tableau; the charge sum over tableaux is the oracle
-    # in tests/oracles.py
+    # the Schur basis of the charge formula is one fermionic sum per shape,
+    # through the unchecked Kostka-Foulkes builder, as the pair is valid by
+    # construction, so poly charges no tableau; the charge sum over tableaux
+    # is the oracle in tests/oracles.py
     called = _calls_in_module(MODULES["poly"], "q_whittaker_schur")
-    assert "kostka_foulkes" in called
+    assert {"_kostka_foulkes", "_fermionic_sum"} <= called
+    assert not called & {"kostka_foulkes", "dominance_leq"}
     assert not called & {"enumerate_ssyt", "tableau_charge", "charge", "_strip_chains"}
-    assert not _imported_names(MODULES["poly"]) & {"charge", "_strip_chains", "_psi"}
+    assert not _imported_names(MODULES["poly"]) & {"charge", "_strip_chains", "_strips"}
 
 
 def test_one_tableau_engine():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mlqkit import poly
-from mlqkit.charge import _packed, _unpacked
+from mlqkit.charge import _packed, _q_binomial, _unpacked
 from mlqkit.core import conjugate, dominance_leq, is_partition, partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
@@ -28,7 +28,7 @@ from mlqkit.poly import (
     schur,
     skew_schur,
 )
-from mlqkit.tableaux import _psi, enumerate_ssyt
+from mlqkit.tableaux import _strips, enumerate_ssyt
 
 # the module, which the package's name charge, a function, hides
 charge_module = importlib.import_module("mlqkit.charge")
@@ -91,6 +91,26 @@ def test_q_whittaker_schur_at_the_frontier():
     assert q_whittaker_schur(mu, n) == oracles.q_whittaker_schur(mu, n)
 
 
+def test_q_whittaker_schur_is_one_kostka_foulkes_per_dominating_shape():
+    # every mu with |mu| <= 9 on up to 7 variables, against the public
+    # route: a kostka_foulkes for each lam' with parts at most n that
+    # dominates mu', and nothing at all once mu has more than n parts
+    kostka = {}
+    for size in range(0, 10):
+        for mu in partitions(size):
+            dual = conjugate(mu)
+            for n in range(1, 8):
+                expected = {}
+                for shape in partitions(size, n):
+                    if dominance_leq(dual, shape):
+                        if (shape, dual) not in kostka:
+                            kostka[shape, dual] = kostka_foulkes(shape, dual)
+                        expected[conjugate(shape)] = kostka[shape, dual]
+                assert q_whittaker_schur(mu, n) == expected, (mu, n)
+                if len(mu) > n:
+                    assert expected == {}, (mu, n)
+
+
 def test_q_whittaker_schur_boundaries():
     for n in range(1, 4):
         assert q_whittaker_schur((), n) == {(): QXPolynomial.one(0)}
@@ -145,9 +165,26 @@ def test_q_whittaker_branching_is_the_charge_expansion_at_the_frontier():
 WIDTH = 32
 
 
+def _binomials(top, width):
+    """The table binomials[b][a] = [a choose b]_q packed at width, a, b <= top."""
+    return [[_packed(_q_binomial(a, b), width) for a in range(top + 1)] for b in range(top + 1)]
+
+
+def _psi(shape, new, width=WIDTH, binomials=None):
+    """psi_{new/shape}(q, 0) packed at width: the weight that the strip
+    kernel gives new among the strips on shape (maybe one row shorter)
+    inside new, from binomials or a table of its own."""
+    if binomials is None:
+        binomials = _binomials(new[0] if new else 0, width)
+    padded = shape + (0,) * (len(new) - len(shape))
+    strips = _strips(new, padded, binomials).get(sum(new) - sum(shape), ())
+    (weight,) = [w for got, w in strips if got == new]
+    return weight
+
+
 def _psi_coefficients(shape, new):
     """psi_{new/shape}(q, 0) as its coefficients, lowest degree first."""
-    return _unpacked(_psi(shape, new, WIDTH, {}), WIDTH)
+    return _unpacked(_psi(shape, new), WIDTH)
 
 
 def _horizontal_strips_below(lam):
@@ -193,14 +230,14 @@ def test_psi_boundaries():
     # (2)/(1): row 1 gains 1 of 2 cells, [2 choose 1]_q = 1 + q
     assert _psi_coefficients((1,), (2,)) == [1, 1]
     # (4,2)/(3,1): [2 choose 1]_q [2 choose 1]_q = 1 + 2q + q^2, with the
-    # one binomial packed once into the caller's table and read twice
-    table = {}
+    # one binomial read twice from the caller's table
+    table = _binomials(4, WIDTH)
     assert _unpacked(_psi((3, 1), (4, 2), WIDTH, table), WIDTH) == [1, 2, 1]
-    assert table == {(2, 1): _packed([1, 1], WIDTH)}
+    assert _psi((3, 1), (4, 2), WIDTH, table) == table[1][2] ** 2 == _packed([1, 1], WIDTH) ** 2
     # (5,3)/(3,2): row 1 gains all 2 cells it may, row 2 one of 3, so
     # [3 choose 1]_q = 1 + q + q^2, at a width of 2 bits, which holds it
-    assert _unpacked(_psi((3, 2), (5, 3), 2, {}), 2) == [1, 1, 1]
-    assert _psi((3, 2), (5, 3), 2, {}) == 0b010101
+    assert _unpacked(_psi((3, 2), (5, 3), 2), 2) == [1, 1, 1]
+    assert _psi((3, 2), (5, 3), 2) == 0b010101
 
 
 def test_q_whittaker_mlq_boundaries():
@@ -228,6 +265,7 @@ def test_q_whittaker_schur_checks_before_work(monkeypatch, mu, n):
         raise AssertionError("work started before the input was checked")
 
     monkeypatch.setattr(poly, "kostka_foulkes", refuse)
+    monkeypatch.setattr(poly, "_fermionic_sum", refuse)
     monkeypatch.setattr(poly, "_kostka_sweep", refuse)
     for route in (q_whittaker_schur, q_whittaker_mlq):
         with pytest.raises(ParseError):
@@ -557,8 +595,9 @@ def test_q_whittaker_at_q_one_is_elementary_and_fits_its_width():
 
 def test_kostka_foulkes_at_q_one_counts_tableaux_within_the_multinomial():
     # K_{lam,mu}(1) is the number of tableaux of shape lam and content mu,
-    # at most the number of words of content mu, the multinomial, which
-    # bounds every coefficient of the packed sum
+    # at most the number of words of content mu, the multinomial, and the
+    # number f^lam of standard tableaux of shape lam, by the hook length
+    # formula; the smaller bounds every coefficient of the packed sum
     for size in range(0, 9):
         for lam in partitions(size):
             for mu in partitions(size):
@@ -566,6 +605,43 @@ def test_kostka_foulkes_at_q_one_counts_tableaux_within_the_multinomial():
                 at_one = sum(k.terms.values())
                 assert at_one == sum(1 for _ in enumerate_ssyt(lam, weight=mu)), (lam, mu)
                 assert at_one <= factorial(size) // prod(map(factorial, mu)), (lam, mu)
+                assert at_one <= factorial(size) // prod(_hooks(lam)), (lam, mu)
+
+
+def _hooks(lam):
+    """The hook lengths of the cells of lam."""
+    cols = conjugate(lam)
+    return [row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
+
+
+def _fake_degree(lam):
+    """The coefficients of q^{n(lam')} [N]_q! / prod over cells of [h]_q,
+    N = |lam|, lowest degree first: [N]_q! / prod [h]_q is the product of
+    the 1 - q^k over k <= N divided by the product of the 1 - q^h."""
+    size = sum(lam)
+    c = [1] + [0] * (size * (size + 1) // 2)
+    for k in range(1, size + 1):  # times 1 - q^k
+        for j in range(len(c) - 1, k - 1, -1):
+            c[j] -= c[j - k]
+    for h in _hooks(lam):  # divided by 1 - q^h
+        for j in range(h, len(c)):
+            c[j] += c[j - h]
+    while len(c) > 1 and not c[-1]:
+        c.pop()
+    return [0] * sum(r * (r - 1) // 2 for r in lam) + c
+
+
+def test_kostka_foulkes_of_one_column_content_is_the_fake_degree():
+    # K_{lam,1^N}(q) = q^{n(lam')} [N]_q! / prod [h(x)]_q; at the staircase
+    # (6,5,4,3,2,1) its largest coefficient has 25 bits of the packed width
+    # bit_length(f^lam) = 31, so half that width overflows here
+    for lam in [lam for size in range(0, 8) for lam in partitions(size)] + [(6, 5, 4, 3, 2, 1)]:
+        k = kostka_foulkes(lam, (1,) * sum(lam))
+        coefficients = [k.terms.get((q, ()), 0) for q in range(max(q for q, _ in k.terms) + 1)]
+        assert coefficients == _fake_degree(lam), lam
+    standard = factorial(21) // prod(_hooks((6, 5, 4, 3, 2, 1)))
+    assert standard.bit_length() == 31
+    assert max(_fake_degree((6, 5, 4, 3, 2, 1))).bit_length() == 25
 
 
 def test_kostka_foulkes_with_zero_coefficients():

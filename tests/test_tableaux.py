@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mlqkit.charge import charge
+from mlqkit.charge import _packed, _q_binomial, _unpacked, charge
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NonPartitionContent, ParseError, SizeMismatch
 from mlqkit.mlq import MultilineQueue, column_word, enumerate_mlq, is_nonwrapping, row_word
@@ -608,23 +608,112 @@ def test_ssyt_rejects_bad_bounds(bounds):
         list(enumerate_skew_ssyt((2, 1), (1,), **bounds))
 
 
+def _padded_inside(outer):
+    """The partitions inside outer, each padded with zeros to its length."""
+    return [rho + (0,) * (len(outer) - len(rho)) for rho in _shapes_inside(outer)]
+
+
+def _interlacing(outer, shape):
+    """Every new inside outer with new/shape a horizontal strip, shape_i <=
+    new_i <= min(outer_i, shape_{i-1}), in lexicographic order."""
+    tops = [min(o, s) for o, s in zip(outer, (outer[0] if outer else 0,) + shape)]
+    return list(product(*(range(s, t + 1) for s, t in zip(shape, tops))))
+
+
+def _ones(outer):
+    """A kernel table that weighs every strip 1."""
+    top = outer[0] if outer else 0
+    return [[1] * (top + 1) for _ in range(top + 1)]
+
+
 def test_strips_are_the_bounded_growths_in_order():
-    # every growth of at most rooms[i] cells in row i, of the given size
-    # and, with caps, at most caps[i] cells in rows 0 to i together, in
-    # lexicographic order; the caps are those that lr_coefficient builds
-    # from the strip of the letter before
-    for k in range(5):
-        for rooms in product(range(4), repeat=k):
-            growths = list(product(*(range(r + 1) for r in rooms)))
-            lattice_caps = {tuple(accumulate(before[:-1], initial=0)) for before in growths}
-            for caps in [None, *sorted(lattice_caps)]:
+    # with size, every new between shape and its rooms that adds size
+    # cells, in lexicographic order; with before too, only those that add
+    # at most as many cells to rows 0 to i together as shape has over
+    # before in rows 0 to i - 1, the lattice caps that lr_coefficient sets
+    for outer in _shapes_inside((3, 3, 3, 3)):
+        for shape in _padded_inside(outer):
+            growths = _interlacing(outer, shape)
+            befores = product(*map(range, shape[1:] + (0,), [s + 1 for s in shape]))
+            for before in [None, *befores]:
+                caps = None
+                if before is not None:
+                    caps = list(accumulate(map(int.__sub__, shape[:-1], before), initial=0))
                 for size in range(8):
                     expected = [
-                        adds for adds in growths
-                        if sum(adds) == size
-                        and (caps is None or all(map(int.__le__, accumulate(adds), caps)))
+                        new for new in growths
+                        if sum(new) - sum(shape) == size
+                        and (caps is None or all(map(int.__le__, accumulate(
+                            map(int.__sub__, new, shape)), caps)))
                     ]
-                    assert _strips(list(rooms), size, caps) == expected, (rooms, size, caps)
+                    got = _strips(outer, shape, _ones(outer), size, before)
+                    assert set(got) <= {size}, (outer, shape, before, size)
+                    assert [new for new, w in got.get(size, [])] == expected, (
+                        outer, shape, before, size)
+                    assert all(w == 1 for _, w in got.get(size, [])), (outer, shape, size)
+
+
+# bits per packed coefficient of psi in the kernel checks below; every
+# coefficient there is far smaller than 2^KERNEL_WIDTH
+KERNEL_WIDTH = 32
+
+
+def _psi_by_rows(shape, new):
+    """psi_{new/shape}(q, 0) as coefficients, lowest degree first: the
+    product of the rows' [new_i - new_{i+1} choose new_i - shape_i]_q,
+    multiplied out as lists."""
+    out = [1]
+    for v, low, below in zip(new, shape, new[1:] + (0,)):
+        factor = _q_binomial(v - below, v - low)
+        product_ = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                product_[i + j] += a * b
+        out = product_
+    return out
+
+
+def _check_kernel(outer, shape):
+    # every interlacing new, bucketed by size, each with its psi; each
+    # bucket alone with size
+    top = outer[0] if outer else 0
+    table = [
+        [_packed(_q_binomial(a, b), KERNEL_WIDTH) for a in range(top + 1)]
+        for b in range(top + 1)
+    ]
+    expected = {}
+    for new in _interlacing(outer, shape):
+        expected.setdefault(sum(new) - sum(shape), []).append((new, _psi_by_rows(shape, new)))
+    got = _strips(outer, shape, table)
+    unpacked = {k: [(new, _unpacked(w, KERNEL_WIDTH)) for new, w in v] for k, v in got.items()}
+    assert unpacked == expected, (outer, shape)
+    for size, strips in got.items():
+        assert _strips(outer, shape, table, size) == {size: strips}, (outer, shape, size)
+
+
+def test_strip_kernel_is_every_interlacing_shape_with_its_psi():
+    for outer in _shapes_inside((4, 4, 4, 4)):
+        for shape in _padded_inside(outer):
+            _check_kernel(outer, shape)
+
+
+@st.composite
+def kernel_shapes(draw):
+    # up to 8 rows of up to 9 cells, past the exhaustive range above; the
+    # rooms of a strip sum to at most outer_1, so the oracle stays small
+    parts = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    outer = tuple(sorted(parts, reverse=True))
+    shape, above = [], outer[0]
+    for o in outer:
+        above = draw(st.integers(0, min(o, above)))
+        shape.append(above)
+    return outer, tuple(shape)
+
+
+@settings(max_examples=40)
+@given(kernel_shapes())
+def test_strip_kernel_random(case):
+    _check_kernel(*case)
 
 
 def _shapes_inside(outer):
