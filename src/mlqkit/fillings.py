@@ -23,7 +23,7 @@ from .core import (
     _as_rows, _check_count, _check_instance, _check_letters, _text, check_partition, conjugate,
 )
 from .errors import InvariantError, NotCoquinvFree, ParseError
-from .mlq import MultilineQueue, _label_layer, _particle_mask, enumerate_mlq
+from .mlq import MultilineQueue, _label_layer, enumerate_mlq
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,10 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
     balls left over start new columns in increasing order.  This is the
     only coquinv-free choice (see the module docstring), and the result is
     checked against ``coquinv``.
+
+    Each row takes its labels straight from ``mlq._label_layer``, with no
+    wrap read off: only the columns above walk, and the leftovers, the
+    last class to pair, are filled in.
     """
     _check_instance(m, MultilineQueue)
     shape = m.shape()
@@ -161,7 +165,7 @@ def filling_of_mlq(m: MultilineQueue) -> ColumnFilling:
         for i, x in enumerate(above, start=1):
             word[x - 1] = w - i + 1
         word = tuple(word)
-        ((labels, _, _),) = _label_layer(word, len(here), [_particle_mask(m.n, here)])
+        (labels,) = _label_layer(word, len(here), [here], {})
         above = tuple(sorted(here, key=lambda c: -labels[c - 1]))
         rows.append(above)
     tau = ColumnFilling._of(shape, tuple(rows[::-1]), m.n)

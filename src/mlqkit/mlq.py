@@ -213,11 +213,16 @@ def canonical_mlq(nu, n: int) -> MultilineQueue:
 def projection(m: MultilineQueue):
     """Bottom-row labels left to right; anti-particles read 0 in the straight
     case and their generalized label otherwise.  A queue without rows
-    projects to all zeros."""
+    projects to all zeros.
+
+    Each row is labelled from the one above by ``_label_layer`` alone,
+    starting from the constant word L..L as ``stationary_counts`` does; no
+    wrap is read off on the way.
+    """
     _check_instance(m, MultilineQueue)
-    word = (0,) * m.n
-    for _, word, _, _ in _label_rows(m):
-        pass
+    word = (m.num_rows,) * m.n
+    for row in reversed(m.rows):
+        (word,) = _label_layer(word, len(row), [row], {})
     return word
 
 
@@ -225,9 +230,9 @@ def label_gmlq(m: MultilineQueue):
     """Particle and anti-particle labels of a generalized multiline queue.
 
     Top row: particles get the row number, anti-particles one less.  Each
-    lower row is labelled from the row above by ``_label_layer``.  Returns
-    (labels for every site, particle wrap list [(source row, label)], anti
-    wrap list).
+    lower row is labelled from the row above by ``_label_layer``, and its
+    wraps are read off by ``_wrap_lists``.  Returns (labels for every site,
+    particle wrap list [(source row, label)], anti wrap list).
     """
     _check_instance(m, MultilineQueue)
     labels = {}
@@ -244,12 +249,16 @@ def label_gmlq(m: MultilineQueue):
 def _label_rows(m: MultilineQueue):
     """Yield (r, row r's labels, its wrapping particle labels, its wrapping
     anti-particle labels) for r from the top row down, starting from the
-    constant word L..L as ``stationary_counts`` does."""
+    constant word L..L as ``stationary_counts`` does.  The kernel gives the
+    labels; the wrap lists are read off them by ``_wrap_lists``, which only
+    ``label_gmlq`` and ``maj_g`` need."""
     word = (m.num_rows,) * m.n
     for r in range(m.num_rows, 0, -1):
         row = m.row(r)
-        ((word, plus, minus),) = _label_layer(word, len(row), [_particle_mask(m.n, row)])
-        yield r, word, plus, minus
+        (labels,) = _label_layer(word, len(row), [row], {})
+        plus, minus = _wrap_lists(word, labels, row)
+        yield r, labels, plus, minus
+        word = labels
 
 
 def _wrap_weight(plus, minus, r) -> int:
@@ -259,60 +268,121 @@ def _wrap_weight(plus, minus, r) -> int:
     return sum(plus) - sum(minus) - r * (len(plus) - len(minus))
 
 
-def _particle_mask(n, here):
-    """Ball set ``here`` (columns 1..n) as a list of n flags, True on a
-    particle."""
-    particle = [False] * n
-    for c in here:
-        particle[c - 1] = True
-    return particle
+def _label_layer(word, s, rows, prefilled):
+    """Label every ball set in ``rows`` below a row labelled ``word``.
 
+    Each entry of ``rows`` is a set of s ball columns in increasing order;
+    ``stationary_counts`` passes a whole layer, the single-row callers a
+    one-element list.  Sites pair in decreasing label, ties left to right,
+    the s first to the first free particle weakly right of them, the rest,
+    lowest priority first, to the first free anti-particle weakly left of
+    them with the label decremented; both searches wrap cyclically.
+    Returns each ball set's labels for columns 1..n, in order.
 
-def _label_layer(word, s, particles):
-    """Label every row in ``particles`` below a row labelled ``word``.
-
-    Each entry of ``particles`` is a ball set with s balls, as its
-    ``_particle_mask``; ``stationary_counts`` passes a whole layer, the
-    single-row callers a one-element list.  The pairing order depends only
-    on ``word``, so it is sorted and split once per call: sites pair in
-    decreasing label, ties left to right, the s first to the first free
-    particle weakly right of them, the rest, lowest priority first, to the
-    first free anti-particle weakly left of them with the label
-    decremented; both searches wrap cyclically.  Returns, for each ball
-    set in order, (its labels for columns 1..n, labels of the wrapping
-    particle pairings, labels of the wrapping anti-particle pairings).
+    The pairing order depends only on ``word``, so it is sorted and split
+    once per call.  The last label class to pair on a side takes every
+    site of that side that is still free, so it is filled in, not walked:
+    each ball set starts with its particles holding the high side's last
+    label and its anti-particles the low side's, decremented, and only the
+    other sources walk.  In a straight layer only sources labelled above r
+    walk, and no anti-particle pairing does.  A walker's label is above the particles' fill, or
+    below the anti-particles' fill, so a site is free exactly while it
+    holds its side's fill.  ``prefilled`` is a dict that the caller keeps
+    for one list ``rows``, one per layer in ``stationary_counts``: it maps
+    the two fill labels to every ball set's filled-in row, so a layer
+    builds those once for each pair of fills it meets, not once per word.
+    When nothing walks, the list returned is the table's own; callers only
+    read it.
 
     The labels do not depend on where the ring is cut: rotating ``word``
     and the row together rotates them, since the sites that one label's
-    pairings fill do not depend on the order in which they pair.  Which
-    pairings wrap does depend on the cut.
+    pairings fill do not depend on the order in which they pair.
     """
     n = len(word)
     # sorted is stable under reverse=True, so ties stay left to right
     order = sorted(range(n), key=word.__getitem__, reverse=True)
-    high, low = order[:s], order[s:][::-1]
+    ranked = sorted(word, reverse=True)
+    # the fill labels, and the sources that walk: those ranked above the
+    # high side's last label, and those ranked below the low side's first
+    top = ranked[s - 1] if s else None
+    rightward = order[: ranked.index(top)] if s else ()
+    if s < n:
+        bottom = ranked[s]
+        leftward = order[ranked.index(bottom) + ranked.count(bottom):][::-1]
+        bottom -= 1
+    else:
+        bottom, leftward = None, ()
+    filled = prefilled.get((top, bottom))
+    if filled is None:
+        filled = prefilled[top, bottom] = []
+        for row in rows:
+            out = [bottom] * n
+            for c in row:
+                out[c - 1] = top
+            filled.append(tuple(out))
+    if not (rightward or leftward):
+        return filled
     labelled = []
-    for particle in particles:
-        # a site holds True while it is a free particle and False while it
-        # is a free anti-particle; labels are ints, never bools
-        out = list(particle)
-        plus, minus = [], []
-        for src in high:
+    for out in filled:
+        out = list(out)
+        for src in rightward:
             t = src
-            while out[t] is not True:
+            while out[t] != top:
                 t = t + 1 if t + 1 < n else 0
-            out[t] = lab = word[src]
-            if t < src:
-                plus.append(lab)
-        for src in low:
+            out[t] = word[src]
+        for src in leftward:
             t = src
-            while out[t] is not False:
+            while out[t] != bottom:
                 t = t - 1 if t else n - 1
             out[t] = word[src] - 1
-            if t > src:
-                minus.append(word[src])
-        labelled.append((tuple(out), plus, minus))
+        labelled.append(tuple(out))
     return labelled
+
+
+def _wrap_lists(word, labels, here):
+    """The wrapping particle and anti-particle pairings that label ball set
+    ``here`` (columns 1..n) as ``labels`` below a row labelled ``word``:
+    one label per wrap, each list in pairing order.
+
+    The sources of one label pair left to right; those that reach a
+    particle are the leftmost of them, as many as the particles that got
+    their label, and the rest reach the anti-particles that got it
+    decremented.  Those sites do not depend on the order in which the
+    class pairs, and no pairing passes a free site of its side that the
+    class leaves free, so the class's wraps are the pairings that it
+    cannot make without one, which ``_match_rows`` counts: on the particle
+    side the sources are the opens and the particles the closes, and the
+    wraps are the opens left unmatched; the anti-particles pair leftward,
+    so there they are the opens, the sources the closes, and the wraps the
+    closes left unmatched.
+    """
+    size = max(word) + 2
+    # the columns of each source label, and of each label below, shifted
+    # up by one so that a label of -1 has a slot
+    sources, reached = [0] * size, [0] * size
+    for c, lab in enumerate(word, start=1):
+        sources[lab] |= 1 << c
+    for c, lab in enumerate(labels, start=1):
+        reached[lab + 1] |= 1 << c
+    particle = _mask(here)
+    plus, minus = [], []
+    for lab in range(min(word), size - 1):
+        opens = sources[lab]
+        got = reached[lab + 1] & particle
+        # the leftmost k sources reach particles, the rest anti-particles
+        k = got.bit_count()
+        rest = opens.bit_count() - k
+        if rest:
+            right = _high_bits(opens, rest)
+            _, wraps = _match_rows(reached[lab] & ~particle, right)
+            minus += [lab] * wraps.bit_count()
+            opens ^= right
+        if k:
+            wraps, _ = _match_rows(opens, got)
+            plus += [lab] * wraps.bit_count()
+    # the particle side pairs in decreasing label, the anti-particle side in
+    # increasing label, and a class's wraps all carry its label
+    return plus[::-1], minus
 
 
 def _is_collapsed(m: MultilineQueue) -> bool:
@@ -325,8 +395,11 @@ def _is_collapsed(m: MultilineQueue) -> bool:
 
 
 def _rotations(word):
-    """The cyclic rotations of a word, one per shift, repeats included."""
-    return [word[i:] + word[:i] for i in range(len(word))]
+    """The cyclic rotations of a word, one per shift, repeats included,
+    each one slice of the word written twice."""
+    n = len(word)
+    twice = word + word
+    return [twice[i:i + n] for i in range(n)]
 
 
 def _check_fits(alpha, n) -> tuple:
@@ -409,41 +482,48 @@ def stationary_counts(lam, n: int):
     hole.  The counts are summed row by row over label words: a row's word
     fixes every label below it, so the queues that agree on it are merged
     there, and each word labels every ball set of the next row in one
-    ``_label_layer`` call.  The sweep starts above the top row from the
-    constant word L..L, which gives the top row's labels and never wraps.
+    ``_label_layer`` call, which returns labels only and shares one table
+    of filled-in rows across the layer.  The sweep starts above the top
+    row from the constant word L..L, which gives the top row's labels with
+    no walk.
 
     The chain is invariant under rotating the ring, so a layer keeps one
-    state per rotation class, and its value is the class total.  A class is
-    keyed by its first word that the call meets, and the n rotations of
-    that word are registered under it then, so each labelled word costs one
-    lookup and the rotations are built once per class.  That is exact: the
-    top word is fixed by rotation, and ``_label_layer`` commutes with
-    rotating the word and the row together, so every word of a class
-    reaches every class below through equally many rows.  A periodic word
-    is a smaller class but needs no weighting during the sweep, since
-    totals count each queue once.  At the end the d distinct rotations of
-    a class share its total equally.
+    state per rotation class, and its value is the class total.  Classes
+    are numbered in the order the call meets them, the first word met of a
+    class stands for it, and the n rotations of that word are registered
+    under its number then, so each labelled word costs one lookup, the
+    totals are keyed by ints, and the rotations are built once per class.
+    That is exact: the top word is fixed by rotation, and ``_label_layer``
+    commutes with rotating the word and the row together, so every word of
+    a class reaches every class below through equally many rows.  A
+    periodic word is a smaller class but needs no weighting during the
+    sweep, since totals count each queue once.  At the end the d distinct
+    rotations of a class share its total equally.
     """
     lam = check_partition(lam)
     _check_count(n, 1)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
     alpha = _conjugate(lam)
-    totals = {(len(alpha),) * n: 1}
-    keys = {}  # word -> the key of its rotation class
+    firsts = [(len(alpha),) * n]  # the first word met of each class
+    totals = {0: 1}
+    keys = {}  # word -> the number of its rotation class
     for s in reversed(alpha):
-        particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
+        rows = list(combinations(range(1, n + 1), s))
+        prefilled = {}
         below = {}
-        for word, total in totals.items():
-            for new, _, _ in _label_layer(word, s, particles):
+        for above, total in totals.items():
+            for new in _label_layer(firsts[above], s, rows, prefilled):
                 key = keys.get(new)
                 if key is None:  # the first word met of its class
-                    key = new
-                    keys.update(dict.fromkeys(_rotations(new), new))
+                    key = len(firsts)
+                    firsts.append(new)
+                    keys.update(dict.fromkeys(_rotations(new), key))
                 below[key] = below.get(key, 0) + total
         totals = below
     counts = {}
-    for word, total in totals.items():
+    for key, total in totals.items():
+        word = firsts[key]
         rotations = set(_rotations(word))
         each, rest = divmod(total, len(rotations))
         if rest:

@@ -6,10 +6,12 @@ exponential in the number of rows; the package computes the same quantities
 over label-word states (the stationary counts) or chains of horizontal
 strips (the q-Whittaker polynomials).  ``label_mlq_by_matching`` labels a straight
 queue by iterated cylindrical matching, independently of the pairing rule
-``mlq._label_layer`` that every labelling in the package uses, and
-``label_row_by_scan`` runs that rule one row and one site at a time, apart
-from the kernel's per-word set-up, so the kernel is checked against it and
-not only through ``maj_g``, which calls the kernel.  The Schur and
+that the package runs in ``mlq._label_layer``.  ``label_row_by_scan`` runs
+that rule one row and one site at a time and reads each wrap off its own
+walk, with no class filled in and no matching, so both the kernel's labels
+and the wrap lists that ``mlq._wrap_lists`` matches out of them are checked
+against it, and ``stationary_counts_by_sweep`` labels through it alone,
+so the sweep's check does not run the kernel it checks.  The Schur and
 Kostka-Foulkes routes here are the paper's theorems: Schur polynomials sum
 over nonwrapping queues, and Kostka-Foulkes polynomials weigh nonwrapping
 queues by the major index of their quarter turn.  ``coquinv_free_fillings``
@@ -137,8 +139,6 @@ from mlqkit.mlq import (
     MultilineQueue,
     _check_straight,
     _is_collapsed,
-    _label_layer,
-    _particle_mask,
     column_word,
     enumerate_gmlq,
     enumerate_mlq,
@@ -398,16 +398,17 @@ def tasep_law(word, hop=operator.lt):
 def stationary_counts_by_sweep(lam, n: int) -> dict:
     """The label-word sweep with one state per word, not per rotation
     class: from the constant word L..L above the top row, each word of a
-    layer labels every ball set of the next row in one ``_label_layer``
-    call."""
+    layer labels every ball set of the next row through
+    ``label_row_by_scan``, one site at a time, so it shares no code with
+    the kernel that ``stationary_counts`` runs."""
     alpha = conjugate(lam)
     layer = {(len(alpha),) * n: 1}
     for s in reversed(alpha):
-        particles = [_particle_mask(n, row) for row in combinations(range(1, n + 1), s)]
+        rows = list(combinations(range(1, n + 1), s))
         below = Counter()
         for word, count in layer.items():
-            for new, _, _ in _label_layer(word, s, particles):
-                below[new] += count
+            for row in rows:
+                below[label_row_by_scan(word, row)[0]] += count
         layer = below
     return dict(layer)
 

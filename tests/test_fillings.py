@@ -188,7 +188,7 @@ def test_coquinv_check_survives_optimize():
     script = (
         "import mlqkit.fillings as fillings\n"
         "from mlqkit.errors import InvariantError\n"
-        "fillings._label_layer = lambda word, s, particles: [(tuple(range(len(word))), [], [])]\n"
+        "fillings._label_layer = lambda word, s, rows, prefilled: [tuple(range(len(word)))]\n"
         "try:\n"
         "    fillings.filling_of_mlq(fillings.MultilineQueue(3, [[1, 2], [1]]))\n"
         "except InvariantError:\n"

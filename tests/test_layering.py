@@ -123,7 +123,7 @@ def test_collapse_does_not_label():
     # collapsing never runs the labelling engine
     labelling = {
         "label_mlq", "label_gmlq", "maj", "maj_g", "is_nonwrapping", "projection",
-        "_label_layer", "_label_rows", "_particle_mask", "_rotations",
+        "_label_layer", "_label_rows", "_wrap_lists", "_rotations",
     }
     assert not _imported_names(MODULES["collapse"]) & labelling
 
@@ -292,11 +292,29 @@ def test_lazy_enumerators_and_eager_strip_helpers():
 
 
 def test_one_pairing_kernel():
-    # every labelling runs the pairing rule through mlq._label_layer
+    # every labelling runs the pairing rule through mlq._label_layer, which
+    # returns labels only
     for module, start in [
-        ("mlq", "stationary_counts"), ("mlq", "_label_rows"), ("fillings", "filling_of_mlq"),
+        ("mlq", "stationary_counts"), ("mlq", "projection"), ("mlq", "_label_rows"),
+        ("fillings", "filling_of_mlq"),
     ]:
         assert "_label_layer" in _calls_in_module(MODULES[module], start), (module, start)
+    # the wrap lists are matched out of the labels by the one two-row
+    # matching kernel, and only label_gmlq and maj_g, through _label_rows,
+    # ask for them: the projection, the fillings and the stationary sweep
+    # take the kernel's labels as they are
+    mlq = MODULES["mlq"]
+    assert {"_wrap_lists", "_match_rows"} <= _calls_in_module(mlq, "_label_rows")
+    direct = {
+        (name, node.name)
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and _names_in_function(tree, node.name) & {"_wrap_lists", "_label_rows"}
+    }
+    assert direct == {("mlq", "_label_rows"), ("mlq", "label_gmlq"), ("mlq", "maj_g")}
+    for start in ["stationary_counts", "projection"]:
+        assert "_wrap_lists" not in _calls_in_module(mlq, start), start
 
 
 MUTABLE_BUILDERS = {

@@ -2,7 +2,8 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_collapse import binary_matrices
 
 import oracles
@@ -13,7 +14,7 @@ from mlqkit.matching import _mask, _match_rows
 from mlqkit.mlq import (
     MultilineQueue,
     _label_layer,
-    _particle_mask,
+    _wrap_lists,
     biwords,
     canonical_mlq,
     column_word,
@@ -204,20 +205,50 @@ def test_gmlq_pairing_figure():
 def test_gmlq_label_row_step():
     # one labelling step with a prescribed word above
     word = (2, 5, 4, 2, 4, 2)
-    ((labels, _, _),) = _label_layer(word, 2, [_particle_mask(6, {1, 5})])
-    assert labels == (4, 3, 1, 1, 5, 1)
+    assert _label_layer(word, 2, [(1, 5)], {}) == [(4, 3, 1, 1, 5, 1)]
 
 
 def test_label_layer_matches_scan():
-    # the layer kernel against the one-site-at-a-time scan, on every word
-    # over {0..3} and every ball set, with the wrap lists in pairing order
+    # the layer kernel's labels against the one-site-at-a-time scan, on
+    # every word over {0..3} and every ball set; one table of filled-in
+    # rows serves every word of a layer, as in stationary_counts
     for n in range(1, 6):
         for size in range(n + 1):
             rows = list(combinations(range(1, n + 1), size))
-            particles = [_particle_mask(n, row) for row in rows]
+            prefilled = {}
             for word in product(range(4), repeat=n):
-                labelled = _label_layer(word, size, particles)
-                assert labelled == [oracles.label_row_by_scan(word, row) for row in rows]
+                labelled = _label_layer(word, size, rows, prefilled)
+                assert labelled == [oracles.label_row_by_scan(word, row)[0] for row in rows]
+
+
+def _check_wrap_lists(word, row):
+    labels, plus, minus = oracles.label_row_by_scan(word, row)
+    assert _label_layer(word, len(row), [row], {}) == [labels]
+    assert _wrap_lists(word, labels, row) == (plus, minus), (word, row)
+
+
+def test_wrap_lists_match_scan():
+    # the wraps that _label_rows matches out of the kernel's labels are the
+    # scan's, in pairing order, on every word over {0..3} and every ball set
+    for n in range(1, 6):
+        for size in range(n + 1):
+            for row in combinations(range(1, n + 1), size):
+                for word in product(range(4), repeat=n):
+                    _check_wrap_lists(word, row)
+
+
+@st.composite
+def word_and_row(draw):
+    n = draw(st.integers(1, 8))
+    word = tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    row = sorted(draw(st.sets(st.integers(1, n))))
+    return word, tuple(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_and_row())
+def test_wrap_lists_match_scan_random(case):
+    _check_wrap_lists(*case)
 
 
 def test_label_row_commutes_with_rotation():
@@ -226,16 +257,12 @@ def test_label_row_commutes_with_rotation():
     for n in range(1, 6):
         for size in range(n + 1):
             rows = list(combinations(range(1, n + 1), size))
-            turned_rows = [[c - 1 if c > 1 else n for c in row] for row in rows]
-            particles = [_particle_mask(n, row) for row in rows]
-            turned_particles = [_particle_mask(n, row) for row in turned_rows]
+            turned_rows = [sorted(c - 1 if c > 1 else n for c in row) for row in rows]
             for word in product(range(4), repeat=n):
                 turned = word[1:] + word[:1]
-                labelled = _label_layer(word, size, particles)
-                turned_labelled = _label_layer(turned, size, turned_particles)
-                for row, (labels, _, _), (turned_labels, _, _) in zip(
-                    rows, labelled, turned_labelled
-                ):
+                labelled = _label_layer(word, size, rows, {})
+                turned_labelled = _label_layer(turned, size, turned_rows, {})
+                for row, labels, turned_labels in zip(rows, labelled, turned_labelled):
                     assert turned_labels == labels[1:] + labels[:1], (word, row)
 
 

@@ -109,9 +109,9 @@ def _kernel_calls(monkeypatch):
     calls = []
     kernel = mlq._label_layer
 
-    def counted(word, s, particles):
-        calls.append(len(particles))
-        return kernel(word, s, particles)
+    def counted(word, s, rows, prefilled):
+        calls.append(len(rows))
+        return kernel(word, s, rows, prefilled)
 
     monkeypatch.setattr(mlq, "_label_layer", counted)
     return calls
@@ -277,6 +277,17 @@ def test_stationary_counts_sum_to_queue_count():
     assert sum(counts.values()) == count_mlq(lam, n)
 
 
+def test_stationary_frontier_row():
+    # a row of the frontier ladder: the kernel's fills and walks against
+    # the site-by-site scan, the queue count and the ring's rotation
+    # symmetry
+    lam, n = (4, 3, 2, 1), 7
+    counts = stationary_counts(lam, n)
+    assert counts == oracles.stationary_counts_by_sweep(lam, n)
+    assert sum(counts.values()) == count_mlq(lam, n)
+    assert all(counts[word[1:] + word[:1]] == k for word, k in counts.items())
+
+
 def test_stationary_orbit_split_is_checked(monkeypatch):
     # a class total that its rotations cannot share equally raises a typed
     # error, which python -O keeps: with the last ball set of each layer
@@ -284,7 +295,8 @@ def test_stationary_orbit_split_is_checked(monkeypatch):
     # other cannot be shared by its two rotations
     real = mlq._label_layer
     monkeypatch.setattr(
-        mlq, "_label_layer", lambda word, s, particles: real(word, s, particles[:-1]),
+        mlq, "_label_layer",
+        lambda word, s, rows, prefilled: real(word, s, rows[:-1], prefilled),
     )
     for lam, n in [((1,), 2), ((2, 1), 3), ((3, 2, 1), 5)]:
         with pytest.raises(InvariantError):
