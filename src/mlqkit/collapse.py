@@ -12,7 +12,9 @@ queue.
 Drops and lifts work on rows held as int bitmasks, bit c standing for
 column c, through the one two-row kernel ``matching._match_rows``; a
 queue's rows are encoded once on the way in and decoded once where the
-resulting ``MultilineQueue`` is built.
+resulting ``MultilineQueue`` is built.  One kernel, ``_sweep``, collapses
+masks; drop counts and lift batches are the recorder's prefix counts, and
+the inverses lift on the masks that their collapsed check matched.
 
 Collapsing is an insertion procedure, so the maps between tableaux and
 nonwrapping queues live here too: ``mlq_of_tableau`` collapses the columns
@@ -22,9 +24,8 @@ queues (``skew_to_mlq``) rectify skew tableaux and count
 Littlewood-Richardson coefficients.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
+from itertools import combinations, pairwise, zip_longest
 
 from .core import (
     _as_tuple, _check_count, _check_instance, _conjugate, _is_count, check_partition, is_lattice,
@@ -44,9 +45,9 @@ from .mlq import MultilineQueue, _check_row_pair, _is_collapsed, row_word, sigma
 from .tableaux import (
     SkewTableau,
     Tableau,
+    _column_insert,
     _inner_of,
     _rows_of_columns,
-    column_insert,
     straighten,
 )
 
@@ -57,6 +58,8 @@ class CollapseResult:
 
     drop_counts is dense: it holds every (r, j) with 1 <= j < r, the number
     of balls that sweep r dropped from row j+1 to row j, zeros included.
+    That is the number of entries r in recorder rows 1..j, as a ball of row
+    r passes into row j exactly when it settles in row j or below.
     """
 
     queue: MultilineQueue
@@ -124,68 +127,75 @@ def drop_all(m: MultilineQueue, i: int) -> MultilineQueue:
 
 
 def collapse(m: MultilineQueue) -> CollapseResult:
-    """Collapse bottom-to-top: returns the nonwrapping queue, the recording
-    tableau whose entries r mark where the balls of row r settled, and the
-    per-sweep drop counts {(r, j): drops from row j+1 to row j}.
+    """Collapse bottom-to-top by ``_sweep``: returns the nonwrapping queue,
+    the recording tableau whose entries r mark where the balls of row r
+    settled, and the per-sweep drop counts {(r, j): drops from row j+1 to
+    row j}, read off the recorder by ``_prefix_counts``."""
+    _check_instance(m, MultilineQueue)
+    rows, recorder = _sweep(_row_masks(m))
+    counts = _prefix_counts(recorder, m.num_rows)
+    drop_counts = {(r, j): counts[j][r] for r in range(m.num_rows + 1) for j in range(r - 1, 0, -1)}
+    return CollapseResult(_from_masks(m.n, rows), Tableau._of(recorder), drop_counts)
+
+
+def _sweep(sources):
+    """Collapse the rows given as masks in sources, bottom row first, without
+    decoding them; return (the collapsed row masks, the recorder rows).
 
     Sweep r drops row r onto the collapsed rows 1..r-1, whose nonempty rows
     are exactly 1..top (a nonempty row above an empty one would be
-    unmatched against it).  The sweep follows three rules:
-
-    - Fall: rows top+1..r-1 are empty and every ball is unmatched against
-      an empty row, so row r lands on row top+1 in one move, and each step
-      j = r-1..top+1 drops all of row r.
-    - Stop: once a step drops nothing, rows 1..j are unchanged and were
-      collapsed, so every lower step would drop nothing too; those steps
-      are recorded as 0 without matching.
-    - Check: the sweep changed only the rows from the stop step + 1 up to
-      the landing row top+1, and the rows above it are empty.  The adjacent
-      pairs among the stop row..landing row must match fully (see
-      ``mlq._is_collapsed``), the stop step's own pair, matched with nothing
-      moved, aside; every other pair is of unchanged rows and was verified
-      by an earlier sweep.  So after every sweep the prefix is collapsed,
-      or InvariantError is raised.
-
-    The rows are bitmasks throughout (see ``_drop_unmatched``), checked as
-    they are, and the queue is decoded once at the end.
+    unmatched against it).  Fall: row r is unmatched against the empty rows
+    top+1..r-1, so it lands on row top+1 in one move.  Stop: once a step
+    drops nothing, rows 1..j are unchanged and collapsed, so no lower step
+    is matched.  Check: the sweep changed only the rows from the stop step
+    + 1 up to the landing row, so only their adjacent pairs are matched
+    again (see ``mlq._is_collapsed``), the stop step's own pair, matched
+    with nothing moved, aside.  So after every sweep the prefix is
+    collapsed, or InvariantError is raised.
     """
-    _check_instance(m, MultilineQueue)
     rows = []
     tableau_rows = []
-    drop_counts = {}
     top = 0
-    for r, source in enumerate(m.rows, start=1):
+    for r, source in enumerate(sources, start=1):
         rows.append(0)
         tableau_rows.append([])
-        arrived = len(source)  # balls that entered row j+1 in this sweep
-        for j in range(r - 1, top, -1):
-            drop_counts[(r, j)] = arrived
+        arrived = source.bit_count()  # balls that entered row j+1 in this sweep
         land = top + 1
-        rows[top] = _mask(source)
+        rows[top] = source
         j = top
         while j and arrived:
             moved = _drop_unmatched(rows, j)
-            drop_counts[(r, j)] = moved
             tableau_rows[j].extend([r] * (arrived - moved))
             arrived = moved
             j -= 1
         tableau_rows[j].extend([r] * arrived)  # the last arrivals stay
-        for i in range(j, 0, -1):
-            drop_counts[(r, i)] = 0
         # a stop step (nothing arrived) has just matched rows[j + 1] fully
         for i in range(j + 1 if arrived else j + 2, land):
             if _match_rows(rows[i], rows[i - 1])[0]:
                 raise InvariantError(f"collapsed prefix moved at row {i}")
         top = land if rows[top] else top
-    queue = _from_masks(m.n, rows)
     # rows of the recorder increase by construction, since sweep r appends
     # r; its shape is the queue's row sizes, straight by the check above;
     # that its columns increase strictly is the theorem, so it is checked
     recorder = tuple(tuple(row) for row in tableau_rows if row)
-    for below, above in zip(recorder, recorder[1:]):
+    for below, above in pairwise(recorder):
         if any(x >= y for x, y in zip(below, above)):
             raise InvariantError(f"recorder columns not strict: {below} under {above}")
-    return CollapseResult(queue, Tableau._of(recorder), drop_counts)
+    return rows, recorder
+
+
+def _prefix_counts(recorder, height):
+    """Item j counts the entries of recorder rows 1..j by value, for every
+    j < height (entries are at most height).  At index r > j that is the
+    drops of sweep r from row j+1 to row j (see ``CollapseResult``), and so
+    the lifts that undo them."""
+    counts = [[0] * (height + 1)]
+    for row in recorder:
+        now = counts[-1][:]
+        for r in row:
+            now[r] += 1
+        counts.append(now)
+    return counts + counts[-1:] * (height - len(counts))
 
 
 def _check_has_rows(m):
@@ -233,20 +243,23 @@ def collapse_left(m: MultilineQueue) -> MultilineQueue:
 
 
 def _check_collapsed(m):
-    """ParseError unless m is a queue, NotNonwrapping unless it is a collapse
-    fixed point, the domain of every inverse map here; ``mlq._is_collapsed``
-    decides it by parking."""
+    """The row masks of m, which ``mlq._is_collapsed`` parks; ParseError
+    unless m is a queue, NotNonwrapping unless it is a collapse fixed point,
+    the domain of every inverse map here."""
     _check_instance(m, MultilineQueue)
-    if not _is_collapsed(m):
+    rows = _row_masks(m)
+    if not _is_collapsed(rows):
         raise NotNonwrapping(m.to_text())
+    return rows
 
 
 def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> MultilineQueue:
     """Rebuild the matrix whose collapse is (queue, recorder).
 
-    The entry multiplicities of the recorder prescribe how many times each
-    lift is applied, lowest row first, one batch per recorder letter; a
-    batch of 0 lifts is skipped.
+    Letters are undone from the largest down: letter r lifts row j, for
+    j = 1..r-1 and lowest row first, once per ball that sweep r dropped
+    from row j+1, the entries r in recorder rows 1..j (``_prefix_counts``);
+    a batch of 0 lifts is skipped.
     Lifting row j k times moves its k rightmost balls unmatched against row
     j+1: a lifted ball opens a bracket that nothing to its right closes, so
     the other unmatched balls stay unmatched.  Each batch is one
@@ -257,9 +270,11 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     or that entry if it is larger.  It bounds the ball rows too: they are
     1..k for k recorder rows, and recorder row k has entries >= k.
     """
-    _check_collapsed(queue)
+    rows = _check_collapsed(queue)
     _check_instance(recorder, Tableau)
-    _check_recorder_shape(queue, recorder)
+    sizes = tuple(filter(None, queue.row_sizes()))
+    if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
+        raise ShapeMismatch(f"recorder shape {recorder.shape()} vs queue row sizes {sizes}")
     min_height = recorder.entry_max()
     if height is None:
         height = max(min_height, queue.num_rows)
@@ -268,34 +283,20 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
             f"height {height!r} is not an int >= {min_height}, the largest "
             "recorder entry"
         )
-    return _uncollapse(queue, recorder, height)
+    return _uncollapse(queue.n, rows, recorder.rows, height)
 
 
-def _check_recorder_shape(queue, recorder):
-    """ShapeMismatch unless the recorder's rows are as long as the queue's
-    nonempty rows."""
-    sizes = tuple(s for s in queue.row_sizes() if s > 0)
-    if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
-        raise ShapeMismatch(
-            f"recorder shape {recorder.shape()} vs queue row sizes {sizes}"
-        )
-
-
-def _uncollapse(queue, recorder, height):
-    """``collapse_inverse`` on checked input: queue collapsed, recorder of
-    its shape, height at least the largest recorder entry."""
-    rows = _row_masks(queue)[:height]
-    rows += [0] * (height - len(rows))
-    multiplicity = Counter(  # (entry, recorder row): how often
-        (v, j) for j, row in enumerate(recorder.rows, start=1) for v in row
-    )
+def _uncollapse(n, rows, recorder, height):
+    """``collapse_inverse`` on checked input: rows the masks of a collapsed
+    queue on n columns, recorder the rows of a tableau of its shape, height
+    at least its largest entry; the lift batches are its prefix counts."""
+    rows = rows[:height] + [0] * (height - len(rows))
+    counts = _prefix_counts(recorder, height)
     for r in range(height, 1, -1):
-        phi = 0
         for j in range(1, r):
-            phi += multiplicity[(r, j)]
-            if phi:
-                _lift_unmatched(rows, j, phi)
-    return _from_masks(queue.n, rows)
+            if counts[j][r]:
+                _lift_unmatched(rows, j, counts[j][r])
+    return _from_masks(n, rows)
 
 
 def mrsk(m: MultilineQueue):
@@ -312,18 +313,18 @@ def mrsk(m: MultilineQueue):
     injective in the recorder, so ``mrsk_inverse . mrsk = id`` for the
     leftward collapse already forces the recorder read off it to equal
     ``collapse(m).recorder``.  A queue without rows is OutOfRange, as its
-    quarter turn is.
+    quarter turn is.  With no drop counts to build, it calls ``_sweep``.
     """
     _check_has_rows(m)
-    down, recorder = collapse(m)
+    rows, recorder = _sweep(_row_masks(m))
     flip = m.num_rows + 1
     left = [[] for _ in range(m.n)]
     # recorder columns increase strictly, so taken from the last row back
     # their flips increase
-    for row in reversed(recorder.rows):
+    for row in reversed(recorder):
         for c, r in enumerate(row):
             left[c].append(flip - r)
-    return down, MultilineQueue._of(m.num_rows, tuple(map(tuple, left)))
+    return _from_masks(m.n, rows), MultilineQueue._of(m.num_rows, tuple(map(tuple, left)))
 
 
 def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
@@ -340,11 +341,12 @@ def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     (``_match_rows``).  The flip x -> left.n + 1 - x turns suffixes into
     prefixes, so recorder columns c and c + 1 satisfy C_c[i] <= C_{c+1}[i]:
     rows weakly increase, columns strictly increase and column lengths
-    weakly decrease.  So the recorder is built unchecked, and its shape,
-    the conjugate of left's, is tested once against down's.
+    weakly decrease.  So the recorder rows go to ``_uncollapse`` unchecked,
+    with the masks of down that its check matched, and their shape, the
+    conjugate of left's, is tested once against down's.
     """
     _check_collapsed(left)
-    _check_collapsed(down)
+    rows = _check_collapsed(down)
     if left.n != down.num_rows or left.num_rows != down.n:
         raise ColumnMismatch(
             f"left is {left.num_rows} rows on {left.n} columns, not the "
@@ -356,7 +358,7 @@ def mrsk_inverse(down: MultilineQueue, left: MultilineQueue) -> MultilineQueue:
     flip = left.n + 1
     # a collapsed queue's empty rows are its top ones, the trailing columns
     columns = [tuple(flip - x for x in reversed(row)) for row in left.rows if row]
-    return _uncollapse(down, Tableau._of(_rows_of_columns(columns)), left.n)
+    return _uncollapse(down.n, rows, _rows_of_columns(columns), left.n)
 
 
 def flip_up(m: MultilineQueue) -> MultilineQueue:
@@ -394,22 +396,28 @@ def mlq_of_tableau(t: Tableau, n=None) -> MultilineQueue:
     reversed column reading word of t, whose column insertion is t; since
     tab_of_mlq(collapse(m).queue) == column_insert(row_word(m)), the
     collapsed queue maps back to t.  An explicit n must be a positive int
-    (ParseError otherwise); the empty tableau's default is one column.
+    (ParseError otherwise); the empty tableau's default is one column.  One
+    pass ORs t's rows into column masks for ``_sweep``; the collapsed queue
+    has shape t's, so its rows, one per column of t, are all nonempty.
     """
     _check_instance(t, Tableau)
-    n = max(t.entry_max(), 1) if n is None else _check_count(n, 1)
-    if t.entry_max() > n:
-        raise AlphabetTooSmall(f"entries up to {t.entry_max()}, n={n}")
-    width = len(t.rows[0]) if t.rows else 0
-    # the columns of t increase strictly, so they are rows as stored
-    m = MultilineQueue._of(n, tuple(t.column(c) for c in range(width, 0, -1)))
-    return collapse(m).queue.trimmed()
+    top = t.entry_max()
+    n = max(top, 1) if n is None else _check_count(n, 1)
+    if top > n:
+        raise AlphabetTooSmall(f"entries up to {top}, n={n}")
+    columns = [0] * (len(t.rows[0]) if t.rows else 0)
+    for row in t.rows:
+        for c, v in enumerate(row):
+            columns[c] |= 1 << v
+    rows, _ = _sweep(columns[::-1])
+    return _from_masks(n, rows)
 
 
 def tab_of_mlq(m: MultilineQueue) -> Tableau:
-    """Column insertion of the row word; inverse of mlq_of_tableau."""
+    """Column insertion of the row word, whose letters are ball columns, so
+    unchecked (``tableaux._column_insert``); inverse of mlq_of_tableau."""
     _check_collapsed(m)
-    return column_insert(row_word(m))
+    return _column_insert(row_word(m))
 
 
 def insert_into_mlq(m: MultilineQueue, k: int):
@@ -510,7 +518,8 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     def place(j, room):
         if j > ell:
             cand = MultilineQueue(len(nu) + ell, rows)
-            return int(_is_collapsed(cand) and is_lattice(BicoloredMLQ(cand, ell).skew_word()))
+            collapsed = _is_collapsed(_row_masks(cand))
+            return int(collapsed and is_lattice(BicoloredMLQ(cand, ell).skew_word()))
         total = 0
         for picked in combinations([r for r, k in enumerate(room) if k], mu[j - 1]):
             left = list(room)

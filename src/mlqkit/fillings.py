@@ -18,6 +18,7 @@ the coquinv-free filling is unique, and one top-down pass builds it.
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .core import (
     _as_rows, _check_count, _check_instance, _check_letters, _text, check_partition, conjugate,
@@ -94,35 +95,35 @@ def parse_filling(text: str) -> ColumnFilling:
         raise ParseError(f"bad filling {text!r}") from exc
 
 
-def _cyclically_decreasing(x, y, z) -> bool:
-    """Counterclockwise decrease for the triple (above, below, right-of-below)."""
-    return (x > y >= z) or (y >= z >= x) or (z >= x > y)
-
-
 def coquinv(tau: ColumnFilling) -> int:
     """Count of cyclically decreasing triples, degenerate ones included.
 
     A triple sits at columns i < j: cells (r, i) above, (r-1, i) below,
-    (r-1, j) to the right.  When column i ends at row r-1 the top cell is
-    missing and the triple counts iff entry(r-1, i) >= entry(r-1, j).
+    (r-1, j) to the right, and it is cyclically decreasing when, read
+    above, below, right-of-below, it falls counterclockwise: x > y >= z,
+    y >= z >= x or z >= x > y.  When column i ends at row r-1 the top cell
+    is missing and the triple counts iff entry(r-1, i) >= entry(r-1, j).
+
+    The stored rows are read pairwise: for each cell y of a row and the
+    cell x above it, the cells z right of y count when they lie in [x, y]
+    if x <= y, and outside (y, x) otherwise.  A missing top cell reads 0,
+    below every entry, so its triples count when z <= y.  Every triple is
+    counted, as ``filling_of_mlq`` runs this as its check.
     """
     _check_instance(tau, ColumnFilling)
-    shape = tau.shape
+    rows = tau.rows
     total = 0
-    for r in range(2, (shape[0] if shape else 0) + 2):
-        for i in range(1, len(shape) + 1):
-            if shape[i - 1] < r - 1:
-                break
-            for j in range(i + 1, len(shape) + 1):
-                if shape[j - 1] < r - 1:
-                    break
-                y = tau.entry(r - 1, i)
-                z = tau.entry(r - 1, j)
-                if shape[i - 1] >= r:
-                    if _cyclically_decreasing(tau.entry(r, i), y, z):
+    for below, above in zip_longest(rows, rows[1:], fillvalue=()):
+        for i, y in enumerate(below):
+            x = above[i] if i < len(above) else 0
+            if x <= y:
+                for z in below[i + 1:]:
+                    if x <= z <= y:
                         total += 1
-                elif y >= z:
-                    total += 1
+            else:
+                for z in below[i + 1:]:
+                    if z <= y or z >= x:
+                        total += 1
     return total
 
 

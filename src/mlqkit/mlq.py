@@ -251,14 +251,26 @@ def _label_rows(m: MultilineQueue):
     anti-particle labels) for r from the top row down, starting from the
     constant word L..L as ``stationary_counts`` does.  The kernel gives the
     labels; the wrap lists are read off them by ``_wrap_lists``, which only
-    ``label_gmlq`` and ``maj_g`` need."""
+    ``label_gmlq`` and ``maj_g`` need.  The label masks that ``_wrap_lists``
+    builds for one row are the source masks of the row below, so they are
+    passed down; only the top word's are built here."""
     word = (m.num_rows,) * m.n
+    sources = _label_masks(word)
     for r in range(m.num_rows, 0, -1):
         row = m.row(r)
         (labels,) = _label_layer(word, len(row), [row], {})
-        plus, minus = _wrap_lists(word, labels, row)
+        plus, minus, sources = _wrap_lists(sources, labels, row)
         yield r, labels, plus, minus
         word = labels
+
+
+def _label_masks(word):
+    """The columns of each label of word as masks, label l at index l + 1,
+    for l from -1 up to max(word)."""
+    masks = [0] * (max(word) + 2)
+    for c, lab in enumerate(word, start=1):
+        masks[lab + 1] |= 1 << c
+    return masks
 
 
 def _wrap_weight(plus, minus, r) -> int:
@@ -339,10 +351,14 @@ def _label_layer(word, s, rows, prefilled):
     return labelled
 
 
-def _wrap_lists(word, labels, here):
+def _wrap_lists(sources, labels, here):
     """The wrapping particle and anti-particle pairings that label ball set
-    ``here`` (columns 1..n) as ``labels`` below a row labelled ``word``:
-    one label per wrap, each list in pairing order.
+    ``here`` (columns 1..n) as ``labels`` below a row labelled by a word
+    of nonnegative labels, given by its ``_label_masks`` ``sources``: one
+    label per wrap, each list in pairing order.  Returns (particle wraps,
+    anti-particle wraps, the masks of ``labels`` as ``_label_masks`` lays
+    them out, with as many slots as ``sources``), the last being the
+    source masks of the next row down.
 
     The sources of one label pair left to right; those that reach a
     particle are the leftmost of them, as many as the particles that got
@@ -356,18 +372,15 @@ def _wrap_lists(word, labels, here):
     so there they are the opens, the sources the closes, and the wraps the
     closes left unmatched.
     """
-    size = max(word) + 2
-    # the columns of each source label, and of each label below, shifted
-    # up by one so that a label of -1 has a slot
-    sources, reached = [0] * size, [0] * size
-    for c, lab in enumerate(word, start=1):
-        sources[lab] |= 1 << c
+    # a label is at most its source's, so it has a slot among the sources'
+    reached = [0] * len(sources)
     for c, lab in enumerate(labels, start=1):
         reached[lab + 1] |= 1 << c
     particle = _mask(here)
     plus, minus = [], []
-    for lab in range(min(word), size - 1):
-        opens = sources[lab]
+    for lab, opens in enumerate(sources[1:]):
+        if not opens:
+            continue
         got = reached[lab + 1] & particle
         # the leftmost k sources reach particles, the rest anti-particles
         k = got.bit_count()
@@ -382,16 +395,16 @@ def _wrap_lists(word, labels, here):
             plus += [lab] * wraps.bit_count()
     # the particle side pairs in decreasing label, the anti-particle side in
     # increasing label, and a class's wraps all carry its label
-    return plus[::-1], minus
+    return plus[::-1], minus, reached
 
 
-def _is_collapsed(m: MultilineQueue) -> bool:
-    """True when m is a collapse fixed point: collapse moves the balls that
-    the bracket matching (``_match_rows``) leaves unmatched, so every row
-    must match fully into the row below.  That is parking without a wrap,
-    and it needs the row below to be as large, so m is straight."""
-    pairs = pairwise(map(_mask, m.rows))
-    return not any(_match_rows(upper, lower)[0] for lower, upper in pairs)
+def _is_collapsed(rows) -> bool:
+    """True when the queue with row masks rows, bottom row first, is a
+    collapse fixed point: collapse moves the balls that the bracket
+    matching (``_match_rows``) leaves unmatched, so every row must match
+    fully into the row below.  That is parking without a wrap, and it needs
+    the row below to be as large, so the queue is straight."""
+    return not any(_match_rows(upper, lower)[0] for lower, upper in pairwise(rows))
 
 
 def _rotations(word):

@@ -197,23 +197,31 @@ def tableau_charge(t: Tableau) -> int:
 
 def _rows_of_columns(cols) -> tuple:
     """The rows, bottom row first, of the columns cols, each listed
-    bottom-up; None unless the column lengths weakly decrease."""
+    bottom-up; None unless the column lengths weakly decrease.  Each column
+    is appended to the rows it reaches, which are then all the rows."""
     if any(len(a) < len(b) for a, b in pairwise(cols)):
         return None
-    height = len(cols[0]) if cols else 0
-    return tuple(tuple(c[r] for c in cols if len(c) > r) for r in range(height))
+    rows = [[] for _ in cols[0]] if cols else []
+    for col in cols:
+        for row, v in zip(rows, col):
+            row.append(v)
+    return tuple(map(tuple, rows))
 
 
 def column_insert(word) -> Tableau:
     """Column insertion of a word into the empty tableau; ParseError unless
-    its letters are positive ints.
+    its letters are positive ints, then ``_column_insert``."""
+    return _column_insert(_check_letters(word))
+
+
+def _column_insert(word) -> Tableau:
+    """Column insertion of a tuple of positive ints, unchecked.
 
     Columns increase strictly, so the entry that x bumps, the lowest one
     >= x, is found by bisection.  That the column lengths weakly decrease
     and the rows weakly increase is Schensted's theorem, so those two are
     checked (InvariantError) and the tableau is built unchecked otherwise.
     """
-    word = _check_letters(word)
     cols = []
     for letter in word:
         x = letter

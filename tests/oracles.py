@@ -16,7 +16,9 @@ Kostka-Foulkes routes here are the paper's theorems: Schur polynomials sum
 over nonwrapping queues, and Kostka-Foulkes polynomials weigh nonwrapping
 queues by the major index of their quarter turn.  ``coquinv_free_fillings``
 tries every arrangement of every row, so it shows that the filling the
-package builds by pairing is the only coquinv-free one.
+package builds by pairing is the only coquinv-free one; it counts the
+triples cell by cell (``coquinv_by_cells``), not by the package's
+``fillings.coquinv``, which reads the rows pairwise.
 ``collapse_full_sweep`` runs every collapse sweep down to row 1 and then
 re-matches every settled pair, so it does not rely on the fall and stop
 rules that ``collapse`` uses.
@@ -110,6 +112,7 @@ from mlqkit import poly
 from mlqkit.collapse import (
     BicoloredMLQ,
     CollapseResult,
+    _row_masks,
     collapse,
     collapse_inverse,
     mlq_of_tableau,
@@ -133,7 +136,7 @@ from mlqkit.errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from mlqkit.fillings import ColumnFilling, coquinv
+from mlqkit.fillings import ColumnFilling
 from mlqkit.matching import bracket_match, reflect
 from mlqkit.mlq import (
     MultilineQueue,
@@ -528,7 +531,7 @@ def lr_coefficient_by_mlq_unpruned(lam, mu, nu) -> int:
         if tuple(len(r) for r in rows) != lam_cols:
             continue
         cand = MultilineQueue(len(nu) + ell, rows)
-        if _is_collapsed(cand) and is_lattice(BicoloredMLQ(cand, ell).skew_word()):
+        if _is_collapsed(_row_masks(cand)) and is_lattice(BicoloredMLQ(cand, ell).skew_word()):
             total += 1
     return total
 
@@ -656,6 +659,35 @@ def shifted(p, total, offset) -> QXPolynomial:
     })
 
 
+def _cyclically_decreasing(x, y, z) -> bool:
+    """Counterclockwise decrease for the triple (above, below, right-of-below)."""
+    return (x > y >= z) or (y >= z >= x) or (z >= x > y)
+
+
+def coquinv_by_cells(tau) -> int:
+    """``fillings.coquinv`` one cell triple at a time: for each row r and
+    columns i < j both reaching row r-1, test the triple of entry(r, i),
+    entry(r-1, i) and entry(r-1, j), or only the last two when column i
+    ends at row r-1."""
+    shape = tau.shape
+    total = 0
+    for r in range(2, (shape[0] if shape else 0) + 2):
+        for i in range(1, len(shape) + 1):
+            if shape[i - 1] < r - 1:
+                break
+            for j in range(i + 1, len(shape) + 1):
+                if shape[j - 1] < r - 1:
+                    break
+                y = tau.entry(r - 1, i)
+                z = tau.entry(r - 1, j)
+                if shape[i - 1] >= r:
+                    if _cyclically_decreasing(tau.entry(r, i), y, z):
+                        total += 1
+                elif y >= z:
+                    total += 1
+    return total
+
+
 def coquinv_free_fillings(m) -> list:
     """Every filling with the row contents of a straight queue, in any
     order within each row, that has no cyclically decreasing triple."""
@@ -665,7 +697,7 @@ def coquinv_free_fillings(m) -> list:
         ColumnFilling(shape, rows, m.n)
         for rows in product(*(permutations(row) for row in contents))
     )
-    return [tau for tau in fillings if coquinv(tau) == 0]
+    return [tau for tau in fillings if coquinv_by_cells(tau) == 0]
 
 
 def collapse_full_sweep(m) -> CollapseResult:
@@ -754,7 +786,7 @@ def mrsk_inverse_by_crw(down, left) -> MultilineQueue:
     """``mrsk_inverse`` through ``recorder_of_left_by_crw``, with the same
     checks in the same order, on queues of transposed sizes."""
     for q in (left, down):
-        if not _is_collapsed(q):
+        if not _is_collapsed(_row_masks(q)):
             raise NotNonwrapping(q.to_text())
     if left.shape() != conjugate(down.shape()):
         raise ShapeMismatch(f"{left.shape()} is not conjugate to {down.shape()}")

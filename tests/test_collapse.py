@@ -28,6 +28,7 @@ from mlqkit.mlq import (
 )
 from mlqkit.collapse import (
     _lift_unmatched,
+    _row_masks,
     collapse,
     collapse_inverse,
     collapse_left,
@@ -212,21 +213,29 @@ def test_collapse_inverse_rejects_height_below_recorder():
 
 
 def test_collapse_inverse_skips_empty_lifts(monkeypatch):
-    # a batch of 0 lifts moves nothing, so it is not matched at all
+    # lifts undo drops: from the largest letter r down, row j is lifted once
+    # per ball that sweep r dropped from row j+1 (the full sweep's count),
+    # lowest row first, and a batch of 0 lifts moves nothing, so it is not
+    # matched at all
     module = importlib.import_module("mlqkit.collapse")
     batches = []
     real = module._lift_unmatched
 
-    def counting(rows, i, k):
-        batches.append(k)
+    def recording(rows, i, k):
+        batches.append((i, k))
         return real(rows, i, k)
 
-    monkeypatch.setattr(module, "_lift_unmatched", counting)
+    monkeypatch.setattr(module, "_lift_unmatched", recording)
     for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
         for b in oracles.all_binary_matrices(*size):
+            drops = oracles.collapse_full_sweep(b).drop_counts
             result = collapse(b)
+            batches.clear()
             assert collapse_inverse(result.queue, result.recorder, height=b.num_rows) == b
-    assert batches and 0 not in batches
+            assert batches == [
+                (j, drops[(r, j)])
+                for r in range(b.num_rows, 1, -1) for j in range(1, r) if drops[(r, j)]
+            ], b
 
 
 def assert_same_collapse(m):
@@ -234,13 +243,19 @@ def assert_same_collapse(m):
     assert fast.queue == full.queue
     assert fast.recorder == full.recorder
     assert fast.drop_counts == full.drop_counts
+    # the identity that collapse reads its drop counts off: sweep r drops
+    # from row j+1 to row j the entries r of recorder rows 1..j
+    assert full.drop_counts == {
+        (r, j): sum(row.count(r) for row in full.recorder.rows[:j])
+        for r in range(2, m.num_rows + 1) for j in range(1, r)
+    }
 
 
 def test_collapse_matches_full_sweep_exhaustive():
     for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
         for b in oracles.all_binary_matrices(*size):
             assert_same_collapse(b)
-            assert _is_collapsed(b) == (collapse(b).queue == b)
+            assert _is_collapsed(_row_masks(b)) == (collapse(b).queue == b)
 
 
 def test_collapse_check_survives_optimize():
@@ -479,7 +494,7 @@ def assert_left_rows_read_as_a_recorder(left):
 
 
 def test_collapsed_rows_read_as_a_recorder_exhaustive():
-    collapsed = [m for m in _small_matrices(12, 4) if _is_collapsed(m)]
+    collapsed = [m for m in _small_matrices(12, 4) if _is_collapsed(_row_masks(m))]
     for left in collapsed:
         assert_left_rows_read_as_a_recorder(left)
     assert len(collapsed) == 1346  # the fixed points of collapse at these sizes

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -201,3 +202,42 @@ def test_coquinv_check_survives_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "raised\n"
+
+
+def _all_fillings(shape, n):
+    """Every filling of the diagram of shape with letters in 1..n."""
+    sizes = conjugate(shape)
+    for entries in product(range(1, n + 1), repeat=sum(shape)):
+        rows, start = [], 0
+        for k in sizes:
+            rows.append(entries[start:start + k])
+            start += k
+        yield ColumnFilling(shape, rows, n)
+
+
+def test_coquinv_matches_cells_exhaustive():
+    # 3 718 fillings: every shape of at most 5 cells over 1..3, and of at
+    # most 4 cells over 1..4
+    count = 0
+    for size, n in [(s, 3) for s in range(6)] + [(s, 4) for s in range(5)]:
+        for shape in partitions(size):
+            for tau in _all_fillings(shape, n):
+                assert coquinv(tau) == oracles.coquinv_by_cells(tau), tau
+                count += 1
+    assert count == 3718
+
+
+@st.composite
+def fillings(draw):
+    """Fillings of shapes up to 5 columns of height at most 6, over 1..7."""
+    shape = tuple(sorted(draw(st.lists(st.integers(1, 6), max_size=5)), reverse=True))
+    n = draw(st.integers(1, 7))
+    rows = [
+        draw(st.lists(st.integers(1, n), min_size=k, max_size=k)) for k in conjugate(shape)
+    ]
+    return ColumnFilling(shape, rows, n)
+
+
+@given(fillings())
+def test_coquinv_matches_cells_random(tau):
+    assert coquinv(tau) == oracles.coquinv_by_cells(tau)

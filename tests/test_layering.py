@@ -477,7 +477,58 @@ def test_one_two_row_matching_kernel():
     # balls row by row, so poly matches no rows
     assert "matching" not in set(_relative_imports(MODULES["poly"]))
     # collapse checks its sweeps on the row masks it holds, without decoding
-    assert "_columns" not in _names_in_function(MODULES["collapse"], "collapse")
+    for start in ["collapse", "_sweep"]:
+        assert "_columns" not in _names_in_function(MODULES["collapse"], start), start
+
+
+def test_one_collapse_sweep():
+    # every collapse runs the one sweep kernel on row masks; the callers
+    # that throw the drop counts away call it directly, not through collapse
+    tree = MODULES["collapse"]
+    for start in ["collapse", "mrsk", "mlq_of_tableau"]:
+        assert "_sweep" in _calls_in_module(tree, start), start
+    for start in ["mrsk", "mlq_of_tableau"]:
+        assert "collapse" not in _names_in_function(tree, start), start
+    dropping = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and "_drop_unmatched" in _names_in(node)
+        and node.name != "_drop_unmatched"
+    }
+    assert dropping == {"_sweep", "drop_all"}
+    # the drop counts and the lift batches are the recorder's prefix counts,
+    # from one helper, with no Counter of (entry, row) pairs
+    for start in ["collapse", "_uncollapse"]:
+        assert "_prefix_counts" in _calls_in_module(tree, start), start
+    assert "Counter" not in _imported_names(tree)
+    # the inverses take the masks that their collapsed check matched
+    assert "_is_collapsed" in _calls_in_module(tree, "_check_collapsed")
+    for start in ["collapse_inverse", "mrsk_inverse"]:
+        assert "_row_masks" not in _names_in_function(tree, start), start
+
+
+def test_one_parking_test():
+    # whether a queue is a collapse fixed point is decided in one place,
+    # mlq._is_collapsed, which _check_collapsed calls; every other caller of
+    # the matching kernel moves or labels balls, or checks one sweep
+    defining = {
+        (name, node.name)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "collapsed" in node.name
+    }
+    assert defining == {("mlq", "_is_collapsed"), ("collapse", "_check_collapsed")}
+    matching = {
+        (name, node.name)
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name != "_match_rows"
+        and "_match_rows" in _names_in_function(tree, node.name)
+    }
+    assert matching == {
+        ("mlq", "_is_collapsed"), ("mlq", "_wrap_lists"), ("mlq", "sigma"),
+        ("collapse", "_drop_unmatched"), ("collapse", "_lift_unmatched"),
+        ("collapse", "drop"), ("collapse", "_sweep"),
+    }
 
 
 def _names_in_function(tree, name):
@@ -540,11 +591,8 @@ def test_no_dead_private_helpers():
 # construction
 TRUSTED_CALLERS = {
     "mlq": {"MultilineQueue.trimmed", "sigma"},
-    "collapse": {
-        "_from_masks", "collapse", "rotate90", "rotate270", "rotate180", "mrsk",
-        "mrsk_inverse", "mlq_of_tableau",
-    },
-    "tableaux": {"column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
+    "collapse": {"_from_masks", "collapse", "rotate90", "rotate270", "rotate180", "mrsk"},
+    "tableaux": {"_column_insert", "enumerate_ssyt", "enumerate_skew_ssyt"},
     "fillings": {"filling_of_mlq"},
     "poly": {
         "schur", "skew_schur", "q_whittaker_mlq", "_kostka_foulkes",

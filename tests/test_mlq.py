@@ -14,6 +14,7 @@ from mlqkit.matching import _mask, _match_rows
 from mlqkit.mlq import (
     MultilineQueue,
     _label_layer,
+    _label_masks,
     _wrap_lists,
     biwords,
     canonical_mlq,
@@ -224,12 +225,25 @@ def test_label_layer_matches_scan():
 def _check_wrap_lists(word, row):
     labels, plus, minus = oracles.label_row_by_scan(word, row)
     assert _label_layer(word, len(row), [row], {}) == [labels]
-    assert _wrap_lists(word, labels, row) == (plus, minus), (word, row)
+    sources = _label_masks(word)
+    assert sources == _masks_by_label(word, max(word) + 2)
+    assert _wrap_lists(sources, labels, row) == (
+        plus, minus, _masks_by_label(labels, len(sources))
+    ), (word, row)
+
+
+def _masks_by_label(word, slots):
+    """The mask of the columns of each label l of word at index l + 1."""
+    return [
+        sum(1 << c for c, lab in enumerate(word, start=1) if lab == slot - 1)
+        for slot in range(slots)
+    ]
 
 
 def test_wrap_lists_match_scan():
     # the wraps that _label_rows matches out of the kernel's labels are the
-    # scan's, in pairing order, on every word over {0..3} and every ball set
+    # scan's, in pairing order, on every word over {0..3} and every ball set;
+    # the masks handed down to the next row are the labels' own
     for n in range(1, 6):
         for size in range(n + 1):
             for row in combinations(range(1, n + 1), size):
