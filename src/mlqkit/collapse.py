@@ -13,8 +13,8 @@ Drops and lifts work on rows held as int bitmasks, bit c standing for
 column c, through the one two-row kernel ``matching._match_rows``; a
 queue's rows are encoded once on the way in and decoded once where the
 resulting ``MultilineQueue`` is built.  One kernel, ``_sweep``, collapses
-masks; drop counts and lift batches are the recorder's prefix counts, and
-the inverses lift on the masks that their collapsed check matched.
+masks; the recorder is the one record of the drops and lift batches (its
+prefix counts), and the inverses lift on the masks their check matched.
 
 Collapsing is an insertion procedure, so the maps between tableaux and
 nonwrapping queues live here too: ``mlq_of_tableau`` collapses the columns
@@ -54,20 +54,23 @@ from .tableaux import (
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """The collapsed queue, its recording tableau and the drop counts.
-
-    drop_counts is dense: it holds every (r, j) with 1 <= j < r, the number
-    of balls that sweep r dropped from row j+1 to row j, zeros included.
-    That is the number of entries r in recorder rows 1..j, as a ball of row
-    r passes into row j exactly when it settles in row j or below.
-    """
+    """The collapsed queue and its recorder, the one record of the drops."""
 
     queue: MultilineQueue
     recorder: Tableau
-    drop_counts: dict
 
     def __iter__(self):
         return iter((self.queue, self.recorder))
+
+    @property
+    def drop_counts(self):
+        """{(r, j): balls that sweep r dropped from row j+1 to row j} for all
+        1 <= j < r <= queue.num_rows, zeros included: the entries r in
+        recorder rows 1..j, as a ball of row r passes into row j exactly when
+        it settles in row j or below (``_prefix_counts``, on each access)."""
+        height = self.queue.num_rows
+        counts = _prefix_counts(self.recorder.rows, height)
+        return {(r, j): counts[j][r] for r in range(2, height + 1) for j in range(r - 1, 0, -1)}
 
 
 def _drop_unmatched(rows, i):
@@ -127,15 +130,12 @@ def drop_all(m: MultilineQueue, i: int) -> MultilineQueue:
 
 
 def collapse(m: MultilineQueue) -> CollapseResult:
-    """Collapse bottom-to-top by ``_sweep``: returns the nonwrapping queue,
-    the recording tableau whose entries r mark where the balls of row r
-    settled, and the per-sweep drop counts {(r, j): drops from row j+1 to
-    row j}, read off the recorder by ``_prefix_counts``."""
+    """Collapse bottom-to-top by ``_sweep``: returns the nonwrapping queue
+    and the recording tableau whose entries r mark where the balls of row r
+    settled, from which ``CollapseResult.drop_counts`` reads the drops."""
     _check_instance(m, MultilineQueue)
     rows, recorder = _sweep(_row_masks(m))
-    counts = _prefix_counts(recorder, m.num_rows)
-    drop_counts = {(r, j): counts[j][r] for r in range(m.num_rows + 1) for j in range(r - 1, 0, -1)}
-    return CollapseResult(_from_masks(m.n, rows), Tableau._of(recorder), drop_counts)
+    return CollapseResult(_from_masks(m.n, rows), Tableau._of(recorder))
 
 
 def _sweep(sources):
@@ -187,8 +187,8 @@ def _sweep(sources):
 def _prefix_counts(recorder, height):
     """Item j counts the entries of recorder rows 1..j by value, for every
     j < height (entries are at most height).  At index r > j that is the
-    drops of sweep r from row j+1 to row j (see ``CollapseResult``), and so
-    the lifts that undo them."""
+    drops of sweep r from row j+1 to row j (``CollapseResult.drop_counts``),
+    and so the lifts that undo them."""
     counts = [[0] * (height + 1)]
     for row in recorder:
         now = counts[-1][:]
@@ -313,7 +313,7 @@ def mrsk(m: MultilineQueue):
     injective in the recorder, so ``mrsk_inverse . mrsk = id`` for the
     leftward collapse already forces the recorder read off it to equal
     ``collapse(m).recorder``.  A queue without rows is OutOfRange, as its
-    quarter turn is.  With no drop counts to build, it calls ``_sweep``.
+    quarter turn is.  Needing only masks and recorder rows, it runs ``_sweep``.
     """
     _check_has_rows(m)
     rows, recorder = _sweep(_row_masks(m))

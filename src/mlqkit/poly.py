@@ -124,7 +124,7 @@ class QXPolynomial:
         return QXPolynomial._of(self.n, _summed(self.terms, other.terms, -1))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if _is_count(other):
             if self._m is not None:
                 m = {k: v * other for k, v in self._m.items() if other}
                 return QXPolynomial._of_m(self.n, m)

@@ -21,7 +21,9 @@ triples cell by cell (``coquinv_by_cells``), not by the package's
 ``fillings.coquinv``, which reads the rows pairwise.
 ``collapse_full_sweep`` runs every collapse sweep down to row 1 and then
 re-matches every settled pair, so it does not rely on the fall and stop
-rules that ``collapse`` uses.
+rules that ``collapse`` uses.  It counts every drop as it moves the balls,
+so the drop counts that ``collapse`` reads off its recorder
+(``CollapseResult.drop_counts``) are checked against a count of their own.
 
 ``_two_row_match`` is the bracket rule on two rows held as sets: it lists
 the column events and runs a stack over them, returning every matched pair.
@@ -700,9 +702,10 @@ def coquinv_free_fillings(m) -> list:
     return [tau for tau in fillings if coquinv_by_cells(tau) == 0]
 
 
-def collapse_full_sweep(m) -> CollapseResult:
+def collapse_full_sweep(m):
     """Collapse with every sweep run down to row 1 and every settled pair
-    re-matched after it; the same result as ``collapse``."""
+    re-matched after it: the same result as ``collapse``, and the counted
+    drops {(r, j): balls that sweep r moved from row j+1 to row j}."""
     rows = []
     tableau_rows = []
     drop_counts = {}
@@ -721,7 +724,7 @@ def collapse_full_sweep(m) -> CollapseResult:
                 raise InvariantError(f"collapsed prefix moved at row {j}")
     queue = MultilineQueue(m.n, rows)
     recorder = Tableau([row for row in tableau_rows if row])
-    return CollapseResult(queue, recorder, drop_counts)
+    return CollapseResult(queue, recorder), drop_counts
 
 
 def row_insert(word) -> Tableau:

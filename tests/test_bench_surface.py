@@ -2,7 +2,8 @@
 
 The benchmark looks functions up by name: the tracer patches its targets by
 module and attribute, and the workloads import from the package or fetch
-the timed function with getattr.  A deletion in the package that one of
+the timed function with getattr; the tracer and its self-test read
+attributes off a collapse result.  A deletion in the package that one of
 them still names would break the benchmark without failing any other test.
 """
 
@@ -13,19 +14,60 @@ from pathlib import Path
 
 import pytest
 
+from mlqkit.collapse import collapse
+from mlqkit.mlq import MultilineQueue
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_tracer_targets_resolve():
+def _layertrace():
     spec = importlib.util.spec_from_file_location("bench_layertrace", BENCH / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_tracer_targets_resolve():
+    layertrace = _layertrace()
     for _, module, attr in layertrace.FUNCTION_TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for _, module, cls, methods in layertrace.METHOD_TARGETS:
         owner = getattr(importlib.import_module(module), cls)
         for method in methods:
             assert method in vars(owner), (module, cls, method)
+
+
+def _attributes_read(path, function, name):
+    """The attributes that function in the script at path reads off name."""
+    (node,) = [
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return {
+        child.attr for child in ast.walk(node)
+        if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+        and child.value.id == name
+    }
+
+
+def test_collapse_result_attributes_resolve():
+    # the tracer's drop count reads the queue off a collapse result, and the
+    # self-test reads its drop counts: what they read must stay on it
+    m = MultilineQueue(4, [[2, 3], [1, 4], [1, 2, 3], [4]])
+    result = collapse(m)
+    for attr in ["queue", "recorder", "drop_counts"]:
+        assert hasattr(result, attr), attr
+    for script, function in [
+        ("layertrace.py", "_count_drops"), ("selftest.py", "test_row_mass_fall_counts_drops"),
+    ]:
+        read = _attributes_read(BENCH / script, function, "result")
+        assert read, (script, function)
+        for attr in read:
+            assert hasattr(result, attr), (script, attr)
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer()
+    layertrace._count_drops(tracer, (m,), result)
+    assert tracer.counts["collapse.drops"] == sum(result.drop_counts.values()) > 0
 
 
 def _names_used(path):

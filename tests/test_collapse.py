@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import random
@@ -27,6 +28,7 @@ from mlqkit.mlq import (
     sigma,
 )
 from mlqkit.collapse import (
+    CollapseResult,
     _lift_unmatched,
     _row_masks,
     collapse,
@@ -39,6 +41,7 @@ from mlqkit.collapse import (
     mlq_of_tableau,
     mrsk,
     mrsk_inverse,
+    mult_mlq,
     rotate90,
     rotate180,
     rotate270,
@@ -228,7 +231,7 @@ def test_collapse_inverse_skips_empty_lifts(monkeypatch):
     monkeypatch.setattr(module, "_lift_unmatched", recording)
     for size in [(3, 3), (3, 4), (4, 3), (2, 5)]:
         for b in oracles.all_binary_matrices(*size):
-            drops = oracles.collapse_full_sweep(b).drop_counts
+            _, drops = oracles.collapse_full_sweep(b)
             result = collapse(b)
             batches.clear()
             assert collapse_inverse(result.queue, result.recorder, height=b.num_rows) == b
@@ -239,13 +242,15 @@ def test_collapse_inverse_skips_empty_lifts(monkeypatch):
 
 
 def assert_same_collapse(m):
-    fast, full = collapse(m), oracles.collapse_full_sweep(m)
-    assert fast.queue == full.queue
-    assert fast.recorder == full.recorder
-    assert fast.drop_counts == full.drop_counts
-    # the identity that collapse reads its drop counts off: sweep r drops
-    # from row j+1 to row j the entries r of recorder rows 1..j
-    assert full.drop_counts == {
+    fast = collapse(m)
+    full, drops = oracles.collapse_full_sweep(m)
+    assert fast == full
+    # the drops the full sweep counted are the ones read off the recorder,
+    # with the same dense keys in the same order
+    assert list(fast.drop_counts.items()) == list(drops.items())
+    # the identity that drop_counts reads: sweep r drops from row j+1 to
+    # row j the entries r of recorder rows 1..j
+    assert drops == {
         (r, j): sum(row.count(r) for row in full.recorder.rows[:j])
         for r in range(2, m.num_rows + 1) for j in range(1, r)
     }
@@ -256,6 +261,33 @@ def test_collapse_matches_full_sweep_exhaustive():
         for b in oracles.all_binary_matrices(*size):
             assert_same_collapse(b)
             assert _is_collapsed(_row_masks(b)) == (collapse(b).queue == b)
+
+
+def test_collapse_result_keeps_queue_and_recorder():
+    # the recorder is the one record of the drops: drop_counts is derived
+    # from it, so the result holds two fields and hashes by them
+    assert [f.name for f in dataclasses.fields(CollapseResult)] == ["queue", "recorder"]
+    first, again = collapse(COLLAPSE_EXAMPLE), collapse(COLLAPSE_EXAMPLE)
+    assert first == again and hash(first) == hash(again)
+    assert len({first, again, collapse(MRSK_EXAMPLE)}) == 2
+    queue, recorder = first
+    assert (queue, recorder) == (first.queue, first.recorder)
+
+
+def test_drop_counts_are_dense():
+    # every (r, j) with 1 <= j < r <= num_rows, zeros included, in the order
+    # r up, then j down; a queue without rows has none
+    assert collapse(MultilineQueue(2, [])).drop_counts == {}
+    assert list(collapse(parse_mlq("n=2;1||")).drop_counts.items()) == [
+        ((2, 1), 0), ((3, 2), 0), ((3, 1), 0),
+    ]
+    m1, m2 = parse_mlq("n=3;1,2|3"), parse_mlq("n=3;2|1,3")
+    stacked = m1.with_rows(list(m1.rows) + list(m2.rows))
+    product = mult_mlq(m1, m2)
+    assert product == collapse(stacked)
+    assert product.drop_counts == oracles.collapse_full_sweep(stacked)[1] == {
+        (2, 1): 1, (3, 2): 1, (3, 1): 0, (4, 3): 2, (4, 2): 1, (4, 1): 0,
+    }
 
 
 def test_collapse_check_survives_optimize():

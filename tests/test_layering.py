@@ -483,7 +483,8 @@ def test_one_two_row_matching_kernel():
 
 def test_one_collapse_sweep():
     # every collapse runs the one sweep kernel on row masks; the callers
-    # that throw the drop counts away call it directly, not through collapse
+    # that need only the masks and the recorder rows call it directly, not
+    # through collapse, which wraps them in a CollapseResult
     tree = MODULES["collapse"]
     for start in ["collapse", "mrsk", "mlq_of_tableau"]:
         assert "_sweep" in _calls_in_module(tree, start), start
@@ -496,14 +497,45 @@ def test_one_collapse_sweep():
     }
     assert dropping == {"_sweep", "drop_all"}
     # the drop counts and the lift batches are the recorder's prefix counts,
-    # from one helper, with no Counter of (entry, row) pairs
-    for start in ["collapse", "_uncollapse"]:
-        assert "_prefix_counts" in _calls_in_module(tree, start), start
+    # from one helper, with no Counter of (entry, row) pairs; collapse keeps
+    # the recorder and builds no drop dict, which CollapseResult.drop_counts
+    # derives on access
+    assert "_prefix_counts" in _calls_in_module(tree, "_uncollapse")
+    (result,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "CollapseResult"
+    ]
+    (drop_counts,) = [
+        node for node in result.body
+        if isinstance(node, ast.FunctionDef) and node.name == "drop_counts"
+    ]
+    assert [ast.unparse(d) for d in drop_counts.decorator_list] == ["property"]
+    assert "_prefix_counts" in _names_in(drop_counts)
+    (collapse,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "collapse"
+    ]
+    assert not {"_prefix_counts", "dict"} & set(_names_in(collapse))
+    assert not any(isinstance(node, (ast.Dict, ast.DictComp)) for node in ast.walk(collapse))
     assert "Counter" not in _imported_names(tree)
     # the inverses take the masks that their collapsed check matched
     assert "_is_collapsed" in _calls_in_module(tree, "_check_collapsed")
     for start in ["collapse_inverse", "mrsk_inverse"]:
         assert "_row_masks" not in _names_in_function(tree, start), start
+
+
+def test_collapse_oracle_is_independent():
+    # the full-sweep oracle counts its own drops with the set matcher, so
+    # the identity drop_counts reads is pinned against a separate count
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    start = "collapse_full_sweep"
+    reached = {start} | (_calls_in_module(tree, start) & functions.keys())
+    names = set(sum((_names_in(functions[name]) for name in reached), Counter()))
+    assert not names & {"collapse", "_sweep", "_prefix_counts", "_match_rows"}
+    assert "_two_row_match" in names
 
 
 def test_one_parking_test():
@@ -705,8 +737,9 @@ def test_one_tableau_engine():
 
 def _contract_breaches(tree):
     """What a module outside ``core`` may not spell out itself: the int rule
-    (``type(v) is int``, ``... is not int``, ``isinstance(v, bool)``), the
-    strip of text, and a bare ``except TypeError`` around a conversion."""
+    (``type(v) is int``, ``... is not int``, ``isinstance(v, bool)``,
+    ``isinstance(v, int)``, which lets a bool through), the strip of text,
+    and a bare ``except TypeError`` around a conversion."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
@@ -715,7 +748,7 @@ def _contract_breaches(tree):
                    for n in [node.left, *node.comparators]):
                 yield node.lineno, "int rule"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "isinstance" and "bool" in _names_in(node.args[-1]):
+            if node.func.id == "isinstance" and {"bool", "int"} & set(_names_in(node.args[-1])):
                 yield node.lineno, "int rule"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr == "strip":

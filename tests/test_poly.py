@@ -432,6 +432,21 @@ def test_compact_arithmetic_stays_compact():
     assert (a - b)._m is None and a - b == _full(a) - _full(b)
 
 
+def test_scalars_are_counts():
+    # a scalar is an int by core._is_count, so a bool is no scalar: it
+    # reaches the polynomial check and is a ParseError, on either side
+    compact = schur((2, 1), 3)
+    full = _full(compact)
+    for p in [compact, full]:
+        for scale in [lambda: p * True, lambda: True * p, lambda: p * False]:
+            with pytest.raises(ParseError):
+                scale()
+        for k in [2, -1, 0]:
+            for scaled in [p * k, k * p]:
+                assert (scaled._m is None) == (p._m is None)
+                assert scaled.terms == {key: c * k for key, c in full.terms.items() if k}
+
+
 @settings(max_examples=30)
 @given(
     st.sampled_from([lam for size in range(0, 11) for lam in partitions(size)]),
