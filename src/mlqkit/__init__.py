@@ -18,9 +18,10 @@ kernel builds for each strip, sums q-Whittaker polynomials by the t = 0
 branching rule
 (``q_whittaker_mlq``); the generalized form, rows in any order, is the same
 polynomial (sigma-invariance).  The stationary counts sum over label-word
-states, one per rotation class.  LR coefficients count lattice-pruned strip
-chains, and Kostka-Foulkes polynomials sum the fermionic formula of
-Kirillov and Reshetikhin (``charge._fermionic_sum``), which also gives the
+states, one per rotation class.  LR coefficients are a sweep over the
+strips that the kernel keeps under the lattice rule (``lr_coefficient``),
+and Kostka-Foulkes polynomials sum the fermionic formula of Kirillov and
+Reshetikhin (``charge._fermionic_sum``), which also gives the
 Schur basis of the charge formula (``q_whittaker_schur``), one shape at a
 time.  The other routes the paper proves equal are reference
 implementations that the tests check them against (``tests/oracles.py``,

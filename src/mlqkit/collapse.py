@@ -67,8 +67,14 @@ class CollapseResult:
         """{(r, j): balls that sweep r dropped from row j+1 to row j} for all
         1 <= j < r <= queue.num_rows, zeros included: the entries r in
         recorder rows 1..j, as a ball of row r passes into row j exactly when
-        it settles in row j or below (``_prefix_counts``, on each access)."""
+        it settles in row j or below (``_prefix_counts``, on each access).
+        The record is unchecked, so this checks it: ShapeMismatch unless the
+        recorder has the queue's shape, OutOfRange for an entry above its
+        rows."""
         height = self.queue.num_rows
+        _check_recorder_shape(self.queue, self.recorder)
+        if self.recorder.entry_max() > height:
+            raise OutOfRange(f"recorder entry {self.recorder.entry_max()} > {height} rows")
         counts = _prefix_counts(self.recorder.rows, height)
         return {(r, j): counts[j][r] for r in range(2, height + 1) for j in range(r - 1, 0, -1)}
 
@@ -272,9 +278,7 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
     """
     rows = _check_collapsed(queue)
     _check_instance(recorder, Tableau)
-    sizes = tuple(filter(None, queue.row_sizes()))
-    if recorder.shape() != sizes:  # recorder shape conjugates the queue shape
-        raise ShapeMismatch(f"recorder shape {recorder.shape()} vs queue row sizes {sizes}")
+    _check_recorder_shape(queue, recorder)
     min_height = recorder.entry_max()
     if height is None:
         height = max(min_height, queue.num_rows)
@@ -284,6 +288,14 @@ def collapse_inverse(queue: MultilineQueue, recorder: Tableau, height=None) -> M
             "recorder entry"
         )
     return _uncollapse(queue.n, rows, recorder.rows, height)
+
+
+def _check_recorder_shape(queue, recorder):
+    """ShapeMismatch unless the recorder's row lengths are the queue's
+    nonempty row sizes (the recorder shape conjugates the queue shape)."""
+    sizes = tuple(filter(None, queue.row_sizes()))
+    if recorder.shape() != sizes:
+        raise ShapeMismatch(f"recorder shape {recorder.shape()} vs queue row sizes {sizes}")
 
 
 def _uncollapse(n, rows, recorder, height):

@@ -18,12 +18,13 @@ the coquinv-free filling is unique, and one top-down pass builds it.
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
 
 from .core import (
-    _as_rows, _check_count, _check_instance, _check_letters, _text, check_partition, conjugate,
+    _as_rows, _check_count, _check_instance, _check_letters, _is_count, _text, check_partition,
+    conjugate,
 )
-from .errors import InvariantError, NotCoquinvFree, ParseError
+from .errors import BadRowIndex, InvariantError, NotCoquinvFree, OutOfRange, ParseError
 from .mlq import MultilineQueue, _label_layer, enumerate_mlq
 
 
@@ -58,16 +59,28 @@ class ColumnFilling:
         return self
 
     def entry(self, r, c):
-        """Entry at row r, column c (both 1-based)."""
-        return self.rows[r - 1][c - 1]
+        """Entry at row r, column c (both 1-based); ``row_content``'s error
+        for r, OutOfRange unless c is a count in 1..its length."""
+        row = self.row_content(r)
+        if not (_is_count(c) and 1 <= c <= len(row)):
+            raise OutOfRange(f"column {c!r} of row {r} with {len(row)} cells")
+        return row[c - 1]
 
     def height(self, c):
+        """Height of column c (1-based); OutOfRange unless c is a count in
+        1..the number of columns."""
+        if not (_is_count(c) and 1 <= c <= len(self.shape)):
+            raise OutOfRange(f"column {c!r} with {len(self.shape)} columns")
         return self.shape[c - 1]
 
     def num_rows(self):
         return len(self.rows)
 
     def row_content(self, r):
+        """Row r (1-based); BadRowIndex unless r is a count in
+        1..num_rows."""
+        if not (_is_count(r) and 1 <= r <= len(self.rows)):
+            raise BadRowIndex(f"row {r!r} with {len(self.rows)} rows")
         return self.rows[r - 1]
 
     def to_text(self):
@@ -131,10 +144,10 @@ def maj_filling(tau: ColumnFilling) -> int:
     """Descents weighted by leg + 1: cells exceeding the cell below them."""
     _check_instance(tau, ColumnFilling)
     total = 0
-    for r in range(2, tau.num_rows() + 1):
-        for c in range(1, len(tau.rows[r - 1]) + 1):
-            if tau.entry(r, c) > tau.entry(r - 1, c):
-                total += tau.height(c) - r + 1
+    for r, (below, above) in enumerate(pairwise(tau.rows), start=1):
+        for x, y, height in zip(above, below, tau.shape):
+            if x > y:  # a descent in row r + 1 (1-based): its leg + 1
+                total += height - r
     return total
 
 

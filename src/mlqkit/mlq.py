@@ -59,7 +59,10 @@ class MultilineQueue:
         return len(self.rows)
 
     def row(self, r):
-        """Row r, 1-based from the bottom."""
+        """Row r, 1-based from the bottom; BadRowIndex unless r is a count in
+        1..num_rows."""
+        if not (_is_count(r) and 1 <= r <= len(self.rows)):
+            raise BadRowIndex(f"r={r!r} with {len(self.rows)} rows")
         return self.rows[r - 1]
 
     def row_sizes(self):
@@ -143,7 +146,7 @@ def column_word(m: MultilineQueue):
 def biwords(m: MultilineQueue):
     """Row biword (lexicographic) and column biword (antilexicographic)."""
     _check_instance(m, MultilineQueue)
-    entries = [(r, c) for r in range(1, m.num_rows + 1) for c in m.row(r)]
+    entries = [(r, c) for r, row in enumerate(m.rows, start=1) for c in row]
     by_row = sorted(entries)
     by_col = sorted(entries, key=lambda rc: (rc[1], -rc[0]))
     row_bw = (tuple(r for r, _ in by_row), tuple(c for _, c in by_row))
@@ -174,7 +177,7 @@ def label_mlq(m: MultilineQueue):
     _check_straight(m)
     every_site, particle_wraps, _ = label_gmlq(m)
     labels = {
-        (r, c): every_site[(r, c)] for r in range(1, m.num_rows + 1) for c in m.row(r)
+        (r, c): every_site[(r, c)] for r, row in enumerate(m.rows, start=1) for c in row
     }
     wrapped = Counter((r, lab) for r, lab in particle_wraps if lab >= r)
     unwrapped = Counter((r, lab) for (r, _), lab in labels.items() if r > 1)
@@ -257,7 +260,7 @@ def _label_rows(m: MultilineQueue):
     word = (m.num_rows,) * m.n
     sources = _label_masks(word)
     for r in range(m.num_rows, 0, -1):
-        row = m.row(r)
+        row = m.rows[r - 1]
         (labels,) = _label_layer(word, len(row), [row], {})
         plus, minus, sources = _wrap_lists(sources, labels, row)
         yield r, labels, plus, minus
@@ -451,10 +454,10 @@ def sigma(m: MultilineQueue, i: int) -> MultilineQueue:
     and they move up.
     """
     _check_row_pair(m, i)
-    excess = len(m.row(i + 1)) - len(m.row(i))
+    excess = len(m.rows[i]) - len(m.rows[i - 1])
     if not excess:
         return m
-    upper, lower = _mask(m.row(i + 1)), _mask(m.row(i))
+    upper, lower = _mask(m.rows[i]), _mask(m.rows[i - 1])
     opens, closes = _match_rows(upper, lower)
     if excess > 0:
         down = opens ^ _high_bits(opens, closes.bit_count())

@@ -8,13 +8,14 @@ bijections between tableaux and nonwrapping queues are collapsing, so they
 live in ``collapse``.
 
 One kernel, ``_strips``, grows a shape by its horizontal strips under one
-room rule (``_rooms``), each weighted by psi.  On it, ``_strip_chains``
-enumerates every semistandard filling as a chain of strips, one per letter,
-as collapsing adds them; Littlewood-Richardson coefficients count its
-chains under the lattice rule, checked as each strip is placed (Fulton,
-Young Tableaux, section 5).  ``_kostka_sweep`` counts the chains from inner
-to outer without listing them: the skew Kostka numbers K_{outer/inner,nu},
-or with psi, the t = 0 branching rule of the q-Whittaker polynomials.
+room rule (``_rooms``), each weighted by psi; every strip comes from it.  On
+it, ``_strip_chains`` enumerates every semistandard filling as a chain of
+strips, one per letter, as collapsing adds them.  Two sweeps count the
+chains from inner to outer without listing them: ``_kostka_sweep`` the skew
+Kostka numbers K_{outer/inner,nu}, or with psi, the t = 0 branching rule of
+the q-Whittaker polynomials, and ``lr_coefficient`` the chains under the
+lattice rule, which the kernel keeps as it places each strip (Fulton, Young
+Tableaux, section 5).
 
 The chains are the lazy public enumeration, so ``_strip_chains`` and its
 enumerators are generators; the few, tiny strips and sweep layers are not.
@@ -23,14 +24,14 @@ enumerators are generators; the few, tiny strips and sweep layers are not.
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, pairwise, product
+from itertools import accumulate, pairwise
 
 from .charge import _packed, _q_binomial, _unpacked, charge as _charge
 from .core import (
-    _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _text,
+    _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _is_count, _text,
     check_partition, content,
 )
-from .errors import InvariantError, ParseError, SizeMismatch
+from .errors import InvariantError, OutOfRange, ParseError, SizeMismatch
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,9 @@ class Tableau:
         return max((v for r in self.rows for v in r), default=0)
 
     def column(self, c):
-        """Column c bottom-up (1-based)."""
+        """Column c bottom-up, () past the width; OutOfRange unless c >= 1."""
+        if not (_is_count(c) and c >= 1):
+            raise OutOfRange(f"column {c!r} is not an int >= 1")
         return tuple(r[c - 1] for r in self.rows if len(r) >= c)
 
     def to_text(self):
@@ -264,7 +267,7 @@ def _strips(outer, shape, binomials, size=None, before=None):
     with zeros to the length of outer: row i of new runs from shape_i up by
     at most ``_rooms``.  With size, only the strips of size cells, and with
     before too, the shape before the last strip, only those that keep the
-    lattice rule of ``_strip_chains``.
+    lattice rule of ``lr_coefficient``.
 
     w is psi_{new/shape}(q, 0), Macdonald VI (6.24), the product over rows
     i of [new_i - new_{i+1} choose new_i - shape_i]_q from the caller's
@@ -325,50 +328,42 @@ def _strips(outer, shape, binomials, size=None, before=None):
     return out
 
 
-def _strip_chains(sizes, outer, inner, lattice=False, fill=True):
-    """The rows, bottom row first, of every semistandard filling built from
-    inner (padded with zeros to the length of outer) by horizontal strips
-    inside outer, letter i adding sizes[i - 1] cells (any number where that
-    is None); rows list their filled cells, or without fill, None.
+def _strip_chains(sizes, outer, inner):
+    """The filled rows, bottom row first, of every semistandard filling of
+    horizontal strips inside outer on inner (padded with zeros), letter i
+    adding sizes[i - 1] cells, or any number where that is None.
 
     Free letters fill outer/inner: a free letter with L letters to come
-    leaves row j at least outer[j + L] long.  Fixed sizes fill sum(sizes)
-    cells, so in a box outer the rows may end short.  With lattice, for
-    fixed sizes, the reverse reading word (rows bottom to top, each right
-    to left) stays lattice: letter i fills at most as many cells of rows 0
-    to r as letter i - 1 fills in rows 0 to r - 1.  The strips of a
-    (shape, letter), ``_strips`` for fixed sizes, are found once per call.
+    keeps the strips of every size that leave row j at least outer[j + L]
+    long.  Fixed sizes fill sum(sizes) cells, so in a box outer the rows
+    may end short.  The strips of a (shape, letter), ``_strips`` in
+    lexicographic order of new, are found once per call.
     """
-    rows, known = [() for _ in inner], {}  # known: (shape, letter, before): [(new, cells)]
+    rows, known = [() for _ in inner], {}  # known: (shape, letter): [(new, cells)]
     ones = [[1] * (outer[0] + 1)] * (outer[0] + 1) if outer else None
 
-    def place(letter, shape, left, before):
-        key = shape, letter, before
+    def place(letter, shape, left):
+        key = shape, letter
         if key not in known:
             size = sizes[letter - 1]
-            if size is None:  # row j gains from lows[j] to rooms[j] cells
-                lows = [max(0, o - s) for o, s in zip(outer[len(sizes) - letter:], shape)]
-                lows += [0] * (len(shape) - len(lows))
-                growths = product(*map(range, lows, [r + 1 for r in _rooms(outer, shape)]))
-                known[key] = [(tuple(map(int.__add__, shape, adds)), sum(adds)) for adds in growths]
-            else:
-                strips = _strips(outer, shape, ones, size, before).get(size, ())
-                known[key] = [(new, size) for new, _ in strips]
+            floor = outer[len(sizes) - letter:] if size is None else ()
+            known[key] = sorted(
+                (new, added) for added, strips in _strips(outer, shape, ones, size).items()
+                for new, _ in strips if all(map(int.__ge__, new, floor))
+            )
         for new, added in known[key]:
-            if fill:
-                saved = rows[:]
-                for i, (a, b) in enumerate(zip(shape, new)):
-                    if b > a:
-                        rows[i] += (letter,) * (b - a)
+            saved = rows[:]
+            for i, (a, b) in enumerate(zip(shape, new)):
+                if b > a:
+                    rows[i] += (letter,) * (b - a)
             if left == added:
-                yield tuple(rows) if fill else None
+                yield tuple(rows)
             else:
-                yield from place(letter + 1, new, left - added, shape if lattice else None)
-            if fill:
-                rows[:] = saved
+                yield from place(letter + 1, new, left - added)
+            rows[:] = saved
 
     cells = sum(outer) - sum(inner) if None in sizes else sum(sizes)
-    yield from place(1, tuple(inner), cells, None) if cells else [tuple(rows) if fill else None]
+    yield from place(1, tuple(inner), cells) if cells else [tuple(rows)]
 
 
 def _kostka_sweep(outer, inner, n, weighted=False):
@@ -483,8 +478,11 @@ def lr_coefficient(lam, mu, nu) -> int:
     """Littlewood-Richardson coefficient, skew or product form.
 
     With |lam| = |mu| + |nu| this is c^lam_{mu,nu}; with |lam| + |mu| = |nu|
-    it is c^nu_{lam,mu}.  It counts the skew tableaux of content nu (or mu)
-    with lattice reverse reading word as lattice-pruned strip chains.
+    it is c^nu_{lam,mu}: the skew tableaux of content nu (or mu) whose
+    reverse reading word (rows bottom to top, each right to left) is
+    lattice, letter i filling at most as many cells of rows 0 to r as letter
+    i - 1 fills in rows 0 to r - 1.  A sweep of states (shape before the
+    last strip, shape) -> count counts them on the strips ``_strips`` keeps.
     """
     lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
     if sum(lam) == sum(mu) + sum(nu):
@@ -494,5 +492,12 @@ def lr_coefficient(lam, mu, nu) -> int:
     else:
         raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
     inner = _inner_of(top, inner)
-    chains = () if inner is None else _strip_chains(weight, top, inner, lattice=True, fill=False)
-    return sum(1 for _ in chains)
+    ones = [[1] * (top[0] + 1)] * (top[0] + 1) if top else None
+    layer = {} if inner is None else {(None, inner): 1}
+    for size in weight:
+        below = {}
+        for (before, shape), count in layer.items():
+            for new, _ in _strips(top, shape, ones, size, before).get(size, ()):
+                below[shape, new] = below.get((shape, new), 0) + count
+        layer = below
+    return sum(layer.values())

@@ -70,8 +70,8 @@ The second routes below each pin one theorem against the package's route:
   ``skew_schur_by_tableaux`` sum their contents.
 - ``lr_coefficient_by_filter``: the skew tableaux of content nu, filled cell
   by cell and kept when their reverse reading word is a lattice word, are
-  as many as the chains that the lattice rule prunes strip by strip
-  (``lr_coefficient``).
+  as many as the package counts by a sweep over the strips that the
+  kernel keeps under the lattice rule (``lr_coefficient``).
 - ``lr_coefficient_by_mlq_unpruned``: the collapsing route as the paper
   states it, with every choice of rows for every skew column and the
   straight part collapsed from the superstandard tableau, keeping the

@@ -7,6 +7,7 @@ import pytest
 import mlqkit
 import oracles
 from mlqkit.collapse import (
+    CollapseResult,
     collapse_inverse,
     drop,
     drop_all,
@@ -46,6 +47,7 @@ from mlqkit.errors import (
     NotNonwrapping,
     OutOfRange,
     ParseError,
+    ShapeMismatch,
     VariableCountMismatch,
 )
 from mlqkit.fillings import ColumnFilling, parse_filling
@@ -78,6 +80,8 @@ def enumerate_gmlq_list(alpha, n):
 
 TWO_ROWS = parse_mlq("n=3;1,2|3")
 WRAPPING = parse_mlq("n=2;1|2")
+SMALL_TABLEAU = Tableau([[1, 1], [2]])
+SMALL_FILLING = ColumnFilling((2, 1), [(1, 2), (1,)])  # rows of 2 and 1 cells
 
 
 CASES = [
@@ -118,6 +122,32 @@ CASES = [
     (BadRowIndex, drop_all, (TWO_ROWS, 1.5)),
     (BadRowIndex, sigma, (TWO_ROWS, True)),
     (BadRowIndex, sigma, (TWO_ROWS, 1.5)),
+    # the 1-based accessors: row 0 was the top row, -1 and True other rows,
+    # column 0 each row's last entry, and entry, height and row_content
+    # wrapped around at 0
+    (BadRowIndex, MultilineQueue.row, (TWO_ROWS, 0)),
+    (BadRowIndex, MultilineQueue.row, (TWO_ROWS, -1)),
+    (BadRowIndex, MultilineQueue.row, (TWO_ROWS, True)),
+    (BadRowIndex, MultilineQueue.row, (TWO_ROWS, 1.5)),
+    (BadRowIndex, MultilineQueue.row, (TWO_ROWS, 3)),
+    (OutOfRange, Tableau.column, (SMALL_TABLEAU, 0)),
+    (OutOfRange, Tableau.column, (SMALL_TABLEAU, -1)),
+    (OutOfRange, Tableau.column, (SMALL_TABLEAU, True)),
+    (OutOfRange, Tableau.column, (SMALL_TABLEAU, "1")),
+    (BadRowIndex, ColumnFilling.entry, (SMALL_FILLING, 0, 0)),
+    (BadRowIndex, ColumnFilling.entry, (SMALL_FILLING, 3, 1)),
+    (BadRowIndex, ColumnFilling.entry, (SMALL_FILLING, True, 1)),
+    (OutOfRange, ColumnFilling.entry, (SMALL_FILLING, 1, 0)),
+    (OutOfRange, ColumnFilling.entry, (SMALL_FILLING, 2, 2)),
+    (OutOfRange, ColumnFilling.entry, (SMALL_FILLING, 1, True)),
+    (OutOfRange, ColumnFilling.height, (SMALL_FILLING, 0)),
+    (OutOfRange, ColumnFilling.height, (SMALL_FILLING, -1)),
+    (OutOfRange, ColumnFilling.height, (SMALL_FILLING, 3)),
+    (OutOfRange, ColumnFilling.height, (SMALL_FILLING, True)),
+    (BadRowIndex, ColumnFilling.row_content, (SMALL_FILLING, 0)),
+    (BadRowIndex, ColumnFilling.row_content, (SMALL_FILLING, -1)),
+    (BadRowIndex, ColumnFilling.row_content, (SMALL_FILLING, 3)),
+    (BadRowIndex, ColumnFilling.row_content, (SMALL_FILLING, True)),
     # reflect used to return (0, 2) and raising the word unchanged
     (ParseError, reflect, ((1, 2), 0)),
     (ParseError, raising, ((1, 2), 1.5)),
@@ -273,6 +303,38 @@ def _case_id(k):
 def test_typed_errors(error, function, args):
     with pytest.raises(error):
         function(*args)
+
+
+def test_accessors_read_in_range():
+    # the checks leave every in-range read as it was, and a column past the
+    # width of a tableau is still empty (collapse_left reads such columns)
+    assert [TWO_ROWS.row(r) for r in (1, 2)] == [(1, 2), (3,)]
+    assert [SMALL_TABLEAU.column(c) for c in (1, 2, 3)] == [(1, 2), (1,), ()]
+    assert [SMALL_FILLING.entry(r, c) for r, c in ((1, 1), (1, 2), (2, 1))] == [1, 2, 1]
+    assert [SMALL_FILLING.height(c) for c in (1, 2)] == [2, 1]
+    assert [SMALL_FILLING.row_content(r) for r in (1, 2)] == [(1, 2), (1,)]
+
+
+# (error, queue, recorder): a CollapseResult stores its fields unchecked
+# (RECORDS), and drop_counts, which raised a bare IndexError on these,
+# checks them on access with the error collapse_inverse gives at the
+# queue's height
+MISFIT_RECORDS = [
+    (ShapeMismatch, MultilineQueue(2, []), Tableau([[1]])),
+    (ShapeMismatch, MultilineQueue(2, [[1]]), Tableau([[1], [2]])),
+    (OutOfRange, MultilineQueue(2, [[1]]), Tableau([[2]])),
+]
+
+
+@pytest.mark.parametrize(
+    "error, queue, recorder", MISFIT_RECORDS, ids=["no_rows", "extra_row", "high_entry"],
+)
+def test_drop_counts_check_the_record(error, queue, recorder):
+    result = CollapseResult(queue, recorder)
+    with pytest.raises(error):
+        result.drop_counts
+    with pytest.raises(error):
+        collapse_inverse(queue, recorder, queue.num_rows)
 
 
 # a valid instance of each package class that a public function takes, for

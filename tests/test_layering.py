@@ -219,10 +219,10 @@ def test_one_q_polynomial_representation():
         MODULES["charge"], "_fermionic_sum"
     )
     # the strips of a shape have one enumerator, the kernel that weighs
-    # them too, which both sweeps share
+    # them too, which the chains and both sweeps share
     assert {(name, f) for name, f in defined if "strips" in f} == {("tableaux", "_strips")}
     assert not {f for _, f in defined} & {"_psi"}
-    for start in ["_kostka_sweep", "_strip_chains"]:
+    for start in ["_kostka_sweep", "_strip_chains", "lr_coefficient"]:
         assert "_strips" in _calls_in_module(MODULES["tableaux"], start), start
 
 
@@ -258,9 +258,9 @@ def test_one_schur_to_monomial_expansion():
         assert ("_kostka_sweep" in defined) == (name == "tableaux"), name
         assert ("_rooms" in defined) == (name == "tableaux"), name
         assert not defined & {"_dominant_kostka", "_monomial_form"}, name
-    # the sweep and the chains grow shapes under one room rule, through the
+    # the sweeps and the chains grow shapes under one room rule, through the
     # one strip kernel
-    for start in ["_kostka_sweep", "_strip_chains"]:
+    for start in ["_kostka_sweep", "_strip_chains", "lr_coefficient"]:
         assert {"_rooms", "_strips"} <= _calls_in_module(MODULES["tableaux"], start), start
     direct = {
         (name, node.name)
@@ -524,18 +524,93 @@ def test_one_collapse_sweep():
         assert "_row_masks" not in _names_in_function(tree, start), start
 
 
-def test_collapse_oracle_is_independent():
-    # the full-sweep oracle counts its own drops with the set matcher, so
-    # the identity drop_counts reads is pinned against a separate count
-    tree = ast.parse((TESTS / "oracles.py").read_text())
-    functions = {
-        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-    }
-    start = "collapse_full_sweep"
-    reached = {start} | (_calls_in_module(tree, start) & functions.keys())
-    names = set(sum((_names_in(functions[name]) for name in reached), Counter()))
-    assert not names & {"collapse", "_sweep", "_prefix_counts", "_match_rows"}
-    assert "_two_row_match" in names
+ORACLES = ast.parse((TESTS / "oracles.py").read_text())
+TABLEAU_ENGINE = {
+    "_strips", "_strip_chains", "_kostka_sweep", "lr_coefficient", "enumerate_ssyt",
+    "enumerate_skew_ssyt",
+}
+# oracle in tests/oracles.py -> the package functions it must not reach: the
+# route it checks and the engines under that route
+ORACLE_AVOIDS = {
+    "collapse_full_sweep": {"collapse", "_sweep", "_prefix_counts", "_match_rows"},
+    "ssyt_rows_by_cells": TABLEAU_ENGINE,
+    "lr_coefficient_by_filter": TABLEAU_ENGINE,
+}
+# package names that those oracles use on purpose, each with its reason; the
+# walk below reaches them but does not follow them
+SHARED_HELPERS = {
+    "CollapseResult": "the record collapse_full_sweep returns; its drop_counts, read "
+    "off the recorder, is what the oracle's own count is checked against",
+    "_inner_of": "pads the inner shape to the length of the outer one; it places no cell",
+    "SkewTableau": "the checked constructor: its semistandard check, not the strips, "
+    "stands behind each filling the LR oracle builds cell by cell",
+    "is_lattice": "the lattice test itself, which the LR oracle filters by where "
+    "lr_coefficient caps its strips",
+}
+
+
+def _scope(tree):
+    """What each module-level name of tree (a package module or the
+    oracles) stands for: its own function or class node, (module, name)
+    for a name imported from mlqkit, or the module's name for an imported
+    package module."""
+    scope = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope[node.name] = node
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mlqkit")):
+            source = (node.module or "").removeprefix("mlqkit").lstrip(".") or "__init__"
+            for alias in node.names:
+                is_module = source == "__init__" and alias.name in MODULES
+                scope[alias.asname or alias.name] = (
+                    alias.name if is_module else (source, alias.name)
+                )
+    return scope
+
+
+SCOPES = {module: _scope(tree) for module, tree in {**MODULES, "oracles": ORACLES}.items()}
+
+
+def _reached_from(oracle):
+    """The (module, name) of every function and class that oracles.oracle
+    reaches through the names its body uses, in tests/oracles.py and through
+    mlqkit; a shared helper of the package is reached but not followed."""
+    todo, reached = [("oracles", oracle)], set()
+    while todo:
+        module, name = todo.pop()
+        target = SCOPES[module].get(name)
+        while isinstance(target, tuple):  # an import, maybe of a re-export
+            module, name = target
+            target = SCOPES[module].get(name)
+        if not isinstance(target, ast.AST) or (module, name) in reached:
+            continue
+        reached.add((module, name))
+        if module != "oracles" and name in SHARED_HELPERS:
+            continue
+        for node in ast.walk(target):
+            if isinstance(node, ast.Name):
+                todo.append((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if isinstance(alias := SCOPES[module].get(node.value.id), str):
+                    todo.append((alias, node.attr))
+    return reached
+
+
+def test_oracles_are_independent():
+    # each oracle reaches neither the route it checks nor that route's
+    # engines, through its own helpers and through the package alike; the
+    # full-sweep collapse counts its drops with the set matcher, and the
+    # tableau oracles fill cells one at a time
+    shared = set()
+    for oracle, avoids in ORACLE_AVOIDS.items():
+        reached = _reached_from(oracle)
+        package = {name for module, name in reached if module != "oracles"}
+        assert not package & avoids, oracle
+        shared |= package & SHARED_HELPERS.keys()
+    assert ("oracles", "_two_row_match") in _reached_from("collapse_full_sweep")
+    assert ("oracles", "ssyt_rows_by_cells") in _reached_from("lr_coefficient_by_filter")
+    # every shared helper is one that an oracle of the table uses
+    assert shared == SHARED_HELPERS.keys()
 
 
 def test_one_parking_test():
@@ -608,14 +683,15 @@ def test_no_dead_private_helpers():
         and everywhere[node.name] == _names_in(node)[node.name]
     ]
     assert not dead
-    # the strip kernel is named by both of its sweeps, not by itself alone
+    # the strip kernel is named by the chains and both of its sweeps, not by
+    # itself alone
     tableaux = MODULES["tableaux"]
     users = {
         node.name for node in tableaux.body
         if isinstance(node, ast.FunctionDef) and node.name != "_strips"
         and "_strips" in _names_in(node)
     }
-    assert users == {"_strip_chains", "_kostka_sweep"}
+    assert users == {"_strip_chains", "_kostka_sweep", "lr_coefficient"}
 
 
 # module -> the functions that call a trusted constructor ``_of`` or
@@ -705,12 +781,31 @@ def test_one_tableau_engine():
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & {"_ssyt_rows", "_ssyt_of_content"}, name
     tableaux, poly = MODULES["tableaux"], MODULES["poly"]
-    for start in ["enumerate_ssyt", "enumerate_skew_ssyt", "lr_coefficient"]:
+    for start in ["enumerate_ssyt", "enumerate_skew_ssyt"]:
         assert "_strip_chains" in _calls_in_module(tableaux, start), start
-    # LR coefficients count the lattice-pruned chains, not filtered tableaux
-    assert not _calls_in_module(tableaux, "lr_coefficient") & {
-        "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
+    # LR coefficients are a sweep over the kernel's lattice-capped strips:
+    # no chain is listed and no tableau filtered
+    lr = _calls_in_module(tableaux, "lr_coefficient")
+    assert "_strips" in _names_in_function(tableaux, "lr_coefficient")
+    assert not lr & {
+        "_strip_chains", "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
     }
+    assert not inspect.isgeneratorfunction(importlib.import_module("mlqkit").lr_coefficient)
+    # the chains only enumerate: they take the sizes and the two shapes and
+    # no flag, and every strip, free letters' too, comes from the kernel,
+    # which alone reads the room rule
+    (chains,) = [
+        node for node in tableaux.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_strip_chains"
+    ]
+    assert [a.arg for a in chains.args.args] == ["sizes", "outer", "inner"]
+    assert "product" not in _imported_names(tableaux)
+    rooms = {
+        node.name for node in tableaux.body
+        if isinstance(node, ast.FunctionDef) and node.name != "_rooms"
+        and "_rooms" in _names_in(node)
+    }
+    assert rooms == {"_strips"}
     # skew Schur polynomials are one monomial expansion of skew Kostka
     # numbers, swept from inner to outer: no LR coefficients, no lattice
     # traversal and no Schur polynomial per nu

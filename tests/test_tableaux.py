@@ -291,7 +291,7 @@ def test_lr_values():
 
 
 def test_lr_routes_agree():
-    # the lattice-pruned chains, the paper's collapsing route with and
+    # the lattice-capped strip sweep, the paper's collapsing route with and
     # without its row capacities, and the cell-by-cell filter, on every
     # triple with |lam| <= 6
     for total in range(1, 7):
@@ -389,8 +389,9 @@ def test_lr_symmetries():
 
 
 def test_lr_frontier_value():
-    # a frontier value, fast because the lattice rule prunes each strip as
-    # it is placed instead of filtering every skew tableau of content nu
+    # a frontier value, fast because the sweep counts states (shape before
+    # the last strip, shape) on strips the lattice rule caps as they are
+    # placed, instead of filtering every skew tableau of content nu
     assert lr_coefficient((8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (7, 6, 5, 4, 3, 1)) == 120
 
 
@@ -542,7 +543,9 @@ INNERS = [mu for size in range(0, 3) for mu in partitions(size)]
 def test_strip_chains_match_the_cell_oracle():
     # straight and skew tableaux of every lam with |lam| <= 6 and inner
     # shape of size <= 2, with entries at most 0..4 and with every weight of
-    # at most 4 letters, equal the cell-by-cell fillings as multisets
+    # at most 4 letters, equal the cell-by-cell fillings as multisets; they
+    # come in lexicographic order of their chains, the shapes after letters
+    # 1, 2, ..., for free letters as for fixed sizes
     for size in range(0, 7):
         for lam in partitions(size):
             for mu in INNERS:
@@ -553,8 +556,14 @@ def test_strip_chains_match_the_cell_oracle():
                 ]
                 for bound in bounds:
                     expected = Counter(oracles.ssyt_rows_by_cells(lam, mu, **bound))
-                    got = Counter(t.rows for t in enumerate_skew_ssyt(lam, mu, **bound))
-                    assert got == expected, (lam, mu, bound)
+                    rows = [t.rows for t in enumerate_skew_ssyt(lam, mu, **bound)]
+                    assert Counter(rows) == expected, (lam, mu, bound)
+                    top = bound.get("max_entry") or len(bound.get("weight", ()))
+                    chains = [
+                        [tuple(sum(v <= k for v in row) for row in r) for k in range(1, top + 1)]
+                        for r in rows
+                    ]
+                    assert chains == sorted(chains), (lam, mu, bound)
                     if not mu:
                         straight = Counter(t.rows for t in enumerate_ssyt(lam, **bound))
                         assert straight == expected, (lam, bound)
