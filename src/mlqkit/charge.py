@@ -1,8 +1,8 @@
 """Charge and cocharge statistics on permutations and words, and their
 generating function over tableaux, the Kostka-Foulkes polynomial, by the
 fermionic formula (``_fermionic_sum``).  Every q-weighted sum of the
-package packs its q-polynomials into ints (``_packed``), and takes its
-Gaussian binomials from ``_q_binomial``."""
+package packs its q-polynomials into ints at q = 2^width, with Gaussian
+binomials from one packed q-Pascal table (``_q_binomials``)."""
 
 from bisect import bisect_left
 from itertools import accumulate, pairwise
@@ -130,39 +130,27 @@ def charge_g(w) -> int:
     return charge(straighten_word(w))
 
 
-def _q_binomial(a, b) -> list:
-    """The Gaussian binomial [a choose b]_q as its coefficients, lowest
-    degree first; [] (zero) unless 0 <= b <= a.
-
-    With b the smaller of b and a - b, which give the same binomial, it is
-    the product over i < b of (1 - q^(a - i)) / (1 - q^(i + 1)); after
-    factor i the product is [a choose i + 1]_q, so each factor is one
-    multiplication and one exact division, both in place.
+def _q_binomials(table, top, width) -> list:
+    """table, extended in place to table[b][a] = [a choose b]_q packed at
+    q = 2^width for all a, b <= top (0 where b > a); table is [] or an
+    earlier result at the same width.  Row b grows from row b - 1 by the
+    q-Pascal rule [a choose b] = [a - 1 choose b - 1] + q^b [a - 1 choose
+    b], one add and one shift per entry: packing evaluates at q = 2^width,
+    where the rule holds too, so every entry is exact whatever the carries.
     """
-    if not 0 <= b <= a:
-        return []
-    c = [1]
-    for i in range(min(b, a - b)):
-        up, down = a - i, i + 1
-        c += [0] * up
-        for j in range(len(c) - 1, up - 1, -1):
-            c[j] -= c[j - up]
-        for j in range(down, len(c)):
-            c[j] += c[j - down]
-        del c[len(c) - down:]  # the quotient's degree is down lower
-    return c
-
-
-def _packed(coeffs, width) -> int:
-    """The q-polynomial of coeffs, lowest degree first, at q = 2^width: while
-    every coefficient stays below 2^width, a sum or product of packed
-    polynomials is the int sum or product, and q^s is a shift by s width."""
-    return sum(c << (i * width) for i, c in enumerate(coeffs))
+    for b in range(top + 1):
+        if b == len(table):
+            table.append([1] if b == 0 else [0])
+        row, shift = table[b], b * width
+        above = table[b - 1] if b else [0] * top  # row -1 is all 0
+        for a in range(len(row), top + 1):
+            row.append(above[a - 1] + (row[a - 1] << shift))
+    return table
 
 
 def _unpacked(value, width) -> list:
-    """The coefficients of a ``_packed`` q-polynomial, lowest degree first;
-    a zero below the top keeps its degree."""
+    """The coefficients, lowest degree first, of a q-polynomial packed at
+    q = 2^width from coefficients below 2^width; a zero keeps its degree."""
     mask = (1 << width) - 1
     out = []
     while value:
@@ -206,14 +194,14 @@ def _fermionic_sum(lam, mu) -> list:
       level above it, so nu(k+1) has at most len(nu(k)) - 1 parts and at
       least L - k - 1 and 2 len(nu(k)) - len(nu(k-1)).
 
-    The sums are ``_packed`` with 2^width above K_{lam,mu}(1), the number of
-    tableaux of shape lam and content mu, and so above every coefficient:
-    it is at most |mu|! / prod mu_i!, the number of words of content mu,
-    and at most f^lam = |lam|! / prod of the hook lengths, the number of
-    standard tableaux of shape lam, into which standardizing maps them one
-    to one.  A partial sum times a power of q and factors with constant
-    term 1 is a term of the total, and coefficients are nonnegative, so it
-    fits too.
+    The sums are packed, evaluated at q = 2^width, with the factors from
+    one table (``_q_binomials``, grown to the largest P + m met), so every
+    sum and product is exact as an int.  The total unpacks as 2^width is
+    above K_{lam,mu}(1), the number of tableaux of shape lam and content
+    mu, and so above every coefficient: it is at most |mu|! / prod mu_i!,
+    the number of words of content mu, and at most f^lam = |lam|! / prod of
+    the hook lengths, the number of standard tableaux of shape lam, into
+    which standardizing maps them one to one.
     """
     # sizes[k] = |nu(k)|, with one 0 past nu(L) for the bound below it
     sizes = list(accumulate(reversed(lam), initial=0))[::-1] + [0]
@@ -224,7 +212,7 @@ def _fermionic_sum(lam, mu) -> list:
     hooks = prod(row - j + cols[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
     words = factorial(sum(mu)) // prod(map(factorial, mu))
     width = min(words, factorial(sum(lam)) // hooks).bit_length()
-    binomials = {}  # (P, m): [P + m choose m]_q, packed
+    binomials = []  # binomials[m][P + m] = [P + m choose m]_q packed, grown on demand
 
     def shape(rho):
         got = shapes.get(rho)
@@ -267,9 +255,9 @@ def _fermionic_sum(lam, mu) -> list:
             if not rest:
                 continue
             for p, m in zip(vacancies, mults):
-                if (p, m) not in binomials:
-                    binomials[p, m] = _packed(_q_binomial(p + m, m), width)
-                rest *= binomials[p, m]
+                if p + m >= len(binomials):
+                    _q_binomials(binomials, p + m, width)
+                rest *= binomials[m][p + m]
             total += rest
         return total << shift * width
 

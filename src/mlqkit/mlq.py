@@ -506,22 +506,24 @@ def stationary_counts(lam, n: int):
     The chain is invariant under rotating the ring, so a layer keeps one
     state per rotation class, and its value is the class total.  Classes
     are numbered in the order the call meets them, the first word met of a
-    class stands for it, and the n rotations of that word are registered
-    under its number then, so each labelled word costs one lookup, the
-    totals are keyed by ints, and the rotations are built once per class.
+    class stands for it, and the n rotations of that word are kept and
+    registered under its number then, so each labelled word costs one
+    lookup, totals are keyed by ints, and rotations are built once per class.
     That is exact: the top word is fixed by rotation, and ``_label_layer``
     commutes with rotating the word and the row together, so every word of
     a class reaches every class below through equally many rows.  A
     periodic word is a smaller class but needs no weighting during the
     sweep, since totals count each queue once.  At the end the d distinct
-    rotations of a class share its total equally.
+    rotations of a class share its total equally.  d is the number of keys
+    that the class's registration added: a word's rotations are keys all
+    together or none, so none was a key before.
     """
     lam = check_partition(lam)
     _check_count(n, 1)
     if len(lam) > n:
         raise TooNarrow(f"{len(lam)} particle types on {n} sites")
     alpha = _conjugate(lam)
-    firsts = [(len(alpha),) * n]  # the first word met of each class
+    classes = [([(len(alpha),) * n], 1)]  # per class: its first word's rotations, d
     totals = {0: 1}
     keys = {}  # word -> the number of its rotation class
     for s in reversed(alpha):
@@ -529,23 +531,22 @@ def stationary_counts(lam, n: int):
         prefilled = {}
         below = {}
         for above, total in totals.items():
-            for new in _label_layer(firsts[above], s, rows, prefilled):
+            for new in _label_layer(classes[above][0][0], s, rows, prefilled):
                 key = keys.get(new)
                 if key is None:  # the first word met of its class
-                    key = len(firsts)
-                    firsts.append(new)
-                    keys.update(dict.fromkeys(_rotations(new), key))
+                    key, known, rotations = len(classes), len(keys), _rotations(new)
+                    keys.update(dict.fromkeys(rotations, key))
+                    classes.append((rotations, len(keys) - known))
                 below[key] = below.get(key, 0) + total
         totals = below
     counts = {}
     for key, total in totals.items():
-        word = firsts[key]
-        rotations = set(_rotations(word))
-        each, rest = divmod(total, len(rotations))
+        rotations, distinct = classes[key]
+        each, rest = divmod(total, distinct)
         if rest:
             raise InvariantError(
                 f"{total} queues of shape {lam} on {n} sites do not split over "
-                f"the {len(rotations)} rotations of {word}"
+                f"the {distinct} rotations of {rotations[0]}"
             )
         counts.update(dict.fromkeys(rotations, each))
     return counts

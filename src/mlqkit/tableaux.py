@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
-from .charge import _packed, _q_binomial, _unpacked, charge as _charge
+from .charge import _q_binomials, _unpacked, charge as _charge
 from .core import (
     _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _is_count, _text,
     check_partition, content,
@@ -271,7 +271,9 @@ def _strips(outer, shape, binomials, size=None, before=None):
 
     w is psi_{new/shape}(q, 0), Macdonald VI (6.24), the product over rows
     i of [new_i - new_{i+1} choose new_i - shape_i]_q from the caller's
-    table binomials[b][a] = [a choose b]_q (packed, or all 1 to count).  The
+    table binomials[b][a] = [a choose b]_q for a, b <= outer_1 (packed, or
+    all 1 to count).  As new interlaces shape, new_{i+1} <= shape_i, so
+    b <= a at every read: the entries with b > a are never read.  The
     rows are placed from row 0, and row i's factor joins the running weight
     once new_{i+1} is placed.  Rows without room, and with size those after
     the last cell, keep their length; row i takes at least the cells that
@@ -380,19 +382,19 @@ def _kostka_sweep(outer, inner, n, weighted=False):
     (``_strips``).  The sweep is plain recursion into one dict.
 
     Weighted, a chain counts as the product of its strips' psi, the t = 0
-    branching rule, on ints ``charge._packed`` at width outer_1 n + 1,
-    each unpacked once.  From inner = (), state (sigma, nu_1..nu_k) is the
-    x^nu coefficient of P_sigma(x_1..x_k; q, 0), at q = 1 that of
-    e_{sigma'} (Macdonald VI (4.14)): the number of 0/1 matrices with row
-    sums sigma' and column sums nu_1..nu_k, at most 2^(sigma_1 k) <
-    2^width.  No coefficient exceeds its value at q = 1, and a weight times
-    a count is a term of a later state.
+    branching rule, on ints packed at q = 2^width, width = outer_1 n + 1:
+    ``charge._q_binomials`` builds the table binomials[b][a] = [a choose
+    b]_q, a, b <= outer_1, that ``_strips`` reads, 0 at b > a, never read.
+    Packing evaluates at q = 2^width, so the sums are exact, and each
+    unpacks once: from inner = (), state (sigma, nu_1..nu_k) is the x^nu
+    coefficient of P_sigma(x_1..x_k; q, 0), at q = 1 that of e_{sigma'}
+    (Macdonald VI (4.14)): the number of 0/1 matrices with row sums sigma'
+    and column sums nu_1..nu_k, at most 2^(sigma_1 k) < 2^width, and no
+    coefficient exceeds its value at q = 1.
     """
     top = outer[0] if outer else 0
     width, grown, out = top * n + 1, {}, {}  # grown: shape: its strips by size
-    # binomials[b][a]: [a choose b]_q packed where weighted and 0 < b < a, else 1
-    binomials = [[_packed(_q_binomial(a, b), width) if weighted and 0 < b < a else 1
-                  for a in range(top + 1)] for b in range(top + 1)]
+    binomials = _q_binomials([], top, width) if weighted else [[1] * (top + 1)] * (top + 1)
 
     def extend(nu, left, top, layer):
         slots = n - len(nu)

@@ -89,7 +89,10 @@ The second routes below each pin one theorem against the package's route:
   ``kostka_foulkes_by_configurations`` sums that formula term by term over
   ``rigged_configurations``, found by trying every partition at every
   level, with q-binomials counted as subsets (``q_binomial_by_subsets``),
-  so neither the package's pruning nor its memo of level pairs is used.
+  so neither the package's pruning, its memo of level pairs nor its packed
+  q-Pascal table (``charge._q_binomials``) is used.  The tests check that
+  table, and the psi weights that the strip kernel reads from it, against
+  the subset count too.
 - ``hall_littlewood``: the Hall-Littlewood polynomials at t = q, built from
   ``kostka_foulkes`` by the unitriangular recursion, for the q-deformed
   dual Cauchy identity that ties them to the q-Whittaker polynomials.

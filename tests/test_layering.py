@@ -177,11 +177,11 @@ def test_q_whittaker_is_one_route():
     assert _sweep_weights(MODULES["poly"], "q_whittaker_mlq") == [True]
     assert not called & {"q_whittaker_schur", "charge", "schur", "kostka_foulkes"}
     # psi is the q-binomial product that the strip kernel multiplies in
-    # under the room rule as it places each row, from a table that the
-    # sweep packs into ints; the sweep unpacks each finished sum, and no
-    # second pass weighs a strip after it is grown
+    # under the room rule as it places each row, from the packed table that
+    # the one builder gives the sweep; the sweep unpacks each finished sum,
+    # and no second pass weighs a strip after it is grown
     tableaux = MODULES["tableaux"]
-    assert {"_q_binomial", "_packed", "_strips", "_unpacked"} <= _calls_in_module(
+    assert {"_q_binomials", "_strips", "_unpacked"} <= _calls_in_module(
         tableaux, "_kostka_sweep"
     )
     assert "_rooms" in _calls_in_module(tableaux, "_strips")
@@ -200,10 +200,12 @@ def test_q_whittaker_is_one_route():
 
 
 def test_one_q_polynomial_representation():
-    # every q-weighted sum packs its q-polynomials into ints
-    # (charge._packed), so no module multiplies coefficient lists, and the
+    # every q-weighted sum packs its q-polynomials into ints, evaluated at
+    # q = 2^width, so no module multiplies coefficient lists, and the
     # Gaussian binomials of psi and of the fermionic formula come from the
-    # one builder charge._q_binomial
+    # one builder charge._q_binomials, the packed q-Pascal triangle; no
+    # second builder or packer is defined, and the builder's only callers
+    # are the two sums
     defined = {
         (name, node.name)
         for name, tree in MODULES.items()
@@ -211,13 +213,19 @@ def test_one_q_polynomial_representation():
         if isinstance(node, ast.FunctionDef)
     }
     assert "_times" not in {function for _, function in defined}
-    assert {(name, f) for name, f in defined if "binom" in f} == {("charge", "_q_binomial")}
-    assert {(name, f) for name, f in defined if "pack" in f} == {
-        ("charge", "_packed"), ("charge", "_unpacked"),
+    assert {(name, f) for name, f in defined if "binom" in f or "pascal" in f.lower()} == {
+        ("charge", "_q_binomials"),
     }
-    assert {"_q_binomial", "_packed", "_unpacked"} <= _calls_in_module(
-        MODULES["charge"], "_fermionic_sum"
-    )
+    assert {(name, f) for name, f in defined if "pack" in f} == {("charge", "_unpacked")}
+    assert {"_q_binomials", "_unpacked"} <= _calls_in_module(MODULES["charge"], "_fermionic_sum")
+    building = {
+        (name, node.name)
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name != "_q_binomials"
+        and "_q_binomials" in _names_in_function(tree, node.name)
+    }
+    assert building == {("charge", "_fermionic_sum"), ("tableaux", "_kostka_sweep")}
     # the strips of a shape have one enumerator, the kernel that weighs
     # them too, which the chains and both sweeps share
     assert {(name, f) for name, f in defined if "strips" in f} == {("tableaux", "_strips")}
@@ -535,6 +543,10 @@ ORACLE_AVOIDS = {
     "collapse_full_sweep": {"collapse", "_sweep", "_prefix_counts", "_match_rows"},
     "ssyt_rows_by_cells": TABLEAU_ENGINE,
     "lr_coefficient_by_filter": TABLEAU_ENGINE,
+    "kostka_foulkes_by_configurations": {"_fermionic_sum", "_next_levels", "_q_binomials"},
+    "q_binomial_by_subsets": {"_q_binomials"},
+    "stationary_counts_by_sweep": {"stationary_counts", "_label_layer", "_rotations"},
+    "q_whittaker_mlq": {"_kostka_sweep", "_strips", "_q_binomials"},
 }
 # package names that those oracles use on purpose, each with its reason; the
 # walk below reaches them but does not follow them

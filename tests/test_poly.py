@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mlqkit import poly
-from mlqkit.charge import _packed, _q_binomial, _unpacked
+from mlqkit.charge import _unpacked
 from mlqkit.core import conjugate, dominance_leq, is_partition, partitions
 from mlqkit.errors import ParseError
 from mlqkit.mlq import count_mlq
@@ -165,9 +165,21 @@ def test_q_whittaker_branching_is_the_charge_expansion_at_the_frontier():
 WIDTH = 32
 
 
+def _packed(terms, width):
+    """The q-polynomial with the (degree, coefficient) pairs terms at
+    q = 2^width."""
+    return sum(c << (e * width) for e, c in terms)
+
+
 def _binomials(top, width):
-    """The table binomials[b][a] = [a choose b]_q packed at width, a, b <= top."""
-    return [[_packed(_q_binomial(a, b), width) for a in range(top + 1)] for b in range(top + 1)]
+    """The table binomials[b][a] = [a choose b]_q packed at width, a, b <= top,
+    each counted as subsets (``oracles.q_binomial_by_subsets``), so the
+    strip kernel's weights do not rest on the builder that the package
+    packs them with."""
+    return [
+        [_packed(oracles.q_binomial_by_subsets(a, b).items(), width) for a in range(top + 1)]
+        for b in range(top + 1)
+    ]
 
 
 def _psi(shape, new, width=WIDTH, binomials=None):
@@ -233,7 +245,7 @@ def test_psi_boundaries():
     # one binomial read twice from the caller's table
     table = _binomials(4, WIDTH)
     assert _unpacked(_psi((3, 1), (4, 2), WIDTH, table), WIDTH) == [1, 2, 1]
-    assert _psi((3, 1), (4, 2), WIDTH, table) == table[1][2] ** 2 == _packed([1, 1], WIDTH) ** 2
+    assert _psi((3, 1), (4, 2), WIDTH, table) == table[1][2] ** 2 == (1 + (1 << WIDTH)) ** 2
     # (5,3)/(3,2): row 1 gains all 2 cells it may, row 2 one of 3, so
     # [3 choose 1]_q = 1 + q + q^2, at a width of 2 bits, which holds it
     assert _unpacked(_psi((3, 2), (5, 3), 2), 2) == [1, 1, 1]
@@ -548,12 +560,27 @@ def test_kostka_foulkes_visits_configurations_not_tableaux(monkeypatch):
 
 
 def test_q_binomial_counts_subsets_by_sum():
-    for a in range(0, 9):
-        for b in range(-1, a + 2):
-            expected = oracles.q_binomial_by_subsets(a, b) if 0 <= b <= a else {}
-            coeffs = charge_module._q_binomial(a, b)
-            assert {e: c for e, c in enumerate(coeffs) if c} == expected, (a, b)
-            assert not coeffs or coeffs[-1], (a, b)
+    # the builder's table[b][a] is [a choose b]_q at q = 2^width, 0 for
+    # b > a, exact as an int whatever the carries: the largest coefficient
+    # of [10 choose 5]_q is 20, so widths 1 and 3 carry, and there the int
+    # still equals the polynomial at 2^width, though it does not unpack
+    for width in (1, 3, 5, 8, 33):
+        table = charge_module._q_binomials([], 10, width)
+        assert [len(row) for row in table] == [11] * 11, width
+        for a in range(11):
+            for b in range(11):
+                expected = oracles.q_binomial_by_subsets(a, b)
+                assert table[b][a] == _packed(expected.items(), width), (width, a, b)
+                if max(expected.values(), default=0) < 1 << width:
+                    coeffs = [expected[e] for e in range(max(expected, default=-1) + 1)]
+                    assert _unpacked(table[b][a], width) == coeffs, (width, a, b)
+    # grown on demand, in any order of sizes, the table is the one built at once
+    grown, largest = [], 0
+    for top in (0, 3, 2, 7, 7, 10):
+        largest = max(largest, top)
+        assert charge_module._q_binomials(grown, top, 5) is grown
+        assert [len(row) for row in grown] == [largest + 1] * (largest + 1), top
+    assert grown == charge_module._q_binomials([], 10, 5)
 
 
 def test_packing_keeps_every_degree():
@@ -563,14 +590,14 @@ def test_packing_keeps_every_degree():
     for width in (1, 2, 5, 8, 33):
         top = (1 << width) - 1
         for coeffs in ([], [1], [0, 1], [1, 0, 1], [0, 0, top, 0, 1], [top] * 3):
-            packed = _packed(coeffs, width)
+            packed = _packed(enumerate(coeffs), width)
             assert _unpacked(packed, width) == coeffs, (width, coeffs)
             assert _unpacked(packed << 2 * width, width) == ([0, 0] + coeffs if coeffs else [])
-    a, b = _packed([1, 0, 2], 4), _packed([0, 3, 1], 4)
+    a, b = _packed(enumerate([1, 0, 2]), 4), _packed(enumerate([0, 3, 1]), 4)
     assert _unpacked(a * b, 4) == [0, 3, 1, 6, 2]
     assert _unpacked(a + b, 4) == [1, 3, 3]
     # too narrow a width carries into the next degree: 3 * 3 = 9 needs 4 bits
-    assert _unpacked(_packed([3], 2) * _packed([3], 2), 2) != [9]
+    assert _unpacked(_packed([(0, 3)], 2) ** 2, 2) != [9]
 
 
 def _zero_one_matrices(rows, cols, memo):

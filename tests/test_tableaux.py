@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mlqkit.charge import _packed, _q_binomial, _unpacked, charge
+from mlqkit.charge import _unpacked, charge
 from mlqkit.core import conjugate, partitions
 from mlqkit.errors import NonPartitionContent, ParseError, SizeMismatch
 from mlqkit.mlq import MultilineQueue, column_word, enumerate_mlq, is_nonwrapping, row_word
@@ -669,17 +669,18 @@ KERNEL_WIDTH = 32
 
 def _psi_by_rows(shape, new):
     """psi_{new/shape}(q, 0) as coefficients, lowest degree first: the
-    product of the rows' [new_i - new_{i+1} choose new_i - shape_i]_q,
-    multiplied out as lists."""
-    out = [1]
+    product of the rows' [new_i - new_{i+1} choose new_i - shape_i]_q, each
+    counted as subsets (``oracles.q_binomial_by_subsets``), multiplied out
+    as {degree: coefficient}."""
+    out = Counter({0: 1})
     for v, low, below in zip(new, shape, new[1:] + (0,)):
-        factor = _q_binomial(v - below, v - low)
-        product_ = [0] * (len(out) + len(factor) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(factor):
+        factor = oracles.q_binomial_by_subsets(v - below, v - low)
+        product_ = Counter()
+        for i, a in out.items():
+            for j, b in factor.items():
                 product_[i + j] += a * b
         out = product_
-    return out
+    return [out[e] for e in range(max(out) + 1)]
 
 
 def _check_kernel(outer, shape):
@@ -687,7 +688,10 @@ def _check_kernel(outer, shape):
     # bucket alone with size
     top = outer[0] if outer else 0
     table = [
-        [_packed(_q_binomial(a, b), KERNEL_WIDTH) for a in range(top + 1)]
+        [
+            sum(c << e * KERNEL_WIDTH for e, c in oracles.q_binomial_by_subsets(a, b).items())
+            for a in range(top + 1)
+        ]
         for b in range(top + 1)
     ]
     expected = {}
