@@ -21,7 +21,7 @@ nonwrapping queues live here too: ``mlq_of_tableau`` collapses the columns
 of a tableau and ``tab_of_mlq`` column-inserts the row word back;
 ``insert_into_mlq`` and ``mult_mlq`` stack rows and collapse; bicolored
 queues (``skew_to_mlq``) rectify skew tableaux and count
-Littlewood-Richardson coefficients.
+Littlewood-Richardson coefficients by a row-by-row search on masks.
 """
 
 from dataclasses import dataclass
@@ -505,12 +505,17 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     a fixed tableau of shape nu.  For the superstandard tableau that queue,
     ``mlq_of_tableau(superstandard(nu), len(nu))``, is the left-justified
     ``canonical_mlq(nu, len(nu))``, so straight row r holds columns
-    ell+1..ell+nu'_r and no collapse runs.  Row r has room lam'_r - nu'_r
-    for skew balls.  Skew column j puts mu_j balls in distinct rows that
-    still have room, and a pick that leaves some room above ell - j is
-    skipped, since the later columns add at most one ball to a row.  So
-    every candidate has row sizes lam'; it is built through the public
-    constructor and kept if it is collapsed and its skew word is lattice.
+    ell+1..ell+nu'_r and no collapse runs.
+
+    The skew balls go in row by row, bottom row first, as row masks: row r
+    takes lam'_r - nu'_r of the skew columns that still lack balls, and
+    must take each one that needs more balls than there are rows with room
+    above it.  The balls placed per column are the letter counts of the
+    skew word read so far, restored on the way back, so a row is dropped
+    when it puts c where c and c - 1 are level without c - 1 beside it (the
+    lattice rule), or when it does not park into the row below
+    (``mlq._is_collapsed`` on the pair).  Every row takes its room, so the
+    top row completes every column; no queue is built.
     """
     lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
     if sum(lam) != sum(mu) + sum(nu):
@@ -524,25 +529,43 @@ def lr_coefficient_by_mlq(lam, mu, nu) -> int:
     room = [a - b for a, b in zip_longest(_conjugate(lam), nu_cols, fillvalue=0)]
     if min(room) < 0:  # nu does not fit inside lam, as when nu_1 > lam_1
         return 0
-    rows = [list(range(ell + 1, ell + k + 1)) for k in nu_cols]
-    rows += [[] for _ in range(len(room) - len(rows))]
+    straight = [((1 << k) - 1) << (ell + 1) for k in nu_cols]
+    straight += [0] * (len(room) - len(straight))
+    # later[r]: the rows above row r with room; placed[j]: the balls of skew
+    # column j so far, and placed[0] outnumbers them all, so 1 is never held
+    later = [sum(map(bool, room[r + 1:])) for r in range(len(room))]
+    placed = [sum(mu) + 1] + [0] * ell
 
-    def place(j, room):
-        if j > ell:
-            cand = MultilineQueue(len(nu) + ell, rows)
-            collapsed = _is_collapsed(_row_masks(cand))
-            return int(collapsed and is_lattice(BicoloredMLQ(cand, ell).skew_word()))
+    def extend(r, below):
+        if r == len(room):
+            return 1
+        forced = tight = 0
+        free = []
+        for j, m in enumerate(mu, start=1):
+            if placed[j] == placed[j - 1]:
+                tight |= 1 << j
+            if m - placed[j] > later[r]:
+                forced |= 1 << j
+            elif m > placed[j]:
+                free.append(1 << j)
+        k = room[r] - forced.bit_count()
+        if k < 0:
+            return 0
         total = 0
-        for picked in combinations([r for r, k in enumerate(room) if k], mu[j - 1]):
-            left = list(room)
-            for r in picked:
-                left[r] -= 1
-            if max(left) <= ell - j:
-                for r in picked:
-                    rows[r].append(j)
-                total += place(j + 1, left)
-                for r in picked:
-                    rows[r].pop()
+        for picked in combinations(free, k):
+            skew = forced | sum(picked)
+            # letter c outnumbers c - 1 if they were level and c - 1 is not here
+            if skew & tight & ~(skew << 1):
+                continue
+            row = straight[r] | skew
+            if r and not _is_collapsed((below, row)):
+                continue
+            letters = _columns(skew)
+            for c in letters:
+                placed[c] += 1
+            total += extend(r + 1, row)
+            for c in letters:
+                placed[c] -= 1
         return total
 
-    return place(1, room)
+    return extend(0, 0)

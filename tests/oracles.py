@@ -75,8 +75,10 @@ The second routes below each pin one theorem against the package's route:
 - ``lr_coefficient_by_mlq_unpruned``: the collapsing route as the paper
   states it, with every choice of rows for every skew column and the
   straight part collapsed from the superstandard tableau, keeping the
-  candidates of row sizes lam'; the package fills only the rows that still
-  need skew balls and lays the straight part out left-justified
+  candidates of row sizes lam' and building each one as a queue; the
+  package lays the straight part out left-justified and places the skew
+  balls row by row on masks, dropping a row at once when it breaks the
+  lattice rule or does not park into the row below
   (``lr_coefficient_by_mlq``).
 - ``skew_schur_by_tableaux``: the content sum over the skew tableaux filled
   cell by cell gives the skew Schur polynomial that the package expands

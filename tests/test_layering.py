@@ -6,7 +6,8 @@ and usually works around a cycle, so both are refused: every module of
 imports, and the graph of relative imports between modules is searched for
 a cycle.  Every name a module or test file imports must also be used in it,
 and no module has an ``assert`` statement, which ``python -O`` strips, or
-state that outlives a call.  The
+state that outlives a call; every module parses under the grammar of the
+oldest Python that ``pyproject.toml`` declares.  The
 trusted constructors ``_of`` and ``QXPolynomial._of_m``, which skip
 validation, are called only from an allow-list of engine routes.  Only
 ``core`` spells out what valid input is.
@@ -15,6 +16,7 @@ validation, are called only from an allow-list of engine routes.  Only
 import ast
 import importlib
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import mlqkit
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "mlqkit"
+PYPROJECT = TESTS.parent / "pyproject.toml"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -148,12 +151,15 @@ def _calls_in_module(tree, start):
 
 
 def test_lr_by_mlq_runs_no_collapse():
-    # the straight part is laid out left-justified and the skew balls go
-    # only to rows with room; every candidate is still built publicly,
-    # checked collapsed and its skew word checked lattice
+    # the straight part is laid out left-justified and the skew balls go in
+    # row by row on masks, each row parked into the one below as it is
+    # placed; no queue, bicolored queue or row word is built per candidate
     called = _calls_in_module(MODULES["collapse"], "lr_coefficient_by_mlq")
-    assert not called & {"collapse", "mlq_of_tableau", "superstandard", "product"}
-    assert {"MultilineQueue", "_is_collapsed", "is_lattice"} <= called
+    assert "_is_collapsed" in called
+    assert not called & {
+        "MultilineQueue", "BicoloredMLQ", "row_word", "collapse", "mlq_of_tableau",
+        "superstandard", "product",
+    }
 
 
 def test_unchecked_conjugate_only_in_core():
@@ -547,6 +553,10 @@ ORACLE_AVOIDS = {
     "q_binomial_by_subsets": {"_q_binomials"},
     "stationary_counts_by_sweep": {"stationary_counts", "_label_layer", "_rotations"},
     "q_whittaker_mlq": {"_kostka_sweep", "_strips", "_q_binomials"},
+    "lr_coefficient_by_mlq_unpruned": {"lr_coefficient_by_mlq", "lr_coefficient", "_strips"},
+    "kostka_foulkes_by_charge": {"_fermionic_sum", "_next_levels", "kostka_foulkes"},
+    "label_row_by_scan": {"_label_layer"},
+    "label_mlq_by_matching": {"_label_layer", "_wrap_lists"},
 }
 # package names that those oracles use on purpose, each with its reason; the
 # walk below reaches them but does not follow them
@@ -667,6 +677,16 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_src_parses_at_oldest_python():
+    # pyproject.toml declares the oldest interpreter the package supports;
+    # every module must parse under that grammar, not just the one running
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text())
+    oldest = tuple(map(int, declared.groups()))
+    assert oldest == (3, 10)
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=oldest)
 
 
 def _names_in(node):

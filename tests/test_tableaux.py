@@ -308,42 +308,64 @@ def test_lr_routes_agree():
 
 def _count_lr_work(monkeypatch, triples):
     """Run lr_coefficient_by_mlq on triples, counting the searches for a
-    column's rows, the picks tried and the queues built."""
+    row's skew columns and the picks tried."""
     module = importlib.import_module("mlqkit.collapse")
     work = Counter()
 
-    def counted_combinations(rows, k):
+    def counted_combinations(columns, k):
         work["searches"] += 1
-        for pick in combinations(rows, k):
+        for pick in combinations(columns, k):
             work["picks"] += 1
             yield pick
 
-    class CountedQueue(module.MultilineQueue):
-        def __init__(self, n, rows):
-            work["queues"] += 1
-            super().__init__(n, rows)
-
     monkeypatch.setattr(module, "combinations", counted_combinations)
-    monkeypatch.setattr(module, "MultilineQueue", CountedQueue)
     return [lr_coefficient_by_mlq(*t) for t in triples], work
 
 
 def test_lr_by_mlq_fills_only_rows_with_room(monkeypatch):
-    # lam/mu/nu = (3,2)/(2,2)/(1): rows 1..3 have room 1, 2, 1.  Column 1
-    # tries its 3 picks and keeps {1,2} and {2,3}; {1,3} leaves row 2 room 2
-    # with one column to come.  Column 2 then tries one pick after each.
+    # lam/mu/nu = (3,2)/(2,2)/(1): rows 1..3 have room 1, 2, 1 for skew
+    # columns 1 and 2.  Row 1 tries {1} and {2}; letter 2 first is not
+    # lattice.  Row 2 must take column 2, which needs 2 balls with one row
+    # left, so it tries only {1} beside it; row 3 then tries {2}.
     values, work = _count_lr_work(monkeypatch, [((3, 2), (2, 2), (1,))])
     assert values == [1]
-    assert work == {"searches": 3, "picks": 5, "queues": 2}
-    # the benchmark's six triples: 36 picks and 18 queues, where every
-    # choice of rows for every skew column gives 147 candidates
+    assert work == {"searches": 3, "picks": 4}
+    # the benchmark's six triples: 45 picks, where every choice of rows for
+    # every skew column gives 147 candidates
     values, work = _count_lr_work(monkeypatch, [
         ((3, 2, 1), (2, 1), (2, 1)), ((4, 3, 2), (2, 1), (3, 2, 1)),
         ((4, 3, 2, 1), (3, 1), (3, 2, 1)), ((4, 3, 2, 1), (2, 1), (3, 2, 1, 1)),
         ((5, 3, 2), (3, 1), (3, 2, 1)), ((4, 4, 2), (3, 2), (2, 2, 1)),
     ])
     assert values == [2, 2, 3, 2, 2, 1]
-    assert (work["picks"], work["queues"]) == (36, 18)
+    assert work == {"searches": 33, "picks": 45}
+
+
+def test_lr_by_mlq_frontier(monkeypatch):
+    # the two frontier rows; on the second, placing whole skew columns and
+    # testing each finished queue afterwards takes 4 630 picks
+    assert lr_coefficient_by_mlq((6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (5, 3, 2, 1)) == 24
+    assert lr_coefficient((6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (5, 3, 2, 1)) == 24
+    triple = ((8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (7, 6, 5, 4, 3, 1))
+    assert lr_coefficient(*triple) == 120
+    values, work = _count_lr_work(monkeypatch, [triple])
+    assert values == [120]
+    assert work["picks"] <= 368, work
+
+
+def test_lr_by_mlq_agrees_to_eight():
+    # the collapsing route against the strip sweep on every triple with
+    # |lam| <= 8, 6 829 of them
+    seen = 0
+    for total in range(1, 9):
+        for lam in partitions(total):
+            for inner_size in range(0, total + 1):
+                for mu in partitions(inner_size):
+                    for nu in partitions(total - inner_size):
+                        a = lr_coefficient(lam, mu, nu)
+                        assert lr_coefficient_by_mlq(lam, mu, nu) == a, (lam, mu, nu, a)
+                        seen += 1
+    assert seen == 6829
 
 
 def _inside(outer, size):
