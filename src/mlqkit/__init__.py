@@ -1,10 +1,11 @@
 """Exact combinatorics of multiline queues.
 
 Multiline queues with their labelling statistics (``mlq``), semistandard
-tableaux (``tableaux``), the collapsing maps onto nonwrapping queues and the
-bijections with tableaux that collapsing gives (``collapse``), column
-fillings (``fillings``), and exact polynomial identities (``poly``:
-q-Whittaker, Schur, Kostka-Foulkes, dual Cauchy, Littlewood-Richardson).
+tableaux (``tableaux``), the collapsing maps onto nonwrapping queues with
+the bijections and Littlewood-Richardson counts that collapsing gives
+(``collapse``), column fillings (``fillings``), and exact polynomial
+identities (``poly``: q-Whittaker, Schur, skew Schur, Kostka-Foulkes, dual
+Cauchy).
 Modules import each other at module level and without cycles: ``core``,
 ``errors``, ``matching`` and ``charge`` come first, ``tableaux`` and ``mlq``
 build on them, and ``collapse``, ``fillings`` and ``poly`` on those.
@@ -18,9 +19,10 @@ kernel builds for each strip, sums q-Whittaker polynomials by the t = 0
 branching rule
 (``q_whittaker_mlq``); the generalized form, rows in any order, is the same
 polynomial (sigma-invariance).  The stationary counts sum over label-word
-states, one per rotation class.  LR coefficients are a sweep over the
-strips that the kernel keeps under the lattice rule (``lr_coefficient``),
-and Kostka-Foulkes polynomials sum the fermionic formula of Kirillov and
+states, one per rotation class.  LR coefficients, in skew and product form
+(``lr_coefficient``), are the paper's count of bicolored queues, searched
+row by row on masks (``collapse.lr_coefficient_by_mlq``), and
+Kostka-Foulkes polynomials sum the fermionic formula of Kirillov and
 Reshetikhin (``charge._fermionic_sum``), which also gives the
 Schur basis of the charge formula (``q_whittaker_schur``), one shape at a
 time.  The other routes the paper proves equal are reference
@@ -70,7 +72,6 @@ from .tableaux import (
     column_reading_word,
     enumerate_skew_ssyt,
     enumerate_ssyt,
-    lr_coefficient,
     parse_tableau,
     row_reading_word,
     straighten,
@@ -88,6 +89,7 @@ from .collapse import (
     flip_up,
     insert_into_mlq,
     lift,
+    lr_coefficient,
     lr_coefficient_by_mlq,
     mlq_of_tableau,
     mrsk,

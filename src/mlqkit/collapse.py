@@ -20,8 +20,9 @@ Collapsing is an insertion procedure, so the maps between tableaux and
 nonwrapping queues live here too: ``mlq_of_tableau`` collapses the columns
 of a tableau and ``tab_of_mlq`` column-inserts the row word back;
 ``insert_into_mlq`` and ``mult_mlq`` stack rows and collapse; bicolored
-queues (``skew_to_mlq``) rectify skew tableaux and count
-Littlewood-Richardson coefficients by a row-by-row search on masks.
+queues (``skew_to_mlq``) rectify skew tableaux, and their row-by-row search
+on masks (``lr_coefficient_by_mlq``) is the package's one count of
+Littlewood-Richardson coefficients, in both forms (``lr_coefficient``).
 """
 
 from dataclasses import dataclass
@@ -496,9 +497,25 @@ def rectify_by_mlq(t: SkewTableau) -> Tableau:
     return tab_of_mlq(skew_to_mlq(t).straight_part())
 
 
+def lr_coefficient(lam, mu, nu) -> int:
+    """Littlewood-Richardson coefficient, skew or product form.
+
+    With |lam| = |mu| + |nu| this is c^lam_{mu,nu}; with |lam| + |mu| = |nu|
+    it is c^nu_{lam,mu}, the coefficient of s_nu in s_lam s_mu; SizeMismatch
+    for sizes that fit neither.  Either way the first of its two lower
+    shapes is the skew part of ``lr_coefficient_by_mlq``.
+    """
+    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
+    if sum(lam) == sum(mu) + sum(nu):
+        return lr_coefficient_by_mlq(lam, mu, nu)
+    if sum(lam) + sum(mu) == sum(nu):
+        return lr_coefficient_by_mlq(nu, lam, mu)
+    raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
+
+
 def lr_coefficient_by_mlq(lam, mu, nu) -> int:
-    """The Littlewood-Richardson coefficient c^lam_{mu,nu} of
-    ``tableaux.lr_coefficient``, counted by skew extensions of a fixed queue.
+    """The Littlewood-Richardson coefficient c^lam_{mu,nu}, the skew form of
+    ``lr_coefficient``, counted by skew extensions of a fixed queue.
 
     Counts the bicolored nonwrapping queues of shape lam with ell = len(mu)
     skew columns, lattice skew word, and straight part equal to the queue of

@@ -84,7 +84,14 @@ class ColumnFilling:
         return self.rows[r - 1]
 
     def to_text(self):
-        return " / ".join(" ".join(str(v) for v in r) for r in self.rows)
+        """<shape>;<rows>, the column heights split by comma, the rows bottom
+        first split by /, each its entries split by space; ;n=<n> follows
+        when n is above the largest entry, ``parse_filling``'s default."""
+        body = " / ".join(" ".join(str(v) for v in r) for r in self.rows)
+        text = f"{','.join(map(str, self.shape))};{body}"
+        if self.n > max((v for r in self.rows for v in r), default=1):
+            text += f";n={self.n}"
+        return text
 
     def to_json(self):
         rows = [list(r) for r in self.rows]
@@ -101,9 +108,10 @@ def parse_filling(text: str) -> ColumnFilling:
             data = json.loads(text)
             return ColumnFilling(data["shape"], data["rows"], data.get("n"))
         shape_part, _, body = text.partition(";")
+        body, bounded, n = body.partition(";n=")
         shape = tuple(int(v) for v in shape_part.split(",") if v)
         rows = [[int(v) for v in part.split()] for part in body.split("/")]
-        return ColumnFilling(shape, [r for r in rows if r])
+        return ColumnFilling(shape, [r for r in rows if r], int(n) if bounded else None)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad filling {text!r}") from exc
 

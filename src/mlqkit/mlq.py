@@ -95,6 +95,11 @@ class MultilineQueue:
         return MultilineQueue(self.n, rows)
 
     def to_text(self):
+        """n=<n>;<rows>, rows bottom first split by |, each its columns split
+        by comma; a queue without rows is n=<n> alone, as n=<n>; is one
+        empty row."""
+        if not self.rows:
+            return f"n={self.n}"
         body = "|".join(",".join(str(c) for c in row) for row in self.rows)
         return f"n={self.n};{body}"
 
@@ -113,14 +118,12 @@ def parse_mlq(text: str) -> MultilineQueue:
             return MultilineQueue(data["n"], data["rows"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad queue json {text!r}") from exc
-    if not text.startswith("n=") or ";" not in text:
+    if not text.startswith("n="):
         raise ParseError(f"bad queue {text!r}")
-    head, _, body = text.partition(";")
+    head, rowed, body = text.partition(";")
     try:
         n = int(head[2:])
-        rows = [
-            [int(c) for c in part.split(",") if c] for part in body.split("|")
-        ] if body else [[]]
+        rows = [[int(c) for c in part.split(",") if c] for part in body.split("|")] if rowed else []
         return MultilineQueue(n, rows)
     except ValueError as exc:
         raise ParseError(f"bad queue {text!r}") from exc

@@ -1,5 +1,5 @@
-"""Semistandard Young tableaux: validation, reading words, insertion,
-enumeration and Littlewood-Richardson counting.
+"""Semistandard Young tableaux: validation, reading words, insertion and
+enumeration.
 
 Tableaux are stored in French orientation: rows listed bottom row first,
 weakly increasing left to right, strictly increasing up each column.  This
@@ -10,12 +10,11 @@ live in ``collapse``.
 One kernel, ``_strips``, grows a shape by its horizontal strips under one
 room rule (``_rooms``), each weighted by psi; every strip comes from it.  On
 it, ``_strip_chains`` enumerates every semistandard filling as a chain of
-strips, one per letter, as collapsing adds them.  Two sweeps count the
-chains from inner to outer without listing them: ``_kostka_sweep`` the skew
-Kostka numbers K_{outer/inner,nu}, or with psi, the t = 0 branching rule of
-the q-Whittaker polynomials, and ``lr_coefficient`` the chains under the
-lattice rule, which the kernel keeps as it places each strip (Fulton, Young
-Tableaux, section 5).
+strips, one per letter, as collapsing adds them, and ``_kostka_sweep``
+counts the chains from inner to outer without listing them: the skew Kostka
+numbers K_{outer/inner,nu}, or with psi, the t = 0 branching rule of the
+q-Whittaker polynomials.  Littlewood-Richardson coefficients are counted on
+bicolored queues, in ``collapse``.
 
 The chains are the lazy public enumeration, so ``_strip_chains`` and its
 enumerators are generators; the few, tiny strips and sweep layers are not.
@@ -31,7 +30,7 @@ from .core import (
     _as_rows, _check_composition, _check_count, _check_instance, _check_letters, _is_count, _text,
     check_partition, content,
 )
-from .errors import InvariantError, OutOfRange, ParseError, SizeMismatch
+from .errors import InvariantError, OutOfRange, ParseError
 
 
 @dataclass(frozen=True)
@@ -261,13 +260,11 @@ def _rooms(outer, shape):
     return rooms
 
 
-def _strips(outer, shape, binomials, size=None, before=None):
+def _strips(outer, shape, binomials, size=None):
     """The horizontal strips on shape inside outer as {cells added: [(new,
     w)]}, each list in lexicographic order of new, shape a partition padded
     with zeros to the length of outer: row i of new runs from shape_i up by
-    at most ``_rooms``.  With size, only the strips of size cells, and with
-    before too, the shape before the last strip, only those that keep the
-    lattice rule of ``lr_coefficient``.
+    at most ``_rooms``.  With size, only the strips of size cells.
 
     w is psi_{new/shape}(q, 0), Macdonald VI (6.24), the product over rows
     i of [new_i - new_{i+1} choose new_i - shape_i]_q from the caller's
@@ -279,11 +276,6 @@ def _strips(outer, shape, binomials, size=None, before=None):
     the last cell, keep their length; row i takes at least the cells that
     the rows after it have no room for.
     """
-    caps = None  # the lattice caps on rows 0 to i together, weakly increasing
-    if before is not None:
-        caps = list(accumulate(map(int.__sub__, shape[:-1], before), initial=0))
-        if caps[-1] < size:
-            return {}
     rooms = _rooms(outer, shape)
     first, last = 0, len(rooms) - 1
     while last >= 0 and not rooms[last]:
@@ -308,8 +300,6 @@ def _strips(outer, shape, binomials, size=None, before=None):
             full = base + size - added  # row i's length once it places every cell
             if full < high:
                 high = full
-            if caps and base + caps[i] - added < high:
-                high = base + caps[i] - added
             if full - later[i + 1] > low:
                 low = full - later[i + 1]
         column = binomials[gained]
@@ -474,32 +464,3 @@ def straighten(t: SkewTableau):
         hats = [r + 1] * t.inner[r]
         rows.append(hats + [v + ell for v in t.rows[r]])
     return Tableau([r for r in rows if r]), ell
-
-
-def lr_coefficient(lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient, skew or product form.
-
-    With |lam| = |mu| + |nu| this is c^lam_{mu,nu}; with |lam| + |mu| = |nu|
-    it is c^nu_{lam,mu}: the skew tableaux of content nu (or mu) whose
-    reverse reading word (rows bottom to top, each right to left) is
-    lattice, letter i filling at most as many cells of rows 0 to r as letter
-    i - 1 fills in rows 0 to r - 1.  A sweep of states (shape before the
-    last strip, shape) -> count counts them on the strips ``_strips`` keeps.
-    """
-    lam, mu, nu = (check_partition(p) for p in (lam, mu, nu))
-    if sum(lam) == sum(mu) + sum(nu):
-        top, inner, weight = lam, mu, nu
-    elif sum(lam) + sum(mu) == sum(nu):
-        top, inner, weight = nu, lam, mu
-    else:
-        raise SizeMismatch(f"|{lam}|, |{mu}|, |{nu}| fit neither form")
-    inner = _inner_of(top, inner)
-    ones = [[1] * (top[0] + 1)] * (top[0] + 1) if top else None
-    layer = {} if inner is None else {(None, inner): 1}
-    for size in weight:
-        below = {}
-        for (before, shape), count in layer.items():
-            for new, _ in _strips(top, shape, ones, size, before).get(size, ()):
-                below[shape, new] = below.get((shape, new), 0) + count
-        layer = below
-    return sum(layer.values())

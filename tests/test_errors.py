@@ -14,6 +14,7 @@ from mlqkit.collapse import (
     flip_up,
     insert_into_mlq,
     lift,
+    lr_coefficient,
     mlq_of_tableau,
     mrsk_inverse,
     mult_mlq,
@@ -66,7 +67,6 @@ from mlqkit.tableaux import (
     SkewTableau,
     Tableau,
     column_insert,
-    lr_coefficient,
     parse_tableau,
     superstandard,
 )

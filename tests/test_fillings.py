@@ -124,10 +124,18 @@ def test_wrapping_descent_correspondence():
 
 
 def test_parse_round_trip():
+    # the text carries the shape, and n where it is above the largest entry,
+    # so parse_filling reads back what to_text writes
     tau = filling_of_mlq(LABEL_EXAMPLE)
-    text = f"{','.join(str(v) for v in tau.shape)};{tau.to_text()}"
-    assert parse_filling(text) == tau
-    assert parse_filling(tau.to_json()) == tau
+    assert tau.to_text() == "4,4,2,2;3 1 2 4 / 3 5 1 6 / 3 2 / 3 5"
+    wide = filling_of_mlq(MultilineQueue(4, [[2], [1]]))
+    assert wide.to_text() == "2;2 / 1;n=4"
+    assert ColumnFilling((), [], n=3).to_text() == ";;n=3"
+    for filling in (tau, wide, ColumnFilling((), []), ColumnFilling((), [], n=3)):
+        assert parse_filling(filling.to_text()) == filling
+        assert parse_filling(filling.to_json()) == filling
+    with pytest.raises(ParseError):
+        parse_filling("2;2 / 1;n=1")  # n below the largest entry
 
 
 def test_alphabet_size_is_kept():

@@ -233,10 +233,10 @@ def test_one_q_polynomial_representation():
     }
     assert building == {("charge", "_fermionic_sum"), ("tableaux", "_kostka_sweep")}
     # the strips of a shape have one enumerator, the kernel that weighs
-    # them too, which the chains and both sweeps share
+    # them too, which the chains and the sweep share
     assert {(name, f) for name, f in defined if "strips" in f} == {("tableaux", "_strips")}
     assert not {f for _, f in defined} & {"_psi"}
-    for start in ["_kostka_sweep", "_strip_chains", "lr_coefficient"]:
+    for start in ["_kostka_sweep", "_strip_chains"]:
         assert "_strips" in _calls_in_module(MODULES["tableaux"], start), start
 
 
@@ -272,9 +272,9 @@ def test_one_schur_to_monomial_expansion():
         assert ("_kostka_sweep" in defined) == (name == "tableaux"), name
         assert ("_rooms" in defined) == (name == "tableaux"), name
         assert not defined & {"_dominant_kostka", "_monomial_form"}, name
-    # the sweeps and the chains grow shapes under one room rule, through the
+    # the sweep and the chains grow shapes under one room rule, through the
     # one strip kernel
-    for start in ["_kostka_sweep", "_strip_chains", "lr_coefficient"]:
+    for start in ["_kostka_sweep", "_strip_chains"]:
         assert {"_rooms", "_strips"} <= _calls_in_module(MODULES["tableaux"], start), start
     direct = {
         (name, node.name)
@@ -540,15 +540,14 @@ def test_one_collapse_sweep():
 
 ORACLES = ast.parse((TESTS / "oracles.py").read_text())
 TABLEAU_ENGINE = {
-    "_strips", "_strip_chains", "_kostka_sweep", "lr_coefficient", "enumerate_ssyt",
-    "enumerate_skew_ssyt",
+    "_strips", "_strip_chains", "_kostka_sweep", "enumerate_ssyt", "enumerate_skew_ssyt",
 }
 # oracle in tests/oracles.py -> the package functions it must not reach: the
 # route it checks and the engines under that route
 ORACLE_AVOIDS = {
     "collapse_full_sweep": {"collapse", "_sweep", "_prefix_counts", "_match_rows"},
     "ssyt_rows_by_cells": TABLEAU_ENGINE,
-    "lr_coefficient_by_filter": TABLEAU_ENGINE,
+    "lr_coefficient_by_filter": TABLEAU_ENGINE | {"lr_coefficient", "lr_coefficient_by_mlq"},
     "kostka_foulkes_by_configurations": {"_fermionic_sum", "_next_levels", "_q_binomials"},
     "q_binomial_by_subsets": {"_q_binomials"},
     "stationary_counts_by_sweep": {"stationary_counts", "_label_layer", "_rotations"},
@@ -557,6 +556,16 @@ ORACLE_AVOIDS = {
     "kostka_foulkes_by_charge": {"_fermionic_sum", "_next_levels", "kostka_foulkes"},
     "label_row_by_scan": {"_label_layer"},
     "label_mlq_by_matching": {"_label_layer", "_wrap_lists"},
+    "sigma_by_sets": {"sigma", "_match_rows"},
+    "coquinv_by_cells": {"coquinv"},
+    "coquinv_free_fillings": {"filling_of_mlq", "_label_layer", "coquinv"},
+    "schur": {"_kostka_sweep", "_strips"},
+    "schur_by_ssyt": TABLEAU_ENGINE,
+    "skew_schur_by_tableaux": TABLEAU_ENGINE,
+    "jdt_rectify": {"rectify_by_mlq", "skew_to_mlq", "_sweep", "_column_insert"},
+    "charge_by_matching": {"charge", "_subword_positions"},
+    "kostka_foulkes_rotated": {"_fermionic_sum", "_next_levels", "kostka_foulkes"},
+    "tasep_law": {"stationary_counts", "_label_layer"},
 }
 # package names that those oracles use on purpose, each with its reason; the
 # walk below reaches them but does not follow them
@@ -566,8 +575,8 @@ SHARED_HELPERS = {
     "_inner_of": "pads the inner shape to the length of the outer one; it places no cell",
     "SkewTableau": "the checked constructor: its semistandard check, not the strips, "
     "stands behind each filling the LR oracle builds cell by cell",
-    "is_lattice": "the lattice test itself, which the LR oracle filters by where "
-    "lr_coefficient caps its strips",
+    "is_lattice": "the lattice test itself, by which the LR oracle filters whole "
+    "fillings, where the package's mask search keeps the rule row by row",
 }
 
 
@@ -624,8 +633,15 @@ def test_oracles_are_independent():
     # full-sweep collapse counts its drops with the set matcher, and the
     # tableau oracles fill cells one at a time
     shared = set()
+    defined = {
+        node.name for tree in MODULES.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
     for oracle, avoids in ORACLE_AVOIDS.items():
         reached = _reached_from(oracle)
+        # a row names an oracle and package functions that exist
+        assert ("oracles", oracle) in reached, oracle
+        assert avoids <= defined, (oracle, avoids - defined)
         package = {name for module, name in reached if module != "oracles"}
         assert not package & avoids, oracle
         shared |= package & SHARED_HELPERS.keys()
@@ -715,15 +731,15 @@ def test_no_dead_private_helpers():
         and everywhere[node.name] == _names_in(node)[node.name]
     ]
     assert not dead
-    # the strip kernel is named by the chains and both of its sweeps, not by
-    # itself alone
+    # the strip kernel is named by the chains and the sweep, not by itself
+    # alone
     tableaux = MODULES["tableaux"]
     users = {
         node.name for node in tableaux.body
         if isinstance(node, ast.FunctionDef) and node.name != "_strips"
         and "_strips" in _names_in(node)
     }
-    assert users == {"_strip_chains", "_kostka_sweep", "lr_coefficient"}
+    assert users == {"_strip_chains", "_kostka_sweep"}
 
 
 # module -> the functions that call a trusted constructor ``_of`` or
@@ -815,14 +831,22 @@ def test_one_tableau_engine():
     tableaux, poly = MODULES["tableaux"], MODULES["poly"]
     for start in ["enumerate_ssyt", "enumerate_skew_ssyt"]:
         assert "_strip_chains" in _calls_in_module(tableaux, start), start
-    # LR coefficients are a sweep over the kernel's lattice-capped strips:
-    # no chain is listed and no tableau filtered
-    lr = _calls_in_module(tableaux, "lr_coefficient")
-    assert "_strips" in _names_in_function(tableaux, "lr_coefficient")
-    assert not lr & {
-        "_strip_chains", "is_lattice", "enumerate_skew_ssyt", "skew_rev_reading_word",
-    }
+    # LR coefficients have one engine, the paper's search of bicolored
+    # queues on masks, in collapse: tableaux counts none, lr_coefficient in
+    # either form runs lr_coefficient_by_mlq and no strip, and the strip
+    # kernel keeps no lattice mode
+    defined = {node.name for node in ast.walk(tableaux) if isinstance(node, ast.FunctionDef)}
+    assert not {f for f in defined if f.startswith("lr_")}
+    lr = _calls_in_module(MODULES["collapse"], "lr_coefficient")
+    assert "lr_coefficient_by_mlq" in lr
+    assert not lr & {"_strips", "_strip_chains", "enumerate_skew_ssyt"}
+    assert importlib.import_module("mlqkit").lr_coefficient.__module__ == "mlqkit.collapse"
     assert not inspect.isgeneratorfunction(importlib.import_module("mlqkit").lr_coefficient)
+    (strips,) = [
+        node for node in tableaux.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_strips"
+    ]
+    assert [a.arg for a in strips.args.args] == ["outer", "shape", "binomials", "size"]
     # the chains only enumerate: they take the sizes and the two shapes and
     # no flag, and every strip, free letters' too, comes from the kernel,
     # which alone reads the room rule

@@ -414,3 +414,29 @@ def test_serialization_round_trip():
     for rows in ([[True]], [[2.5]], [[0]], [[4]]):
         with pytest.raises(ParseError):
             MultilineQueue(3, rows)
+
+
+@st.composite
+def queues_with_empty_rows(draw):
+    """Queues of zero to five rows on up to five columns, each row empty
+    with even odds, so zero rows and empty rows anywhere are common."""
+    n = draw(st.integers(1, 5))
+    row = st.one_of(st.just(set()), st.sets(st.integers(1, n)))
+    return MultilineQueue(n, draw(st.lists(row, max_size=5)))
+
+
+@given(queues_with_empty_rows())
+def test_text_round_trip_keeps_every_row(m):
+    # a queue without rows used to write n=3;, which reads back as one
+    # empty row; trimming an all-empty queue gives such a queue
+    assert parse_mlq(m.to_text()) == m
+    assert parse_mlq(m.trimmed().to_text()) == m.trimmed()
+    assert parse_mlq(m.to_json()) == m
+
+
+def test_text_of_no_rows_and_of_one_empty_row():
+    assert MultilineQueue(3, []).to_text() == "n=3"
+    assert parse_mlq("n=3") == MultilineQueue(3, [])
+    assert parse_mlq("n=3;") == MultilineQueue(3, [[]])
+    assert parse_mlq("n=3;|2") == MultilineQueue(3, [[], [2]])
+    assert MultilineQueue(3, [[], []]).trimmed().to_text() == "n=3"

@@ -1,7 +1,7 @@
 import importlib
 from collections import Counter
-from itertools import accumulate, combinations, product
-from math import comb, prod
+from itertools import combinations, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from mlqkit.mlq import MultilineQueue, column_word, enumerate_mlq, is_nonwrappin
 from mlqkit.collapse import (
     collapse,
     insert_into_mlq,
+    lr_coefficient,
     lr_coefficient_by_mlq,
     mlq_of_tableau,
     mult_mlq,
@@ -33,7 +34,6 @@ from mlqkit.tableaux import (
     column_reading_word,
     enumerate_skew_ssyt,
     enumerate_ssyt,
-    lr_coefficient,
     parse_tableau,
     row_reading_word,
     straighten,
@@ -291,9 +291,9 @@ def test_lr_values():
 
 
 def test_lr_routes_agree():
-    # the lattice-capped strip sweep, the paper's collapsing route with and
-    # without its row capacities, and the cell-by-cell filter, on every
-    # triple with |lam| <= 6
+    # the package's one LR engine under both public names, the paper's
+    # collapsing route with every choice of rows for every skew column, and
+    # the cell-by-cell filter, on every triple with |lam| <= 6
     for total in range(1, 7):
         for lam in partitions(total):
             for inner_size in range(0, total + 1):
@@ -306,9 +306,17 @@ def test_lr_routes_agree():
                         assert a == b == c == d, (lam, mu, nu, a, b, c, d)
 
 
-def _count_lr_work(monkeypatch, triples):
-    """Run lr_coefficient_by_mlq on triples, counting the searches for a
-    row's skew columns and the picks tried."""
+# the six triples lam, mu, nu that the benchmark times
+BENCH_LR_TRIPLES = [
+    ((3, 2, 1), (2, 1), (2, 1)), ((4, 3, 2), (2, 1), (3, 2, 1)),
+    ((4, 3, 2, 1), (3, 1), (3, 2, 1)), ((4, 3, 2, 1), (2, 1), (3, 2, 1, 1)),
+    ((5, 3, 2), (3, 1), (3, 2, 1)), ((4, 4, 2), (3, 2), (2, 2, 1)),
+]
+
+
+def _count_lr_work(monkeypatch, triples, route=lr_coefficient_by_mlq):
+    """Run route on triples, counting the searches for a row's skew columns
+    and the picks tried."""
     module = importlib.import_module("mlqkit.collapse")
     work = Counter()
 
@@ -319,7 +327,7 @@ def _count_lr_work(monkeypatch, triples):
             yield pick
 
     monkeypatch.setattr(module, "combinations", counted_combinations)
-    return [lr_coefficient_by_mlq(*t) for t in triples], work
+    return [route(*t) for t in triples], work
 
 
 def test_lr_by_mlq_fills_only_rows_with_room(monkeypatch):
@@ -332,13 +340,20 @@ def test_lr_by_mlq_fills_only_rows_with_room(monkeypatch):
     assert work == {"searches": 3, "picks": 4}
     # the benchmark's six triples: 45 picks, where every choice of rows for
     # every skew column gives 147 candidates
-    values, work = _count_lr_work(monkeypatch, [
-        ((3, 2, 1), (2, 1), (2, 1)), ((4, 3, 2), (2, 1), (3, 2, 1)),
-        ((4, 3, 2, 1), (3, 1), (3, 2, 1)), ((4, 3, 2, 1), (2, 1), (3, 2, 1, 1)),
-        ((5, 3, 2), (3, 1), (3, 2, 1)), ((4, 4, 2), (3, 2), (2, 2, 1)),
-    ])
+    values, work = _count_lr_work(monkeypatch, BENCH_LR_TRIPLES)
     assert values == [2, 2, 3, 2, 2, 1]
     assert work == {"searches": 33, "picks": 45}
+
+
+def test_lr_coefficient_is_the_mask_search(monkeypatch):
+    # one LR engine: lr_coefficient in its skew form c^lam_{mu,nu} and in
+    # its product form lr_coefficient(mu, nu, lam) runs the same searches
+    # and picks as lr_coefficient_by_mlq on the benchmark's triples
+    expected = _count_lr_work(monkeypatch, BENCH_LR_TRIPLES)
+    assert expected[1] == {"searches": 33, "picks": 45}
+    assert _count_lr_work(monkeypatch, BENCH_LR_TRIPLES, lr_coefficient) == expected
+    product_form = [(mu, nu, lam) for lam, mu, nu in BENCH_LR_TRIPLES]
+    assert _count_lr_work(monkeypatch, product_form, lr_coefficient) == expected
 
 
 def test_lr_by_mlq_frontier(monkeypatch):
@@ -354,15 +369,15 @@ def test_lr_by_mlq_frontier(monkeypatch):
 
 
 def test_lr_by_mlq_agrees_to_eight():
-    # the collapsing route against the strip sweep on every triple with
-    # |lam| <= 8, 6 829 of them
+    # the collapsing route against the cell-by-cell filter on every triple
+    # with |lam| <= 8, 6 829 of them
     seen = 0
     for total in range(1, 9):
         for lam in partitions(total):
             for inner_size in range(0, total + 1):
                 for mu in partitions(inner_size):
                     for nu in partitions(total - inner_size):
-                        a = lr_coefficient(lam, mu, nu)
+                        a = oracles.lr_coefficient_by_filter(lam, mu, nu)
                         assert lr_coefficient_by_mlq(lam, mu, nu) == a, (lam, mu, nu, a)
                         seen += 1
     assert seen == 6829
@@ -386,11 +401,14 @@ def lr_triples(draw):
 
 @given(lr_triples())
 def test_lr_by_mlq_random(triple):
-    # past the exhaustive range above: |lam| up to 10; the unpruned oracle
-    # only where it tries at most 2 000 row choices
+    # past the exhaustive range above: |lam| up to 10; the filter oracle
+    # only where the words of content nu, which bound the fillings it
+    # lists, number at most 100 000, and the unpruned oracle only where it
+    # tries at most 2 000 row choices
     lam, mu, nu = triple
     c = lr_coefficient_by_mlq(*triple)
-    assert c == lr_coefficient(*triple), triple
+    if factorial(sum(nu)) // prod(map(factorial, nu)) <= 100_000:
+        assert c == oracles.lr_coefficient_by_filter(*triple), triple
     if prod(comb(lam[0], k) for k in mu) <= 2000:
         assert c == oracles.lr_coefficient_by_mlq_unpruned(*triple), triple
 
@@ -411,9 +429,9 @@ def test_lr_symmetries():
 
 
 def test_lr_frontier_value():
-    # a frontier value, fast because the sweep counts states (shape before
-    # the last strip, shape) on strips the lattice rule caps as they are
-    # placed, instead of filtering every skew tableau of content nu
+    # a frontier value, fast because the mask search drops a row as soon as
+    # it breaks the lattice rule or does not park into the row below,
+    # instead of filtering every skew tableau of content nu
     assert lr_coefficient((8, 7, 6, 5, 4, 3, 2, 1), (4, 3, 2, 1), (7, 6, 5, 4, 3, 1)) == 120
 
 
@@ -659,29 +677,16 @@ def _ones(outer):
 
 def test_strips_are_the_bounded_growths_in_order():
     # with size, every new between shape and its rooms that adds size
-    # cells, in lexicographic order; with before too, only those that add
-    # at most as many cells to rows 0 to i together as shape has over
-    # before in rows 0 to i - 1, the lattice caps that lr_coefficient sets
+    # cells, in lexicographic order
     for outer in _shapes_inside((3, 3, 3, 3)):
         for shape in _padded_inside(outer):
             growths = _interlacing(outer, shape)
-            befores = product(*map(range, shape[1:] + (0,), [s + 1 for s in shape]))
-            for before in [None, *befores]:
-                caps = None
-                if before is not None:
-                    caps = list(accumulate(map(int.__sub__, shape[:-1], before), initial=0))
-                for size in range(8):
-                    expected = [
-                        new for new in growths
-                        if sum(new) - sum(shape) == size
-                        and (caps is None or all(map(int.__le__, accumulate(
-                            map(int.__sub__, new, shape)), caps)))
-                    ]
-                    got = _strips(outer, shape, _ones(outer), size, before)
-                    assert set(got) <= {size}, (outer, shape, before, size)
-                    assert [new for new, w in got.get(size, [])] == expected, (
-                        outer, shape, before, size)
-                    assert all(w == 1 for _, w in got.get(size, [])), (outer, shape, size)
+            for size in range(8):
+                expected = [new for new in growths if sum(new) - sum(shape) == size]
+                got = _strips(outer, shape, _ones(outer), size)
+                assert set(got) <= {size}, (outer, shape, size)
+                assert [new for new, w in got.get(size, [])] == expected, (outer, shape, size)
+                assert all(w == 1 for _, w in got.get(size, [])), (outer, shape, size)
 
 
 # bits per packed coefficient of psi in the kernel checks below; every

@@ -23,7 +23,7 @@ from mlqkit.mlq import (
     projection,
     stationary_counts,
 )
-from mlqkit.collapse import lr_coefficient_by_mlq
+from mlqkit.collapse import lr_coefficient, lr_coefficient_by_mlq
 from mlqkit.poly import (
     QXPolynomial,
     kostka_foulkes,
@@ -34,11 +34,7 @@ from mlqkit.poly import (
     schur,
     skew_schur,
 )
-from mlqkit.tableaux import (
-    enumerate_skew_ssyt,
-    enumerate_ssyt,
-    lr_coefficient,
-)
+from mlqkit.tableaux import enumerate_skew_ssyt, enumerate_ssyt
 
 MAX_QUEUES = 5000
 
